@@ -1,34 +1,14 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels: the weighted stencil gather and counter-based uniforms.
 
-The jitted versions are used when numba imports cleanly, unless the
-environment variable ``CHERNOFF_NUMBA`` is set to ``0`` (forces the numpy
-fallback) or ``1`` (requires numba, raising if it is missing).  Both paths
-produce bit-identical results; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+Both are plain numpy and deterministic, so every result is bit-reproducible.
 """
-
-import os
 
 import numpy as np
 
-_ENV = os.environ.get("CHERNOFF_NUMBA", "auto").strip().lower()
-
-if _ENV == "0":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        if _ENV == "1":
-            raise
-        _HAVE_NUMBA = False
-
 
 def using_numba() -> bool:
-    """True when the jitted kernel path is active."""
-    return _HAVE_NUMBA
+    """False: the kernels are numpy only (reported by the benchmark runner)."""
+    return False
 
 
 # -- weighted gather ---------------------------------------------------------
@@ -37,36 +17,12 @@ def using_numba() -> bool:
 # precomputed stencil: out[i] = sum_k values[idx[i, k]] * w[i, k].
 
 
-def _gather_weighted_np(values, idx, w):
-    # accumulate over k in index order so both paths are bit-identical
+def gather_weighted(values, idx, w):
+    """Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k]."""
     acc = values[idx[:, 0]] * w[:, 0]
     for k in range(1, idx.shape[1]):
         acc = acc + values[idx[:, k]] * w[:, k]
     return acc
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=False)
-    def _gather_weighted_nb(values, idx, w):  # pragma: no cover - jitted
-        n, k = idx.shape
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(k):
-                acc += values[idx[i, j]] * w[i, j]
-            out[i] = acc
-        return out
-
-    def gather_weighted(values, idx, w):
-        return _gather_weighted_nb(
-            np.ascontiguousarray(values, dtype=np.float64), idx, w
-        )
-
-else:
-    gather_weighted = _gather_weighted_np
-
-gather_weighted.__doc__ = "Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k]."
 
 
 # -- counter-based uniform variates ------------------------------------------
@@ -85,51 +41,23 @@ _S31 = np.uint64(31)
 _INV = 1.0 / 18446744073709551616.0  # 2**-64
 
 
-def _finalize_np(z):
+def _finalize(z):
     z = (z ^ (z >> _S30)) * _MIX1
     z = (z ^ (z >> _S27)) * _MIX2
     return z ^ (z >> _S31)
 
 
-def _step_uniforms_np(streams, step):
+def step_uniforms(streams, step):
+    """Uniform [0,1) variates u[i] = finalize(streams[i] + (step+1)*golden) / 2**64."""
+    streams = np.asarray(streams, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = _finalize_np(streams + np.uint64(step + 1) * _GOLDEN)
+        z = _finalize(streams + np.uint64(step + 1) * _GOLDEN)
     return z.astype(np.float64) * _INV
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _step_uniforms_nb(streams, step):  # pragma: no cover - jitted
-        g = np.uint64(0x9E3779B97F4A7C15)
-        m1 = np.uint64(0xBF58476D1CE4E5B9)
-        m2 = np.uint64(0x94D049BB133111EB)
-        off = np.uint64(step + 1) * g
-        out = np.empty(streams.shape[0])
-        for i in range(streams.shape[0]):
-            z = streams[i] + off
-            z = (z ^ (z >> np.uint64(30))) * m1
-            z = (z ^ (z >> np.uint64(27))) * m2
-            z = z ^ (z >> np.uint64(31))
-            out[i] = z * 5.421010862427522e-20  # 2**-64
-        return out
-
-    def step_uniforms(streams, step):
-        return _step_uniforms_nb(np.ascontiguousarray(streams, dtype=np.uint64), step)
-
-else:
-
-    def step_uniforms(streams, step):
-        return _step_uniforms_np(np.asarray(streams, dtype=np.uint64), step)
-
-step_uniforms.__doc__ = (
-    "Uniform [0,1) variates u[i] = finalize(streams[i] + (step+1)*golden) / 2**64."
-)
 
 
 def substream(seed: int, index) -> np.ndarray:
     """64-bit substream identifiers mixed from (seed, index) pairs."""
     idx = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        seed_mixed = _finalize_np(np.uint64(seed) + _GOLDEN)
-        return _finalize_np(seed_mixed + idx * _GOLDEN + _GOLDEN)
+        seed_mixed = _finalize(np.uint64(seed) + _GOLDEN)
+        return _finalize(seed_mixed + idx * _GOLDEN + _GOLDEN)

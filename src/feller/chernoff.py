@@ -21,9 +21,14 @@ semigroup generated by L.  Variants:
   +-sqrt(d) e_k for time sqrt(t), weights 1/(2d), realizing half the
   Laplace-Beltrami operator on parallelizable manifolds.
 
-Three evaluation strategies for S(t/n)^n f: exact tree recursion
-(``iterate_tree``, the oracle), semi-Lagrangian grid sweeps
-(``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
+``branch_moves`` is the one description of a step: the branch table of
+S(.) in draw order (for ``GENERAL`` the drift first, then +A_1, -A_1, ..,
++A_r, -A_r), each branch with its exact weight and a move evaluated at the
+step time s.  Three evaluation strategies for S(t/n)^n f read it at s = t/n:
+exact tree recursion (``iterate_tree``, the oracle), semi-Lagrangian grid
+sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
+``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
+random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,45 +83,64 @@ def _require_driftless(spec: GeneratorSpec, variant: ChernoffVariant):
         raise VariantIncompatibleError(f"{variant.value} requires A_0 = 0")
 
 
+def check_steps(t: float, n: int) -> None:
+    """Refuse a step count below 1 and a negative time (every strategy and walk)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One branch of S(s): exact weight, label and move.
+
+    ``move(coords, s)`` sends a coordinate batch to its shifted batch for the
+    step time ``s``; it is the one place that turns ``s`` into a flow time
+    (``2s``, ``sqrt(2rs)``, ``sqrt(rs)``) or a geodesic time (``sqrt(s)``).
+    """
+
+    weight: Fraction
+    label: str
+    move: Callable[[np.ndarray, float], np.ndarray]
+
+
 def branch_moves(
     spec: GeneratorSpec,
     variant: ChernoffVariant,
-    t: float,
     ode: OdeSettings = DEFAULT_ODE,
-):
-    """Branch move maps and exact weights for one application of S(t).
+) -> list[Branch]:
+    """The branch table of S(.): every branch in draw order with its exact weight.
 
-    Returns ``(moves, weights)`` where each move sends a coordinate batch to
-    its shifted batch and the weights are assembled as exact rationals.
+    ``GENERAL`` lists the drift first, then ``+A_1, -A_1, .., +A_r, -A_r``;
+    the driftless variants list ``+-A_j``; ``HEAT_GEODESIC`` lists the
+    geodesics with initial velocities ``+-sqrt(d) e_k``.
     """
-    if t < 0.0:
-        raise ValueError("S(t) requires t >= 0")
     m = spec.manifold
-    moves: list[Callable[[np.ndarray], np.ndarray]] = []
-    weights: list[Fraction] = []
+    branches: list[Branch] = []
 
     def flow_move(field, tau):
-        return lambda coords: flow_batch(field, coords, tau, ode)
+        return lambda coords, s: flow_batch(field, coords, tau(s), ode)
+
+    def field_pairs(weight, tau, tau_label):
+        for j, f in enumerate(spec.fields, start=1):
+            branches.append(Branch(weight, f"flow(+A_{j}, {tau_label})", flow_move(f, tau)))
+            branches.append(
+                Branch(weight, f"flow(-A_{j}, {tau_label})", flow_move(negate(f), tau))
+            )
 
     if variant is ChernoffVariant.GENERAL:
         r = spec.r
-        tau = math.sqrt(2.0 * r * t)
-        for f in spec.fields:
-            moves.append(flow_move(f, tau))
-            weights.append(Fraction(1, 4 * r))
-            moves.append(flow_move(negate(f), tau))
-            weights.append(Fraction(1, 4 * r))
-        moves.append(flow_move(spec.drift_field(), 2.0 * t))
-        weights.append(Fraction(1, 2))
+        drift = flow_move(spec.drift_field(), lambda s: 2.0 * s)
+        branches.append(Branch(Fraction(1, 2), "flow(A_0, 2s)", drift))
+        field_pairs(Fraction(1, 4 * r), lambda s: math.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant in (ChernoffVariant.DRIFTLESS_CORRECTED, ChernoffVariant.DRIFTLESS_LITERAL):
         _require_driftless(spec, variant)
         r = spec.r
-        tau = math.sqrt((r if variant is ChernoffVariant.DRIFTLESS_CORRECTED else 2.0 * r) * t)
-        for f in spec.fields:
-            moves.append(flow_move(f, tau))
-            weights.append(Fraction(1, 2 * r))
-            moves.append(flow_move(negate(f), tau))
-            weights.append(Fraction(1, 2 * r))
+        if variant is ChernoffVariant.DRIFTLESS_CORRECTED:
+            field_pairs(Fraction(1, 2 * r), lambda s: math.sqrt(r * s), "sqrt(rs)")
+        else:
+            field_pairs(Fraction(1, 2 * r), lambda s: math.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant is ChernoffVariant.HEAT_GEODESIC:
         if spec.potential is not None:
             raise VariantIncompatibleError("heat-geodesic requires c = 0")
@@ -126,28 +150,56 @@ def branch_moves(
             )
         d = m.dim
         root_d = math.sqrt(d)
-        root_t = math.sqrt(t)
 
         def geo_move(k, sign):
-            def move(coords):
+            def move(coords, s):
                 frame = m.frame_batch(np.atleast_2d(coords))
                 out = m.geodesic_batch(
-                    np.atleast_2d(coords), sign * root_d * frame[k], root_t
+                    np.atleast_2d(coords), sign * root_d * frame[k], math.sqrt(s)
                 )
                 return m.wrap(out)
 
             return move
 
         for k in range(d):
-            moves.append(geo_move(k, +1.0))
-            weights.append(Fraction(1, 2 * d))
-            moves.append(geo_move(k, -1.0))
-            weights.append(Fraction(1, 2 * d))
+            for sign, mark in ((+1.0, "+"), (-1.0, "-")):
+                branches.append(
+                    Branch(
+                        Fraction(1, 2 * d),
+                        f"geodesic({mark}sqrt(d) e_{k + 1}, sqrt(s))",
+                        geo_move(k, sign),
+                    )
+                )
     else:  # pragma: no cover
         raise ValueError(variant)
 
-    assert sum(weights) == 1
-    return moves, weights
+    assert sum(b.weight for b in branches) == 1
+    return branches
+
+
+def sample_steps(
+    branches: Sequence[Branch],
+    s: float,
+    coords: np.ndarray,
+    streams: np.ndarray,
+    steps: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
+
+    Step m draws ``u = step_uniforms(streams, m)`` per row and takes the first
+    branch whose cumulative weight exceeds u.  Yields each step's branch
+    indices and ``coords`` as they are before the move (the live array: copy
+    what must be kept); the move runs when the caller asks for the next step.
+    """
+    cumw = np.cumsum([float(b.weight) for b in branches])
+    cumw[-1] = 1.0
+    for step in range(steps):
+        drawn = np.searchsorted(cumw, step_uniforms(streams, step), side="right")
+        yield drawn, coords
+        for b, br in enumerate(branches):
+            mask = drawn == b
+            if np.any(mask):
+                coords[mask] = br.move(coords[mask], s)
 
 
 def branch_set(
@@ -159,13 +211,15 @@ def branch_set(
 ) -> BranchSet:
     """Shifted points, weights and potential term of S(t) at x."""
     spec.manifold._check_point(x)
-    moves, weights = branch_moves(spec, variant, t, ode)
+    check_steps(t, 1)
+    branches = branch_moves(spec, variant, ode)
     c = x.coords[None, :]
-    pts = [spec.manifold.point(spec.manifold.wrap(mv(c)[0])) for mv in moves]
+    pts = [spec.manifold.point(spec.manifold.wrap(br.move(c, t)[0])) for br in branches]
     pot = 0.0
     if variant is ChernoffVariant.GENERAL and spec.potential is not None:
         pot = t * float(spec.potential_values(c)[0])
-    return BranchSet(points=pts, weights=np.array([float(w) for w in weights]), potential_term=pot)
+    weights = np.array([float(br.weight) for br in branches])
+    return BranchSet(points=pts, weights=weights, potential_term=pot)
 
 
 def apply_S_batch(
@@ -177,11 +231,11 @@ def apply_S_batch(
     ode: OdeSettings = DEFAULT_ODE,
 ) -> np.ndarray:
     """(S(t)f) evaluated at a batch of coordinate rows."""
+    check_steps(t, 1)
     coords = np.atleast_2d(coords)
-    moves, weights = branch_moves(spec, variant, t, ode)
     acc = np.zeros(coords.shape[0])
-    for mv, w in zip(moves, weights):
-        acc += float(w) * np.asarray(f(mv(coords)), dtype=float)
+    for br in branch_moves(spec, variant, ode):
+        acc += float(br.weight) * np.asarray(f(br.move(coords, t)), dtype=float)
     if variant is ChernoffVariant.GENERAL and spec.potential is not None:
         acc += t * spec.potential_values(coords) * np.asarray(f(coords), dtype=float)
     return acc
@@ -218,21 +272,20 @@ def iterate_tree(
     within ``budget``.
     """
     spec.manifold._check_point(x)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_steps(t, n)
     dt = t / n
-    moves, wfrac = branch_moves(spec, variant, dt, ode)
+    branches = branch_moves(spec, variant, ode)
     has_pot = variant is ChernoffVariant.GENERAL and spec.potential is not None
-    b = len(moves) + (1 if has_pot else 0)
+    b = len(branches) + (1 if has_pot else 0)
     if b**n > budget:
         raise BudgetExceededError(
             f"{b}^{n} leaf evaluations exceed the budget of {budget}"
         )
-    weights = [float(w) for w in wfrac]
+    weights = [float(br.weight) for br in branches]
     pts = x.coords[None, :].copy()
     wts = np.ones(1)
     for _ in range(n):
-        blocks = [mv(pts) for mv in moves]
+        blocks = [br.move(pts, dt) for br in branches]
         wblocks = [w * wts for w in weights]
         if has_pot:
             blocks.append(pts)
@@ -258,16 +311,15 @@ def iterate_grid(
     """
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_steps(t, n)
     dt = t / n
-    moves, wfrac = branch_moves(spec, variant, dt, ode)
-    weights = [float(w) for w in wfrac]
+    branches = branch_moves(spec, variant, ode)
+    weights = [float(br.weight) for br in branches]
     nodes = f0.node_coords()
     stencils = []
     max_disp = 0.0
-    for mv in moves:
-        target = mv(nodes)
+    for br in branches:
+        target = br.move(nodes, dt)
         max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
         stencils.append(f0.build_stencil(target))
     if f0.interp == "linear" and 0.0 < max_disp < f0.cell_size():
@@ -320,25 +372,18 @@ def iterate_mc(
     worker decomposition.
     """
     spec.manifold._check_point(x)
+    check_steps(t, n)
     if samples < 2:
         raise ValueError("samples must be >= 2")
     dt = t / n
-    moves, wfrac = branch_moves(spec, variant, dt, ode)
-    cumw = np.cumsum([float(w) for w in wfrac])
-    cumw[-1] = 1.0
+    branches = branch_moves(spec, variant, ode)
     coords = np.broadcast_to(x.coords, (samples, x.coords.shape[0])).copy()
     streams = substream(seed, np.arange(samples))
     has_pot = variant is ChernoffVariant.GENERAL and spec.potential is not None
     factor = np.ones(samples) if has_pot else None
-    for step in range(n):
-        u = step_uniforms(streams, step)
-        branch = np.searchsorted(cumw, u, side="right")
+    for _, before in sample_steps(branches, dt, coords, streams, n):
         if has_pot:
-            factor *= 1.0 + dt * spec.potential_values(coords)
-        for b, mv in enumerate(moves):
-            mask = branch == b
-            if np.any(mask):
-                coords[mask] = mv(coords[mask])
+            factor *= 1.0 + dt * spec.potential_values(before)
     vals = np.asarray(f(coords), dtype=float)
     if has_pot:
         vals = vals * factor

@@ -52,21 +52,6 @@ def _threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _apply_thread_cap():
-    if not os.environ.get("CHERNOFF_THREADS", "").strip():
-        return
-    try:
-        import warnings
-
-        import numba
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            numba.set_num_threads(max(1, min(_threads(), numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:
-        pass
-
-
 # -- config ----------------------------------------------------------------------
 
 
@@ -140,7 +125,6 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
 def _ode_settings(cfg: ExperimentConfig) -> OdeSettings:
     o = cfg.ode or {}
     return OdeSettings(
-        method=o.get("method", "rk45"),
         h_init=o.get("h0"),
         tol=float(o.get("tol", 1e-9)),
         max_steps=int(o.get("max_steps", 10**6)),
@@ -557,7 +541,6 @@ def run_validation_suite(filter_substr: Optional[str] = None, out: Optional[str]
 
 
 def _add_ode_flags(p: argparse.ArgumentParser):
-    p.add_argument("--ode-method", choices=["rk45", "rk4"], default=None)
     p.add_argument("--ode-tol", type=float, default=None)
     p.add_argument("--ode-h0", type=float, default=None)
     p.add_argument("--ode-max-steps", type=int, default=None)
@@ -565,8 +548,6 @@ def _add_ode_flags(p: argparse.ArgumentParser):
 
 def _ode_override(args, base: dict) -> dict:
     o = dict(base or {})
-    if getattr(args, "ode_method", None):
-        o["method"] = args.ode_method
     if getattr(args, "ode_tol", None) is not None:
         o["tol"] = args.ode_tol
     if getattr(args, "ode_h0", None) is not None:
@@ -661,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

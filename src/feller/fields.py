@@ -538,7 +538,7 @@ def _apply_generator_fd(spec, f, c, fx) -> float:
     m = spec.manifold
     scale = float(_fd_scale(c)[0])
     h2 = _H_FD2 * scale
-    ode = OdeSettings(method="rk4", h_init=h2, tol=1e-13, max_steps=64)
+    ode = OdeSettings(h_init=h2, tol=1e-13, max_steps=64)
     acc = 0.0
     for fld in spec.fields:
         fp = float(np.asarray(f(flow_batch(fld, c, h2, ode)))[0])

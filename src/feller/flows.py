@@ -1,15 +1,13 @@
 """Integral curves of vector fields and the distance-monotonicity horizon.
 
-Two engines back the flow maps:
-
-* ``integral_curve`` - the point-level operation, adaptive Cash-Karp RK45
-  by default (or fixed-step RK4 with a Richardson error estimate);
-* ``flow_batch`` - the vectorized hot path used by the Chernoff branch and
-  walk samplers: fixed-step RK4 over the whole batch, with the step count
-  doubled until a Richardson comparison meets the tolerance.
+One engine backs the flow maps: fixed-step RK4 over a batch of starts, with
+the step count doubled until a Richardson comparison meets the tolerance.
+``flow_batch`` is the vectorized hot path used by the Chernoff branches and
+the walk samplers; ``integral_curve`` runs the same engine on a single start
+and reports its step count and error estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
-built-ins, sphere rotations) short-circuit both engines, which keeps the
+built-ins, sphere rotations) short-circuit the engine, which keeps the
 quadratic-exactness checks exact to rounding.
 """
 
@@ -31,20 +29,17 @@ _DEFAULT_MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator configuration.
+    """Configuration of the step-doubling RK4 engine.
 
-    ``method`` is ``"rk45"`` (adaptive, default) or ``"rk4"`` (fixed step).
-    ``h_init`` defaults to ``t / 16`` at call time when ``None``.
+    ``h_init`` sets the first step count ``ceil(t / h_init)`` and defaults to
+    ``t / 16`` at call time when ``None``.
     """
 
-    method: str = "rk45"
     h_init: Optional[float] = None
     tol: float = _DEFAULT_TOL
     max_steps: int = _DEFAULT_MAX_STEPS
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown ODE method {self.method!r}")
         if self.tol <= 0.0:
             raise ValueError("tol must be > 0")
         if self.max_steps < 1:
@@ -119,21 +114,20 @@ def _rk4_fixed(A: VectorField, coords: np.ndarray, t: float, steps: int) -> np.n
     return c
 
 
-def flow_batch(
-    A: VectorField, coords: np.ndarray, t: float, ode: OdeSettings = DEFAULT_ODE
-) -> np.ndarray:
-    """Endpoints of the integral curves of A after time t, for a batch of starts.
+def _integrate(A: VectorField, coords: np.ndarray, t: float, ode: OdeSettings):
+    """(endpoints, RK4 steps, Richardson error estimate) of the flow of A after time t.
 
-    Uses the exact flow when the field has one; otherwise fixed-step RK4 with
-    step doubling until the Richardson error estimate meets ``ode.tol``.
+    Uses the exact flow when the field has one (reported as one step);
+    otherwise fixed-step RK4 with step doubling until the Richardson error
+    estimate meets ``ode.tol``.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if t == 0.0 or A.is_zero:
-        return _post(A.manifold, coords.copy())
+        return _post(A.manifold, coords.copy()), 0, 0.0
     if A.flow is not None:
         out = A.flow(coords, t)
         _check_domain(A.manifold, out)
-        return _post(A.manifold, out)
+        return _post(A.manifold, out), 1, 0.0
     h0 = ode.h_init if ode.h_init is not None else abs(t) / 16.0
     steps = max(1, min(int(math.ceil(abs(t) / max(h0, 1e-300))), ode.max_steps))
     tol = ode.tol * max(1.0, abs(t))
@@ -144,66 +138,18 @@ def flow_batch(
         if err <= tol or 2 * steps >= ode.max_steps:
             if err > tol:
                 raise StepLimitExceededError(
-                    f"flow_batch: error {err:.2e} > tol {tol:.2e} at max_steps"
+                    f"flow: error {err:.2e} > tol {tol:.2e} at max_steps"
                 )
-            return _post(A.manifold, fine)
+            return _post(A.manifold, fine), 2 * steps, err
         coarse = fine
         steps *= 2
 
 
-# -- adaptive Cash-Karp RK45 (single trajectory) --------------------------------
-
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def _rk45_adaptive(A: VectorField, c0: np.ndarray, t: float, ode: OdeSettings):
-    rhs = _rhs(A, A.manifold)
-
-    def f(c):
-        return rhs(c[None, :])[0]
-
-    c = c0.astype(float).copy()
-    h = ode.h_init if ode.h_init is not None else t / 16.0
-    h = min(h, t)
-    tol_rate = ode.tol * max(1.0, t) / t  # error budget per unit time
-    elapsed = 0.0
-    acc_err = 0.0
-    steps = 0
-    k = [np.zeros_like(c) for _ in range(6)]
-    while elapsed < t:
-        if steps >= ode.max_steps:
-            raise StepLimitExceededError(
-                f"integral_curve: exceeded max_steps={ode.max_steps}"
-            )
-        h = min(h, t - elapsed)
-        k[0] = f(c)
-        for i in range(1, 6):
-            ci = c + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
-            k[i] = f(ci)
-        c5 = c + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-        c4 = c + h * sum(b * ki for b, ki in zip(_CK_B4, k))
-        err = float(np.max(np.abs(c5 - c4)))
-        budget = tol_rate * h
-        if err <= budget or h <= 1e-15 * max(1.0, t):
-            elapsed += h
-            c = c5
-            if isinstance(A.manifold, Sphere2):
-                c = c / np.linalg.norm(c)
-            acc_err += err
-            steps += 1
-            _check_domain(A.manifold, c)
-        factor = 0.9 * (budget / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return c, steps, acc_err
+def flow_batch(
+    A: VectorField, coords: np.ndarray, t: float, ode: OdeSettings = DEFAULT_ODE
+) -> np.ndarray:
+    """Endpoints of the integral curves of A after time t, for a batch of starts."""
+    return _integrate(A, coords, t, ode)[0]
 
 
 def integral_curve(
@@ -214,25 +160,8 @@ def integral_curve(
     m._check_point(x)
     if t < 0.0:
         raise ValueError("integral_curve expects t >= 0")
-    if t == 0.0 or A.is_zero:
-        return FlowResult(x, 0, 0.0)
-    if A.flow is not None:
-        c = A.flow(x.coords[None, :], t)[0]
-        _check_domain(m, c[None, :])
-        return FlowResult(m.point(m.wrap(c)), 1, 0.0)
-    if settings.method == "rk4":
-        h0 = settings.h_init if settings.h_init is not None else t / 16.0
-        steps = max(1, int(math.ceil(t / h0)))
-        if steps > settings.max_steps:
-            raise StepLimitExceededError(
-                f"integral_curve: {steps} steps exceed max_steps"
-            )
-        coarse = _rk4_fixed(A, x.coords[None, :], t, steps)[0]
-        fine = _rk4_fixed(A, x.coords[None, :], t, 2 * steps)[0]
-        est = float(np.max(np.abs(fine - coarse)))
-        return FlowResult(m.point(m.wrap(coarse)), steps, est)
-    c, steps, err = _rk45_adaptive(A, x.coords, t, settings)
-    return FlowResult(m.point(m.wrap(c)), steps, err)
+    c, steps, err = _integrate(A, x.coords, t, settings)
+    return FlowResult(m.point(c[0]), steps, err)
 
 
 # -- distance monotonicity -------------------------------------------------------

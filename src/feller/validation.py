@@ -425,16 +425,6 @@ CRITERIA: list[Criterion] = [
 ]
 
 
-def warmup():
-    """Compile/caches the jitted kernels so criterion timing excludes JIT."""
-    from . import _kernels
-
-    _kernels.gather_weighted(
-        np.arange(8.0), np.zeros((4, 2), dtype=np.int64), np.full((4, 2), 0.5)
-    )
-    _kernels.step_uniforms(_kernels.substream(0, np.arange(4)), 0)
-
-
 def run_criterion(c: Criterion) -> CriterionResult:
     t0 = time.perf_counter()
     passed, detail = c.fn()
@@ -454,7 +444,6 @@ def run_criterion(c: Criterion) -> CriterionResult:
 
 
 def run_all(filter_substr: Optional[str] = None) -> list[CriterionResult]:
-    warmup()
     results = []
     for c in CRITERIA:
         if filter_substr and filter_substr not in c.cid:

@@ -1,24 +1,26 @@
 """Random-walk approximations of the diffusion generated by L_0 (c = 0).
 
-Three path constructions share one Markov skeleton: at each of the
-``floor(n t)`` steps a branch xi in {0, .., 2r} is drawn with
+The walks are the branch chain of the ``GENERAL`` Chernoff family taken at
+the step time s = 1/n: ``chernoff.branch_moves`` is their branch table and
+``chernoff.sample_steps`` their sample loop.  At each of the ``floor(n t)``
+steps a branch xi in {0, .., 2r} is drawn in table order,
 
-    P(xi = 0) = 1/2        -> move along A_0 for time 2/n,
+    P(xi = 0) = 1/2        -> move along A_0 for time 2s,
     P(xi = k) = 1/(4r)     -> move along +A_j (k = 2j-1) or -A_j (k = 2j)
-                              for time sqrt(2r/n),
+                              for time sqrt(2 r s),
 
-matching the one-step kernel of the jump process and the branch weights of
-the Chernoff family.  The three kinds differ only between skeleton times:
+matching the one-step kernel of the jump process.  Three path constructions
+share this skeleton and differ only between skeleton times:
 
 * ``jump`` - piecewise constant between jumps;
 * ``geodesic`` - consecutive skeleton points joined by shortest geodesics;
-* ``flow`` - the within-step move is traversed continuously along the
-  integral curve, reparametrized by tau(0, s) = 2s for the drift branch and
-  tau(k, s) = sqrt(2 r s) otherwise.
+* ``flow`` - the drawn branch evaluated at its local step time s < 1/n, so
+  the within-step move is traversed continuously along the integral curve.
 
 For a shared seed all three samplers reproduce identical skeleton values
-bit-for-bit.  Substreams are mixed statelessly from (seed, path index), so
-sampling is reproducible and independent of any worker decomposition.
+bit-for-bit; ``walk_endpoints`` runs the same loop on a batch of paths.
+Substreams are mixed statelessly from (seed, path index), so sampling is
+reproducible and independent of any worker decomposition.
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import step_uniforms, substream
+from ._kernels import substream
+from .chernoff import ChernoffVariant, branch_moves, check_steps, sample_steps
 from .errors import EmptySampleError
 from .fields import GeneratorSpec
-from .flows import DEFAULT_ODE, OdeSettings, flow_batch, negate
+from .flows import DEFAULT_ODE, OdeSettings
 from .manifolds import Point
+
+GENERAL = ChernoffVariant.GENERAL
 
 
 @dataclass(frozen=True)
@@ -48,32 +53,21 @@ class StepDistribution:
         return [p for _, p in self.branches]
 
 
-def _walk_moves(spec: GeneratorSpec, n: int, ode: OdeSettings):
-    """Moves indexed by xi = 0..2r, with descriptors and exact probabilities."""
-    r = spec.r
-    tau = math.sqrt(2.0 * r / n)
-
-    def flow_move(field, t):
-        return lambda coords: flow_batch(field, coords, t, ode)
-
-    moves = [flow_move(spec.drift_field(), 2.0 / n)]
-    descs = ["flow(A_0, 2/n)"]
-    probs = [Fraction(1, 2)]
-    for j, f in enumerate(spec.fields, start=1):
-        moves.append(flow_move(f, tau))
-        descs.append(f"flow(+A_{j}, sqrt(2r/n))")
-        probs.append(Fraction(1, 4 * r))
-        moves.append(flow_move(negate(f), tau))
-        descs.append(f"flow(-A_{j}, sqrt(2r/n))")
-        probs.append(Fraction(1, 4 * r))
-    assert sum(probs) == 1
-    return moves, descs, probs
+def _walk_steps(t: float, n: int) -> int:
+    """Number of whole steps of the n-th walk in [0, t]."""
+    check_steps(t, n)
+    return int(math.floor(n * t + 1e-12))
 
 
 def step_distribution(spec: GeneratorSpec, n: int) -> StepDistribution:
-    """The transition kernel of the n-th walk (probabilities are exact)."""
-    _, descs, probs = _walk_moves(spec, n, DEFAULT_ODE)
-    return StepDistribution(branches=list(zip(descs, probs)))
+    """The transition kernel of the n-th walk (probabilities are exact).
+
+    Descriptors name the flow time as a function of the step time s = 1/n.
+    """
+    check_steps(0.0, n)
+    return StepDistribution(
+        branches=[(br.label, br.weight) for br in branch_moves(spec, GENERAL)]
+    )
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ class PathSample:
         if self.kind == "jump":
             return 0.0
         m = self.spec.manifold
-        moves, _, _ = _walk_moves(self.spec, self.n, ode)
+        branches = branch_moves(self.spec, GENERAL, ode)
         worst = 0.0
         skeleton_times = self.times * self.n
         step_starts = np.where(np.abs(skeleton_times - np.round(skeleton_times)) < 1e-9)[0]
@@ -124,51 +118,30 @@ class PathSample:
                     )
                 )
             else:
-                xi = int(self.xi[s_idx])
+                move = branches[int(self.xi[s_idx])].move
                 cur = np.empty((local.size, a.size))
                 for k, s in enumerate(local):
-                    cur[k] = _flow_interp_point(self.spec, a, xi, float(s), self.n, ode)
+                    cur[k] = move(a[None, :], float(s))[0]
             worst = max(worst, float(np.abs(cur - self.points[i0 + 1 : i1]).max()))
         if worst > tol:
             raise AssertionError(f"interpolation deviates by {worst:.2e} > {tol:.0e}")
         return worst
 
 
-def _tau(xi: int, s: float, r: int) -> float:
-    return 2.0 * s if xi == 0 else math.sqrt(2.0 * r * s)
-
-
-def _field_for_xi(spec: GeneratorSpec, xi: int):
-    if xi == 0:
-        return spec.drift_field()
-    j = (xi + 1) // 2
-    f = spec.fields[j - 1]
-    return f if xi % 2 == 1 else negate(f)
-
-
-def _flow_interp_point(spec, start, xi, local_s, n, ode):
-    field = _field_for_xi(spec, xi)
-    t = _tau(xi, local_s, spec.r)
-    return flow_batch(field, start[None, :], t, ode)[0]
-
-
 def _sample_skeleton(
     spec: GeneratorSpec, x: Point, n: int, steps: int, seed: int, path_index: int, ode
 ):
-    """Skeleton points (steps+1, cd) and branch draws (steps,) for one path."""
-    moves, _, probs = _walk_moves(spec, n, ode)
-    cumw = np.cumsum([float(p) for p in probs])
-    cumw[-1] = 1.0
+    """Skeleton points (steps+1, cd), branch draws (steps,) and branch table of one path."""
+    branches = branch_moves(spec, GENERAL, ode)
+    coords = x.coords[None, :].copy()
     stream = substream(seed, np.array([path_index]))
     pts = np.empty((steps + 1, x.coords.shape[0]))
-    pts[0] = x.coords
     xi = np.empty(steps, dtype=np.int64)
-    for m in range(steps):
-        u = step_uniforms(stream, m)
-        b = int(np.searchsorted(cumw, u[0], side="right"))
-        xi[m] = b
-        pts[m + 1] = moves[b](pts[m][None, :])[0]
-    return pts, xi
+    for m, (drawn, before) in enumerate(sample_steps(branches, 1.0 / n, coords, stream, steps)):
+        xi[m] = drawn[0]
+        pts[m] = before[0]
+    pts[steps] = coords[0]
+    return pts, xi, branches
 
 
 def sample_jump_path(
@@ -182,8 +155,8 @@ def sample_jump_path(
 ) -> PathSample:
     """Jump process path: piecewise constant, jumping at the instants m/n."""
     spec.manifold._check_point(x)
-    steps = int(math.floor(n * t_max + 1e-12))
-    pts, xi = _sample_skeleton(spec, x, n, steps, seed, path_index, ode)
+    steps = _walk_steps(t_max, n)
+    pts, xi, _ = _sample_skeleton(spec, x, n, steps, seed, path_index, ode)
     times = np.arange(steps + 1) / n
     return PathSample("jump", times, pts, n, seed, spec, xi)
 
@@ -221,10 +194,10 @@ def sample_geodesic_interp(
     """Skeleton joined by shortest geodesics (same skeleton as the jump path)."""
     spec.manifold._check_point(x)
     m = spec.manifold
-    steps = int(math.floor(n * t_max + 1e-12))
+    steps = _walk_steps(t_max, n)
     partial = t_max - steps / n
     draw_steps = steps + (1 if partial > 1e-12 / n else 0)
-    pts, xi = _sample_skeleton(spec, x, n, draw_steps, seed, path_index, ode)
+    pts, xi, _ = _sample_skeleton(spec, x, n, draw_steps, seed, path_index, ode)
     times = _interp_times(n, t_max, steps, partial)
     out = np.empty((times.size, x.coords.shape[0]))
     for i, t in enumerate(times):
@@ -248,12 +221,16 @@ def sample_flow_interp(
     path_index: int = 0,
     ode: OdeSettings = DEFAULT_ODE,
 ) -> PathSample:
-    """Skeleton traversed continuously along the drawn integral curves."""
+    """Skeleton traversed continuously along the drawn integral curves.
+
+    Between skeleton instants the drawn branch is evaluated at its local
+    step time ``frac / n`` < 1/n.
+    """
     spec.manifold._check_point(x)
-    steps = int(math.floor(n * t_max + 1e-12))
+    steps = _walk_steps(t_max, n)
     partial = t_max - steps / n
     draw_steps = steps + (1 if partial > 1e-12 / n else 0)
-    pts, xi = _sample_skeleton(spec, x, n, draw_steps, seed, path_index, ode)
+    pts, xi, branches = _sample_skeleton(spec, x, n, draw_steps, seed, path_index, ode)
     times = _interp_times(n, t_max, steps, partial)
     out = np.empty((times.size, x.coords.shape[0]))
     for i, t in enumerate(times):
@@ -263,7 +240,7 @@ def sample_flow_interp(
         if frac <= 1e-12 or k >= draw_steps:
             out[i] = pts[k]
         else:
-            out[i] = _flow_interp_point(spec, pts[k], int(xi[k]), frac / n, n, ode)
+            out[i] = branches[int(xi[k])].move(pts[k][None, :], frac / n)[0]
     return PathSample("flow", times, out, n, seed, spec, xi)
 
 
@@ -289,19 +266,11 @@ def walk_endpoints(
 ) -> np.ndarray:
     """Vectorized endpoints X_n(t) for n_samples jump paths."""
     spec.manifold._check_point(x)
-    steps = int(math.floor(n * t + 1e-12))
-    moves, _, probs = _walk_moves(spec, n, ode)
-    cumw = np.cumsum([float(p) for p in probs])
-    cumw[-1] = 1.0
+    steps = _walk_steps(t, n)
     coords = np.broadcast_to(x.coords, (n_samples, x.coords.shape[0])).copy()
     streams = substream(seed, np.arange(n_samples))
-    for m in range(steps):
-        u = step_uniforms(streams, m)
-        branch = np.searchsorted(cumw, u, side="right")
-        for b, mv in enumerate(moves):
-            mask = branch == b
-            if np.any(mask):
-                coords[mask] = mv(coords[mask])
+    for _ in sample_steps(branch_moves(spec, GENERAL, ode), 1.0 / n, coords, streams, steps):
+        pass
     return coords
 
 

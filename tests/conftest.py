@@ -1,15 +1,6 @@
 import numpy as np
 import pytest
 
-from feller.validation import warmup
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile/caches the jitted kernels once so timing-sensitive tests
-    # measure the algorithms, not JIT latency
-    warmup()
-
 
 @pytest.fixture
 def rng():

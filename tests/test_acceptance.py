@@ -9,12 +9,7 @@ semantics.  ``feller validate`` runs the same registry from the CLI.
 
 import pytest
 
-from feller.validation import CRITERIA, run_criterion, warmup
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    warmup()
+from feller.validation import CRITERIA, run_criterion
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.cid for c in CRITERIA])

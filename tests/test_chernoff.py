@@ -59,7 +59,7 @@ def test_weights_exact_rationals(r):
     e = fl.euclidean(1)
     spec = fl.GeneratorSpec([fl.constant_field(e, [float(k + 1)]) for k in range(r)])
     for variant in (CV.GENERAL, CV.DRIFTLESS_CORRECTED, CV.DRIFTLESS_LITERAL):
-        _, weights = branch_moves(spec, variant, 0.3)
+        weights = [br.weight for br in branch_moves(spec, variant)]
         assert sum(weights) == Fraction(1)
         assert math.fsum(float(w) for w in weights) == 1.0
 
@@ -68,19 +68,19 @@ def test_driftless_variants_reject_drift_and_potential():
     circ = fl.circle()
     derived = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="derived")
     with pytest.raises(VariantIncompatibleError):
-        branch_moves(derived, CV.DRIFTLESS_LITERAL, 0.1)
+        branch_moves(derived, CV.DRIFTLESS_LITERAL)
     with_c = fl.GeneratorSpec([fl.frame_field(circ, 1)], potential="-1")
     with pytest.raises(VariantIncompatibleError):
-        branch_moves(with_c, CV.DRIFTLESS_CORRECTED, 0.1)
+        branch_moves(with_c, CV.DRIFTLESS_CORRECTED)
     with pytest.raises(VariantIncompatibleError):
-        branch_moves(with_c, CV.HEAT_GEODESIC, 0.1)
+        branch_moves(with_c, CV.HEAT_GEODESIC)
 
 
 def test_heat_geodesic_needs_parallelizable():
     s2 = fl.sphere2()
     spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)])
     with pytest.raises(VariantIncompatibleError):
-        branch_moves(spec, CV.HEAT_GEODESIC, 0.1)
+        branch_moves(spec, CV.HEAT_GEODESIC)
 
 
 # -- single application -------------------------------------------------------------

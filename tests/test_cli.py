@@ -234,6 +234,16 @@ def test_usage_error_exit_code():
     ]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "run", "--manifold", "circle", "--strategy", "mc", "--n", "0",
+     "--x", "0.3", "--samples", "10"],
+    ["walk", "stats", "--manifold", "circle", "--n", "0", "--samples", "10"],
+])
+def test_zero_steps_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "error: n must be >= 1" in capsys.readouterr().err
+
+
 def test_validate_filter_subset(capsys):
     rc = main(["validate", "--filter", "01-quadratic"])
     assert rc == 0
@@ -252,18 +262,20 @@ def test_validate_json_verdict(tmp_path, capsys):
 
 
 def test_fault_injection_breaks_contraction(monkeypatch):
-    # tampering one branch weight (1/4 -> 0.3) must break normalization and
-    # the contraction criterion
+    # tampering the branch table (weight 1/4 -> 0.3) must break normalization
+    # and the contraction criterion
+    from dataclasses import replace
     from fractions import Fraction
 
     from feller import validation
 
     original = ch.branch_moves
 
-    def tampered(spec, variant, t, ode=None):
-        moves, weights = original(spec, variant, t, ode or ch.DEFAULT_ODE)
-        bad = [0.3 if w == Fraction(1, 4) else w for w in weights]
-        return moves, bad
+    def tampered(spec, variant, ode=ch.DEFAULT_ODE):
+        return [
+            replace(br, weight=0.3) if br.weight == Fraction(1, 4) else br
+            for br in original(spec, variant, ode)
+        ]
 
     monkeypatch.setattr(ch, "branch_moves", tampered)
     ok, detail = validation._c07()

@@ -1,26 +1,6 @@
-import subprocess
-import sys
-
 import numpy as np
 
 from feller import _kernels as K
-
-
-def test_gather_paths_agree(rng):
-    values = rng.normal(size=300)
-    idx = rng.integers(0, 300, size=(500, 4))
-    w = rng.normal(size=(500, 4))
-    got = K.gather_weighted(values, idx, w)
-    want = K._gather_weighted_np(values, idx, w)
-    np.testing.assert_array_equal(got, want)
-
-
-def test_uniform_paths_agree():
-    streams = K.substream(42, np.arange(1000))
-    for step in (0, 1, 17, 100000):
-        got = K.step_uniforms(streams, step)
-        want = K._step_uniforms_np(streams, step)
-        np.testing.assert_array_equal(got, want)
 
 
 def test_uniforms_range_and_moments():
@@ -46,17 +26,3 @@ def test_step_decorrelated():
     u1 = K.step_uniforms(streams, 1)
     corr = np.corrcoef(u0, u1)[0, 1]
     assert abs(corr) < 0.02
-
-
-def test_env_flag_forces_numpy_fallback():
-    code = (
-        "import os; os.environ['CHERNOFF_NUMBA']='0';"
-        "from feller import _kernels as K; import numpy as np;"
-        "assert not K.using_numba();"
-        "v = K.gather_weighted(np.arange(8.), np.zeros((2,2),dtype=np.int64),"
-        " np.full((2,2),.5)); print(v[0])"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0.0"

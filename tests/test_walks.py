@@ -210,6 +210,61 @@ def test_expectation_matches_tree(n):
     assert abs(stats.mean_f - tree) <= 4.0 * stats.stderr_f
 
 
+@pytest.mark.parametrize("manifold", ["circle-rk4", "sphere2"])
+def test_expectation_is_iterate_mc(manifold):
+    # with c = 0 and t = 1 both run one sample loop on one branch table
+    if manifold == "circle-rk4":
+        circ = fl.circle()
+        field = fl.field_from_string(circ, "custom:1+0.3*sin(theta)")
+        spec = fl.GeneratorSpec([field], drift_policy="derived")
+        f, x, n, samples = (lambda c: np.cos(c[:, 0])), circ.point([0.7]), 8, 4000
+    else:
+        s2 = fl.sphere2()
+        spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)])
+        f, x, n, samples = (lambda c: c[:, 2]), s2.point([0.6, 0.0, 0.8]), 4, 2000
+    mc = fl.iterate_mc(spec, CV.GENERAL, 1.0, n, f, x, samples, seed=11)
+    walk = fl.estimate_expectation(spec, f, x, 1.0, n, samples, seed=11)
+    assert (mc.mean, mc.stderr) == (walk.mean_f, walk.stderr_f)
+
+
+def test_jump_path_ends_at_walk_endpoint():
+    spec, circ = circle_heat()
+    x = circ.point([0.3])
+    ends = walk_endpoints(spec, x, 1.37, 16, 12, seed=8)
+    for i in range(12):
+        path = fl.sample_jump_path(spec, x, 1.37, 16, seed=8, path_index=i)
+        assert np.array_equal(path.points[-1], ends[i])
+
+
+def _entry_points(n, t):
+    spec, circ = circle_heat()
+    x = circ.point([0.3])
+    f = lambda c: np.cos(c[:, 0])
+    return [
+        lambda: fl.iterate_tree(spec, CV.GENERAL, t, n, f, x),
+        lambda: fl.iterate_mc(spec, CV.GENERAL, t, n, f, x, 10, seed=0),
+        lambda: walk_endpoints(spec, x, t, n, 10, seed=0),
+        lambda: fl.estimate_expectation(spec, f, x, t, n, 10, seed=0),
+        lambda: fl.sample_jump_path(spec, x, t, n, seed=0),
+        lambda: fl.sample_geodesic_interp(spec, x, t, n, seed=0),
+        lambda: fl.sample_flow_interp(spec, x, t, n, seed=0),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_bad_step_count_refused(n):
+    spec, _ = circle_heat()
+    for call in _entry_points(n, 1.0) + [lambda: fl.step_distribution(spec, n)]:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call()
+
+
+def test_negative_time_refused():
+    for call in _entry_points(4, -1.0):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            call()
+
+
 def test_expectation_equivalent_to_iterate_mc():
     # same law; means agree within combined error bars
     spec, circ = circle_heat()
@@ -281,26 +336,18 @@ def test_modulus_rejects_bad_delta():
 
 def _circle_interp_trajectories(spec, x0, t, n, n_paths, seed, sub=8):
     """Vectorized geodesic-interpolated circle trajectories (paths, K)."""
-    from feller._kernels import step_uniforms, substream
+    from feller._kernels import substream
+    from feller.chernoff import branch_moves, sample_steps
     from feller.manifolds import wrap_angle, wrap_signed
-    from feller.walks import _walk_moves
 
-    moves, _, probs = _walk_moves(spec, n, fl.OdeSettings())
-    cumw = np.cumsum([float(p) for p in probs])
-    cumw[-1] = 1.0
     steps = int(n * t)
-    coords = np.full(n_paths, x0)
+    coords = np.full((n_paths, 1), x0)
     streams = substream(seed, np.arange(n_paths))
     skel = np.empty((n_paths, steps + 1))
-    skel[:, 0] = coords
-    for m in range(steps):
-        u = step_uniforms(streams, m)
-        branch = np.searchsorted(cumw, u, side="right")
-        for b, mv in enumerate(moves):
-            mask = branch == b
-            if np.any(mask):
-                coords[mask] = mv(coords[mask, None])[:, 0]
-        skel[:, m + 1] = coords
+    loop = sample_steps(branch_moves(spec, CV.GENERAL), 1.0 / n, coords, streams, steps)
+    for m, (_, before) in enumerate(loop):
+        skel[:, m] = before[:, 0]
+    skel[:, steps] = coords[:, 0]
     # shortest-arc interpolation at sub+1 points per step
     fracs = np.arange(sub) / sub
     delta = wrap_signed(skel[:, 1:] - skel[:, :-1])
