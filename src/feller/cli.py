@@ -12,10 +12,16 @@ Subcommands
 ``oracle fd``      Crank-Nicolson reference solution on a periodic grid.
 ``validate``       run the acceptance criteria; exit 1 on failure.
 
-Every run is reproducible from its config: the resolved configuration is
-recorded verbatim in the output header (CSV comment lines, schema=1).
-``--config file.json`` supplies defaults that explicit flags override;
-``CHERNOFF_THREADS`` caps worker threads.
+``chernoff run``, ``walk sample`` and ``walk stats`` share ``--manifold
+--generator --t --seed --out --config --ode-tol --ode-h0 --ode-max-steps``
+and resolve one ``ExperimentConfig``: the defaults, then the ``--config``
+file (keys that are not fields are refused), then the explicit flags, then
+the ``--generator`` file (it replaces the ``generator`` key) and the
+``--ode-*`` flags (merged into ``ode``).  The resolved configuration is
+recorded in the output header (CSV comment lines, schema=1), so a run is
+reproducible from its own header.  ``chernoff run`` builds its problem and
+evaluates its oracle once, before any row.  ``CHERNOFF_THREADS`` caps
+worker threads.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -43,6 +49,7 @@ from .flows import OdeSettings
 from .grids import GridFunction
 
 SCHEMA = 1
+STRATEGIES = ("tree", "grid", "mc")
 
 
 def _threads() -> int:
@@ -81,6 +88,9 @@ class ExperimentConfig:
         return {k: v for k, v in self.__dict__.items()}
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -88,14 +98,25 @@ def _load_config(path: Optional[str]) -> dict:
         return json.load(fh)
 
 
-def _merge_config(cfg: ExperimentConfig, file_values: dict, args: argparse.Namespace, mapping: dict):
-    for key, value in file_values.items():
-        if hasattr(cfg, key):
+def _resolve(args: argparse.Namespace) -> ExperimentConfig:
+    """Defaults, then the --config file, then the explicit flags, which win.
+
+    A parsed flag is applied when it was given and its ``dest`` names an
+    ExperimentConfig field; the ``--generator`` file and the ``--ode-*``
+    flags are applied after those.
+    """
+    file_values = _load_config(args.config)
+    unknown = sorted(set(file_values) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    cfg = ExperimentConfig(**file_values)
+    for key, value in vars(args).items():
+        if key in _CONFIG_KEYS and value is not None:
             setattr(cfg, key, value)
-    for attr, argname in mapping.items():
-        val = getattr(args, argname, None)
-        if val is not None:
-            setattr(cfg, attr, val)
+    if args.generator_file:
+        cfg.generator = _load_config(args.generator_file)
+    ode = {"tol": args.ode_tol, "h0": args.ode_h0, "max_steps": args.ode_max_steps}
+    cfg.ode = {**(cfg.ode or {}), **{k: v for k, v in ode.items() if v is not None}}
     return cfg
 
 
@@ -137,11 +158,7 @@ def _header_lines(cfg: ExperimentConfig) -> list[str]:
     return [f"# schema={SCHEMA}", f"# config={blob}"]
 
 
-def _write_csv(path: Optional[str], header: list[str], columns: list[str], rows: list):
-    lines = header + [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _emit(path: Optional[str], text: str):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -149,33 +166,73 @@ def _write_csv(path: Optional[str], header: list[str], columns: list[str], rows:
         sys.stdout.write(text)
 
 
-# -- oracles for convergence tables -------------------------------------------------
-
-
-def _oracle_fn(cfg: ExperimentConfig, spec, manifold, f):
-    """Returns oracle(coords (m, cd)) -> values, or raises OracleUnavailableError."""
-    sel = cfg.oracle
-    if not sel:
-        raise OracleUnavailableError("no oracle configured (use --oracle)")
-    kind, _, arg = sel.partition(":")
-    if kind == "expr":
-        fn = compile_scalar(arg, manifold)
-        return lambda coords: np.asarray(fn(coords), dtype=float)
-    if kind == "kernel":
-        kid = rf.HeatKernelId.from_string(arg)
-        return lambda coords: np.array(
-            [rf.exact_semigroup(kid, f, cfg.t, c) for c in np.atleast_2d(coords)]
-        )
-    if kind == "fd":
-        steps = int(arg) if arg else max(100, int(math.ceil(cfg.t / 5e-3)))
-        shape = tuple(cfg.grid_nodes) if len(cfg.grid_nodes) > 1 else cfg.grid_nodes[0]
-        f0 = GridFunction.from_function(manifold, shape, f, interp=cfg.interp)
-        sol = rf.fd_solve(spec, f0, cfg.t, rf.FdSolverSettings(steps=steps))
-        return lambda coords: sol.interpolate(np.atleast_2d(coords))
-    raise OracleUnavailableError(f"unknown oracle {sel!r}")
+def _write_csv(path: Optional[str], header: list[str], columns: list[str], rows: list):
+    lines = header + [",".join(columns)] + [",".join(str(v) for v in row) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
 
 
 # -- chernoff run -------------------------------------------------------------------
+
+
+class ChernoffRun:
+    """The problem of one ``chernoff run``, built once from its config.
+
+    ``coords`` are the evaluation coordinates: the grid nodes for ``grid``,
+    the ``--x`` points for ``tree`` and ``mc``.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        if cfg.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {cfg.strategy!r}")
+        self.cfg = cfg
+        self.manifold = mf.manifold_from_string(cfg.manifold)
+        self.spec = build_generator(self.manifold, cfg.generator)
+        self.variant = ChernoffVariant.from_string(cfg.variant)
+        self.ode = _ode_settings(cfg)
+        self.f = compile_scalar(cfg.f, self.manifold)
+        if cfg.strategy == "grid":
+            self.f0 = GridFunction.from_function(
+                self.manifold, cfg.grid_nodes, self.f, interp=cfg.interp
+            )
+            self.coords = self.f0.node_coords()
+        else:
+            if not cfg.x:
+                raise ValueError(f"{cfg.strategy} strategy needs evaluation points (--x)")
+            self.points = [self.manifold.point(c) for c in cfg.x]
+            self.coords = np.stack([x.coords for x in self.points])
+
+    def evaluate(self, n: int):
+        """S(t/n)^n f at ``coords``, and the standard errors (None unless mc)."""
+        cfg, spec, variant, ode = self.cfg, self.spec, self.variant, self.ode
+        if cfg.strategy == "grid":
+            return iterate_grid(spec, variant, cfg.t, n, self.f0, ode).values.ravel(), None
+        if cfg.strategy == "tree":
+            values = [iterate_tree(spec, variant, cfg.t, n, self.f, x, ode=ode) for x in self.points]
+            return np.array(values), None
+        ests = [
+            iterate_mc(spec, variant, cfg.t, n, self.f, x, cfg.samples, cfg.seed, ode)
+            for x in self.points
+        ]
+        return np.array([e.mean for e in ests]), np.array([e.stderr for e in ests])
+
+
+def _oracle_values(run: ChernoffRun) -> np.ndarray:
+    """The configured oracle at the run's coordinates, or OracleUnavailableError."""
+    cfg = run.cfg
+    if not cfg.oracle:
+        raise OracleUnavailableError("no oracle configured (use --oracle)")
+    kind, _, arg = cfg.oracle.partition(":")
+    if kind == "expr":
+        return np.asarray(compile_scalar(arg, run.manifold)(run.coords), dtype=float)
+    if kind == "kernel":
+        kid = rf.HeatKernelId.from_string(arg)
+        return np.array([rf.exact_semigroup(kid, run.f, cfg.t, c) for c in run.coords])
+    if kind == "fd":
+        steps = int(arg) if arg else max(100, int(math.ceil(cfg.t / 5e-3)))
+        f0 = GridFunction.from_function(run.manifold, cfg.grid_nodes, run.f, interp=cfg.interp)
+        sol = rf.fd_solve(run.spec, f0, cfg.t, rf.FdSolverSettings(steps=steps))
+        return sol.interpolate(run.coords)
+    raise OracleUnavailableError(f"unknown oracle {cfg.oracle!r}")
 
 
 @dataclass
@@ -189,45 +246,19 @@ class ConvergenceRow:
 def run_convergence(cfg: ExperimentConfig):
     """Errors vs the configured oracle across the n-schedule, plus a slope fit.
 
-    Returns (rows, summary dict).  Rows that fail record the error message
+    Returns (rows, summary dict).  The problem and the oracle values are
+    built once, before any row; a row that fails records its error message
     instead of aborting the run.
     """
-    manifold = mf.manifold_from_string(cfg.manifold)
-    spec = build_generator(manifold, cfg.generator)
-    variant = ChernoffVariant.from_string(cfg.variant)
-    ode = _ode_settings(cfg)
-    f = compile_scalar(cfg.f, manifold)
-    xs = [manifold.point(c) for c in cfg.x] if cfg.x else []
-    oracle = _oracle_fn(cfg, spec, manifold, f)
+    run = ChernoffRun(cfg)
+    ref = _oracle_values(run)
 
     def one_row(n: int):
         t0 = time.perf_counter()
-        stderr = 0.0
-        if cfg.strategy == "grid":
-            shape = tuple(cfg.grid_nodes) if len(cfg.grid_nodes) > 1 else cfg.grid_nodes[0]
-            f0 = GridFunction.from_function(manifold, shape, f, interp=cfg.interp)
-            sol = iterate_grid(spec, variant, cfg.t, n, f0, ode)
-            ref = oracle(f0.node_coords())
-            err = float(np.abs(sol.values.ravel() - ref).max())
-        elif cfg.strategy == "tree":
-            if not xs:
-                raise ValueError("tree strategy needs evaluation points (--x)")
-            vals = np.array([iterate_tree(spec, variant, cfg.t, n, f, x, ode=ode) for x in xs])
-            ref = oracle(np.stack([x.coords for x in xs]))
-            err = float(np.abs(vals - ref).max())
-        elif cfg.strategy == "mc":
-            if not xs:
-                raise ValueError("mc strategy needs evaluation points (--x)")
-            ests = [
-                iterate_mc(spec, variant, cfg.t, n, f, x, cfg.samples, cfg.seed, ode)
-                for x in xs
-            ]
-            ref = oracle(np.stack([x.coords for x in xs]))
-            err = float(np.abs(np.array([e.mean for e in ests]) - ref).max())
-            stderr = float(max(e.stderr for e in ests))
-        else:
-            raise ValueError(f"unknown strategy {cfg.strategy!r}")
-        return ConvergenceRow(n, err, stderr, time.perf_counter() - t0)
+        values, stderr = run.evaluate(n)
+        err = float(np.abs(values - ref).max())
+        se = 0.0 if stderr is None else float(stderr.max())
+        return ConvergenceRow(n, err, se, time.perf_counter() - t0)
 
     rows, failures = [], []
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
@@ -250,41 +281,7 @@ def run_convergence(cfg: ExperimentConfig):
 
 
 def _cmd_chernoff_run(args) -> int:
-    cfg = _merge_config(
-        ExperimentConfig(),
-        _load_config(args.config),
-        args,
-        {
-            "manifold": "manifold",
-            "variant": "variant",
-            "strategy": "strategy",
-            "t": "t",
-            "samples": "samples",
-            "seed": "seed",
-            "oracle": "oracle",
-            "out": "out",
-            "interp": "interp",
-            "f": "f",
-        },
-    )
-    if args.generator:
-        cfg.generator = _load_config(args.generator)
-    if args.n:
-        cfg.n_schedule = [int(v) for v in args.n.split(",")]
-    if args.grid_nodes:
-        cfg.grid_nodes = [int(v) for v in args.grid_nodes.split(",")]
-    if args.x:
-        cfg.x = [[float(v) for v in s.split(",")] for s in args.x]
-    cfg.ode = _ode_override(args, cfg.ode)
-
-    manifold = mf.manifold_from_string(cfg.manifold)
-    spec = build_generator(manifold, cfg.generator)
-    variant = ChernoffVariant.from_string(cfg.variant)
-    ode = _ode_settings(cfg)
-    f = compile_scalar(cfg.f, manifold)
-    if cfg.strategy in ("tree", "mc") and not cfg.x:
-        raise ValueError(f"{cfg.strategy} strategy needs evaluation points (--x)")
-
+    cfg = _resolve(args)
     if cfg.oracle:
         rows, summary = run_convergence(cfg)
         _write_csv(
@@ -296,28 +293,21 @@ def _cmd_chernoff_run(args) -> int:
         print(json.dumps({k: v for k, v in summary.items() if k != "config"}), file=sys.stderr)
         return 0
 
+    run = ChernoffRun(cfg)
+    # points are labelled as configured: manifold.point wraps circle angles
+    labels = [
+        ";".join(f"{c:.10g}" for c in point)
+        for point in (run.coords if cfg.strategy == "grid" else cfg.x)
+    ]
     rows = []
     for n in cfg.n_schedule:
         n = int(n)
-        if cfg.strategy == "grid":
-            shape = tuple(cfg.grid_nodes) if len(cfg.grid_nodes) > 1 else cfg.grid_nodes[0]
-            f0 = GridFunction.from_function(manifold, shape, f, interp=cfg.interp)
-            sol = iterate_grid(spec, variant, cfg.t, n, f0, ode)
-            for node, val in zip(f0.node_coords(), sol.values.ravel()):
-                rows.append((cfg.variant, "grid", cfg.t, n, ";".join(f"{c:.10g}" for c in node),
-                             f"{val:.12g}", ""))
-        elif cfg.strategy == "tree":
-            for c in cfg.x:
-                x = manifold.point(c)
-                val = iterate_tree(spec, variant, cfg.t, n, f, x, ode=ode)
-                rows.append((cfg.variant, "tree", cfg.t, n, ";".join(f"{v:.10g}" for v in c),
-                             f"{val:.12g}", ""))
-        else:
-            for c in cfg.x:
-                x = manifold.point(c)
-                est = iterate_mc(spec, variant, cfg.t, n, f, x, cfg.samples, cfg.seed, ode)
-                rows.append((cfg.variant, "mc", cfg.t, n, ";".join(f"{v:.10g}" for v in c),
-                             f"{est.mean:.12g}", f"{est.stderr:.6g}"))
+        values, stderr = run.evaluate(n)
+        errs = [""] * len(values) if stderr is None else [f"{s:.6g}" for s in stderr]
+        rows += [
+            (cfg.variant, cfg.strategy, cfg.t, n, label, f"{v:.12g}", e)
+            for label, v, e in zip(labels, values, errs)
+        ]
     _write_csv(
         cfg.out,
         _header_lines(cfg),
@@ -338,27 +328,16 @@ _SAMPLERS = {
 
 
 def _cmd_walk_sample(args) -> int:
-    cfg = _merge_config(
-        ExperimentConfig(),
-        _load_config(args.config),
-        args,
-        {"manifold": "manifold", "t": "t", "seed": "seed", "out": "out", "kind": "kind",
-         "paths": "paths"},
-    )
-    if args.generator:
-        cfg.generator = _load_config(args.generator)
-    if args.n:
-        cfg.n_schedule = [int(args.n)]
-    cfg.ode = _ode_override(args, cfg.ode)
+    cfg = _resolve(args)
     manifold = mf.manifold_from_string(cfg.manifold)
     spec = build_generator(manifold, cfg.generator)
     sampler = _SAMPLERS[cfg.kind]
     ode = _ode_settings(cfg)
+    x = _start_point(manifold, cfg.x)
     n = int(cfg.n_schedule[0])
     rows = []
     for pid in range(int(cfg.paths)):
-        path = sampler(spec, manifold.point(cfg.x[0]) if cfg.x else _default_start(manifold),
-                       cfg.t, n, seed=cfg.seed, path_index=pid, ode=ode)
+        path = sampler(spec, x, cfg.t, n, seed=cfg.seed, path_index=pid, ode=ode)
         for tval, pt in zip(path.times, path.points):
             rows.append((pid, f"{tval:.10g}") + tuple(f"{c:.12g}" for c in pt))
     cd = manifold.chart_dim
@@ -372,7 +351,7 @@ def run_walk_study(cfg: ExperimentConfig):
     manifold = mf.manifold_from_string(cfg.manifold)
     spec = build_generator(manifold, cfg.generator)
     f = compile_scalar(cfg.f, manifold)
-    x = manifold.point(cfg.x[0]) if cfg.x else _default_start(manifold)
+    x = _start_point(manifold, cfg.x)
     ode = _ode_settings(cfg)
     ref = _reference_cdf(cfg.reference)
     out = []
@@ -404,7 +383,10 @@ def run_walk_study(cfg: ExperimentConfig):
     return out
 
 
-def _default_start(manifold: mf.Manifold) -> mf.Point:
+def _start_point(manifold: mf.Manifold, x: list) -> mf.Point:
+    """The first configured point, else a fixed start on each manifold."""
+    if x:
+        return manifold.point(x[0])
     if manifold.name == "sphere2":
         return manifold.point([0.0, 0.0, 1.0])
     if manifold.name == "hyperbolic-h2":
@@ -428,39 +410,10 @@ def _reference_cdf(name: Optional[str]):
 
 
 def _cmd_walk_stats(args) -> int:
-    cfg = _merge_config(
-        ExperimentConfig(),
-        _load_config(args.config),
-        args,
-        {"manifold": "manifold", "t": "t", "seed": "seed", "out": "out", "f": "f",
-         "reference": "reference", "samples": "samples", "paths": "paths"},
-    )
-    if args.generator:
-        cfg.generator = _load_config(args.generator)
-    if args.n:
-        cfg.n_schedule = [int(v) for v in args.n.split(",")]
-    if args.moc:
-        cfg.moc = args.moc
-    cfg.ode = _ode_override(args, cfg.ode)
+    cfg = _resolve(args)
     stats = run_walk_study(cfg)
-    payload = {
-        "schema": SCHEMA,
-        "config": cfg.resolved(),
-        "stats": [
-            {
-                "t": s.t, "n": s.n, "n_samples": s.n_samples,
-                "mean_f": s.mean_f, "stderr_f": s.stderr_f,
-                "ks_distance": s.ks_distance, "moc_tail": s.moc_tail,
-            }
-            for s in stats
-        ],
-    }
-    text = json.dumps(payload, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    payload = {"schema": SCHEMA, "config": cfg.resolved(), "stats": [asdict(s) for s in stats]}
+    _emit(cfg.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -477,23 +430,19 @@ def _cmd_oracle_eval(args) -> int:
         "hyperbolic-h2": mf.hyperbolic_h2(),
     }[kid.tag]
     f = compile_scalar(args.f, manifold)
-    x = np.array([float(v) for v in args.x.split(",")])
-    val = rf.exact_semigroup(kid, f, args.t, x)
+    val = rf.exact_semigroup(kid, f, args.t, np.array(args.x))
     print(f"{val:.12g}")
     return 0
 
 
 def _cmd_oracle_fd(args) -> int:
     gen = _load_config(args.generator)
-    manifold = mf.manifold_from_string(gen.get("manifold", args.manifold or "circle"))
+    manifold = mf.manifold_from_string(args.manifold or gen.get("manifold", "circle"))
     spec = build_generator(manifold, gen)
-    f0fn = compile_scalar(args.f0, manifold)
-    nodes = [int(v) for v in args.nodes.split(",")]
-    shape = tuple(nodes) if len(nodes) > 1 else nodes[0]
-    f0 = GridFunction.from_function(manifold, shape, f0fn)
+    f0 = GridFunction.from_function(manifold, args.nodes, compile_scalar(args.f0, manifold))
     sol = rf.fd_solve(spec, f0, args.t, rf.FdSolverSettings(steps=args.steps))
     cfg = ExperimentConfig(manifold=manifold.name, generator=gen, t=args.t,
-                           grid_nodes=nodes, f=args.f0)
+                           grid_nodes=args.nodes, f=args.f0)
     rows = [
         (";".join(f"{c:.10g}" for c in node), f"{v:.12g}")
         for node, v in zip(f0.node_coords(), sol.values.ravel())
@@ -540,21 +489,16 @@ def run_validation_suite(filter_substr: Optional[str] = None, out: Optional[str]
 # -- argument parsing ----------------------------------------------------------------------
 
 
-def _add_ode_flags(p: argparse.ArgumentParser):
-    p.add_argument("--ode-tol", type=float, default=None)
-    p.add_argument("--ode-h0", type=float, default=None)
-    p.add_argument("--ode-max-steps", type=int, default=None)
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
-def _ode_override(args, base: dict) -> dict:
-    o = dict(base or {})
-    if getattr(args, "ode_tol", None) is not None:
-        o["tol"] = args.ode_tol
-    if getattr(args, "ode_h0", None) is not None:
-        o["h0"] = args.ode_h0
-    if getattr(args, "ode_max_steps", None) is not None:
-        o["max_steps"] = args.ode_max_steps
-    return o
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _single_int(text: str) -> list[int]:
+    return [int(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,55 +508,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags every command that calls _resolve reads
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--manifold")
+    shared.add_argument("--generator", dest="generator_file", metavar="GENERATOR",
+                        help="generator description JSON file")
+    shared.add_argument("--t", type=float)
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--out")
+    shared.add_argument("--config")
+    shared.add_argument("--ode-tol", type=float)
+    shared.add_argument("--ode-h0", type=float)
+    shared.add_argument("--ode-max-steps", type=int)
+
     chernoff = sub.add_parser("chernoff", help="semigroup approximation runs")
     chsub = chernoff.add_subparsers(dest="subcommand", required=True)
-    run = chsub.add_parser("run", help="evaluate S(t/n)^n f")
-    run.add_argument("--manifold")
-    run.add_argument("--generator", help="generator description JSON file")
+    run = chsub.add_parser("run", parents=[shared], help="evaluate S(t/n)^n f")
     run.add_argument("--variant")
-    run.add_argument("--t", type=float)
-    run.add_argument("--n", help="n or comma-separated n-schedule")
-    run.add_argument("--strategy", choices=["tree", "grid", "mc"])
-    run.add_argument("--grid-nodes", dest="grid_nodes")
+    run.add_argument("--n", dest="n_schedule", metavar="N", type=_int_list,
+                     help="n or comma-separated n-schedule")
+    run.add_argument("--strategy", choices=STRATEGIES)
+    run.add_argument("--grid-nodes", type=_int_list)
     run.add_argument("--interp", choices=["linear", "cubic"])
     run.add_argument("--samples", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--x", action="append", help="evaluation point (comma coords); repeatable")
+    run.add_argument("--x", action="append", type=_float_list,
+                     help="evaluation point (comma coords); repeatable")
     run.add_argument("--f", help="test function expression")
     run.add_argument("--oracle", help="expr:<e> | kernel:<tag> | fd[:steps]")
-    run.add_argument("--out")
-    run.add_argument("--config")
-    _add_ode_flags(run)
     run.set_defaults(fn=_cmd_chernoff_run)
 
     walk = sub.add_parser("walk", help="random-walk sampling and statistics")
     wsub = walk.add_subparsers(dest="subcommand", required=True)
-    ws = wsub.add_parser("sample", help="sample walk trajectories to CSV")
+    ws = wsub.add_parser("sample", parents=[shared], help="sample walk trajectories to CSV")
     ws.add_argument("--kind", choices=["jump", "geodesic", "flow"])
-    ws.add_argument("--manifold")
-    ws.add_argument("--generator")
-    ws.add_argument("--t", type=float)
-    ws.add_argument("--n")
+    ws.add_argument("--n", dest="n_schedule", metavar="N", type=_single_int)
     ws.add_argument("--paths", type=int)
-    ws.add_argument("--seed", type=int)
-    ws.add_argument("--out")
-    ws.add_argument("--config")
-    _add_ode_flags(ws)
     ws.set_defaults(fn=_cmd_walk_sample)
-    wt = wsub.add_parser("stats", help="endpoint statistics across an n-schedule")
-    wt.add_argument("--manifold")
-    wt.add_argument("--generator")
+    wt = wsub.add_parser("stats", parents=[shared],
+                         help="endpoint statistics across an n-schedule")
     wt.add_argument("--f")
-    wt.add_argument("--t", type=float)
-    wt.add_argument("--n")
+    wt.add_argument("--n", dest="n_schedule", metavar="N", type=_int_list)
     wt.add_argument("--samples", type=int)
     wt.add_argument("--paths", type=int)
-    wt.add_argument("--seed", type=int)
     wt.add_argument("--reference", help="normal[:mean,sd] | pointmass:<v> | none")
     wt.add_argument("--moc", action="append", help="delta,eps pair; repeatable")
-    wt.add_argument("--out")
-    wt.add_argument("--config")
-    _add_ode_flags(wt)
     wt.set_defaults(fn=_cmd_walk_stats)
 
     oracle = sub.add_parser("oracle", help="reference oracles")
@@ -621,14 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     oe.add_argument("--kernel", required=True)
     oe.add_argument("--f", required=True)
     oe.add_argument("--t", type=float, required=True)
-    oe.add_argument("--x", required=True, help="comma-separated coordinates")
+    oe.add_argument("--x", type=_float_list, required=True, help="comma-separated coordinates")
     oe.set_defaults(fn=_cmd_oracle_eval)
     of = osub.add_parser("fd", help="Crank-Nicolson reference solve")
     of.add_argument("--generator", required=True)
     of.add_argument("--manifold")
     of.add_argument("--f0", required=True)
     of.add_argument("--t", type=float, required=True)
-    of.add_argument("--nodes", required=True)
+    of.add_argument("--nodes", type=_int_list, required=True)
     of.add_argument("--steps", type=int, required=True)
     of.add_argument("--out")
     of.set_defaults(fn=_cmd_oracle_fd)

@@ -42,9 +42,6 @@ def coordinate_names(manifold) -> list[str]:
         return ["x", "y"]
     if name == "sphere2":
         return ["x", "y", "z"]
-    if name.startswith("euclidean"):
-        names = [f"x{i + 1}" for i in range(manifold.chart_dim)]
-        return names
     return [f"x{i + 1}" for i in range(manifold.chart_dim)]
 
 

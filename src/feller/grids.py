@@ -55,7 +55,6 @@ def _axis_stencil(theta: np.ndarray, n: int, order: str):
 class Stencil:
     idx: np.ndarray      # (m, k) flat indices
     w: np.ndarray        # (m, k) weights
-    padded: bool = False
 
     def apply(self, flat_values: np.ndarray) -> np.ndarray:
         return gather_weighted(flat_values, self.idx, self.w)
@@ -76,8 +75,6 @@ class GridFunction:
         elif name == "sphere2":
             if values.ndim != 2:
                 raise ValueError("sphere2 grid values must be (n_lat, n_lon)")
-            if interp != "linear":
-                interp = "linear"  # bilinear with pole averaging is the only mode
         else:
             raise VariantIncompatibleError(
                 f"grid functions require a compact built-in, not {name}"
@@ -88,6 +85,8 @@ class GridFunction:
             )
         if interp not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation order {interp!r}")
+        if name == "sphere2":
+            interp = "linear"  # bilinear with pole averaging is the only mode
         self.manifold = manifold
         self.values = values
         self.values.setflags(write=False)
@@ -207,7 +206,7 @@ class GridFunction:
             ],
             axis=-1,
         )
-        return Stencil(idx, w, padded=True)
+        return Stencil(idx, w)
 
     def flat_values(self, values: np.ndarray | None = None) -> np.ndarray:
         """Values raveled for stencil application (pole-padded on the sphere)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import integrate, sparse
@@ -262,15 +261,8 @@ class FdSolverSettings:
     """Crank-Nicolson settings; the spatial grid comes from the input grid."""
 
     steps: int
-    scheme: str = "crank-nicolson"
-    boundary: str = "periodic"
-    nodes: Optional[int] = None  # validated against the input grid when set
 
     def __post_init__(self):
-        if self.scheme != "crank-nicolson":
-            raise ValueError("only the crank-nicolson scheme is implemented")
-        if self.boundary != "periodic":
-            raise ValueError("only periodic boundaries are implemented")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -388,8 +380,6 @@ def fd_solve(
         raise VariantIncompatibleError(f"fd_solve supports circle and torus2, not {name}")
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
-    if settings.nodes is not None and settings.nodes != f0.values.shape[0]:
-        raise ValueError("settings.nodes does not match the input grid")
     dt = t / settings.steps
     if dt > _MAX_DT + 1e-15:
         raise ValueError(

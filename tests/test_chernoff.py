@@ -223,6 +223,13 @@ def test_grid_requires_matching_manifold():
         fl.iterate_grid(spec, CV.GENERAL, 0.1, 1, cos_grid(64))
 
 
+def test_sphere_grid_checks_interp_before_bilinear():
+    sphere, z = fl.sphere2(), lambda c: c[:, 2]
+    with pytest.raises(ValueError, match="unknown interpolation order 'quadratic'"):
+        GridFunction.from_function(sphere, (8, 16), z, interp="quadratic")
+    assert GridFunction.from_function(sphere, (8, 16), z, interp="cubic").interp == "linear"
+
+
 # -- monte-carlo strategy ------------------------------------------------------------------
 
 

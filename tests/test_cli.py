@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +290,91 @@ def test_fault_injection_breaks_contraction(monkeypatch):
     spec = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="explicit")
     val = ch.apply_S(spec, ch.ChernoffVariant.GENERAL, 0.1, f, circ.point([0.0]))
     assert val != 1.0  # normalization broken
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_unknown_config_key_refused(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"sampels": 5, "strategy": "mc", "x": [[0.0]]})
+    assert main(["chernoff", "run", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown config keys ['sampels']" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "expr:cos(theta)"]])
+def test_unknown_strategy_is_a_usage_error(tmp_path, capsys, oracle):
+    cfg = _write_json(tmp_path / "cfg.json", {"strategy": "grdi", "x": [[0.0]], "samples": 10})
+    assert main(["chernoff", "run", "--config", cfg, "--n", "2,4"] + oracle) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown strategy 'grdi'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"strategy": "grdi"}, "unknown strategy 'grdi'"),
+    ({"strategy": "mc", "x": []}, "mc strategy needs evaluation points"),
+])
+def test_run_convergence_refuses_bad_config_before_rows(changes, message):
+    cfg = ExperimentConfig(**{"strategy": "tree", "n_schedule": [2, 4], "x": [[0.0]],
+                              "oracle": "expr:cos(theta)", **changes})
+    with pytest.raises(ValueError, match=message):
+        run_convergence(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "run", "--manifold", "circle", "--variant", "heat-geodesic",
+     "--strategy", "tree", "--n", "2,4", "--x", "0.3", "--x", "2.0", "--t", "0.5"],
+    ["chernoff", "run", "--manifold", "circle", "--strategy", "grid", "--n", "2,3",
+     "--grid-nodes", "32", "--interp", "linear", "--f", "sin(theta)", "--ode-tol", "1e-8"],
+    ["chernoff", "run", "--manifold", "circle", "--strategy", "mc", "--n", "4",
+     "--x", "0.3", "--samples", "500", "--seed", "7"],
+    ["walk", "sample", "--kind", "jump", "--manifold", "circle", "--n", "4",
+     "--paths", "2", "--seed", "3"],
+])
+def test_output_reproduces_from_its_own_header(tmp_path, heat_gen, argv):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(argv + ["--generator", heat_gen, "--out", str(first)]) == 0
+    header = first.read_text().splitlines()[1]
+    assert header.startswith("# config=")
+    cfg = tmp_path / "header.json"
+    cfg.write_text(header[len("# config="):])
+    assert main(argv[:2] + ["--config", str(cfg), "--out", str(second)]) == 0
+    assert second.read_text() == first.read_text()
+
+
+def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
+    gen = _write_json(tmp_path / "gen.json",
+                      {"manifold": "circle", "fields": ["frame:1", "frame:2"], "drift": "zero"})
+    out = tmp_path / "fd.csv"
+    rc = main([
+        "oracle", "fd", "--generator", gen, "--manifold", "torus2", "--f0", "cos(theta1)",
+        "--t", "0.5", "--nodes", "32,32", "--steps", "50", "--out", str(out),
+    ])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[1][len("# config="):])["manifold"] == "torus2"
+    node, value = lines[3].split(",")
+    assert node == "0;0"
+    assert float(value) == pytest.approx(math.exp(-0.25), abs=2e-3)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["oracle", "eval", "--kernel", "wrapped-gauss-s1", "--f", "cos(theta)",
+      "--t", "1.0", "--x", "0.0"], 0, ""),
+    (["chernoff", "run", "--config", "{config}"], 2, "error: unknown config keys ['sampels']"),
+])
+def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
+    cfg = _write_json(tmp_path / "cfg.json", {"sampels": 5})
+    src = str(Path(fl.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "feller.cli"] + [a.format(config=cfg) for a in argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert err in proc.stderr
