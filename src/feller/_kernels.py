@@ -14,7 +14,9 @@ def using_numba() -> bool:
 # -- weighted gather ---------------------------------------------------------
 #
 # Every grid interpolation in the package reduces to a gather-dot with a
-# precomputed stencil: out[i] = sum_k values[idx[i, k]] * w[i, k].
+# precomputed stencil: out[i] = sum_k values[idx[i, k]] * w[i, k].  Stencils
+# from ``grids`` are column-major, so every ``idx[:, k]`` and ``w[:, k]`` read
+# below is contiguous.
 
 
 def gather_weighted(values, idx, w):

@@ -320,9 +320,10 @@ def iterate_grid(
     max_disp = 0.0
     for br in branches:
         target = br.move(nodes, dt)
-        max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
+        if f0.interp == "linear":  # only the warning below reads the displacement
+            max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
         stencils.append(f0.build_stencil(target))
-    if f0.interp == "linear" and 0.0 < max_disp < f0.cell_size():
+    if 0.0 < max_disp < f0.cell_size():
         warnings.warn(
             "branch displacement below one grid cell with linear interpolation; "
             "results may be dominated by interpolation error",

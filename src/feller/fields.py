@@ -56,6 +56,13 @@ class VectorField:
     declared_bounds:
         Optional ``(c1, c2)`` with ``c1 >= sup |A|_g`` and
         ``c2 >= sup |grad A|_g``, quoted in monotonicity reports.
+    divergence_free:
+        Asserts that the covariant divergence is identically zero.  The
+        built-in constructors set it where this holds exactly (rotations of
+        sphere2, frame and constant fields of the flat charts, ``frame:1`` of
+        H2, the zero field); ``divergence_batch`` then returns zeros and a
+        derived drift leaves the field out, so a derived drift of such fields
+        is the zero field and costs no integration.  Implied by ``is_zero``.
     """
 
     def __init__(
@@ -67,6 +74,7 @@ class VectorField:
         declared_bounds: Optional[tuple[float, float]] = None,
         name: str = "field",
         is_zero: bool = False,
+        divergence_free: bool = False,
     ):
         self.manifold = manifold
         self._comps = comps
@@ -75,6 +83,7 @@ class VectorField:
         self.declared_bounds = declared_bounds
         self.name = name
         self.is_zero = is_zero
+        self.divergence_free = divergence_free or is_zero
 
     def comps(self, coords: np.ndarray) -> np.ndarray:
         if self.is_zero:
@@ -117,7 +126,7 @@ def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
     """Covariant divergence sum_j (d_j A^j + A^j d_j log sqrt|g|)."""
     m = A.manifold
     coords = np.atleast_2d(coords)
-    if A.is_zero:
+    if A.divergence_free:
         return np.zeros(coords.shape[0])
     if isinstance(m, Sphere2):
         return _sphere_divergence(A, coords)
@@ -181,6 +190,8 @@ def constant_field(manifold: Manifold, values: Sequence[float]) -> VectorField:
         flow=lambda c, t: manifold.wrap(np.atleast_2d(c) + np.multiply(t, 1.0) * a),
         name=f"constant:{list(a)}",
         is_zero=bool(np.all(a == 0.0)),
+        # the volume density is constant only in the flat charts
+        divergence_free=isinstance(manifold, (mf.Euclidean, mf.FlatTorus)),
     )
 
 
@@ -209,6 +220,7 @@ def frame_field(manifold: Manifold, k: int) -> VectorField:
                 flow=flow,
                 declared_bounds=(1.0, 1.0),
                 name="frame:1",
+                divergence_free=True,
             )
 
         def flow(c, t):
@@ -271,6 +283,7 @@ def rotational_field(manifold: Manifold, k: int) -> VectorField:
         flow=flow,
         declared_bounds=(1.0, 1.0),
         name=f"rotational:{k}",
+        divergence_free=True,
     )
 
 
@@ -399,17 +412,25 @@ class GeneratorSpec:
             return self.drift.comps(coords)
         acc = np.zeros_like(coords)
         for f in self.fields:
-            acc += 0.5 * divergence_batch(f, coords)[:, None] * f.comps(coords)
+            if not f.divergence_free:
+                acc += 0.5 * divergence_batch(f, coords)[:, None] * f.comps(coords)
         if self.drift_policy == "derived_plus":
             acc = acc + self.drift.comps(coords)
         return acc
 
     def drift_field(self) -> VectorField:
-        """The drift A_0 as a vector field (flowable)."""
-        if self.drift_policy == "explicit":
+        """The drift A_0 as a vector field (flowable).
+
+        When every field is divergence-free the derived part vanishes, so the
+        drift is the zero field (``derived``) or ``B`` itself (``derived_plus``).
+        """
+        derived_zero = all(f.divergence_free for f in self.fields)
+        if self.drift_policy == "explicit" or (
+            derived_zero and self.drift_policy == "derived_plus"
+        ):
             return self.drift
         if self._drift_field_cache is None:
-            self._drift_field_cache = VectorField(
+            self._drift_field_cache = zero_field(self.manifold) if derived_zero else VectorField(
                 self.manifold, self.drift_comps, name=f"drift[{self.drift_policy}]"
             )
         return self._drift_field_cache

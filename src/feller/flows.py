@@ -69,6 +69,7 @@ def negate(A: VectorField) -> VectorField:
         declared_bounds=A.declared_bounds,
         name=f"-({A.name})",
         is_zero=A.is_zero,
+        divergence_free=A.divergence_free,
     )
 
 

@@ -5,6 +5,11 @@ Lagrange ("cubic") interpolation; Sphere2 uses a latitude-longitude grid of
 cell centers with bilinear interpolation and pole rows synthesized as the
 mean of the adjacent row.  All interpolation reduces to a precomputed
 gather stencil, applied by the hot kernel in ``_kernels``.
+
+A stencil's index and weight arrays have shape ``(m, k)`` (one row per query
+point, one column per interpolation node) and are column-major: they are
+built as ``(k, m)`` arrays and stored as their transposed views, so the
+per-column reads of the gather kernel are contiguous and no copy is made.
 """
 
 from __future__ import annotations
@@ -24,16 +29,16 @@ _MIN_NODES = 8
 def _cubic_weights(frac: np.ndarray) -> np.ndarray:
     # 4-point Lagrange basis on nodes {-1, 0, 1, 2} evaluated at frac in [0,1)
     s = frac
-    w = np.empty(s.shape + (4,))
-    w[..., 0] = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w[..., 1] = (s * s - 1.0) * (s - 2.0) / 2.0
-    w[..., 2] = -s * (s + 1.0) * (s - 2.0) / 2.0
-    w[..., 3] = s * (s * s - 1.0) / 6.0
+    w = np.empty((4,) + s.shape)
+    w[0] = -s * (s - 1.0) * (s - 2.0) / 6.0
+    w[1] = (s * s - 1.0) * (s - 2.0) / 2.0
+    w[2] = -s * (s + 1.0) * (s - 2.0) / 2.0
+    w[3] = s * (s * s - 1.0) / 6.0
     return w
 
 
 def _axis_stencil(theta: np.ndarray, n: int, order: str):
-    """Per-axis periodic stencil: node indices (m, k) and weights (m, k)."""
+    """Per-axis periodic stencil: node indices (k, m) and weights (k, m)."""
     h = TWO_PI / n
     s = np.mod(theta, TWO_PI) / h
     # snap queries that sit on a node (within 1e-9 cells) so that zero
@@ -43,18 +48,18 @@ def _axis_stencil(theta: np.ndarray, n: int, order: str):
     i0 = np.floor(s).astype(np.int64)
     frac = s - i0
     if order == "linear":
-        idx = np.stack([i0, i0 + 1], axis=-1)
-        w = np.stack([1.0 - frac, frac], axis=-1)
+        idx = np.stack([i0, i0 + 1])
+        w = np.stack([1.0 - frac, frac])
     else:
-        idx = np.stack([i0 - 1, i0, i0 + 1, i0 + 2], axis=-1)
+        idx = np.stack([i0 - 1, i0, i0 + 1, i0 + 2])
         w = _cubic_weights(frac)
     return np.mod(idx, n), w
 
 
 @dataclass(frozen=True)
 class Stencil:
-    idx: np.ndarray      # (m, k) flat indices
-    w: np.ndarray        # (m, k) weights
+    idx: np.ndarray      # (m, k) flat indices, column-major
+    w: np.ndarray        # (m, k) weights, column-major
 
     def apply(self, flat_values: np.ndarray) -> np.ndarray:
         return gather_weighted(flat_values, self.idx, self.w)
@@ -166,14 +171,16 @@ class GridFunction:
         if name == "circle":
             n = self.values.shape[0]
             idx, w = _axis_stencil(coords[:, 0], n, self.interp)
-            return Stencil(idx, w)
+            return Stencil(idx.T, w.T)
         if name == "torus2":
             n1, n2 = self.values.shape
             i1, w1 = _axis_stencil(coords[:, 0], n1, self.interp)
             i2, w2 = _axis_stencil(coords[:, 1], n2, self.interp)
-            idx = (i1[:, :, None] * n2 + i2[:, None, :]).reshape(coords.shape[0], -1)
-            w = (w1[:, :, None] * w2[:, None, :]).reshape(coords.shape[0], -1)
-            return Stencil(idx, w)
+            # column a * k + b (k nodes per axis) pairs node a of axis 1 with node b of axis 2
+            m = coords.shape[0]
+            idx = (i1[:, None, :] * n2 + i2[None, :, :]).reshape(-1, m)
+            w = (w1[:, None, :] * w2[None, :, :]).reshape(-1, m)
+            return Stencil(idx.T, w.T)
         return self._sphere_stencil(coords)
 
     def _sphere_stencil(self, q: np.ndarray) -> Stencil:
@@ -194,19 +201,16 @@ class GridFunction:
         flon = s - c0
         c0 = np.mod(c0, nlon)
         c1 = np.mod(c0 + 1, nlon)
-        idx = np.stack(
-            [r0 * nlon + c0, r0 * nlon + c1, r1 * nlon + c0, r1 * nlon + c1], axis=-1
-        )
+        idx = np.stack([r0 * nlon + c0, r0 * nlon + c1, r1 * nlon + c0, r1 * nlon + c1])
         w = np.stack(
             [
                 (1.0 - flat) * (1.0 - flon),
                 (1.0 - flat) * flon,
                 flat * (1.0 - flon),
                 flat * flon,
-            ],
-            axis=-1,
+            ]
         )
-        return Stencil(idx, w)
+        return Stencil(idx.T, w.T)
 
     def flat_values(self, values: np.ndarray | None = None) -> np.ndarray:
         """Values raveled for stencil application (pole-padded on the sphere)."""

@@ -3,8 +3,10 @@ import pytest
 
 import feller as fl
 from feller.errors import DegenerateFieldsError, VariantIncompatibleError
-from feller.expressions import ExpressionError, compile_scalar
+from feller.expressions import ExpressionError, compile_scalar, coordinate_names
 from feller.fields import VectorField, divergence_batch
+from feller.flows import flow_batch, negate
+from feller.manifolds import Sphere2
 
 
 def heat_circle(drift="explicit"):
@@ -93,6 +95,116 @@ def test_derived_plus_adds_extra_field():
     )
     v = fl.derive_drift(spec, h2.point([0.0, 2.0]))
     np.testing.assert_allclose(v.comps, [2.0, -1.0], atol=1e-9)
+
+
+# -- divergence-free flag ---------------------------------------------------------------
+
+BUILTIN_MANIFOLDS = ["euclidean:1", "euclidean:3", "circle", "torus2", "sphere2", "hyperbolic-h2"]
+
+
+def _builtin_fields(m):
+    """Every built-in constructor string the manifold accepts, resolved."""
+    cd = m.chart_dim
+    consts = [[0.7, -1.3, 0.4][:cd], [0.0, 1.0, 0.0][:cd]]
+    specs = ["zero"]
+    specs += ["constant:[" + ",".join(map(str, c)) + "]" for c in consts]
+    specs += [f"frame:{k}" for k in range(1, m.dim + 1)]
+    specs += [f"rotational:{k}" for k in (1, 2, 3)]
+    specs += ["custom:" + ",".join(f"0.3*sin({v})" for v in coordinate_names(m))]
+    out = []
+    for spec in specs:
+        try:
+            out.append(fl.field_from_string(m, spec))
+        except VariantIncompatibleError:
+            continue
+    return out
+
+
+def _general_divergences(A, coords):
+    """Divergence of A by the general path(s), with the flag bypassed."""
+    m = A.manifold
+    out = [divergence_batch(VectorField(m, A.comps, jacobian=A.jacobian), coords)]
+    if isinstance(m, Sphere2):  # the finite-difference branch as well
+        out.append(divergence_batch(VectorField(m, A.comps), coords))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_MANIFOLDS)
+def test_divergence_free_flag_matches_the_maths(name, rng):
+    m = fl.manifold_from_string(name)
+    coords = m.random_points(50, rng)
+    fields = _builtin_fields(m)
+    assert any(A.divergence_free for A in fields)
+    for A in fields:
+        assert negate(A).divergence_free == A.divergence_free, A.name
+        if A.name.startswith("custom:"):
+            assert not A.divergence_free
+        if A.divergence_free:
+            np.testing.assert_array_equal(divergence_batch(A, coords), 0.0)
+            for div in _general_divergences(A, coords):
+                np.testing.assert_allclose(div, 0.0, atol=1e-8, err_msg=A.name)
+
+
+@pytest.mark.parametrize("spec", ["frame:2", "constant:[0,1]"])
+def test_half_plane_fields_with_divergence_unflagged(spec, rng):
+    h2 = fl.hyperbolic_h2()
+    A = fl.field_from_string(h2, spec)
+    assert not A.divergence_free
+    coords = h2.random_points(20, rng)
+    assert np.abs(divergence_batch(A, coords)).min() > 1e-3
+
+
+def torus_frame_spec(drift_policy="derived", drift=None):
+    t2 = fl.torus2()
+    return fl.GeneratorSpec(
+        [fl.frame_field(t2, 1), fl.frame_field(t2, 2)], drift_policy=drift_policy, drift=drift
+    )
+
+
+@pytest.mark.parametrize("make_spec", [sphere_rotational_spec, torus_frame_spec])
+def test_derived_drift_of_divergence_free_fields_costs_nothing(make_spec, rng, monkeypatch):
+    spec = make_spec()
+    drift = spec.drift_field()
+    assert drift.is_zero
+    coords = spec.manifold.random_points(40, rng)
+    called = []
+    comps = VectorField.comps
+    monkeypatch.setattr(
+        VectorField, "comps", lambda self, c: called.append(self.name) or comps(self, c)
+    )
+    out = flow_batch(drift, coords, 0.25)
+    assert called == []
+    np.testing.assert_allclose(out, coords, rtol=0.0, atol=1e-15)
+
+
+def test_derived_plus_of_divergence_free_fields_is_B():
+    B = fl.constant_field(fl.torus2(), [0.3, -0.2])
+    assert torus_frame_spec("derived_plus", B).drift_field() is B
+
+
+def test_derived_drift_with_a_custom_field_still_integrates(rng):
+    t2 = fl.torus2()
+    fields = [
+        fl.frame_field(t2, 1),
+        fl.frame_field(t2, 2),
+        fl.field_from_string(t2, "custom:0.3*sin(theta1),0"),
+    ]
+    spec = fl.GeneratorSpec(fields, drift_policy="derived")
+    drift = spec.drift_field()
+    assert not drift.is_zero
+
+    def unflagged_drift(c):
+        acc = np.zeros_like(c)
+        for f in fields:
+            acc += 0.5 * _general_divergences(f, c)[0][:, None] * f.comps(c)
+        return acc
+
+    coords = t2.random_points(40, rng)
+    reference = VectorField(t2, unflagged_drift)
+    np.testing.assert_array_equal(spec.drift_comps(coords), unflagged_drift(coords))
+    np.testing.assert_array_equal(
+        flow_batch(drift, coords, 0.25), flow_batch(reference, coords, 0.25)
+    )
 
 
 # -- dominance -----------------------------------------------------------------------

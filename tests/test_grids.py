@@ -1,0 +1,53 @@
+import numpy as np
+import pytest
+
+import feller as fl
+from feller._kernels import gather_weighted
+from feller.grids import GridFunction, _axis_stencil
+
+CASES = [
+    ("circle", 40, "linear"),
+    ("circle", 40, "cubic"),
+    ("torus2", (24, 32), "linear"),
+    ("torus2", (24, 32), "cubic"),
+    ("sphere2", (16, 32), "linear"),
+]
+
+
+def _stencil(name, shape, interp, queries):
+    m = fl.manifold_from_string(name)
+    g = GridFunction.from_function(m, shape, lambda c: np.cos(3.0 * c[:, 0]) + c[:, -1], interp)
+    return g, g.build_stencil(queries)
+
+
+def _queries(name, rng):
+    return fl.manifold_from_string(name).random_points(100, rng)
+
+
+@pytest.mark.parametrize("name, shape, interp", CASES)
+def test_stencil_is_column_major(name, shape, interp, rng):
+    _, st = _stencil(name, shape, interp, _queries(name, rng))
+    assert st.idx.shape == st.w.shape and st.idx.shape[0] == 100
+    assert st.idx.flags.f_contiguous and st.w.flags.f_contiguous
+
+
+@pytest.mark.parametrize("name, shape, interp", CASES)
+def test_gather_on_column_major_equals_row_major(name, shape, interp, rng):
+    g, st = _stencil(name, shape, interp, _queries(name, rng))
+    v = g.flat_values()
+    row_major = gather_weighted(v, np.ascontiguousarray(st.idx), np.ascontiguousarray(st.w))
+    np.testing.assert_array_equal(st.apply(v), row_major)
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+def test_torus_stencil_column_order(interp, rng):
+    n1, n2 = 24, 32
+    q = _queries("torus2", rng)
+    _, st = _stencil("torus2", (n1, n2), interp, q)
+    i1, w1 = _axis_stencil(q[:, 0], n1, interp)
+    i2, w2 = _axis_stencil(q[:, 1], n2, interp)
+    k = len(w1)
+    for a in range(k):
+        for b in range(k):
+            np.testing.assert_array_equal(st.w[:, k * a + b], w1[a] * w2[b])
+            np.testing.assert_array_equal(st.idx[:, k * a + b], i1[a] * n2 + i2[b])
