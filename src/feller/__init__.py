@@ -67,6 +67,7 @@ from .walks import (
     sample_flow_interp,
     sample_geodesic_interp,
     sample_jump_path,
+    sample_path,
     step_distribution,
 )
 

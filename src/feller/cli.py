@@ -5,9 +5,12 @@ Subcommands
 ``chernoff run``   evaluate S(t/n)^n f by tree, grid or mc; with an n-schedule
                    and an oracle it emits a convergence table plus a fitted
                    log-log slope.
-``walk sample``    write sampled walk trajectories as CSV.
+``walk sample``    write sampled walk trajectories as CSV (``walks.sample_path``;
+                   ``--kind`` picks the jump, geodesic or flow connector).
 ``walk stats``     endpoint statistics (mean/stderr, optional KS distance and
-                   modulus-of-continuity tails) across an n-schedule.
+                   modulus-of-continuity tails) across an n-schedule; per n the
+                   endpoints are drawn once, and each geodesic path once for
+                   every ``--moc`` pair.
 ``oracle eval``    closed-form heat-kernel point evaluation.
 ``oracle fd``      Crank-Nicolson reference solution on a periodic grid.
 ``validate``       run the acceptance criteria; exit 1 on failure.
@@ -33,7 +36,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -320,24 +323,16 @@ def _cmd_chernoff_run(args) -> int:
 # -- walks ---------------------------------------------------------------------------
 
 
-_SAMPLERS = {
-    "jump": wk.sample_jump_path,
-    "geodesic": wk.sample_geodesic_interp,
-    "flow": wk.sample_flow_interp,
-}
-
-
 def _cmd_walk_sample(args) -> int:
     cfg = _resolve(args)
     manifold = mf.manifold_from_string(cfg.manifold)
     spec = build_generator(manifold, cfg.generator)
-    sampler = _SAMPLERS[cfg.kind]
     ode = _ode_settings(cfg)
     x = _start_point(manifold, cfg.x)
     n = int(cfg.n_schedule[0])
     rows = []
     for pid in range(int(cfg.paths)):
-        path = sampler(spec, x, cfg.t, n, seed=cfg.seed, path_index=pid, ode=ode)
+        path = wk.sample_path(cfg.kind, spec, x, cfg.t, n, cfg.seed, pid, ode)
         for tval, pt in zip(path.times, path.points):
             rows.append((pid, f"{tval:.10g}") + tuple(f"{c:.12g}" for c in pt))
     cd = manifold.chart_dim
@@ -347,39 +342,34 @@ def _cmd_walk_sample(args) -> int:
 
 
 def run_walk_study(cfg: ExperimentConfig):
-    """WalkStats (with optional KS and modulus-of-continuity tails) per n."""
+    """WalkStats (with optional KS and modulus-of-continuity tails) per n.
+
+    Per n, the endpoints are drawn once for the mean, the stderr and the KS
+    distance, and each geodesic path once for every (delta, eps) pair.
+    """
     manifold = mf.manifold_from_string(cfg.manifold)
     spec = build_generator(manifold, cfg.generator)
     f = compile_scalar(cfg.f, manifold)
     x = _start_point(manifold, cfg.x)
     ode = _ode_settings(cfg)
     ref = _reference_cdf(cfg.reference)
+    pairs = [tuple(float(v) for v in str(pair).split(",")) for pair in cfg.moc]
+    paths = int(cfg.paths)
     out = []
     for n in cfg.n_schedule:
         n = int(n)
-        stats = wk.estimate_expectation(spec, f, x, cfg.t, n, int(cfg.samples), cfg.seed, ode)
-        ks = None
-        if ref is not None:
-            pts = wk.walk_endpoints(spec, x, cfg.t, n, int(cfg.samples), cfg.seed, ode)
-            ks = wk.ks_distance_to(ref, np.asarray(f(pts), dtype=float))
+        vals = wk.endpoint_values(spec, f, x, cfg.t, n, int(cfg.samples), cfg.seed, ode)
+        stats = wk.endpoint_stats(cfg.t, n, vals)
+        ks = None if ref is None else wk.ks_distance_to(ref, vals)
         moc = None
-        if cfg.moc:
-            moc = []
-            for spec_pair in cfg.moc:
-                delta, eps = (float(v) for v in str(spec_pair).split(","))
-                exceed = 0
-                for pid in range(int(cfg.paths)):
-                    path = wk.sample_geodesic_interp(spec, x, cfg.t, n, cfg.seed, pid, ode)
-                    if wk.modulus_of_continuity(path, delta) > eps:
-                        exceed += 1
-                moc.append((delta, eps, exceed / int(cfg.paths)))
-        out.append(
-            wk.WalkStats(
-                t=cfg.t, n=n, n_samples=int(cfg.samples),
-                mean_f=stats.mean_f, stderr_f=stats.stderr_f,
-                ks_distance=ks, moc_tail=moc,
-            )
-        )
+        if pairs:
+            exceed = [0] * len(pairs)
+            for pid in range(paths):
+                path = wk.sample_path("geodesic", spec, x, cfg.t, n, cfg.seed, pid, ode)
+                for j, (delta, eps) in enumerate(pairs):
+                    exceed[j] += wk.modulus_of_continuity(path, delta) > eps
+            moc = [(delta, eps, e / paths) for (delta, eps), e in zip(pairs, exceed)]
+        out.append(replace(stats, ks_distance=ks, moc_tail=moc))
     return out
 
 
@@ -540,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk = sub.add_parser("walk", help="random-walk sampling and statistics")
     wsub = walk.add_subparsers(dest="subcommand", required=True)
     ws = wsub.add_parser("sample", parents=[shared], help="sample walk trajectories to CSV")
-    ws.add_argument("--kind", choices=["jump", "geodesic", "flow"])
+    ws.add_argument("--kind", choices=wk.PATH_KINDS)
     ws.add_argument("--n", dest="n_schedule", metavar="N", type=_single_int)
     ws.add_argument("--paths", type=int)
     ws.set_defaults(fn=_cmd_walk_sample)

@@ -9,18 +9,19 @@ steps a branch xi in {0, .., 2r} is drawn in table order,
     P(xi = k) = 1/(4r)     -> move along +A_j (k = 2j-1) or -A_j (k = 2j)
                               for time sqrt(2 r s),
 
-matching the one-step kernel of the jump process.  Three path constructions
-share this skeleton and differ only between skeleton times:
+matching the one-step kernel of the jump process.  ``sample_path`` is the
+one path sampler: it draws this skeleton once, and fills the times between
+skeleton instants (sub-samples t_max/(8n) apart) with one connector per kind:
 
 * ``jump`` - piecewise constant between jumps;
 * ``geodesic`` - consecutive skeleton points joined by shortest geodesics;
 * ``flow`` - the drawn branch evaluated at its local step time s < 1/n, so
   the within-step move is traversed continuously along the integral curve.
 
-For a shared seed all three samplers reproduce identical skeleton values
-bit-for-bit; ``walk_endpoints`` runs the same loop on a batch of paths.
-Substreams are mixed statelessly from (seed, path index), so sampling is
-reproducible and independent of any worker decomposition.
+For a shared seed all kinds reproduce identical skeleton values bit-for-bit;
+``walk_endpoints`` runs the same loop on a batch of paths.  Substreams are
+mixed statelessly from (seed, path index), so sampling is reproducible and
+independent of any worker decomposition.
 """
 
 from __future__ import annotations
@@ -92,56 +93,97 @@ class PathSample:
         return self.points[max(i, 0)]
 
     def check_interpolation(self, ode: OdeSettings = DEFAULT_ODE, tol: float = 1e-8) -> float:
-        """Recompute the declared connecting curves; return the worst deviation."""
+        """Recompute each segment's connecting curve from its start (up to the
+        next skeleton instant, or to t_max); return the worst deviation."""
         if self.kind == "jump":
             return 0.0
         m = self.spec.manifold
         branches = branch_moves(self.spec, GENERAL, ode)
         worst = 0.0
         skeleton_times = self.times * self.n
-        step_starts = np.where(np.abs(skeleton_times - np.round(skeleton_times)) < 1e-9)[0]
-        for s_idx, i0 in enumerate(step_starts[:-1]):
-            i1 = step_starts[s_idx + 1]
-            a = self.points[i0]
-            b = self.points[i1]
-            local = self.times[i0 + 1 : i1] - self.times[i0]
-            if local.size == 0:
+        starts = np.flatnonzero(np.abs(skeleton_times - np.round(skeleton_times)) < 1e-9)
+        ends = np.append(starts[1:], self.times.size - 1)
+        for seg, (i0, i1) in enumerate(zip(starts, ends)):
+            if i1 == i0:
                 continue
+            a = self.points[i0][None, :]
+            local = self.times[i0 + 1 : i1 + 1] - self.times[i0]
             if self.kind == "geodesic":
-                v = m.log_batch(a[None, :], b[None, :])[0]
-                frac = local * self.n
-                cur = m.wrap(
-                    m.geodesic_batch(
-                        np.broadcast_to(a, (local.size, a.size)).copy(),
-                        np.broadcast_to(v, (local.size, v.size)).copy(),
-                        frac,
-                    )
-                )
+                v = m.log_batch(a, self.points[i1][None, :])
+                xs, vs = np.repeat(a, local.size, axis=0), np.repeat(v, local.size, axis=0)
+                cur = m.wrap(m.geodesic_batch(xs, vs, local / local[-1]))
             else:
-                move = branches[int(self.xi[s_idx])].move
-                cur = np.empty((local.size, a.size))
-                for k, s in enumerate(local):
-                    cur[k] = move(a[None, :], float(s))[0]
-            worst = max(worst, float(np.abs(cur - self.points[i0 + 1 : i1]).max()))
+                move = branches[int(self.xi[seg])].move
+                cur = np.concatenate([move(a, float(s)) for s in local])
+            worst = max(worst, float(np.abs(cur - self.points[i0 + 1 : i1 + 1]).max()))
         if worst > tol:
             raise AssertionError(f"interpolation deviates by {worst:.2e} > {tol:.0e}")
         return worst
 
 
-def _sample_skeleton(
-    spec: GeneratorSpec, x: Point, n: int, steps: int, seed: int, path_index: int, ode
-):
-    """Skeleton points (steps+1, cd), branch draws (steps,) and branch table of one path."""
+PATH_KINDS = ("jump", "geodesic", "flow")
+
+
+def _time_grid(t_max: float, n: int, steps: int, partial: bool) -> np.ndarray:
+    """Skeleton instants m/n (and t_max after a partial step) with sub-samples t0 + k t_max/(8n)."""
+    sub = t_max / (8.0 * n)
+    starts = np.arange(steps + partial) / n
+    ends = np.append(np.arange(1, steps + 1) / n, [t_max] if partial else [])
+    if not ends.size:
+        return np.zeros(1)
+    # the last k lands a whole sub past the end of the longest segment
+    k = np.arange(1, math.ceil((ends - starts).max() / sub) + 2)
+    inner = starts[:, None] + k * sub
+    keep = np.column_stack([inner < ends[:, None] - 1e-15, np.ones(ends.size, dtype=bool)])
+    return np.concatenate([[0.0], np.column_stack([inner, ends])[keep]])
+
+
+def sample_path(
+    kind: str,
+    spec: GeneratorSpec,
+    x: Point,
+    t_max: float,
+    n: int,
+    seed: int,
+    path_index: int = 0,
+    ode: OdeSettings = DEFAULT_ODE,
+) -> PathSample:
+    """One path of the n-th walk on [0, t_max] with the connector of ``kind``.
+
+    ``geodesic`` and ``flow`` draw one more step when ``n t_max`` is not an
+    integer, so the partial last segment has an end to head for.
+    """
+    if kind not in PATH_KINDS:
+        raise ValueError(f"unknown path kind {kind!r}")
+    spec.manifold._check_point(x)
+    steps = _walk_steps(t_max, n)
+    partial = kind != "jump" and t_max - steps / n > 1e-12 / n
+    draws = steps + partial
     branches = branch_moves(spec, GENERAL, ode)
     coords = x.coords[None, :].copy()
+    pts = np.empty((draws + 1, coords.shape[1]))
+    xi = np.empty(draws, dtype=np.int64)
     stream = substream(seed, np.array([path_index]))
-    pts = np.empty((steps + 1, x.coords.shape[0]))
-    xi = np.empty(steps, dtype=np.int64)
-    for m, (drawn, before) in enumerate(sample_steps(branches, 1.0 / n, coords, stream, steps)):
-        xi[m] = drawn[0]
-        pts[m] = before[0]
-    pts[steps] = coords[0]
-    return pts, xi, branches
+    for step, (drawn, before) in enumerate(sample_steps(branches, 1.0 / n, coords, stream, draws)):
+        xi[step] = drawn[0]
+        pts[step] = before[0]
+    pts[draws] = coords[0]
+    if kind == "jump":
+        return PathSample(kind, np.arange(steps + 1) / n, pts, n, seed, spec, xi)
+
+    times = _time_grid(t_max, n, steps, partial)
+    s = times * n
+    k = np.minimum(np.floor(s + 1e-12).astype(np.int64), draws)
+    frac = s - k
+    inner = np.flatnonzero((frac > 1e-12) & (k < draws))
+    out = pts[k]
+    if kind == "geodesic":
+        m, a = spec.manifold, pts[k[inner]]
+        out[inner] = m.wrap(m.geodesic_batch(a, m.log_batch(a, pts[k[inner] + 1]), frac[inner]))
+    else:
+        for i in inner:
+            out[i] = branches[xi[k[i]]].move(pts[k[i]][None, :], float(frac[i]) / n)[0]
+    return PathSample(kind, times, out, n, seed, spec, xi)
 
 
 def sample_jump_path(
@@ -154,32 +196,7 @@ def sample_jump_path(
     ode: OdeSettings = DEFAULT_ODE,
 ) -> PathSample:
     """Jump process path: piecewise constant, jumping at the instants m/n."""
-    spec.manifold._check_point(x)
-    steps = _walk_steps(t_max, n)
-    pts, xi, _ = _sample_skeleton(spec, x, n, steps, seed, path_index, ode)
-    times = np.arange(steps + 1) / n
-    return PathSample("jump", times, pts, n, seed, spec, xi)
-
-
-def _interp_times(n: int, t_max: float, steps: int, partial: float):
-    """Global time grid: skeleton instants plus sub-samples at t_max/(8n)."""
-    sub = t_max / (8.0 * n)
-    times = [0.0]
-    for m in range(steps):
-        t0 = m / n
-        k = 1
-        while t0 + k * sub < (m + 1) / n - 1e-15:
-            times.append(t0 + k * sub)
-            k += 1
-        times.append((m + 1) / n)
-    if partial > 1e-12 / n:
-        t0 = steps / n
-        k = 1
-        while t0 + k * sub < t_max - 1e-15:
-            times.append(t0 + k * sub)
-            k += 1
-        times.append(t_max)
-    return np.array(times)
+    return sample_path("jump", spec, x, t_max, n, seed, path_index, ode)
 
 
 def sample_geodesic_interp(
@@ -192,24 +209,7 @@ def sample_geodesic_interp(
     ode: OdeSettings = DEFAULT_ODE,
 ) -> PathSample:
     """Skeleton joined by shortest geodesics (same skeleton as the jump path)."""
-    spec.manifold._check_point(x)
-    m = spec.manifold
-    steps = _walk_steps(t_max, n)
-    partial = t_max - steps / n
-    draw_steps = steps + (1 if partial > 1e-12 / n else 0)
-    pts, xi, _ = _sample_skeleton(spec, x, n, draw_steps, seed, path_index, ode)
-    times = _interp_times(n, t_max, steps, partial)
-    out = np.empty((times.size, x.coords.shape[0]))
-    for i, t in enumerate(times):
-        s = t * n
-        k = min(int(math.floor(s + 1e-12)), draw_steps)
-        frac = s - k
-        if frac <= 1e-12 or k >= draw_steps:
-            out[i] = pts[k]
-        else:
-            v = m.log_batch(pts[k][None, :], pts[k + 1][None, :])[0]
-            out[i] = m.wrap(m.geodesic_batch(pts[k][None, :], v[None, :], frac))[0]
-    return PathSample("geodesic", times, out, n, seed, spec, xi)
+    return sample_path("geodesic", spec, x, t_max, n, seed, path_index, ode)
 
 
 def sample_flow_interp(
@@ -226,22 +226,7 @@ def sample_flow_interp(
     Between skeleton instants the drawn branch is evaluated at its local
     step time ``frac / n`` < 1/n.
     """
-    spec.manifold._check_point(x)
-    steps = _walk_steps(t_max, n)
-    partial = t_max - steps / n
-    draw_steps = steps + (1 if partial > 1e-12 / n else 0)
-    pts, xi, branches = _sample_skeleton(spec, x, n, draw_steps, seed, path_index, ode)
-    times = _interp_times(n, t_max, steps, partial)
-    out = np.empty((times.size, x.coords.shape[0]))
-    for i, t in enumerate(times):
-        s = t * n
-        k = min(int(math.floor(s + 1e-12)), draw_steps)
-        frac = s - k
-        if frac <= 1e-12 or k >= draw_steps:
-            out[i] = pts[k]
-        else:
-            out[i] = branches[int(xi[k])].move(pts[k][None, :], frac / n)[0]
-    return PathSample("flow", times, out, n, seed, spec, xi)
+    return sample_path("flow", spec, x, t_max, n, seed, path_index, ode)
 
 
 @dataclass(frozen=True)
@@ -274,6 +259,28 @@ def walk_endpoints(
     return coords
 
 
+def endpoint_values(
+    spec: GeneratorSpec,
+    f: Callable[[np.ndarray], np.ndarray],
+    x: Point,
+    t: float,
+    n: int,
+    n_samples: int,
+    seed: int,
+    ode: OdeSettings = DEFAULT_ODE,
+) -> np.ndarray:
+    """f(X_n(t)) at the endpoints of n_samples >= 2 jump walks."""
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    return np.asarray(f(walk_endpoints(spec, x, t, n, n_samples, seed, ode)), dtype=float)
+
+
+def endpoint_stats(t: float, n: int, vals: np.ndarray) -> WalkStats:
+    """Mean and standard error of the endpoint values ``vals`` of f."""
+    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    return WalkStats(t=t, n=n, n_samples=vals.size, mean_f=float(vals.mean()), stderr_f=stderr)
+
+
 def estimate_expectation(
     spec: GeneratorSpec,
     f: Callable[[np.ndarray], np.ndarray],
@@ -285,17 +292,7 @@ def estimate_expectation(
     ode: OdeSettings = DEFAULT_ODE,
 ) -> WalkStats:
     """Monte-Carlo estimate of E[f(X_n(t))] over jump-walk endpoints."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    coords = walk_endpoints(spec, x, t, n, n_samples, seed, ode)
-    vals = np.asarray(f(coords), dtype=float)
-    return WalkStats(
-        t=t,
-        n=n,
-        n_samples=n_samples,
-        mean_f=float(vals.mean()),
-        stderr_f=float(vals.std(ddof=1) / math.sqrt(n_samples)),
-    )
+    return endpoint_stats(t, n, endpoint_values(spec, f, x, t, n, n_samples, seed, ode))
 
 
 def ks_distance_to(reference_cdf: Callable[[np.ndarray], np.ndarray], samples) -> float:

@@ -195,6 +195,45 @@ def test_walk_stats_moc_tail():
     assert 0.0 <= prob <= 1.0
 
 
+def test_unknown_path_kind_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "jmp"}))
+    assert main(["walk", "sample", "--config", str(bad), "--n", "4", "--paths", "1"]) == 2
+    assert "error: unknown path kind 'jmp'" in capsys.readouterr().err
+
+
+def test_walk_study_draws_each_sample_once(monkeypatch):
+    from feller import walks
+
+    calls = {"walk_endpoints": 0, "sample_path": 0}
+
+    def counted(name):
+        original = getattr(walks, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(walks, name, counted(name))
+    cfg = ExperimentConfig(
+        manifold="circle",
+        generator={"fields": ["frame:1"], "drift": "zero"},
+        t=1.0,
+        n_schedule=[4, 8],
+        samples=100,
+        paths=5,
+        f="cos(theta)",
+        reference="normal",
+        moc=["0.05,0.5", "0.2,0.3"],
+    )
+    stats = run_walk_study(cfg)
+    assert calls == {"walk_endpoints": 2, "sample_path": 2 * 5}
+    assert all(s.ks_distance is not None and len(s.moc_tail) == 2 for s in stats)
+
+
 def test_config_file_with_flag_override(tmp_path, heat_gen, capsys):
     cfg = {
         "manifold": "circle",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -82,20 +83,65 @@ def test_xi_frequencies_flow_kind():
 # -- skeleton equality ------------------------------------------------------------------
 
 
+def _skeleton_case(manifold):
+    if manifold == "circle":
+        spec, circ = circle_heat()
+        return spec, circ.point([0.3])
+    if manifold == "sphere2":
+        s2 = fl.sphere2()
+        spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)])
+        return spec, s2.point([0.6, 0.0, 0.8])
+    h2 = fl.hyperbolic_h2()
+    spec = fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)], drift_policy="explicit")
+    return spec, h2.point([0.0, 1.0])
+
+
 @pytest.mark.parametrize("t_max", [1.0, 1.37])
 def test_skeleton_equality_bit_exact(t_max):
-    spec, circ = circle_heat()
-    x = circ.point([0.3])
     n = 16
     steps = int(n * t_max)
-    for seed in range(30):
-        pj = fl.sample_jump_path(spec, x, t_max, n, seed=seed)
-        pg = fl.sample_geodesic_interp(spec, x, t_max, n, seed=seed)
-        pf = fl.sample_flow_interp(spec, x, t_max, n, seed=seed)
-        for m in range(steps + 1):
-            a = pj.at(m / n)
-            assert np.array_equal(a, pg.at(m / n))
-            assert np.array_equal(a, pf.at(m / n))
+    for manifold in ("circle", "sphere2", "hyperbolic-h2"):
+        spec, x = _skeleton_case(manifold)
+        for seed in range(30):
+            pj = fl.sample_jump_path(spec, x, t_max, n, seed=seed)
+            pg = fl.sample_geodesic_interp(spec, x, t_max, n, seed=seed)
+            pf = fl.sample_flow_interp(spec, x, t_max, n, seed=seed)
+            for m in range(steps + 1):
+                a = pj.at(m / n)
+                assert np.array_equal(a, pg.at(m / n))
+                assert np.array_equal(a, pf.at(m / n))
+
+
+def _loop_time_grid(n, t_max):
+    """The time grid built by nested while loops: the reference for the closed form."""
+    steps = int(math.floor(n * t_max + 1e-12))
+    partial = t_max - steps / n
+    sub = t_max / (8.0 * n)
+    times = [0.0]
+    for m in range(steps):
+        t0 = m / n
+        k = 1
+        while t0 + k * sub < (m + 1) / n - 1e-15:
+            times.append(t0 + k * sub)
+            k += 1
+        times.append((m + 1) / n)
+    if partial > 1e-12 / n:
+        t0 = steps / n
+        k = 1
+        while t0 + k * sub < t_max - 1e-15:
+            times.append(t0 + k * sub)
+            k += 1
+        times.append(t_max)
+    return np.array(times)
+
+
+@pytest.mark.parametrize("t_max, n", [(1.0, 1), (1.0, 8), (1.37, 16), (0.3, 7), (2.5, 3)])
+def test_time_grid_matches_the_loop(t_max, n):
+    spec, circ = circle_heat()
+    reference = _loop_time_grid(n, t_max)
+    for kind in ("geodesic", "flow"):
+        times = fl.sample_path(kind, spec, circ.point([0.3]), t_max, n, seed=0).times
+        assert times.tobytes() == reference.tobytes()
 
 
 def test_reproducibility_bitwise():
@@ -163,6 +209,19 @@ def test_interpolation_audit_passes():
     for seed in range(5):
         fl.sample_geodesic_interp(spec, circ.point([0.3]), 1.0, 8, seed=seed).check_interpolation()
         fl.sample_flow_interp(spec, circ.point([0.3]), 1.0, 8, seed=seed).check_interpolation()
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "flow"])
+def test_audit_checks_the_partial_segment(kind):
+    # t_max * n = 21.92: the points after t = 21/16 form the partial segment
+    spec, circ = circle_heat()
+    path = fl.sample_path(kind, spec, circ.point([0.3]), 1.37, 16, seed=0)
+    assert path.times[-3] > 21 / 16
+    path.check_interpolation()
+    points = path.points.copy()
+    points[-3:] += 0.5
+    with pytest.raises(AssertionError, match="interpolation deviates"):
+        replace(path, points=points).check_interpolation()
 
 
 def test_geodesic_interp_constant_speed(rng):
