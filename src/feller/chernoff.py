@@ -29,6 +29,13 @@ exact tree recursion (``iterate_tree``, the oracle), semi-Lagrangian grid
 sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
 random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n).
+
+On H2, viewed as the ``ax+b`` group, each heat-geodesic branch is
+right-multiplication by one fixed group element ``h_b(s)``, the geodesic from
+the identity.  Such a branch carries ``shift(s) -> h_b(s)`` beside its
+``move``; the tree moves its block by one ``compose(pts, h_b(s))`` and the
+sample loop moves all rows by one gather ``H[drawn]`` and one ``compose``
+instead of one geodesic call per branch.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -98,11 +105,17 @@ class Branch:
     ``move(coords, s)`` sends a coordinate batch to its shifted batch for the
     step time ``s``; it is the one place that turns ``s`` into a flow time
     (``2s``, ``sqrt(2rs)``, ``sqrt(rs)``) or a geodesic time (``sqrt(s)``).
+
+    A branch that is right-multiplication by a group element of its manifold
+    also carries ``shift(s)``, that element ``h_b(s)``:
+    ``manifold.compose(coords, shift(s))`` equals ``move(coords, s)`` to
+    rounding.  None otherwise.
     """
 
     weight: Fraction
     label: str
     move: Callable[[np.ndarray, float], np.ndarray]
+    shift: Optional[Callable[[float], np.ndarray]] = None
 
 
 def branch_moves(
@@ -151,7 +164,7 @@ def branch_moves(
         d = m.dim
         root_d = math.sqrt(d)
 
-        def geo_move(k, sign):
+        def geo_branch(k, sign, mark):
             def move(coords, s):
                 frame = m.frame_batch(np.atleast_2d(coords))
                 out = m.geodesic_batch(
@@ -159,17 +172,18 @@ def branch_moves(
                 )
                 return m.wrap(out)
 
-            return move
+            weight, label = Fraction(1, 2 * d), f"geodesic({mark}sqrt(d) e_{k + 1}, sqrt(s))"
+            if m.identity is None:
+                return Branch(weight, label, move)
+            # the frame is left-invariant: the geodesic from x is x times the
+            # geodesic from the identity
+            v = sign * root_d * m.frame_batch(m.identity[None, :])[k, 0]
+            shift = lambda s: m.geodesic_shift(v, math.sqrt(s))
+            return Branch(weight, label, move, shift=shift)
 
         for k in range(d):
             for sign, mark in ((+1.0, "+"), (-1.0, "-")):
-                branches.append(
-                    Branch(
-                        Fraction(1, 2 * d),
-                        f"geodesic({mark}sqrt(d) e_{k + 1}, sqrt(s))",
-                        geo_move(k, sign),
-                    )
-                )
+                branches.append(geo_branch(k, sign, mark))
     else:  # pragma: no cover
         raise ValueError(variant)
 
@@ -183,6 +197,7 @@ def sample_steps(
     coords: np.ndarray,
     streams: np.ndarray,
     steps: int,
+    compose: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
 
@@ -190,12 +205,25 @@ def sample_steps(
     branch whose cumulative weight exceeds u.  Yields each step's branch
     indices and ``coords`` as they are before the move (the live array: copy
     what must be kept); the move runs when the caller asks for the next step.
+    With ``compose`` (the manifold's) given and a shift on every branch, a
+    step moves all rows by one gather of the shifts ``H[drawn]`` and one
+    ``compose``; otherwise each branch moves its rows by mask.
     """
     cumw = np.cumsum([float(b.weight) for b in branches])
-    cumw[-1] = 1.0
+    # u in [0, 1) passes cumw[j] for exactly the branches before the drawn one
+    thresholds = cumw[:-1]
+    shifted = compose is not None and all(br.shift is not None for br in branches)
+    if shifted:
+        H = np.array([br.shift(s) for br in branches])
     for step in range(steps):
-        drawn = np.searchsorted(cumw, step_uniforms(streams, step), side="right")
+        u = step_uniforms(streams, step)
+        drawn = np.zeros(u.shape, dtype=np.intp)
+        for c in thresholds:
+            drawn += c <= u
         yield drawn, coords
+        if shifted:
+            coords[...] = compose(coords, np.take(H, drawn, axis=0))
+            continue
         for b, br in enumerate(branches):
             mask = drawn == b
             if np.any(mask):
@@ -282,10 +310,14 @@ def iterate_tree(
             f"{b}^{n} leaf evaluations exceed the budget of {budget}"
         )
     weights = [float(br.weight) for br in branches]
+    shifts = [None if br.shift is None else br.shift(dt) for br in branches]
     pts = x.coords[None, :].copy()
     wts = np.ones(1)
     for _ in range(n):
-        blocks = [br.move(pts, dt) for br in branches]
+        blocks = [
+            br.move(pts, dt) if h is None else spec.manifold.compose(pts, h)
+            for br, h in zip(branches, shifts)
+        ]
         wblocks = [w * wts for w in weights]
         if has_pot:
             blocks.append(pts)
@@ -382,7 +414,7 @@ def iterate_mc(
     streams = substream(seed, np.arange(samples))
     has_pot = variant is ChernoffVariant.GENERAL and spec.potential is not None
     factor = np.ones(samples) if has_pot else None
-    for _, before in sample_steps(branches, dt, coords, streams, n):
+    for _, before in sample_steps(branches, dt, coords, streams, n, spec.manifold.compose):
         if has_pot:
             factor *= 1.0 + dt * spec.potential_values(before)
     vals = np.asarray(f(coords), dtype=float)

@@ -330,6 +330,8 @@ def _cmd_walk_sample(args) -> int:
     ode = _ode_settings(cfg)
     x = _start_point(manifold, cfg.x)
     n = int(cfg.n_schedule[0])
+    if cfg.kind not in wk.PATH_KINDS:  # also when no path is drawn
+        raise ValueError(f"unknown path kind {cfg.kind!r}")
     rows = []
     for pid in range(int(cfg.paths)):
         path = wk.sample_path(cfg.kind, spec, x, cfg.t, n, cfg.seed, pid, ode)
@@ -355,6 +357,8 @@ def run_walk_study(cfg: ExperimentConfig):
     ref = _reference_cdf(cfg.reference)
     pairs = [tuple(float(v) for v in str(pair).split(",")) for pair in cfg.moc]
     paths = int(cfg.paths)
+    if pairs and paths < 1:
+        raise ValueError("paths must be >= 1 to estimate a modulus-of-continuity tail")
     out = []
     for n in cfg.n_schedule:
         n = int(n)

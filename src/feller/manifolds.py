@@ -85,6 +85,13 @@ class Manifold:
 
     Batch methods take arrays of shape ``(n, chart_dim)`` and are the hot
     path; the ``Point``-level operations below wrap them.
+
+    A group-structured manifold (H2 as the ``ax+b`` group) sets ``identity``
+    and implements ``compose(coords, h)``, right-multiplication of each row
+    by the group element ``h`` (one element, or one per row), and
+    ``geodesic_shift(v, t)``, the element reached from the identity along the
+    geodesic with initial velocity ``v``.  Its frame is left-invariant, so a
+    frame geodesic from any point is one ``compose``.
     """
 
     name: str = "abstract"
@@ -92,6 +99,7 @@ class Manifold:
     chart_dim: int = 0    # stored coordinate length (3 for Sphere2)
     parallelizable: bool = True
     injectivity_radius: float = np.inf
+    identity = None       # group identity in the chart; None: no group structure
 
     # -- points ---------------------------------------------------------
 
@@ -155,6 +163,12 @@ class Manifold:
 
     def geodesic_batch(self, xs, vs, t):
         raise NotImplementedError
+
+    def compose(self, coords, h):
+        raise UnsupportedOperationError(f"{self.name}: no group structure")
+
+    def geodesic_shift(self, v, t):
+        raise UnsupportedOperationError(f"{self.name}: no group structure")
 
     def log_batch(self, xs, ys):
         raise NotImplementedError
@@ -287,6 +301,8 @@ class HyperbolicHalfPlane(Manifold):
     name = "hyperbolic-h2"
     dim = 2
     chart_dim = 2
+    identity = np.array([0.0, 1.0])
+    identity.setflags(write=False)
 
     def _validate(self, c):
         if c[1] <= 0.0:
@@ -344,6 +360,20 @@ class HyperbolicHalfPlane(Manifold):
             out[circ, 0] = c + r * np.cos(phi)
             out[circ, 1] = r * np.sin(phi)
         return out
+
+    def compose(self, coords, h):
+        # (x, y) * (a, b) = (x + y a, y b): left-multiplication by (x, y) is
+        # the isometry z -> x + y z, which takes (0, 1) to (x, y)
+        h = np.asarray(h)
+        out = np.empty_like(coords)
+        x, y = out[:, 0], out[:, 1]  # written in place: no temporaries
+        np.multiply(coords[:, 1], h[..., 0], out=x)
+        np.add(coords[:, 0], x, out=x)
+        np.multiply(coords[:, 1], h[..., 1], out=y)
+        return out
+
+    def geodesic_shift(self, v, t):
+        return self.geodesic_batch(self.identity[None, :], np.asarray(v)[None, :], t)[0]
 
     def log_batch(self, xs, ys):
         xs = np.atleast_2d(xs)

@@ -1,12 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import feller as fl
+from feller import chernoff
+from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
-from feller.chernoff import branch_moves
+from feller.chernoff import branch_moves, sample_steps
 from feller.errors import BudgetExceededError, VariantIncompatibleError
 from feller.grids import GridFunction
 
@@ -265,6 +270,83 @@ def test_mc_deterministic_per_seed():
     c = fl.iterate_mc(spec, CV.GENERAL, 1.0, 6, f, circ.point([0.2]), 5000, seed=4)
     assert a.mean == b.mean and a.stderr == b.stderr
     assert a.mean != c.mean
+
+
+def _table_draws(monkeypatch, branches, us):
+    """The branch indices sample_steps draws when step m's uniforms are us[m]."""
+    monkeypatch.setattr(chernoff, "step_uniforms", lambda streams, step: us[step])
+    coords = np.zeros((us.shape[1], 1))
+    return np.array([d.copy() for d, _ in sample_steps(branches, 0.1, coords, None, len(us))])
+
+
+def test_branch_draw_matches_searchsorted(monkeypatch):
+    # the draw sum_j (cumw[j] <= u) over cumw[:-1] against the first branch
+    # whose cumulative weight exceeds u, on random u and on every boundary
+    circ = fl.circle()
+    fields = [fl.frame_field(circ, 1), fl.constant_field(circ, [0.5]), fl.constant_field(circ, [2.0])]
+    branches = branch_moves(fl.GeneratorSpec(fields), CV.GENERAL)  # weights 1/2, 1/12 x 6
+    cumw = np.cumsum([float(b.weight) for b in branches])
+    cumw[-1] = 1.0
+    edges = cumw[:-1]
+    boundary = np.concatenate(
+        [[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]
+    )
+    us = np.stack([step_uniforms(substream(5, np.arange(boundary.size)), m) for m in range(50)])
+    us = np.concatenate([us, boundary[None, :]])
+    want = np.searchsorted(cumw, us, side="right")
+    np.testing.assert_array_equal(_table_draws(monkeypatch, branches, us), want)
+    assert np.all(np.bincount(want.ravel(), minlength=len(branches)) > 0)
+    # step_uniforms rounds to 1.0 for the top 2^-54 of its range: the last branch
+    assert _table_draws(monkeypatch, branches, np.ones((1, 1)))[0, 0] == len(branches) - 1
+
+
+# -- group shifts ------------------------------------------------------------------------------
+
+
+def _h2_heat_branches():
+    h2 = fl.hyperbolic_h2()
+    spec = fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)])
+    return h2, branch_moves(spec, CV.HEAT_GEODESIC)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=st.floats(-2.0, 2.0),
+    log_y=st.floats(-2.0, 2.0),
+    s=st.floats(0.0, 2.0),
+)
+def test_compose_with_shift_is_the_move(x0, log_y, s):
+    m, branches = _h2_heat_branches()
+    x = m.point([x0, math.exp(log_y)]).coords[None, :]
+    e = m.identity[None, :]
+    assert all(br.shift is not None for br in branches)
+    for br in branches:
+        got = m.compose(x, br.shift(s))
+        np.testing.assert_array_equal(m.compose(x, br.shift(s)[None, :]), got)
+        np.testing.assert_allclose(got, br.move(x, s), rtol=1e-12, atol=1e-12)
+    # geodesics from the identity are not one-parameter subgroups of ax+b, but
+    # each ends sqrt(d s) from it: sinh(dist / 2) = |h - e| / (2 sqrt(y_h)),
+    # which keeps its digits near 0
+    h = np.stack([br.shift(s) for br in branches])
+    dist = 2.0 * np.arcsinh(np.linalg.norm(h - e, axis=1) / (2.0 * np.sqrt(h[:, 1])))
+    np.testing.assert_allclose(dist, math.sqrt(2.0 * s), rtol=1e-12, atol=1e-12)
+    # the vertical pair (0, e^{+-t}) is a subgroup: h_b(s) composed with the
+    # shift of -b is the identity
+    up, down = branches[2].shift(s), branches[3].shift(s)
+    np.testing.assert_allclose(m.compose(up[None, :], down), e, atol=1e-12)
+
+
+def test_sample_steps_shifts_match_the_moves():
+    # the gather-and-compose step against the masked moves of the same table
+    m, branches = _h2_heat_branches()
+    ends = []
+    for table in (branches, [replace(br, shift=None) for br in branches]):
+        coords = np.tile([0.5, 1.0], (400, 1))
+        for _ in sample_steps(table, 1.0 / 8, coords, substream(3, np.arange(400)), 8, m.compose):
+            pass
+        ends.append(coords)
+    np.testing.assert_allclose(ends[0], ends[1], rtol=1e-12, atol=1e-12)
+    assert not np.array_equal(ends[0], np.tile([0.5, 1.0], (400, 1)))
 
 
 # -- strategy agreement ----------------------------------------------------------------------

@@ -198,8 +198,16 @@ def test_walk_stats_moc_tail():
 def test_unknown_path_kind_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "jmp"}))
-    assert main(["walk", "sample", "--config", str(bad), "--n", "4", "--paths", "1"]) == 2
-    assert "error: unknown path kind 'jmp'" in capsys.readouterr().err
+    for paths in ("1", "0"):
+        assert main(["walk", "sample", "--config", str(bad), "--n", "4", "--paths", paths]) == 2
+        assert "error: unknown path kind 'jmp'" in capsys.readouterr().err
+
+
+def test_walk_stats_moc_without_paths_is_a_usage_error(capsys):
+    argv = ["walk", "stats", "--manifold", "circle", "--n", "4", "--samples", "10",
+            "--paths", "0", "--moc", "0.1,0.5"]
+    assert main(argv) == 2
+    assert "error: paths must be >= 1" in capsys.readouterr().err
 
 
 def test_walk_study_draws_each_sample_once(monkeypatch):
