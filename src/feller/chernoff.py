@@ -105,6 +105,7 @@ class Branch:
     ``move(coords, s)`` sends a coordinate batch to its shifted batch for the
     step time ``s``; it is the one place that turns ``s`` into a flow time
     (``2s``, ``sqrt(2rs)``, ``sqrt(rs)``) or a geodesic time (``sqrt(s)``).
+    A flow move also takes ``s`` as an ``(n,)`` array, one step time per row.
 
     A branch that is right-multiplication by a group element of its manifold
     also carries ``shift(s)``, that element ``h_b(s)``:
@@ -146,14 +147,14 @@ def branch_moves(
         r = spec.r
         drift = flow_move(spec.drift_field(), lambda s: 2.0 * s)
         branches.append(Branch(Fraction(1, 2), "flow(A_0, 2s)", drift))
-        field_pairs(Fraction(1, 4 * r), lambda s: math.sqrt(2.0 * r * s), "sqrt(2rs)")
+        field_pairs(Fraction(1, 4 * r), lambda s: np.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant in (ChernoffVariant.DRIFTLESS_CORRECTED, ChernoffVariant.DRIFTLESS_LITERAL):
         _require_driftless(spec, variant)
         r = spec.r
         if variant is ChernoffVariant.DRIFTLESS_CORRECTED:
-            field_pairs(Fraction(1, 2 * r), lambda s: math.sqrt(r * s), "sqrt(rs)")
+            field_pairs(Fraction(1, 2 * r), lambda s: np.sqrt(r * s), "sqrt(rs)")
         else:
-            field_pairs(Fraction(1, 2 * r), lambda s: math.sqrt(2.0 * r * s), "sqrt(2rs)")
+            field_pairs(Fraction(1, 2 * r), lambda s: np.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant is ChernoffVariant.HEAT_GEODESIC:
         if spec.potential is not None:
             raise VariantIncompatibleError("heat-geodesic requires c = 0")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import manifolds as mf
 from .errors import DegenerateFieldsError, IncompatibleBaseError, VariantIncompatibleError
-from .expressions import compile_scalar, compile_expression, coordinate_names
+from .expressions import compile_expression, compile_partials, compile_scalar, coordinate_names
 from .manifolds import Manifold, Point, Sphere2, TangentVector
 
 _H_FD = 1e-5     # first-order central differences
@@ -48,11 +48,14 @@ class VectorField:
         the same shape.
     jacobian:
         Optional analytic chart-basis partials ``J[i, j] = d_j A^i`` as a map
-        ``(n, cd) -> (n, cd, cd)``.  Central finite differences with step
+        ``(n, cd) -> (n, cd, cd)``.  Every built-in constructor passes one,
+        ``custom:`` fields their symbolic partials, except ``custom:`` on
+        sphere2.  Central finite differences with step
         ``1e-5 * max(1, |x|)`` substitute when absent.
     flow:
-        Optional exact flow map ``(coords, t) -> coords``; integral curves
-        fall back to the ODE integrator when absent.
+        Optional exact flow map ``(coords, t) -> coords``, with ``t`` a
+        scalar or one time per row; integral curves fall back to the ODE
+        integrator when absent.
     declared_bounds:
         Optional ``(c1, c2)`` with ``c1 >= sup |A|_g`` and
         ``c2 >= sup |grad A|_g``, quoted in monotonicity reports.
@@ -164,6 +167,11 @@ def covariant_divergence(A: VectorField, x: Point) -> float:
 # -- built-in field constructors ----------------------------------------------
 
 
+def _column(t) -> np.ndarray:
+    """A flow time, scalar or one per row, as a column that broadcasts over the rows."""
+    return np.reshape(np.asarray(t, dtype=float), (-1, 1))
+
+
 def zero_field(manifold: Manifold) -> VectorField:
     return VectorField(
         manifold,
@@ -187,7 +195,7 @@ def constant_field(manifold: Manifold, values: Sequence[float]) -> VectorField:
         manifold,
         lambda c: np.broadcast_to(a, np.atleast_2d(c).shape).copy(),
         jacobian=lambda c: np.zeros((np.atleast_2d(c).shape[0], cd, cd)),
-        flow=lambda c, t: manifold.wrap(np.atleast_2d(c) + np.multiply(t, 1.0) * a),
+        flow=lambda c, t: manifold.wrap(np.atleast_2d(c) + _column(t) * a),
         name=f"constant:{list(a)}",
         is_zero=bool(np.all(a == 0.0)),
         # the volume density is constant only in the flat charts
@@ -268,12 +276,11 @@ def rotational_field(manifold: Manifold, k: int) -> VectorField:
     def flow(c, t):
         # Rodrigues rotation by angle t about the axis
         c = np.atleast_2d(c)
+        t = _column(t)
         ct, st = np.cos(t), np.sin(t)
         cross = np.cross(axis, c)
-        dot = c @ axis
-        out = ct * c + np.atleast_1d(st)[..., None] * cross + np.atleast_1d(
-            (1.0 - ct) * dot
-        )[..., None] * axis
+        dot = (c @ axis)[:, None]
+        out = ct * c + st * cross + ((1.0 - ct) * dot) * axis
         return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
     return VectorField(
@@ -295,21 +302,30 @@ def expression_field(manifold: Manifold, sources: Sequence[str]) -> VectorField:
             f"{manifold.name} needs {manifold.chart_dim} component expressions"
         )
     comps_fns = [compile_expression(s, names) for s in sources]
+    name = "custom:" + ",".join(sources)
 
     if isinstance(manifold, Sphere2):
+        # no symbolic partials for the tangent projection: the jacobian and
+        # divergence fall back to central differences
 
         def comps(c):
             c = np.atleast_2d(c)
             amb = np.stack([fn(c) for fn in comps_fns], axis=-1)
             return amb - np.einsum("ni,ni->n", amb, c)[:, None] * c
 
-    else:
+        return VectorField(manifold, comps, name=name)
 
-        def comps(c):
-            c = np.atleast_2d(c)
-            return np.stack([fn(c) for fn in comps_fns], axis=-1)
+    partials = [compile_partials(s, names) for s in sources]  # [i][j] = d_j A^i
 
-    return VectorField(manifold, comps, name="custom:" + ",".join(sources))
+    def comps(c):
+        c = np.atleast_2d(c)
+        return np.stack([fn(c) for fn in comps_fns], axis=-1)
+
+    def jacobian(c):
+        c = np.atleast_2d(c)
+        return np.stack([np.stack([fn(c) for fn in row], axis=-1) for row in partials], axis=1)
+
+    return VectorField(manifold, comps, jacobian=jacobian, name=name)
 
 
 def field_from_string(manifold: Manifold, spec: str) -> VectorField:

@@ -3,12 +3,18 @@
 One engine backs the flow maps: fixed-step RK4 over a batch of starts, with
 the step count doubled until a Richardson comparison meets the tolerance.
 ``flow_batch`` is the vectorized hot path used by the Chernoff branches and
-the walk samplers; ``integral_curve`` runs the same engine on a single start
-and reports its step count and error estimate.
+the walk samplers.  It takes one time for the batch or one time per row, and
+each row converges on its own: every row starts at the same step count, and a
+row leaves the doubling loop, keeping its own fine result, at the first pass
+whose Richardson estimate for that row meets ``tol * max(1, |t_i|)``.  A
+row's endpoint is therefore the same in any batch, and the same as alone.
+``integral_curve`` runs the same engine on a single start and reports that
+row's step count (the fine pass it kept) and its Richardson estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
-built-ins, sphere rotations) short-circuit the engine, which keeps the
-quadratic-exactness checks exact to rounding.
+built-ins, sphere rotations, the zero field) short-circuit the engine, which
+keeps the quadratic-exactness checks exact to rounding; they too take one time
+per row.
 """
 
 from __future__ import annotations
@@ -31,8 +37,13 @@ _DEFAULT_MAX_STEPS = 10**6
 class OdeSettings:
     """Configuration of the step-doubling RK4 engine.
 
-    ``h_init`` sets the first step count ``ceil(t / h_init)`` and defaults to
-    ``t / 16`` at call time when ``None``.
+    By default (``h_init=None``) every row starts at 16 steps, that is
+    ``h = |t_i| / 16``.  An explicit ``h_init`` starts every row of a batch at
+    ``ceil(max_i |t_i| / h_init)`` steps, one count for the batch, so with per-row
+    times a row's result then depends on the longest time beside it.  No pass
+    runs more than ``max_steps`` steps (the first coarse pass is capped at
+    ``max_steps // 2``); a row still above the tolerance when the next doubling
+    would exceed it raises ``StepLimitExceededError``.
     """
 
     h_init: Optional[float] = None
@@ -42,8 +53,8 @@ class OdeSettings:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if self.max_steps < 2:
+            raise ValueError("max_steps must be >= 2 (a coarse and a fine pass)")
 
 
 DEFAULT_ODE = OdeSettings()
@@ -99,9 +110,10 @@ def _check_domain(m: Manifold, c: np.ndarray):
         raise StepLimitExceededError("integral curve diverged (non-finite state)")
 
 
-def _rk4_fixed(A: VectorField, coords: np.ndarray, t: float, steps: int) -> np.ndarray:
+def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
+    """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row."""
     rhs = _rhs(A, A.manifold)
-    h = t / steps
+    h = np.reshape(t, (-1, 1)) / steps
     c = coords.astype(float).copy()
     for _ in range(steps):
         k1 = rhs(c)
@@ -115,54 +127,81 @@ def _rk4_fixed(A: VectorField, coords: np.ndarray, t: float, steps: int) -> np.n
     return c
 
 
-def _integrate(A: VectorField, coords: np.ndarray, t: float, ode: OdeSettings):
-    """(endpoints, RK4 steps, Richardson error estimate) of the flow of A after time t.
+def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
+    """(endpoints, RK4 steps per row, Richardson error estimate per row) of the flow of A.
 
-    Uses the exact flow when the field has one (reported as one step);
-    otherwise fixed-step RK4 with step doubling until the Richardson error
-    estimate meets ``ode.tol``.
+    ``t`` is one time for the batch or one per row; rows with ``t_i = 0`` stay
+    put and report 0 steps.  An exact flow reports one step per moving row;
+    otherwise each row runs fixed-step RK4 with step doubling until its own
+    Richardson estimate meets ``ode.tol * max(1, |t_i|)``.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if t == 0.0 or A.is_zero:
-        return _post(A.manifold, coords.copy()), 0, 0.0
+    times = np.broadcast_to(np.asarray(t, dtype=float), coords.shape[:1])
+    moving = times != 0.0
+    err = np.zeros(coords.shape[0])
+    if A.is_zero or not moving.any():
+        return _post(A.manifold, coords.copy()), np.zeros(coords.shape[0], dtype=np.int64), err
     if A.flow is not None:
         out = A.flow(coords, t)
+        if not moving.all():  # as a scalar call with t = 0 would
+            out[~moving] = coords[~moving]
         _check_domain(A.manifold, out)
-        return _post(A.manifold, out), 1, 0.0
-    h0 = ode.h_init if ode.h_init is not None else abs(t) / 16.0
-    steps = max(1, min(int(math.ceil(abs(t) / max(h0, 1e-300))), ode.max_steps))
-    tol = ode.tol * max(1.0, abs(t))
-    coarse = _rk4_fixed(A, coords, t, steps)
+        return _post(A.manifold, out), moving.astype(np.int64), err
+    if ode.h_init is None:
+        steps = 16
+    else:
+        steps = max(1, int(math.ceil(np.abs(times).max() / max(ode.h_init, 1e-300))))
+    steps = min(steps, ode.max_steps // 2)
+    out = coords.copy()
+    taken = np.zeros(coords.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(moving)
+    start, t_rows = coords[rows], times[rows]
+    tol = ode.tol * np.maximum(1.0, np.abs(t_rows))
+    coarse = _rk4_fixed(A, start, t_rows, steps)
     while True:
-        fine = _rk4_fixed(A, coords, t, 2 * steps)
-        err = float(np.max(np.abs(fine - coarse))) / 15.0
-        if err <= tol or 2 * steps >= ode.max_steps:
-            if err > tol:
-                raise StepLimitExceededError(
-                    f"flow: error {err:.2e} > tol {tol:.2e} at max_steps"
-                )
-            return _post(A.manifold, fine), 2 * steps, err
-        coarse = fine
+        fine = _rk4_fixed(A, start, t_rows, 2 * steps)
+        est = np.max(np.abs(fine - coarse), axis=1) / 15.0
+        done = est <= tol
+        kept = rows[done]
+        out[kept], taken[kept], err[kept] = fine[done], 2 * steps, est[done]
+        if done.all():
+            return _post(A.manifold, out), taken, err
+        if 4 * steps > ode.max_steps:
+            raise StepLimitExceededError(
+                f"flow: error {est[~done].max():.2e} > tol at {2 * steps} steps; "
+                f"doubling would exceed max_steps = {ode.max_steps}"
+            )
+        left = ~done
+        rows, start, t_rows, tol, coarse = rows[left], start[left], t_rows[left], tol[left], fine[left]
         steps *= 2
 
 
 def flow_batch(
-    A: VectorField, coords: np.ndarray, t: float, ode: OdeSettings = DEFAULT_ODE
+    A: VectorField, coords: np.ndarray, t, ode: OdeSettings = DEFAULT_ODE
 ) -> np.ndarray:
-    """Endpoints of the integral curves of A after time t, for a batch of starts."""
+    """Endpoints of the integral curves of A after time t, for a batch of starts.
+
+    ``t`` is a scalar or an ``(n,)`` array, one time per row; each row's
+    endpoint is the one it would have alone.
+    """
     return _integrate(A, coords, t, ode)[0]
 
 
 def integral_curve(
     A: VectorField, x: Point, t: float, settings: OdeSettings = DEFAULT_ODE
 ) -> FlowResult:
-    """Endpoint of the maximal integral curve of A started at x, after time t."""
+    """Endpoint of the maximal integral curve of A started at x, after time t.
+
+    ``steps_taken`` is the step count of the fine RK4 pass kept (0 for
+    ``t = 0`` or the zero field, 1 for an exact flow) and ``est_error`` its
+    Richardson estimate ``max|fine - coarse| / 15``.
+    """
     m = A.manifold
     m._check_point(x)
     if t < 0.0:
         raise ValueError("integral_curve expects t >= 0")
     c, steps, err = _integrate(A, x.coords, t, settings)
-    return FlowResult(m.point(c[0]), steps, err)
+    return FlowResult(m.point(c[0]), int(steps[0]), float(err[0]))
 
 
 # -- distance monotonicity -------------------------------------------------------

@@ -16,7 +16,8 @@ skeleton instants (sub-samples t_max/(8n) apart) with one connector per kind:
 * ``jump`` - piecewise constant between jumps;
 * ``geodesic`` - consecutive skeleton points joined by shortest geodesics;
 * ``flow`` - the drawn branch evaluated at its local step time s < 1/n, so
-  the within-step move is traversed continuously along the integral curve.
+  the within-step move is traversed continuously along the integral curve;
+  one move per distinct drawn branch, with one step time per row.
 
 For a shared seed all kinds reproduce identical skeleton values bit-for-bit;
 ``walk_endpoints`` runs the same loop on a batch of paths.  Substreams are
@@ -114,7 +115,7 @@ class PathSample:
                 cur = m.wrap(m.geodesic_batch(xs, vs, local / local[-1]))
             else:
                 move = branches[int(self.xi[seg])].move
-                cur = np.concatenate([move(a, float(s)) for s in local])
+                cur = move(np.repeat(a, local.size, axis=0), local)
             worst = max(worst, float(np.abs(cur - self.points[i0 + 1 : i1 + 1]).max()))
         if worst > tol:
             raise AssertionError(f"interpolation deviates by {worst:.2e} > {tol:.0e}")
@@ -181,8 +182,10 @@ def sample_path(
         m, a = spec.manifold, pts[k[inner]]
         out[inner] = m.wrap(m.geodesic_batch(a, m.log_batch(a, pts[k[inner] + 1]), frac[inner]))
     else:
-        for i in inner:
-            out[i] = branches[xi[k[i]]].move(pts[k[i]][None, :], float(frac[i]) / n)[0]
+        drawn = xi[k[inner]]
+        for b in np.unique(drawn):
+            rows = inner[drawn == b]
+            out[rows] = branches[b].move(pts[k[rows]], frac[rows] / n)
     return PathSample(kind, times, out, n, seed, spec, xi)
 
 

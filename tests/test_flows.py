@@ -6,7 +6,8 @@ import pytest
 import feller as fl
 from feller.errors import StepLimitExceededError
 from feller.fields import VectorField
-from feller.flows import OdeSettings, _rk4_fixed, flow_batch, negate
+from feller import flows
+from feller.flows import DEFAULT_ODE, OdeSettings, _integrate, _rk4_fixed, flow_batch, negate
 
 
 def exp_series(t: float) -> float:
@@ -130,6 +131,99 @@ def test_analytic_flows_match_integrator(rng):
         flow_batch(L2, starts, 1.1),
         atol=1e-9,
     )
+
+
+@pytest.fixture
+def pass_steps(monkeypatch):
+    """The step count of every RK4 pass run while the test runs."""
+    seen = []
+
+    def recording(A, coords, t, steps):
+        seen.append(steps)
+        return _rk4_fixed(A, coords, t, steps)
+
+    monkeypatch.setattr(flows, "_rk4_fixed", recording)
+    return seen
+
+
+@pytest.mark.parametrize("max_steps, passes", [(48, [16, 32]), (20, [10, 20])])
+def test_max_steps_is_never_exceeded(max_steps, passes, pass_steps):
+    # x' = x^2 from 0.5 needs a 64-step fine pass for tol 1e-9 at t = 1
+    e1 = fl.euclidean(1)
+    A = fl.expression_field(e1, ["x1^2"])
+    with pytest.raises(StepLimitExceededError, match="exceed max_steps"):
+        fl.integral_curve(A, e1.point([0.5]), 1.0, OdeSettings(max_steps=max_steps))
+    assert pass_steps == passes
+    pass_steps.clear()
+    res = fl.integral_curve(A, e1.point([0.5]), 1.0, OdeSettings(max_steps=64))
+    assert res.steps_taken == 64 and res.est_error <= 1e-9
+    assert pass_steps == [16, 32, 64]
+
+
+def test_max_steps_needs_a_coarse_and_a_fine_pass():
+    with pytest.raises(ValueError):
+        OdeSettings(max_steps=1)
+    OdeSettings(max_steps=2)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_flow_batch_rows_are_batch_independent(t):
+    # a hard row needs 128 steps; in one batch the parent ran every row at 128
+    circ = fl.circle()
+    A = fl.field_from_string(circ, "custom:1+0.99*sin(5*theta)")
+    starts = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)[:, None]
+    batch = flow_batch(A, starts, t)
+    alone = np.concatenate([flow_batch(A, s[None, :], t) for s in starts])
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_each_row_reports_its_own_steps_and_error():
+    circ = fl.circle()
+    A = fl.field_from_string(circ, "custom:1+0.99*sin(5*theta)")
+    starts = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)[:, None]
+    _, steps, err = _integrate(A, starts, 1.0, DEFAULT_ODE)
+    assert len(set(steps.tolist())) > 1  # rows converge at different passes
+    for s, n_steps, e in zip(starts, steps, err):
+        res = fl.integral_curve(A, circ.point(s), 1.0)
+        assert (res.steps_taken, res.est_error) == (n_steps, e)
+        assert e <= DEFAULT_ODE.tol
+
+
+def _per_row_cases():
+    e2, circ, tor, h2, s2 = (fl.euclidean(2), fl.circle(), fl.torus2(), fl.hyperbolic_h2(),
+                             fl.sphere2())
+    return {
+        "zero": fl.zero_field(e2),
+        "euclidean-constant": fl.constant_field(e2, [0.7, -1.3]),
+        "euclidean-frame": fl.frame_field(e2, 2),
+        "circle-frame": fl.frame_field(circ, 1),
+        "torus-constant": fl.constant_field(tor, [2.5, -0.4]),
+        "h2-constant": fl.constant_field(h2, [0.3, 0.1]),
+        "h2-frame1": fl.frame_field(h2, 1),
+        "h2-frame2": fl.frame_field(h2, 2),
+        "h2-frame2-negated": negate(fl.frame_field(h2, 2)),
+        "sphere-rotational1": fl.rotational_field(s2, 1),
+        "sphere-rotational2": fl.rotational_field(s2, 2),
+        "sphere-rotational3-negated": negate(fl.rotational_field(s2, 3)),
+        "circle-rk4": fl.field_from_string(circ, "custom:1+0.99*sin(5*theta)"),
+        "h2-rk4": fl.field_from_string(h2, "custom:y,0.2*x*y"),
+        "sphere-rk4": fl.field_from_string(s2, "custom:-y,x,0.3*x*z"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_per_row_cases()))
+def test_per_row_times_give_the_bits_of_scalar_calls(case, rng):
+    A = _per_row_cases()[case]
+    m = A.manifold
+    starts = m.random_points(12, rng)
+    times = np.concatenate([[0.0, -0.4, 1.3], rng.uniform(-1.0, 1.0, 9)])
+    if A.flow is not None:  # the exact flow map itself takes one time per row
+        direct = A.flow(starts, times)
+        for i in np.flatnonzero(times):
+            assert direct[i].tobytes() == A.flow(starts[i : i + 1], times[i])[0].tobytes()
+    batch = flow_batch(A, starts, times)
+    for i, (s, t) in enumerate(zip(starts, times)):
+        assert batch[i].tobytes() == flow_batch(A, s[None, :], float(t))[0].tobytes(), i
 
 
 # -- monotone-distance horizon -------------------------------------------------------

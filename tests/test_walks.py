@@ -7,7 +7,9 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 import feller as fl
+from feller import walks
 from feller.chernoff import ChernoffVariant as CV
+from feller.chernoff import branch_moves
 from feller.errors import EmptySampleError
 from feller.walks import walk_endpoints
 
@@ -293,6 +295,85 @@ def test_jump_path_ends_at_walk_endpoint():
     for i in range(12):
         path = fl.sample_jump_path(spec, x, 1.37, 16, seed=8, path_index=i)
         assert np.array_equal(path.points[-1], ends[i])
+
+
+def rk4_circle():
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                            drift_policy="derived")
+    return spec, circ.point([0.7])
+
+
+@pytest.mark.parametrize("field", ["custom:1+0.3*sin(theta)", "custom:1+0.99*sin(5*theta)"])
+def test_walk_endpoints_do_not_depend_on_the_batch(field):
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, field)], drift_policy="derived")
+    x = circ.point([0.7])
+    many = walk_endpoints(spec, x, 1.0, 16, 20, seed=4)
+    few = walk_endpoints(spec, x, 1.0, 16, 10, seed=4)
+    assert many[:10].tobytes() == few.tobytes()
+
+
+# -- the flow connector: one move per drawn branch ------------------------------------
+
+
+def _flow_cases():
+    circ, tor, e1, h2, s2 = (fl.circle(), fl.torus2(), fl.euclidean(1), fl.hyperbolic_h2(),
+                             fl.sphere2())
+    return {
+        "circle": (rk4_circle()[0], circ.point([0.7])),
+        "torus2": (fl.GeneratorSpec([fl.field_from_string(tor, "custom:1+0.2*cos(theta2),0.3*sin(theta1)"),
+                                     fl.frame_field(tor, 2)], drift_policy="derived"),
+                   tor.point([0.3, 1.1])),
+        "euclidean:1": (fl.GeneratorSpec([fl.field_from_string(e1, "custom:1+0.5*tanh(x1)")],
+                                         drift_policy="derived"), e1.point([0.2])),
+        "hyperbolic-h2": (fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)],
+                                           drift_policy="derived"), h2.point([0.5, 1.0])),
+        "sphere2": (fl.GeneratorSpec([fl.field_from_string(s2, "custom:-y,x,0.3*x*z"),
+                                      fl.rotational_field(s2, 1), fl.rotational_field(s2, 2)],
+                                     drift_policy="derived"), s2.point([0.0, 0.6, 0.8])),
+    }
+
+
+def _per_point_flow_points(spec, x, t_max, n, seed):
+    """The flow path as the per-point loop filled it: one one-row move per interior point."""
+    path = fl.sample_path("flow", spec, x, t_max, n, seed)
+    skeleton = fl.sample_path("jump", spec, x, t_max, n, seed).points
+    branches = branch_moves(spec, CV.GENERAL)
+    s = path.times * n
+    k = np.minimum(np.floor(s + 1e-12).astype(np.int64), path.xi.size)
+    frac = s - k
+    out = skeleton[np.minimum(k, skeleton.shape[0] - 1)]
+    for i in np.flatnonzero((frac > 1e-12) & (k < path.xi.size)):
+        out[i] = branches[path.xi[k[i]]].move(skeleton[k[i]][None, :], float(frac[i]) / n)[0]
+    return path, out
+
+
+@pytest.mark.parametrize("case", list(_flow_cases()))
+def test_flow_path_matches_the_per_point_loop(case):
+    spec, x = _flow_cases()[case]
+    for t_max, seed in ((1.0, 3), (1.37, 5)):
+        path, reference = _per_point_flow_points(spec, x, t_max, 8, seed)
+        assert path.points.tobytes() == reference.tobytes()
+        path.check_interpolation()
+
+
+def test_audit_makes_one_move_per_segment(monkeypatch):
+    spec, x = rk4_circle()
+    path = fl.sample_path("flow", spec, x, 1.37, 16, seed=0)  # 21 whole steps and a partial one
+    calls = []
+
+    def counted(*args):
+        table = branch_moves(*args)
+        for i, br in enumerate(table):
+            move = br.move
+            table[i] = replace(br, move=lambda c, s, move=move: calls.append(len(c)) or move(c, s))
+        return table
+
+    monkeypatch.setattr(walks, "branch_moves", counted)
+    assert path.check_interpolation() <= 1e-8
+    assert len(calls) == path.xi.size == 22
+    assert sum(calls) == path.times.size - 1
 
 
 def _entry_points(n, t):
