@@ -30,12 +30,13 @@ sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
 random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n).
 
-On H2, viewed as the ``ax+b`` group, each heat-geodesic branch is
-right-multiplication by one fixed group element ``h_b(s)``, the geodesic from
-the identity.  Such a branch carries ``shift(s) -> h_b(s)`` beside its
-``move``; the tree moves its block by one ``compose(pts, h_b(s))`` and the
-sample loop moves all rows by one gather ``H[drawn]`` and one ``compose``
-instead of one geodesic call per branch.
+Every parallelizable built-in is a Lie group whose frame is left-invariant:
+R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group.  Each
+heat-geodesic branch is therefore right-multiplication by one fixed group
+element ``h_b(s)``, the frame geodesic from the identity: its ``move`` is
+``compose(coords, h_b(s))`` and it carries ``shift(s) -> h_b(s)``.  The sample
+loop moves all rows by one gather ``H[drawn]`` and one ``compose`` instead of
+one masked move per branch.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ class Branch:
     A flow move also takes ``s`` as an ``(n,)`` array, one step time per row.
 
     A branch that is right-multiplication by a group element of its manifold
-    also carries ``shift(s)``, that element ``h_b(s)``:
-    ``manifold.compose(coords, shift(s))`` equals ``move(coords, s)`` to
-    rounding.  None otherwise.
+    (every heat-geodesic branch) also carries ``shift(s)``, that element
+    ``h_b(s)``, and its move is ``manifold.compose(coords, shift(s))``.  None
+    otherwise.
     """
 
     weight: Fraction
@@ -158,29 +159,22 @@ def branch_moves(
     elif variant is ChernoffVariant.HEAT_GEODESIC:
         if spec.potential is not None:
             raise VariantIncompatibleError("heat-geodesic requires c = 0")
-        if not m.parallelizable:
+        if m.identity is None:
             raise VariantIncompatibleError(
                 f"heat-geodesic requires a parallelizable manifold, not {m.name}"
             )
         d = m.dim
         root_d = math.sqrt(d)
+        frame = m.frame_batch(m.identity[None, :])
 
         def geo_branch(k, sign, mark):
-            def move(coords, s):
-                frame = m.frame_batch(np.atleast_2d(coords))
-                out = m.geodesic_batch(
-                    np.atleast_2d(coords), sign * root_d * frame[k], math.sqrt(s)
-                )
-                return m.wrap(out)
-
-            weight, label = Fraction(1, 2 * d), f"geodesic({mark}sqrt(d) e_{k + 1}, sqrt(s))"
-            if m.identity is None:
-                return Branch(weight, label, move)
             # the frame is left-invariant: the geodesic from x is x times the
             # geodesic from the identity
-            v = sign * root_d * m.frame_batch(m.identity[None, :])[k, 0]
+            v = sign * root_d * frame[k, 0]
             shift = lambda s: m.geodesic_shift(v, math.sqrt(s))
-            return Branch(weight, label, move, shift=shift)
+            move = lambda coords, s: m.compose(np.atleast_2d(coords), shift(s))
+            label = f"geodesic({mark}sqrt(d) e_{k + 1}, sqrt(s))"
+            return Branch(Fraction(1, 2 * d), label, move, shift=shift)
 
         for k in range(d):
             for sign, mark in ((+1.0, "+"), (-1.0, "-")):
@@ -243,7 +237,7 @@ def branch_set(
     check_steps(t, 1)
     branches = branch_moves(spec, variant, ode)
     c = x.coords[None, :]
-    pts = [spec.manifold.point(spec.manifold.wrap(br.move(c, t)[0])) for br in branches]
+    pts = [spec.manifold.point(br.move(c, t)[0]) for br in branches]
     pot = 0.0
     if variant is ChernoffVariant.GENERAL and spec.potential is not None:
         pot = t * float(spec.potential_values(c)[0])
@@ -311,14 +305,10 @@ def iterate_tree(
             f"{b}^{n} leaf evaluations exceed the budget of {budget}"
         )
     weights = [float(br.weight) for br in branches]
-    shifts = [None if br.shift is None else br.shift(dt) for br in branches]
     pts = x.coords[None, :].copy()
     wts = np.ones(1)
     for _ in range(n):
-        blocks = [
-            br.move(pts, dt) if h is None else spec.manifold.compose(pts, h)
-            for br, h in zip(branches, shifts)
-        ]
+        blocks = [br.move(pts, dt) for br in branches]
         wblocks = [w * wts for w in weights]
         if has_pot:
             blocks.append(pts)

@@ -120,10 +120,6 @@ class VectorField:
             )
         return out
 
-    def g_norm(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(coords)
-        return self.manifold.g_norm_batch(coords, self.comps(coords))
-
 
 def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
     """Covariant divergence sum_j (d_j A^j + A^j d_j log sqrt|g|)."""
@@ -199,7 +195,7 @@ def constant_field(manifold: Manifold, values: Sequence[float]) -> VectorField:
         name=f"constant:{list(a)}",
         is_zero=bool(np.all(a == 0.0)),
         # the volume density is constant only in the flat charts
-        divergence_free=isinstance(manifold, (mf.Euclidean, mf.FlatTorus)),
+        divergence_free=isinstance(manifold, mf.Euclidean),  # FlatTorus included
     )
 
 

@@ -40,8 +40,14 @@ _CUT_TOL = 1e-9
 
 
 def wrap_angle(a):
-    """Reduce angles to [0, 2*pi)."""
-    return np.mod(a, TWO_PI)
+    """Reduce angles to [0, 2*pi); idempotent.
+
+    ``np.mod`` rounds tiny negative angles up to 2*pi itself, which is mapped
+    to 0 in place.
+    """
+    out = np.asarray(np.mod(a, TWO_PI))
+    np.copyto(out, 0.0, where=out == TWO_PI)
+    return out
 
 
 def wrap_signed(a):
@@ -86,12 +92,13 @@ class Manifold:
     Batch methods take arrays of shape ``(n, chart_dim)`` and are the hot
     path; the ``Point``-level operations below wrap them.
 
-    A group-structured manifold (H2 as the ``ax+b`` group) sets ``identity``
-    and implements ``compose(coords, h)``, right-multiplication of each row
-    by the group element ``h`` (one element, or one per row), and
-    ``geodesic_shift(v, t)``, the element reached from the identity along the
-    geodesic with initial velocity ``v``.  Its frame is left-invariant, so a
-    frame geodesic from any point is one ``compose``.
+    Every parallelizable built-in is a Lie group with a left-invariant frame
+    (R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group).
+    It sets ``identity`` and implements ``compose(coords, h)``,
+    right-multiplication of each row by the group element ``h`` (one element,
+    or one per row), and ``geodesic_shift(v, t)``, the element reached from
+    the identity along the geodesic with initial velocity ``v``.  A frame
+    geodesic from any point is then one ``compose``.
     """
 
     name: str = "abstract"
@@ -194,12 +201,14 @@ class Manifold:
 class Euclidean(Manifold):
     """Flat R^d with the standard metric."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, name: str = ""):
         if d < 1:
             raise InvalidPointError("Euclidean dimension must be >= 1")
-        self.name = f"euclidean:{d}"
+        self.name = name or f"euclidean:{d}"
         self.dim = d
         self.chart_dim = d
+        self.identity = np.zeros(d)
+        self.identity.setflags(write=False)
 
     def metric(self, x):
         self._check_point(x)
@@ -212,7 +221,13 @@ class Euclidean(Manifold):
 
     def geodesic_batch(self, xs, vs, t):
         t = np.asarray(t, dtype=float)
-        return xs + (t[..., None] if t.ndim else t) * vs
+        return self.wrap(xs + (t[..., None] if t.ndim else t) * vs)
+
+    def compose(self, coords, h):
+        return self.wrap(coords + h)
+
+    def geodesic_shift(self, v, t):
+        return t * np.asarray(v)
 
     def log_batch(self, xs, ys):
         return ys - xs
@@ -236,34 +251,16 @@ class Euclidean(Manifold):
         return rng.uniform(-3.0, 3.0, size=(n, self.dim))
 
 
-class FlatTorus(Manifold):
-    """Flat manifold with all angles periodic: Circle (d=1) or Torus2 (d=2)."""
+class FlatTorus(Euclidean):
+    """R^d modulo 2*pi in every coordinate: Circle (d=1) or Torus2 (d=2)."""
 
     injectivity_radius = np.pi
-
-    def __init__(self, d: int, name: str):
-        self.name = name
-        self.dim = d
-        self.chart_dim = d
 
     def _validate(self, c):
         return wrap_angle(c)
 
     def wrap(self, coords):
         return wrap_angle(coords)
-
-    def metric(self, x):
-        self._check_point(x)
-        eye = np.eye(self.dim)
-        return MetricData(eye, eye.copy(), 1.0)
-
-    def christoffel(self, x):
-        self._check_point(x)
-        return np.zeros((self.dim,) * 3)
-
-    def geodesic_batch(self, xs, vs, t):
-        t = np.asarray(t, dtype=float)
-        return wrap_angle(xs + (t[..., None] if t.ndim else t) * vs)
 
     def log_batch(self, xs, ys):
         d = wrap_signed(ys - xs)
@@ -278,18 +275,6 @@ class FlatTorus(Manifold):
         d = np.mod(np.abs(ys - xs), TWO_PI)
         d = np.minimum(d, TWO_PI - d)
         return np.linalg.norm(d, axis=-1)
-
-    def frame_batch(self, xs):
-        n = xs.shape[0]
-        return np.broadcast_to(
-            np.eye(self.dim)[:, None, :], (self.dim, n, self.dim)
-        ).copy()
-
-    def g_norm_batch(self, xs, vs):
-        return np.linalg.norm(vs, axis=-1)
-
-    def dlog_sqrt_det_batch(self, xs):
-        return np.zeros_like(xs)
 
     def random_points(self, n, rng):
         return rng.uniform(0.0, TWO_PI, size=(n, self.dim))
@@ -700,8 +685,7 @@ def geodesic(m: Manifold, x: Point, v: TangentVector, t: float) -> Point:
     m._check_point(x)
     if v.base is not x and not np.array_equal(v.base.coords, x.coords):
         raise IncompatibleBaseError("velocity not based at x")
-    c = m.geodesic_batch(x.coords[None, :], v.comps[None, :], float(t))[0]
-    return m.point(m.wrap(c))
+    return m.point(m.geodesic_batch(x.coords[None, :], v.comps[None, :], float(t))[0])
 
 
 def log_map(m: Manifold, x: Point, y: Point) -> TangentVector:

@@ -444,9 +444,11 @@ def run_criterion(c: Criterion) -> CriterionResult:
 
 
 def run_all(filter_substr: Optional[str] = None) -> list[CriterionResult]:
-    results = []
-    for c in CRITERIA:
-        if filter_substr and filter_substr not in c.cid:
-            continue
-        results.append(run_criterion(c))
-    return results
+    """Run the criteria whose id contains ``filter_substr`` (all without one).
+
+    A filter that matches no criterion is refused: a run of nothing is not a pass.
+    """
+    chosen = [c for c in CRITERIA if not filter_substr or filter_substr in c.cid]
+    if not chosen:
+        raise ValueError(f"--filter {filter_substr!r} matches no criterion id")
+    return [run_criterion(c) for c in chosen]

@@ -112,7 +112,7 @@ class PathSample:
             if self.kind == "geodesic":
                 v = m.log_batch(a, self.points[i1][None, :])
                 xs, vs = np.repeat(a, local.size, axis=0), np.repeat(v, local.size, axis=0)
-                cur = m.wrap(m.geodesic_batch(xs, vs, local / local[-1]))
+                cur = m.geodesic_batch(xs, vs, local / local[-1])
             else:
                 move = branches[int(self.xi[seg])].move
                 cur = move(np.repeat(a, local.size, axis=0), local)
@@ -180,7 +180,7 @@ def sample_path(
     out = pts[k]
     if kind == "geodesic":
         m, a = spec.manifold, pts[k[inner]]
-        out[inner] = m.wrap(m.geodesic_batch(a, m.log_batch(a, pts[k[inner] + 1]), frac[inner]))
+        out[inner] = m.geodesic_batch(a, m.log_batch(a, pts[k[inner] + 1]), frac[inner])
     else:
         drawn = xi[k[inner]]
         for b in np.unique(drawn):

@@ -303,31 +303,60 @@ def test_branch_draw_matches_searchsorted(monkeypatch):
 # -- group shifts ------------------------------------------------------------------------------
 
 
-def _h2_heat_branches():
-    h2 = fl.hyperbolic_h2()
-    spec = fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)])
-    return h2, branch_moves(spec, CV.HEAT_GEODESIC)
+GROUP_CHARTS = ["euclidean:1", "euclidean:2", "circle", "torus2", "hyperbolic-h2"]
 
 
+def _heat_branches(name):
+    m = fl.manifold_from_string(name)
+    spec = fl.GeneratorSpec([fl.frame_field(m, k) for k in range(1, m.dim + 1)])
+    return m, branch_moves(spec, CV.HEAT_GEODESIC)
+
+
+def _geodesic_moves(m):
+    """Reference moves: the closed-form geodesic along +-sqrt(d) e_k(x) for time sqrt(s)."""
+    root_d = math.sqrt(m.dim)
+
+    def move(k, sign):
+        return lambda c, s: m.geodesic_batch(c, sign * root_d * m.frame_batch(c)[k], math.sqrt(s))
+
+    return [move(k, sign) for k in range(m.dim) for sign in (+1.0, -1.0)]
+
+
+def _assert_shift_matches(m, got, want):
+    # flat charts: the same float operations; H2: a group product against a semicircle
+    if m.name == "hyperbolic-h2":
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", GROUP_CHARTS)
 @settings(max_examples=60, deadline=None)
 @given(
     x0=st.floats(-2.0, 2.0),
     log_y=st.floats(-2.0, 2.0),
     s=st.floats(0.0, 2.0),
 )
-def test_compose_with_shift_is_the_move(x0, log_y, s):
-    m, branches = _h2_heat_branches()
-    x = m.point([x0, math.exp(log_y)]).coords[None, :]
+def test_compose_with_shift_is_the_move(name, x0, log_y, s):
+    m, branches = _heat_branches(name)
+    c = [x0, math.exp(log_y)] if name == "hyperbolic-h2" else [x0, log_y][: m.dim]
+    x = m.point(c).coords[None, :]
     e = m.identity[None, :]
     assert all(br.shift is not None for br in branches)
-    for br in branches:
+    for br, geodesic in zip(branches, _geodesic_moves(m)):
         got = m.compose(x, br.shift(s))
         np.testing.assert_array_equal(m.compose(x, br.shift(s)[None, :]), got)
-        np.testing.assert_allclose(got, br.move(x, s), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(br.move(x, s), got)
+        _assert_shift_matches(m, got, geodesic(x, s))
+    h = np.stack([br.shift(s) for br in branches])
+    if name != "hyperbolic-h2":
+        # a translation by +-sqrt(d s) e_k, its pair the inverse
+        np.testing.assert_array_equal(h[0::2], -h[1::2])
+        np.testing.assert_array_equal(np.abs(h).sum(axis=1), math.sqrt(m.dim) * math.sqrt(s))
+        return
     # geodesics from the identity are not one-parameter subgroups of ax+b, but
     # each ends sqrt(d s) from it: sinh(dist / 2) = |h - e| / (2 sqrt(y_h)),
     # which keeps its digits near 0
-    h = np.stack([br.shift(s) for br in branches])
     dist = 2.0 * np.arcsinh(np.linalg.norm(h - e, axis=1) / (2.0 * np.sqrt(h[:, 1])))
     np.testing.assert_allclose(dist, math.sqrt(2.0 * s), rtol=1e-12, atol=1e-12)
     # the vertical pair (0, e^{+-t}) is a subgroup: h_b(s) composed with the
@@ -336,17 +365,20 @@ def test_compose_with_shift_is_the_move(x0, log_y, s):
     np.testing.assert_allclose(m.compose(up[None, :], down), e, atol=1e-12)
 
 
-def test_sample_steps_shifts_match_the_moves():
-    # the gather-and-compose step against the masked moves of the same table
-    m, branches = _h2_heat_branches()
+@pytest.mark.parametrize("name", GROUP_CHARTS)
+def test_sample_steps_shifts_match_the_moves(name):
+    # the gather-and-compose step against masked closed-form geodesic moves
+    m, branches = _heat_branches(name)
+    start = np.tile(m.random_points(1, np.random.default_rng(4)), (400, 1))
+    reference = [replace(br, move=move, shift=None) for br, move in zip(branches, _geodesic_moves(m))]
     ends = []
-    for table in (branches, [replace(br, shift=None) for br in branches]):
-        coords = np.tile([0.5, 1.0], (400, 1))
+    for table in (branches, reference):
+        coords = start.copy()
         for _ in sample_steps(table, 1.0 / 8, coords, substream(3, np.arange(400)), 8, m.compose):
             pass
         ends.append(coords)
-    np.testing.assert_allclose(ends[0], ends[1], rtol=1e-12, atol=1e-12)
-    assert not np.array_equal(ends[0], np.tile([0.5, 1.0], (400, 1)))
+    _assert_shift_matches(m, ends[0], ends[1])
+    assert not np.array_equal(ends[0], start)
 
 
 # -- strategy agreement ----------------------------------------------------------------------

@@ -302,6 +302,30 @@ def test_validate_filter_subset(capsys):
     assert "01-quadratic-exactness" in out and "PASS" in out
 
 
+def test_validate_filter_matching_nothing_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    assert main(["validate", "--filter", "no-such-criterion", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: --filter 'no-such-criterion' matches no criterion id" in captured.err
+    assert "criteria green" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ode-h0", "0", "h_init must be > 0"),
+    ("--ode-tol", "nan", "tol must be > 0"),
+])
+def test_bad_ode_settings_exit_before_any_row(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "conv.csv"
+    rc = main([
+        "chernoff", "run", "--manifold", "euclidean:1", "--variant", "general",
+        "--t", "1", "--n", "4", "--strategy", "tree", "--x", "0.0", "--f", "x1^2",
+        "--out", str(out), flag, value,
+    ])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_json_verdict(tmp_path, capsys):
     out = tmp_path / "verdict.json"
     rc = main(["validate", "--filter", "12-", "--out", str(out)])

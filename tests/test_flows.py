@@ -166,6 +166,16 @@ def test_max_steps_needs_a_coarse_and_a_fine_pass():
     OdeSettings(max_steps=2)
 
 
+@pytest.mark.parametrize("kw", [
+    {"h_init": 0.0}, {"h_init": -0.1}, {"h_init": math.nan},
+    {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
+])
+def test_ode_settings_refuse_non_positive_and_nan(kw):
+    # h_init <= 0 started every call at its step cap; tol = nan never converged
+    with pytest.raises(ValueError, match="must be > 0"):
+        OdeSettings(**kw)
+
+
 @pytest.mark.parametrize("t", [0.3, 1.0])
 def test_flow_batch_rows_are_batch_independent(t):
     # a hard row needs 128 steps; in one batch the parent ran every row at 128

@@ -10,7 +10,7 @@ from feller.errors import (
     NotParallelizableError,
     UnsupportedOperationError,
 )
-from feller.manifolds import CallbackManifold
+from feller.manifolds import TWO_PI, CallbackManifold, wrap_angle
 
 ALL = lambda: [fl.euclidean(1), fl.euclidean(2), fl.circle(), fl.torus2(),
                fl.hyperbolic_h2(), fl.sphere2()]
@@ -242,6 +242,22 @@ def test_periodic_wrap():
     t = fl.torus2()
     np.testing.assert_allclose(t.point([-0.5, 7.0]).coords,
                                [2 * np.pi - 0.5, 7.0 - 2 * np.pi])
+
+
+def test_wrap_angle_stays_below_two_pi():
+    # np.mod rounds tiny negative angles up to 2 pi itself
+    a = np.array([-1e-300, -1e-17, -TWO_PI, TWO_PI])
+    assert np.mod(a[1], TWO_PI) == TWO_PI
+    out = wrap_angle(a)
+    np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(wrap_angle(out), out)
+    inside = np.array([0.0, 1e-300, 3.0, np.nextafter(TWO_PI, 0.0)])
+    np.testing.assert_array_equal(wrap_angle(inside), inside)
+
+
+def test_point_wraps_tiny_negative_angles_to_zero():
+    assert fl.circle().point([-1e-17]).coords[0] == 0.0
+    np.testing.assert_array_equal(fl.torus2().point([-1e-300, -TWO_PI]).coords, [0.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)
