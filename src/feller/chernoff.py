@@ -92,11 +92,12 @@ def _require_driftless(spec: GeneratorSpec, variant: ChernoffVariant):
 
 
 def check_steps(t: float, n: int) -> None:
-    """Refuse a step count below 1 and a negative time (every strategy and walk)."""
+    """Refuse a step count below 1 and a time that is negative, NaN or infinite
+    (every strategy and walk)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ Subcommands
 ``chernoff run``, ``walk sample`` and ``walk stats`` share ``--manifold
 --generator --t --seed --out --config --ode-tol --ode-h0 --ode-max-steps``
 and resolve one ``ExperimentConfig``: the defaults, then the ``--config``
-file (keys that are not fields are refused), then the explicit flags, then
+file (keys that are not fields, and values whose JSON type is not that of
+the field's default, are refused), then the explicit flags, then
 the ``--generator`` file (it replaces the ``generator`` key) and the
 ``--ode-*`` flags (merged into ``ode``).  The resolved configuration is
 recorded in the output header (CSV comment lines, schema=1), so a run is
@@ -36,7 +37,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -91,7 +92,11 @@ class ExperimentConfig:
         return {k: v for k, v in self.__dict__.items()}
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+# the JSON types a --config value may take, by the type of its field's default
+_VALUE_TYPES = {list: ((list,), "a list"), dict: ((dict,), "an object"),
+                int: ((int,), "an integer"), float: ((int, float), "a number"),
+                str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
+_CONFIG_TYPES = {k: _VALUE_TYPES[type(v)] for k, v in vars(ExperimentConfig()).items()}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -109,13 +114,19 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     flags are applied after those.
     """
     file_values = _load_config(args.config)
-    unknown = sorted(set(file_values) - _CONFIG_KEYS)
+    unknown = sorted(set(file_values) - _CONFIG_TYPES.keys())
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    for key, value in file_values.items():
+        types, what = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
     cfg = ExperimentConfig(**file_values)
     for key, value in vars(args).items():
-        if key in _CONFIG_KEYS and value is not None:
+        if key in _CONFIG_TYPES and value is not None:
             setattr(cfg, key, value)
+    if cfg.paths < 0:
+        raise ValueError("paths must be >= 0")
     if args.generator_file:
         cfg.generator = _load_config(args.generator_file)
     ode = {"tol": args.ode_tol, "h0": args.ode_h0, "max_steps": args.ode_max_steps}

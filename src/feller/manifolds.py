@@ -281,7 +281,13 @@ class FlatTorus(Euclidean):
 
 
 class HyperbolicHalfPlane(Manifold):
-    """Upper half plane with metric (dx^2 + dy^2)/y^2."""
+    """Upper half plane with metric (dx^2 + dy^2)/y^2, as the ``ax+b`` group.
+
+    Geodesics and logs are one closed form each at the identity i = (0, 1),
+    where the frame is the standard basis, moved to x by ``compose``; with
+    the distance they have no case split near vertical and keep their digits
+    at short range.
+    """
 
     name = "hyperbolic-h2"
     dim = 2
@@ -311,40 +317,9 @@ class HyperbolicHalfPlane(Manifold):
         return gamma
 
     def geodesic_batch(self, xs, vs, t):
-        # Vertical rays and semicircles centered on the real axis; the
-        # unit-speed arclength parameter along a semicircle is
-        # u = log tan(phi/2) with phi the circle angle.
+        # the frame at x is y_x times the standard basis at the identity
         xs = np.atleast_2d(xs)
-        vs = np.atleast_2d(vs)
-        t = np.broadcast_to(np.asarray(t, dtype=float), xs.shape[:1])
-        x0, y0 = xs[:, 0], xs[:, 1]
-        vx, vy = vs[:, 0], vs[:, 1]
-        speed = np.hypot(vx, vy) / y0  # g-norm
-        out = np.empty_like(xs)
-        still = speed * np.abs(t) < 1e-300
-        vertical = (~still) & (np.abs(vx) <= 1e-14 * np.abs(vy))
-        circ = ~(still | vertical)
-
-        out[still] = xs[still]
-        if np.any(vertical):
-            s = np.sign(vy[vertical])
-            out[vertical, 0] = x0[vertical]
-            out[vertical, 1] = y0[vertical] * np.exp(
-                s * speed[vertical] * t[vertical]
-            )
-        if np.any(circ):
-            xc, yc = x0[circ], y0[circ]
-            wx, wy = vx[circ], vy[circ]
-            c = xc + yc * wy / wx
-            r = np.hypot(xc - c, yc)
-            phi0 = np.arctan2(yc, xc - c)
-            u0 = np.log(np.tan(0.5 * phi0))
-            sigma = -np.sign(wx)
-            u = u0 + sigma * speed[circ] * t[circ]
-            phi = 2.0 * np.arctan(np.exp(u))
-            out[circ, 0] = c + r * np.cos(phi)
-            out[circ, 1] = r * np.sin(phi)
-        return out
+        return self.compose(xs, self.geodesic_shift(np.atleast_2d(vs) / xs[:, 1:], t))
 
     def compose(self, coords, h):
         # (x, y) * (a, b) = (x + y a, y b): left-multiplication by (x, y) is
@@ -358,42 +333,50 @@ class HyperbolicHalfPlane(Manifold):
         return out
 
     def geodesic_shift(self, v, t):
-        return self.geodesic_batch(self.identity[None, :], np.asarray(v)[None, :], t)[0]
+        # From i along the unit direction (a, b) = v / |v| for arclength
+        # sigma = |v| t: (a sinh sigma, 1) / D with
+        # D = ((1 - b) e^sigma + (1 + b) e^-sigma) / 2.  The smaller of 1 -+ b
+        # is a^2 / (1 + |b|), so nothing cancels near vertical.
+        v = np.asarray(v, dtype=float)
+        s = np.hypot(v[..., 0], v[..., 1])
+        sigma = s * np.asarray(t, dtype=float)
+        with np.errstate(invalid="ignore"):  # v = 0 is sigma = 0, the identity
+            a, b = v[..., 0] / s, v[..., 1] / s
+        big = 1.0 + np.abs(b)
+        e = np.exp(np.where(b < 0.0, -sigma, sigma))
+        den = 0.5 * (a * a / big * e + big / e)
+        out = np.stack([a * np.sinh(sigma) / den, 1.0 / den], axis=-1)
+        return np.where((sigma == 0.0)[..., None], self.identity, out)
 
     def log_batch(self, xs, ys):
+        # z = x^-1 y = (p, q); the geodesic from i to z leaves along
+        # (2p, p^2 + (q - 1)(q + 1)), of euclidean norm |z - i| |z + i|
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
-        d = self.distance_batch(xs, ys)
-        out = np.zeros_like(xs)
-        same = d < 1e-300
-        dx = ys[:, 0] - xs[:, 0]
-        vertical = (~same) & (np.abs(dx) <= 1e-14 * np.abs(ys[:, 1] - xs[:, 1]))
-        circ = ~(same | vertical)
-        if np.any(vertical):
-            s = np.sign(ys[vertical, 1] - xs[vertical, 1])
-            out[vertical, 1] = s * d[vertical] * xs[vertical, 1]
-        if np.any(circ):
-            px, py = xs[circ, 0], xs[circ, 1]
-            qx, qy = ys[circ, 0], ys[circ, 1]
-            c = (qx**2 + qy**2 - px**2 - py**2) / (2.0 * (qx - px))
-            phi_p = np.arctan2(py, px - c)
-            phi_q = np.arctan2(qy, qx - c)
-            s = np.sign(np.log(np.tan(0.5 * phi_q)) - np.log(np.tan(0.5 * phi_p)))
-            r = np.hypot(px - c, py)
-            # (ux, uy) has euclidean norm R sin(phi_p) = py, i.e. unit g-norm
-            ux = -s * r * np.sin(phi_p) ** 2
-            uy = s * r * np.sin(phi_p) * np.cos(phi_p)
-            out[circ, 0] = d[circ] * ux
-            out[circ, 1] = d[circ] * uy
-        return out
+        y = xs[:, 1]
+        p = (ys[:, 0] - xs[:, 0]) / y
+        q_1 = (ys[:, 1] - y) / y  # q - 1 from the inputs keeps its digits
+        q = ys[:, 1] / y
+        r = np.hypot(p, q_1)
+        d = 2.0 * np.arcsinh(r / (2.0 * np.sqrt(q)))
+        k = np.divide(y * d, r * np.hypot(p, q + 1.0), out=np.zeros_like(d), where=r > 0.0)
+        return k[:, None] * np.stack([2.0 * p, p * p + q_1 * (q + 1.0)], axis=-1)
 
     def distance_batch(self, xs, ys):
+        # 2 asinh(|y - x| / (2 sqrt(y_x y_y))) in two row-sized arrays,
+        # bitwise symmetric in (x, y)
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
-        q = 1.0 + ((xs[:, 0] - ys[:, 0]) ** 2 + (xs[:, 1] - ys[:, 1]) ** 2) / (
-            2.0 * xs[:, 1] * ys[:, 1]
-        )
-        return np.arccosh(np.maximum(q, 1.0))
+        d = np.subtract(ys[:, 0], xs[:, 0])
+        h = np.subtract(ys[:, 1], xs[:, 1])
+        np.hypot(d, h, out=d)
+        np.multiply(xs[:, 1], ys[:, 1], out=h)
+        np.sqrt(h, out=h)
+        np.divide(d, h, out=d)
+        d *= 0.5
+        np.arcsinh(d, out=d)
+        d *= 2.0
+        return d
 
     def frame_batch(self, xs):
         # y d/dx and y d/dy: globally smooth orthonormal frame.
@@ -423,7 +406,10 @@ class Sphere2(Manifold):
 
     Chart quantities (metric, Christoffels, field derivatives) refer to the
     orthographic tangent-plane chart centered at the query point, where the
-    metric is the identity and the connection coefficients vanish.
+    metric is the identity and the connection coefficients vanish.  The
+    distance is 2 atan2(|y - x|, |y + x|) and the log is that distance times
+    the unit tangential part of y - x, so both keep their digits at short
+    range and are exactly 0 at y = x.
     """
 
     name = "sphere2"
@@ -471,37 +457,32 @@ class Sphere2(Manifold):
     def geodesic_batch(self, xs, vs, t):
         xs = np.atleast_2d(xs)
         vs = np.atleast_2d(vs)
-        t = np.broadcast_to(np.asarray(t, dtype=float), xs.shape[:1])
-        speed = np.linalg.norm(vs, axis=-1)
-        ang = speed * t
-        small = speed < 1e-300
-        out = np.empty_like(xs)
-        out[small] = xs[small]
-        if np.any(~small):
-            u = vs[~small] / speed[~small, None]
-            a = ang[~small, None]
-            out[~small] = np.cos(a) * xs[~small] + np.sin(a) * u
-        return self._renorm(out)
+        speed = np.linalg.norm(vs, axis=-1, keepdims=True)
+        ang = speed * np.asarray(t, dtype=float)[..., None]
+        with np.errstate(invalid="ignore"):  # v = 0 is ang = 0: x itself, not renormed
+            out = self._renorm(np.cos(ang) * xs + np.sin(ang) * (vs / speed))
+        return np.where(ang == 0.0, xs, out)
 
     def log_batch(self, xs, ys):
+        # d times the unit tangential part of y - x
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
-        c = np.clip(np.einsum("ij,ij->i", xs, ys), -1.0, 1.0)
-        ang = np.arccos(c)
-        if np.any(ang > np.pi - _CUT_TOL):
+        d = self.distance_batch(xs, ys)
+        if np.any(d > np.pi - _CUT_TOL):
             raise BeyondInjectivityRadiusError("sphere2: antipodal target")
-        perp = ys - c[:, None] * xs
-        nrm = np.linalg.norm(perp, axis=-1)
-        out = np.zeros_like(xs)
-        ok = nrm > 1e-300
-        out[ok] = (ang[ok] / nrm[ok])[:, None] * perp[ok]
-        return out
+        w = ys - xs
+        w -= np.einsum("ij,ij->i", w, xs)[:, None] * xs
+        nrm = np.sqrt(np.einsum("ij,ij->i", w, w))
+        return np.divide(d, nrm, out=np.zeros_like(d), where=nrm > 0.0)[:, None] * w
 
     def distance_batch(self, xs, ys):
+        # 2 atan2(|y - x|, |y + x|) keeps its digits at short range, where
+        # the arccos of the dot product loses them
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
-        c = np.clip(np.einsum("ij,ij->i", xs, ys), -1.0, 1.0)
-        return np.arccos(c)
+        diff, tot = ys - xs, ys + xs
+        return 2.0 * np.arctan2(np.sqrt(np.einsum("ij,ij->i", diff, diff)),
+                                np.sqrt(np.einsum("ij,ij->i", tot, tot)))
 
     def g_norm_batch(self, xs, vs):
         return np.linalg.norm(vs, axis=-1)

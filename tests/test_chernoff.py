@@ -323,7 +323,8 @@ def _geodesic_moves(m):
 
 
 def _assert_shift_matches(m, got, want):
-    # flat charts: the same float operations; H2: a group product against a semicircle
+    # flat charts: the same float operations; H2: the reference velocity y_x v / y_x
+    # may round away from v
     if m.name == "hyperbolic-h2":
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     else:

@@ -436,15 +436,29 @@ def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
 @pytest.mark.parametrize("argv, code, err", [
     (["oracle", "eval", "--kernel", "wrapped-gauss-s1", "--f", "cos(theta)",
       "--t", "1.0", "--x", "0.0"], 0, ""),
-    (["chernoff", "run", "--config", "{config}"], 2, "error: unknown config keys ['sampels']"),
+    (["chernoff", "run", "--config", {"sampels": 5}], 2, "error: unknown config keys ['sampels']"),
+    (["chernoff", "run", "--config", {"n_schedule": 8}], 2,
+     "error: config key 'n_schedule' must be a list"),
+    (["chernoff", "run", "--config", {"t": "1"}], 2, "error: config key 't' must be a number"),
+    (["chernoff", "run", "--config", {"x": 0.3}], 2, "error: config key 'x' must be a list"),
+    (["chernoff", "run", "--config", {"samples": 2.5}], 2,
+     "error: config key 'samples' must be an integer"),
+    (["chernoff", "run", "--config", {"oracle": 3}], 2,
+     "error: config key 'oracle' must be a string or null"),
+    (["chernoff", "run", "--t", "nan"], 2, "error: t must be >= 0 and finite"),
+    (["walk", "sample", "--manifold", "circle", "--n", "4", "--paths", "-3"], 2,
+     "error: paths must be >= 0"),
+    (["walk", "stats", "--manifold", "circle", "--n", "4", "--samples", "10", "--paths", "-2"], 2,
+     "error: paths must be >= 0"),
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
-    cfg = _write_json(tmp_path / "cfg.json", {"sampels": 5})
+    # a dict in argv is a --config file with that content
+    argv = [_write_json(tmp_path / "cfg.json", a) if isinstance(a, dict) else a for a in argv]
     src = str(Path(fl.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "feller.cli"] + [a.format(config=cfg) for a in argv],
+        [sys.executable, "-m", "feller.cli"] + argv,
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == code

@@ -136,6 +136,65 @@ def test_log_exp_roundtrip(rng):
         np.testing.assert_allclose(
             m.g_norm_batch(xs, v), m.distance_batch(xs, ys), atol=1e-10
         )
+        # log(x, x) is exactly 0 and its geodesic holds x
+        v = m.log_batch(xs, xs)
+        np.testing.assert_array_equal(v, 0.0)
+        np.testing.assert_array_equal(m.geodesic_batch(xs, v, 0.7), xs)
+    _h2_roundtrip_near_and_far(rng)
+    _sphere_roundtrip_short_range(rng)
+
+
+def _ulps(got, want):
+    """Error in units in the last place of each row's largest coordinate."""
+    return np.abs(got - want) / np.spacing(np.abs(want).max(axis=-1, keepdims=True))
+
+
+def _h2_roundtrip_near_and_far(rng):
+    # y = x + sep y_x (tilt, 1), up and down, near vertical and far from it
+    m = fl.hyperbolic_h2()
+    xs = m.random_points(2000, rng)
+    for sep in (3.0, 1e-3, 1e-6, 1e-9):
+        for tilt in (0.0, 1e-12):
+            ys = xs + sep * xs[:, 1:] * np.array([tilt, 1.0])
+            for a, b in ((xs, ys), (ys, xs)):
+                v = m.log_batch(a, b)
+                d = m.distance_batch(a, b)
+                assert np.all(d > 0.0)
+                np.testing.assert_allclose(m.g_norm_batch(a, v), d, rtol=1e-13, atol=0.0)
+                assert _ulps(m.geodesic_batch(a, v, 1.0), b).max() <= 8.0
+    # closed forms: the vertical ray (a, b e^+-sigma) and the horizontal
+    # geodesic from i, (tanh sigma, sech sigma)
+    x = m.random_points(1, rng)
+    for sigma in (3.0, 1e-3, 1e-6, 1e-9):
+        for sign in (1.0, -1.0):
+            want = x * np.array([1.0, np.exp(sign * sigma)])
+            got = m.geodesic_batch(x, np.array([[0.0, sign * sigma * x[0, 1]]]), 1.0)
+            assert _ulps(got, want).max() <= 4.0
+            want = np.array([[sign * np.tanh(sigma), 1.0 / np.cosh(sigma)]])
+            got = m.geodesic_batch(m.identity[None, :], np.array([[sign * sigma, 0.0]]), 1.0)
+            assert _ulps(got, want).max() <= 4.0
+            # to the rounding of the reference point's coordinates
+            np.testing.assert_allclose(m.log_batch(m.identity[None, :], want),
+                                       [[sign * sigma, 0.0]], rtol=1e-13, atol=1e-15)
+    # a velocity 1e-12 rad off vertical still reaches y = e at unit time
+    got = m.geodesic_shift(np.array([1e-12, 1.0]), 1.0)
+    assert abs(got[1] - np.e) <= 2.0 * np.spacing(np.e)
+
+
+def _sphere_roundtrip_short_range(rng):
+    m = fl.sphere2()
+    xs = m.random_points(2000, rng)
+    u = rng.normal(size=xs.shape)
+    u -= np.einsum("ij,ij->i", u, xs)[:, None] * xs
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    for sep in (1.0, 1e-3, 1e-6, 1e-9):
+        ys = m.geodesic_batch(xs, sep * u, 1.0)
+        v = m.log_batch(xs, ys)
+        np.testing.assert_allclose(m.g_norm_batch(xs, v), m.distance_batch(xs, ys),
+                                   rtol=1e-13, atol=0.0)
+        assert _ulps(m.geodesic_batch(xs, v, 1.0), ys).max() <= 8.0
+        # to the rounding of the coordinates of y
+        np.testing.assert_allclose(m.distance_batch(xs, ys), sep, rtol=1e-13, atol=1e-15)
 
 
 # -- log map -------------------------------------------------------------------------
@@ -172,6 +231,23 @@ def test_distance_examples():
     assert fl.distance(h, h.point([0.0, 1.0]), h.point([0.0, np.e])) == pytest.approx(1.0)
     s = fl.sphere2()
     assert fl.distance(s, s.point([1, 0, 0]), s.point([0, 0, 1])) == pytest.approx(np.pi / 2)
+    # short range keeps its digits: arccos of a dot product would not
+    x = s.point([1.0, 0.0, 0.0])
+    for d in (1e-3, 1e-6, 1e-9):
+        y = s.point([np.cos(d), np.sin(d), 0.0])
+        assert fl.distance(s, x, y) == pytest.approx(d, rel=1e-13)
+        np.testing.assert_allclose(fl.log_map(s, x, y).comps, [0.0, d, 0.0], rtol=1e-13, atol=0.0)
+    # H2 closed forms: the vertical ray and the horizontal geodesic from i
+    for sigma in (3.0, 1e-3, 1e-6, 1e-9):
+        a, b = h.point([0.3, 0.7]), h.point([0.3, 0.7 * np.exp(sigma)])
+        assert fl.distance(h, a, b) == pytest.approx(sigma, rel=1e-13)
+        c = h.point([np.tanh(sigma), 1.0 / np.cosh(sigma)])
+        assert fl.distance(h, h.point([0.0, 1.0]), c) == pytest.approx(sigma, rel=1e-13)
+    # distance(x, x) is exactly 0 on every built-in chart
+    rng = np.random.default_rng(0)
+    for m in ALL():
+        xs = m.random_points(50, rng)
+        np.testing.assert_array_equal(m.distance_batch(xs, xs), 0.0)
 
 
 def test_distance_symmetry_triangle(rng):

@@ -376,11 +376,21 @@ def test_audit_makes_one_move_per_segment(monkeypatch):
     assert sum(calls) == path.times.size - 1
 
 
+def h2_heat():
+    h2 = fl.hyperbolic_h2()
+    return fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)]), h2
+
+
 def _entry_points(n, t):
     spec, circ = circle_heat()
     x = circ.point([0.3])
     f = lambda c: np.cos(c[:, 0])
+    h2_spec, h2 = h2_heat()
+    y = h2.point([0.2, 1.5])
+    g = lambda c: np.exp(-c[:, 1])
     return [
+        lambda: fl.iterate_tree(h2_spec, CV.HEAT_GEODESIC, t, n, g, y),
+        lambda: fl.iterate_mc(h2_spec, CV.HEAT_GEODESIC, t, n, g, y, 10, seed=0),
         lambda: fl.iterate_tree(spec, CV.GENERAL, t, n, f, x),
         lambda: fl.iterate_mc(spec, CV.GENERAL, t, n, f, x, 10, seed=0),
         lambda: walk_endpoints(spec, x, t, n, 10, seed=0),
@@ -400,9 +410,14 @@ def test_bad_step_count_refused(n):
 
 
 def test_negative_time_refused():
-    for call in _entry_points(4, -1.0):
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            call()
+    # also NaN and +-inf, and the one-step operator on H2
+    h2_spec, h2 = h2_heat()
+    y = h2.point([0.2, 1.5])
+    for t in (-1.0, math.nan, math.inf, -math.inf):
+        apply_S = lambda: fl.apply_S(h2_spec, CV.HEAT_GEODESIC, t, lambda c: c[:, 1], y)
+        for call in _entry_points(4, t) + [apply_S]:
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                call()
 
 
 def test_expectation_equivalent_to_iterate_mc():
