@@ -29,6 +29,9 @@ exact tree recursion (``iterate_tree``, the oracle), semi-Lagrangian grid
 sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
 random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n).
+Wherever a step evaluates the potential (the grid nodes, each tree level's
+points, each MC step's states, the ``apply_S`` rows), ``dt * |c| > 1`` raises
+``PotentialStepError``.
 
 Every parallelizable built-in is a Lie group whose frame is left-invariant:
 R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group.  Each
@@ -51,7 +54,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._kernels import step_uniforms, substream
-from .errors import BudgetExceededError, VariantIncompatibleError
+from .errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
 from .fields import GeneratorSpec
 from .flows import DEFAULT_ODE, OdeSettings, flow_batch, negate
 from .grids import GridFunction
@@ -98,6 +101,19 @@ def check_steps(t: float, n: int) -> None:
         raise ValueError("n must be >= 1")
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be >= 0 and finite")
+
+
+def _potential_step(spec: GeneratorSpec, dt: float, coords: np.ndarray) -> np.ndarray:
+    """``dt * c`` at the rows of ``coords``; PotentialStepError where
+    ``dt * |c| > 1`` (every strategy and apply_S)."""
+    pot = dt * spec.potential_values(coords)
+    worst = float(np.abs(pot).max(initial=0.0))
+    if worst > 1.0:
+        raise PotentialStepError(
+            f"dt*|c| reaches {worst:.4g} > 1 at step dt = {dt:.4g}: "
+            "the potential term outweighs the step; raise n"
+        )
+    return pot
 
 
 @dataclass(frozen=True)
@@ -241,7 +257,7 @@ def branch_set(
     pts = [spec.manifold.point(br.move(c, t)[0]) for br in branches]
     pot = 0.0
     if variant is ChernoffVariant.GENERAL and spec.potential is not None:
-        pot = t * float(spec.potential_values(c)[0])
+        pot = float(_potential_step(spec, t, c)[0])
     weights = np.array([float(br.weight) for br in branches])
     return BranchSet(points=pts, weights=weights, potential_term=pot)
 
@@ -261,7 +277,7 @@ def apply_S_batch(
     for br in branch_moves(spec, variant, ode):
         acc += float(br.weight) * np.asarray(f(br.move(coords, t)), dtype=float)
     if variant is ChernoffVariant.GENERAL and spec.potential is not None:
-        acc += t * spec.potential_values(coords) * np.asarray(f(coords), dtype=float)
+        acc += _potential_step(spec, t, coords) * np.asarray(f(coords), dtype=float)
     return acc
 
 
@@ -313,7 +329,7 @@ def iterate_tree(
         wblocks = [w * wts for w in weights]
         if has_pot:
             blocks.append(pts)
-            wblocks.append(dt * spec.potential_values(pts) * wts)
+            wblocks.append(_potential_step(spec, dt, pts) * wts)
         pts = np.concatenate(blocks, axis=0)
         wts = np.concatenate(wblocks)
     return float(np.asarray(f(pts), dtype=float) @ wts)
@@ -355,7 +371,7 @@ def iterate_grid(
         )
     pot = None
     if variant is ChernoffVariant.GENERAL and spec.potential is not None:
-        pot = dt * spec.potential_values(nodes)
+        pot = _potential_step(spec, dt, nodes)
     values = f0.values.ravel().copy()
     for _ in range(n):
         flat = f0.flat_values(values)
@@ -408,7 +424,7 @@ def iterate_mc(
     factor = np.ones(samples) if has_pot else None
     for _, before in sample_steps(branches, dt, coords, streams, n, spec.manifold.compose):
         if has_pot:
-            factor *= 1.0 + dt * spec.potential_values(before)
+            factor *= 1.0 + _potential_step(spec, dt, before)
     vals = np.asarray(f(coords), dtype=float)
     if has_pot:
         vals = vals * factor

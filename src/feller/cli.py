@@ -100,10 +100,14 @@ _CONFIG_TYPES = {k: _VALUE_TYPES[type(v)] for k, v in vars(ExperimentConfig()).i
 
 
 def _load_config(path: Optional[str]) -> dict:
+    """The JSON object in ``path`` ({} without a path); any other JSON value is refused."""
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        value = json.load(fh)
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must hold a JSON object, not {json.dumps(value)}")
+    return value
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
@@ -134,12 +138,34 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# the JSON types a generator value may take
+_GENERATOR_TYPES = {
+    "fields": (_is_str_list, "a list of strings"),
+    "drift": (lambda v: v is None or isinstance(v, (str, dict)), "null, a string or an object"),
+    "potential": (lambda v: v is None or isinstance(v, str), "null or a string"),
+    "feller": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
 def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
-    """Instantiate a GeneratorSpec from its JSON description."""
+    """Instantiate a GeneratorSpec from its JSON description.
+
+    ``fields`` is a list of field strings, ``drift`` null, ``"zero"``,
+    ``"derived"``, a field string or ``{"policy": .., "field": ..}``,
+    ``potential`` null or an expression and ``feller`` a boolean; a value of
+    another JSON type is refused.
+    """
+    for key, (valid, what) in _GENERATOR_TYPES.items():
+        if key in gen and not valid(gen[key]):
+            raise ValueError(f"generator key {key!r} must be {what}, not {json.dumps(gen[key])}")
     fields = [fd.field_from_string(manifold, s) for s in gen.get("fields", [])]
     drift = gen.get("drift", "zero")
     potential = gen.get("potential")
-    feller_flag = bool(gen.get("feller", True))
+    feller_flag = gen.get("feller", True)
     if drift in (None, "zero"):
         return fd.GeneratorSpec(fields, "explicit", potential=potential, feller=feller_flag)
     if drift == "derived":
@@ -147,6 +173,10 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
     if isinstance(drift, dict):
         policy = drift.get("policy", "explicit")
         extra = drift.get("field")
+        if not (extra is None or isinstance(extra, str)):
+            raise ValueError(
+                f"generator drift 'field' must be a string or null, not {json.dumps(extra)}"
+            )
         dfield = fd.field_from_string(manifold, extra) if extra else None
         if policy == "derived+":
             policy = "derived_plus"

@@ -41,6 +41,12 @@ class VariantIncompatibleError(FellerError):
     """Chernoff variant incompatible with the generator or manifold."""
 
 
+class PotentialStepError(FellerError):
+    """A Chernoff step with dt*|c| > 1 where the potential is evaluated: the
+    potential term outweighs the whole step (for c < 0 the weight 1 + dt*c
+    turns negative and S(dt) is no longer positive)."""
+
+
 class ResolutionTooCoarseError(FellerError):
     """Grid too coarse for the requested operation."""
 

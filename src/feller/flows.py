@@ -206,8 +206,8 @@ def integral_curve(
     """
     m = A.manifold
     m._check_point(x)
-    if t < 0.0:
-        raise ValueError("integral_curve expects t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
     c, steps, err = _integrate(A, x.coords, t, settings)
     return FlowResult(m.point(c[0]), int(steps[0]), float(err[0]))
 

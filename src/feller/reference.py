@@ -5,6 +5,11 @@ These never touch the Chernoff/walk code paths; they exist to certify them.
 Series and quadrature truncations are chosen so the oracle error sits at
 least an order below every tolerance it is used to check, and doubling any
 truncation is verified to move the result by less than 1e-10.
+
+scipy is imported inside the functions that call it (``h2_heat_kernel``
+imports ``scipy.integrate``; ``fd_solve`` and its operator builders import
+``scipy.sparse``), so importing this module, and with it ``feller`` and
+``feller.cli``, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse
-from scipy.sparse.linalg import splu
 
 from .errors import OracleUnavailableError, TruncationBudgetError, VariantIncompatibleError
 from .fields import GeneratorSpec
@@ -163,8 +166,11 @@ def h2_heat_kernel(rho: np.ndarray, t: float) -> np.ndarray:
     """Heat kernel of the full Laplacian on H^2 at time t, distance rho.
 
     McKean's integral: p_t(rho) = sqrt(2) e^{-t/4} / (4 pi t)^{3/2}
-                       * int_rho^inf s e^{-s^2/(4t)} / sqrt(cosh s - cosh rho) ds.
+                       * int_rho^inf s e^{-s^2/(4t)} / sqrt(cosh s - cosh rho) ds,
+    one ``scipy.integrate.quad`` per distance.
     """
+    from scipy import integrate
+
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     out = np.empty_like(rho)
     pref = math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5
@@ -267,8 +273,10 @@ class FdSolverSettings:
             raise ValueError("steps must be >= 1")
 
 
-def _shift_impl(n: int, k: int) -> sparse.csr_matrix:
+def _shift_impl(n: int, k: int) -> scipy.sparse.csr_matrix:
     """Periodic shift matrix: (S u)_i = u_{i+k mod n}."""
+    from scipy import sparse
+
     rows = np.arange(n)
     cols = np.mod(rows + k, n)
     return sparse.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
@@ -295,7 +303,10 @@ def _advection_beta(spec: GeneratorSpec, nodes: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _operator_circle(spec: GeneratorSpec, n: int) -> sparse.csr_matrix:
+def _operator_circle(spec: GeneratorSpec, n: int) -> scipy.sparse.csr_matrix:
+    """L on n periodic nodes of the circle, as a CSR matrix."""
+    from scipy import sparse
+
     h = TWO_PI / n
     theta = TWO_PI * np.arange(n) / n
     mid = theta + 0.5 * h
@@ -317,7 +328,10 @@ def _operator_circle(spec: GeneratorSpec, n: int) -> sparse.csr_matrix:
     return op.tocsr()
 
 
-def _operator_torus(spec: GeneratorSpec, shape: tuple[int, int]) -> sparse.csr_matrix:
+def _operator_torus(spec: GeneratorSpec, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
+    """L on an n1 x n2 periodic torus grid (row-major nodes), as a CSR matrix."""
+    from scipy import sparse
+
     n1, n2 = shape
     h1, h2 = TWO_PI / n1, TWO_PI / n2
     t1 = TWO_PI * np.arange(n1) / n1
@@ -373,8 +387,13 @@ def fd_solve(
 
     The second-order part is discretized in conservative (flux) form, so
     with the derived drift and c = 0 the discrete volume integral is
-    conserved to rounding.  Second-order accurate in space and time.
+    conserved to rounding.  Second-order accurate in space and time.  Each
+    step is one ``scipy.sparse`` product and one solve with the ``splu``
+    factors of ``I - dt/2 L``, computed once.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     name = f0.manifold.name
     if name not in ("circle", "torus2"):
         raise VariantIncompatibleError(f"fd_solve supports circle and torus2, not {name}")

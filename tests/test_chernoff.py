@@ -12,7 +12,7 @@ from feller import chernoff
 from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
 from feller.chernoff import branch_moves, sample_steps
-from feller.errors import BudgetExceededError, VariantIncompatibleError
+from feller.errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
 from feller.grids import GridFunction
 
 
@@ -427,6 +427,41 @@ def test_bounded_potential_growth(rng):
         f0 = GridFunction(circ, vals, interp="linear")
         out = fl.iterate_grid(spec, CV.GENERAL, t, 1, f0)
         assert out.sup_norm() <= bound * f0.sup_norm() + 1e-12
+
+
+def strong_potential():
+    # dt*|c| = 5 dt at worst: > 1 for dt >= 0.25 where sin^2 > 1/2, and always at dt = 0.5
+    circ = fl.circle()
+    spec = fl.GeneratorSpec(
+        [fl.frame_field(circ, 1)], drift_policy="explicit", potential="-3-2*sin(theta)^2"
+    )
+    return spec, circ, lambda c: np.cos(c[:, 0]) + 2.0
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_potential_step_above_one_is_refused(n):
+    # the parent returned 0.6246 (n = 2) and -0.0258 (n = 4) for an f >= 1
+    spec, circ, f = strong_potential()
+    x = circ.point([0.3])
+    with pytest.raises(PotentialStepError, match="> 1"):
+        fl.iterate_tree(spec, CV.GENERAL, 1.0, n, f, x)
+    with pytest.raises(PotentialStepError):
+        fl.iterate_mc(spec, CV.GENERAL, 1.0, n, f, x, 1000, 3)
+    with pytest.raises(PotentialStepError):
+        fl.iterate_grid(spec, CV.GENERAL, 1.0, n, GridFunction.from_function(circ, 64, f))
+    with pytest.raises(PotentialStepError):
+        fl.apply_S(spec, CV.GENERAL, 1.0 / n, f, circ.point([1.2]))
+
+
+def test_potential_step_guard_reads_the_evaluated_points():
+    spec, circ, f = strong_potential()
+    x = circ.point([0.3])
+    # n = 8: dt*|c| <= 0.625 everywhere
+    assert fl.iterate_tree(spec, CV.GENERAL, 1.0, 8, f, x) == pytest.approx(0.02055, abs=1e-5)
+    # dt = 0.25 passes at theta = 0.3 (dt*|c| = 0.79) and fails at 1.2 (1.18)
+    assert fl.apply_S(spec, CV.GENERAL, 0.25, f, x) > 0.0
+    with pytest.raises(PotentialStepError):
+        fl.apply_S(spec, CV.GENERAL, 0.25, f, circ.point([1.2]))
 
 
 # -- consistency defect ---------------------------------------------------------------------

@@ -135,6 +135,23 @@ def test_run_convergence_records_failures():
     assert summary["failures"] and summary["failures"][0]["n"] == 50
 
 
+def test_potential_step_above_one_is_a_failed_row():
+    cfg = ExperimentConfig(
+        manifold="circle",
+        generator={"fields": ["frame:1"], "drift": "zero", "potential": "-3-2*sin(theta)^2"},
+        strategy="tree",
+        t=1.0,
+        n_schedule=[2, 4, 8],
+        f="cos(theta)+2",
+        x=[[0.3]],
+        oracle="expr:0",
+    )
+    rows, summary = run_convergence(cfg)
+    assert [r.n for r in rows] == [8]
+    assert [f["n"] for f in summary["failures"]] == [2, 4]
+    assert all("dt*|c| reaches" in f["error"] for f in summary["failures"])
+
+
 def test_walk_sample_reproducible(tmp_path, heat_gen):
     args = [
         "walk", "sample", "--kind", "geodesic", "--manifold", "circle",
@@ -450,10 +467,25 @@ def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
      "error: paths must be >= 0"),
     (["walk", "stats", "--manifold", "circle", "--n", "4", "--samples", "10", "--paths", "-2"], 2,
      "error: paths must be >= 0"),
+    (["chernoff", "run", "--config", 5], 2, "cfg.json must hold a JSON object, not 5"),
+    (["chernoff", "run", "--config", ["t"]], 2, 'cfg.json must hold a JSON object, not ["t"]'),
+    (["chernoff", "run", "--config", {"generator": {"fields": 5}}], 2,
+     "error: generator key 'fields' must be a list of strings, not 5"),
+    (["chernoff", "run", "--config", {"generator": {"fields": "frame:1"}}], 2,
+     "error: generator key 'fields' must be a list of strings, not \"frame:1\""),
+    (["chernoff", "run", "--config", {"generator": {"fields": ["frame:1"], "drift": 1}}], 2,
+     "error: generator key 'drift' must be null, a string or an object, not 1"),
+    (["chernoff", "run", "--config", {"generator": {"fields": ["frame:1"], "potential": -1}}], 2,
+     "error: generator key 'potential' must be null or a string, not -1"),
+    (["chernoff", "run", "--config", {"generator": {"fields": ["frame:1"], "feller": "no"}}], 2,
+     "error: generator key 'feller' must be a boolean, not \"no\""),
+    (["chernoff", "run", "--config",
+      {"generator": {"fields": ["frame:1"], "drift": {"policy": "explicit", "field": 2}}}], 2,
+     "error: generator drift 'field' must be a string or null, not 2"),
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
-    # a dict in argv is a --config file with that content
-    argv = [_write_json(tmp_path / "cfg.json", a) if isinstance(a, dict) else a for a in argv]
+    # a non-string in argv is a --config file with that JSON content
+    argv = [a if isinstance(a, str) else _write_json(tmp_path / "cfg.json", a) for a in argv]
     src = str(Path(fl.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

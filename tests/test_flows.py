@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,8 +54,13 @@ def test_circle_constant_rotation():
 def test_t_zero_and_negative():
     A, e1 = linear_field()
     assert fl.integral_curve(A, e1.point([2.0]), 0.0).endpoint.coords[0] == 2.0
-    with pytest.raises(ValueError):
-        fl.integral_curve(A, e1.point([2.0]), -1.0)
+    circ = fl.circle()
+    B = fl.expression_field(circ, ["1+0.5*sin(theta)"])
+    for t in (-1.0, math.nan, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any RK4 step on NaN
+            with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+                fl.integral_curve(B, circ.point([0.3]), t)
 
 
 def test_semigroup_law():
