@@ -149,6 +149,8 @@ _GENERATOR_TYPES = {
     "potential": (lambda v: v is None or isinstance(v, str), "null or a string"),
     "feller": (lambda v: isinstance(v, bool), "a boolean"),
 }
+# ``oracle fd`` reads the chart from the generator file when no flag gives one
+_GENERATOR_KEYS = set(_GENERATOR_TYPES) | {"manifold"}
 
 
 def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
@@ -157,8 +159,12 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
     ``fields`` is a list of field strings, ``drift`` null, ``"zero"``,
     ``"derived"``, a field string or ``{"policy": .., "field": ..}``,
     ``potential`` null or an expression and ``feller`` a boolean; a value of
-    another JSON type is refused.
+    another JSON type is refused, and so is a key outside these and
+    ``manifold``, or a drift object key other than ``policy`` and ``field``.
     """
+    unknown = sorted(set(gen) - _GENERATOR_KEYS)
+    if unknown:
+        raise ValueError(f"unknown generator keys {unknown}")
     for key, (valid, what) in _GENERATOR_TYPES.items():
         if key in gen and not valid(gen[key]):
             raise ValueError(f"generator key {key!r} must be {what}, not {json.dumps(gen[key])}")
@@ -171,6 +177,9 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
     if drift == "derived":
         return fd.GeneratorSpec(fields, "derived", potential=potential, feller=feller_flag)
     if isinstance(drift, dict):
+        unknown = sorted(set(drift) - {"policy", "field"})
+        if unknown:
+            raise ValueError(f"unknown generator drift keys {unknown}")
         policy = drift.get("policy", "explicit")
         extra = drift.get("field")
         if not (extra is None or isinstance(extra, str)):

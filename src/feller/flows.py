@@ -1,15 +1,17 @@
 """Integral curves of vector fields and the distance-monotonicity horizon.
 
 One engine backs the flow maps: fixed-step RK4 over a batch of starts, with
-the step count doubled until a Richardson comparison meets the tolerance.
-``flow_batch`` is the vectorized hot path used by the Chernoff branches and
-the walk samplers.  It takes one time for the batch or one time per row, and
-each row converges on its own: every row starts at the same step count, and a
-row leaves the doubling loop, keeping its own fine result, at the first pass
-whose Richardson estimate for that row meets ``tol * max(1, |t_i|)``.  A
-row's endpoint is therefore the same in any batch, and the same as alone.
-``integral_curve`` runs the same engine on a single start and reports that
-row's step count (the fine pass it kept) and its Richardson estimate.
+step doubling.  ``flow_batch`` is the vectorized hot path used by the Chernoff
+branches and the walk samplers.  It takes one time for the batch or one time
+per row, and each row converges on its own: every row starts at 2 steps (or at
+the ``h_init`` start), and a row leaves the doubling loop, keeping its own fine
+result, at the first pass whose Richardson estimate meets
+``tol * max(1, |t_i|)`` and has fallen at the fourth-order rate from the
+doubling before (see ``OdeSettings``).  A row's endpoint is therefore the same
+in any batch, and the same as alone.  Passes of fewer than 16 steps may leave
+the chart or overflow; such a row is just not kept there.  ``integral_curve``
+runs the same engine on a single start and reports that row's step count (the
+fine pass it kept) and its Richardson estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
 built-ins, sphere rotations, the zero field) short-circuit the engine, which
@@ -37,18 +39,33 @@ _DEFAULT_MAX_STEPS = 10**6
 class OdeSettings:
     """Configuration of the step-doubling RK4 engine.
 
-    By default (``h_init=None``) every row starts at 16 steps, that is
-    ``h = |t_i| / 16``.  An explicit ``h_init`` starts every row of a batch at
-    ``ceil(max_i |t_i| / h_init)`` steps, one count for the batch, so with per-row
-    times a row's result then depends on the longest time beside it.  No pass
-    runs more than ``max_steps`` steps (the first coarse pass is capped at
-    ``max_steps // 2``); a row still above the tolerance when the next doubling
-    would exceed it raises ``StepLimitExceededError``.
+    Every row doubles its step count from a start.  By default
+    (``h_init=None``) the start is 2 steps; an explicit ``h_init`` starts every
+    row of a batch at ``ceil(max_i |t_i| / h_init)`` steps, one count for the
+    batch, so with per-row times a row's result then depends on the longest
+    time beside it.  Each doubling compares a coarse pass with the fine pass of
+    twice its steps, and a row keeps that fine pass once all three hold:
 
-    ``tol`` bounds the Richardson estimate ``max|fine - coarse| / 15`` of the
-    fine pass a row keeps, not that pass's true error, which can be somewhat
-    larger (1.16 ``tol`` has been measured).  ``tol`` and ``h_init`` must be
-    ``> 0``; NaN is refused.
+    * its Richardson estimate ``est = max|fine - coarse| / 15`` meets
+      ``tol_i = tol * max(1, |t_i|)``;
+    * the estimate ``prev`` of the doubling before is at most
+      ``max(tol_i, 32 * est)``.  For a fourth-order method the estimate falls
+      about 16x per doubling; passes not yet in that regime can understate
+      their error.  The first doubling has no ``prev``, so the smallest pass
+      kept is 4x the start: 8 steps by default;
+    * the fine pass is finite and inside the chart (H2: ``y > 0``).
+
+    A pass of fewer than 16 steps may leave the chart or overflow without
+    raising; from 16 steps on, such a pass raises ``StepLimitExceededError``.
+    No pass runs more than ``max_steps`` steps (the first coarse pass is capped
+    at ``max_steps // 2``); a row not kept when the next doubling would exceed
+    it raises ``StepLimitExceededError``.  ``max_steps`` must be at least 4.
+
+    ``tol`` bounds the estimate of the pass a row keeps, not that pass's true
+    error, which can be larger: over 16 (field, t) cases with 400 starts each
+    on the circle, H2 and R^1 the worst was 2.36 ``tol_i`` (``1+x1^2`` on R^1
+    at t = 1), then 2.13 (H2 ``0.5*x,-y^3``) and 2.12 (R^1 ``-x1^3``); see
+    ``BENCH_11.json``.  ``tol`` and ``h_init`` must be ``> 0``; NaN is refused.
     """
 
     h_init: Optional[float] = None
@@ -60,8 +77,8 @@ class OdeSettings:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.h_init is not None and not self.h_init > 0.0:
             raise ValueError(f"h_init must be > 0, got {self.h_init}")
-        if self.max_steps < 2:
-            raise ValueError("max_steps must be >= 2 (a coarse and a fine pass)")
+        if self.max_steps < 4:
+            raise ValueError("max_steps must be >= 4 (a coarse pass and two doublings)")
 
 
 DEFAULT_ODE = OdeSettings()
@@ -117,6 +134,14 @@ def _check_domain(m: Manifold, c: np.ndarray):
         raise StepLimitExceededError("integral curve diverged (non-finite state)")
 
 
+def _inside(m: Manifold, c: np.ndarray) -> np.ndarray:
+    """Per row: finite, and inside the chart (H2: ``y > 0``)."""
+    ok = np.isfinite(c).all(axis=1)
+    if m.name == "hyperbolic-h2":
+        ok &= c[:, 1] > 0.0
+    return ok
+
+
 def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
     """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row."""
     rhs = _rhs(A, A.manifold)
@@ -130,8 +155,21 @@ def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if isinstance(A.manifold, Sphere2):
             c = c / np.linalg.norm(c, axis=-1, keepdims=True)
-    _check_domain(A.manifold, c)
     return c
+
+
+# Passes shorter than this may leave the chart or blow up without raising: the
+# row is then not kept at that pass.  From this many steps on, they raise.
+_CHECKED_STEPS = 16
+
+
+def _rk4_pass(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
+    if steps >= _CHECKED_STEPS:
+        c = _rk4_fixed(A, coords, t, steps)
+        _check_domain(A.manifold, c)
+        return c
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _rk4_fixed(A, coords, t, steps)
 
 
 def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
@@ -139,8 +177,8 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
 
     ``t`` is one time for the batch or one per row; rows with ``t_i = 0`` stay
     put and report 0 steps.  An exact flow reports one step per moving row;
-    otherwise each row runs fixed-step RK4 with step doubling until its own
-    Richardson estimate meets ``ode.tol * max(1, |t_i|)``.
+    otherwise each row doubles its RK4 step count until its own fine pass is
+    kept (see ``OdeSettings`` for the rule).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     times = np.broadcast_to(np.asarray(t, dtype=float), coords.shape[:1])
@@ -155,7 +193,7 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
         _check_domain(A.manifold, out)
         return _post(A.manifold, out), moving.astype(np.int64), err
     if ode.h_init is None:
-        steps = 16
+        steps = 2
     else:
         steps = max(1, int(math.ceil(np.abs(times).max() / max(ode.h_init, 1e-300))))
     steps = min(steps, ode.max_steps // 2)
@@ -164,22 +202,28 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     rows = np.flatnonzero(moving)
     start, t_rows = coords[rows], times[rows]
     tol = ode.tol * np.maximum(1.0, np.abs(t_rows))
-    coarse = _rk4_fixed(A, start, t_rows, steps)
+    prev = np.full(rows.size, np.inf)  # the estimate of the doubling before
+    coarse = _rk4_pass(A, start, t_rows, steps)
     while True:
-        fine = _rk4_fixed(A, start, t_rows, 2 * steps)
-        est = np.max(np.abs(fine - coarse), axis=1) / 15.0
-        done = est <= tol
+        fine = _rk4_pass(A, start, t_rows, 2 * steps)
+        with np.errstate(invalid="ignore"):
+            est = np.max(np.abs(fine - coarse), axis=1) / 15.0
+        # keep a row once its estimate meets tol and has fallen at the fourth-order
+        # rate (about 16x per doubling) from the one before
+        done = (est <= tol) & (prev <= np.maximum(tol, 32.0 * est)) & _inside(A.manifold, fine)
         kept = rows[done]
         out[kept], taken[kept], err[kept] = fine[done], 2 * steps, est[done]
         if done.all():
             return _post(A.manifold, out), taken, err
         if 4 * steps > ode.max_steps:
             raise StepLimitExceededError(
-                f"flow: error {est[~done].max():.2e} > tol at {2 * steps} steps; "
+                f"flow: no pass kept by {2 * steps} steps (estimate up to "
+                f"{est[~done].max():.2e}, tol {tol[~done].min():.2e}); "
                 f"doubling would exceed max_steps = {ode.max_steps}"
             )
         left = ~done
-        rows, start, t_rows, tol, coarse = rows[left], start[left], t_rows[left], tol[left], fine[left]
+        rows, start, t_rows, tol = rows[left], start[left], t_rows[left], tol[left]
+        coarse, prev = fine[left], est[left]
         steps *= 2
 
 

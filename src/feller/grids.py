@@ -148,20 +148,6 @@ class GridFunction:
             return np.pi / self.values.shape[0]
         return TWO_PI / max(self.values.shape)
 
-    def volume_weights(self) -> np.ndarray:
-        """Quadrature weights of the Riemannian volume, one per node (flat)."""
-        name = self.manifold.name
-        if name == "circle":
-            n = self.values.shape[0]
-            return np.full(n, TWO_PI / n)
-        if name == "torus2":
-            n1, n2 = self.values.shape
-            return np.full(n1 * n2, (TWO_PI / n1) * (TWO_PI / n2))
-        nlat, nlon = self.values.shape
-        lat_edges = -0.5 * np.pi + np.arange(nlat + 1) * np.pi / nlat
-        band = np.sin(lat_edges[1:]) - np.sin(lat_edges[:-1])  # exact cell area / dlon
-        return np.repeat(band * (TWO_PI / nlon), nlon)
-
     # -- interpolation -------------------------------------------------------
 
     def build_stencil(self, coords: np.ndarray) -> Stencil:

@@ -187,9 +187,6 @@ class Manifold:
         """Frame components, shape (dim, n, chart_dim)."""
         raise NotParallelizableError(f"{self.name} admits no global smooth frame")
 
-    def g_norm_batch(self, xs, vs):
-        raise NotImplementedError
-
     def dlog_sqrt_det_batch(self, xs):
         """Chart gradient of log(sqrt(det g)), shape like xs."""
         raise NotImplementedError
@@ -240,9 +237,6 @@ class Euclidean(Manifold):
         return np.broadcast_to(
             np.eye(self.dim)[:, None, :], (self.dim, n, self.dim)
         ).copy()
-
-    def g_norm_batch(self, xs, vs):
-        return np.linalg.norm(vs, axis=-1)
 
     def dlog_sqrt_det_batch(self, xs):
         return np.zeros_like(xs)
@@ -386,9 +380,6 @@ class HyperbolicHalfPlane(Manifold):
         out[1, :, 1] = xs[:, 1]
         return out
 
-    def g_norm_batch(self, xs, vs):
-        return np.linalg.norm(vs, axis=-1) / xs[..., 1]
-
     def dlog_sqrt_det_batch(self, xs):
         out = np.zeros_like(xs)
         out[..., 1] = -2.0 / xs[..., 1]
@@ -484,9 +475,6 @@ class Sphere2(Manifold):
         return 2.0 * np.arctan2(np.sqrt(np.einsum("ij,ij->i", diff, diff)),
                                 np.sqrt(np.einsum("ij,ij->i", tot, tot)))
 
-    def g_norm_batch(self, xs, vs):
-        return np.linalg.norm(vs, axis=-1)
-
     def dlog_sqrt_det_batch(self, xs):
         # orthographic chart centered at the evaluation point
         return np.zeros((np.atleast_2d(xs).shape[0], 2))
@@ -574,15 +562,6 @@ class CallbackManifold(Manifold):
 
     def distance_batch(self, xs, ys):
         raise UnsupportedOperationError(f"{self.name}: no distance for callback metrics")
-
-    def g_norm_batch(self, xs, vs):
-        xs = np.atleast_2d(xs)
-        vs = np.atleast_2d(vs)
-        out = np.empty(xs.shape[0])
-        for i in range(xs.shape[0]):
-            g = np.asarray(self._metric_fn(xs[i]), dtype=float)
-            out[i] = np.sqrt(vs[i] @ g @ vs[i])
-        return out
 
     def dlog_sqrt_det_batch(self, xs):
         xs = np.atleast_2d(xs)

@@ -482,6 +482,13 @@ def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
     (["chernoff", "run", "--config",
       {"generator": {"fields": ["frame:1"], "drift": {"policy": "explicit", "field": 2}}}], 2,
      "error: generator drift 'field' must be a string or null, not 2"),
+    (["chernoff", "run", "--manifold", "circle", "--strategy", "tree", "--variant", "general",
+      "--f", "1", "--n", "4", "--t", "1", "--x", "0.3", "--config",
+      {"generator": {"fields": ["frame:1"], "drift": "zero", "potental": "-1"}}], 2,
+     "error: unknown generator keys ['potental']"),
+    (["chernoff", "run", "--config",
+      {"generator": {"fields": ["frame:1"], "drift": {"polcy": "derived"}}}], 2,
+     "error: unknown generator drift keys ['polcy']"),
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a --config file with that JSON content

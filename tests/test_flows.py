@@ -8,6 +8,7 @@ import feller as fl
 from feller.errors import StepLimitExceededError
 from feller.fields import VectorField
 from feller import flows
+from feller.cli import main
 from feller.flows import DEFAULT_ODE, OdeSettings, _integrate, _rk4_fixed, flow_batch, negate
 
 
@@ -152,7 +153,7 @@ def pass_steps(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("max_steps, passes", [(48, [16, 32]), (20, [10, 20])])
+@pytest.mark.parametrize("max_steps, passes", [(48, [2, 4, 8, 16, 32]), (20, [2, 4, 8, 16])])
 def test_max_steps_is_never_exceeded(max_steps, passes, pass_steps):
     # x' = x^2 from 0.5 needs a 64-step fine pass for tol 1e-9 at t = 1
     e1 = fl.euclidean(1)
@@ -163,13 +164,52 @@ def test_max_steps_is_never_exceeded(max_steps, passes, pass_steps):
     pass_steps.clear()
     res = fl.integral_curve(A, e1.point([0.5]), 1.0, OdeSettings(max_steps=64))
     assert res.steps_taken == 64 and res.est_error <= 1e-9
-    assert pass_steps == [16, 32, 64]
+    assert pass_steps == [2, 4, 8, 16, 32, 64]
 
 
 def test_max_steps_needs_a_coarse_and_a_fine_pass():
     with pytest.raises(ValueError):
-        OdeSettings(max_steps=1)
-    OdeSettings(max_steps=2)
+        OdeSettings(max_steps=3)
+    OdeSettings(max_steps=4)
+    assert main(["chernoff", "run", "--ode-max-steps", "3"]) == 2
+
+
+def test_a_row_is_kept_only_once_its_estimate_falls_at_fourth_order():
+    # at 8 steps this row's estimate (9.5e-10) meets tol while its true error is
+    # 10.7 tol; the estimate before it (5.3e-7) shows the passes are not yet
+    # asymptotic, so the row goes on to 16 steps
+    circ = fl.circle()
+    A = fl.field_from_string(circ, "custom:1+0.99*sin(5*theta)")
+    start = np.array([[0.87249094]])
+    res = fl.integral_curve(A, circ.point(start[0]), 1.0)
+    ref = circ.wrap(_rk4_fixed(A, start, 1.0, 16384))[0, 0]
+    assert res.steps_taken >= 16
+    assert abs(res.endpoint.coords[0] - ref) <= DEFAULT_ODE.tol
+
+
+def test_h2_flow_within_three_tol_of_its_closed_form():
+    # x' = x/2, y' = -y^3: (x e^{t/2}, 1/sqrt(1/y^2 + 2t)); 6.40 tol when rows
+    # were kept on the estimate alone
+    h2 = fl.hyperbolic_h2()
+    A = fl.field_from_string(h2, "custom:0.5*x,-y^3")
+    rng = np.random.default_rng(0)
+    starts = np.column_stack([rng.uniform(-2.0, 2.0, 400), rng.uniform(0.5, 2.0, 400)])
+    t = 1.0
+    exact = np.column_stack([starts[:, 0] * math.exp(t / 2), 1.0 / np.sqrt(1.0 / starts[:, 1] ** 2 + 2 * t)])
+    assert np.abs(flow_batch(A, starts, t) - exact).max() <= 3 * DEFAULT_ODE.tol
+
+
+def test_short_passes_may_leave_the_chart():
+    # the 2-, 4- and 8-step passes of y' = -5y^3 from y = 2 reach y <= 0
+    h2 = fl.hyperbolic_h2()
+    A = fl.field_from_string(h2, "custom:0,-5*y^3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fl.integral_curve(A, h2.point([0.0, 2.0]), 1.0)
+    assert abs(res.endpoint.coords[1] - 1.0 / math.sqrt(0.25 + 10.0)) <= DEFAULT_ODE.tol
+    B = fl.field_from_string(h2, "custom:0,-exp(y)")
+    with pytest.raises(StepLimitExceededError, match="chart"):
+        fl.integral_curve(B, h2.point([0.0, 2.0]), 1.0)
 
 
 @pytest.mark.parametrize("kw", [
