@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the weighted stencil gather and counter-based uniforms.
+"""Hot numeric kernels: the weighted stencil gather and counter-based random words.
 
 Both are plain numpy and deterministic, so every result is bit-reproducible.
 """
@@ -27,39 +27,62 @@ def gather_weighted(values, idx, w):
     return acc
 
 
-# -- counter-based uniform variates ------------------------------------------
+# -- counter-based random words ----------------------------------------------
 #
-# The splitmix64 finalizer used as a stateless counter-based generator.
-# Per-path substreams come from mixing (seed, path index); the m-th variate
-# of a substream is finalize(stream + (m+1) * golden).  Deterministic and
+# The splitmix64 finalizer used as a stateless counter-based generator
+# (Salmon et al., SC 2011).  Per-path substreams come from mixing (seed, path
+# index); the m-th word of a substream is finalize(stream + (m+1) * golden),
+# uniform on [0, 2^64).  Callers compare the raw words with integer
+# thresholds, so no word is ever rounded to a float.  Deterministic and
 # order-free, hence independent of any worker decomposition.
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_INV = 1.0 / 18446744073709551616.0  # 2**-64
+_WORD = 1 << 64
+_GOLDEN = 0x9E3779B97F4A7C15
+_ROUNDS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+    (np.uint64(31), None),
+)
+_CHUNK = 1 << 14  # words per pass: a chunk and its scratch stay in cache
 
 
 def _finalize(z):
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    """splitmix64's finalizer, in place on the contiguous uint64 array ``z``.
+
+    The eight passes run a chunk at a time, so they read and write cache,
+    not memory; one chunk-sized scratch buffer holds the shifted words.
+    """
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+    for lo in range(0, flat.size, _CHUNK):
+        w = flat[lo : lo + _CHUNK]
+        t = scratch[: w.size]
+        for shift, mix in _ROUNDS:
+            np.right_shift(w, shift, out=t)
+            np.bitwise_xor(w, t, out=w)
+            if mix is not None:
+                np.multiply(w, mix, out=w)
+    return z
+
+
+def _plus(words, c: int):
+    """uint64 array words + c (mod 2^64), in a new buffer."""
+    return np.add(words, np.uint64(c % _WORD), out=np.empty_like(words))
 
 
 def step_uniforms(streams, step):
-    """Uniform [0,1) variates u[i] = finalize(streams[i] + (step+1)*golden) / 2**64."""
-    streams = np.asarray(streams, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _finalize(streams + np.uint64(step + 1) * _GOLDEN)
-    return z.astype(np.float64) * _INV
+    """Words z[i] = finalize(streams[i] + (step+1)*golden), uniform on [0, 2^64) as uint64."""
+    return _finalize(_plus(np.asarray(streams, dtype=np.uint64), (step + 1) * _GOLDEN))
 
 
 def substream(seed: int, index) -> np.ndarray:
-    """64-bit substream identifiers mixed from (seed, index) pairs."""
+    """64-bit substream identifiers mixed from (seed, index) pairs.
+
+    ValueError unless ``0 <= seed < 2^64``.
+    """
+    if not 0 <= seed < _WORD:
+        raise ValueError("seed must be in [0, 2^64)")
+    seed_mixed = int(_finalize(_plus(np.array(seed, dtype=np.uint64), _GOLDEN)))
     idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        seed_mixed = _finalize(np.uint64(seed) + _GOLDEN)
-        return _finalize(seed_mixed + idx * _GOLDEN + _GOLDEN)
+    words = np.multiply(idx, np.uint64(_GOLDEN), out=np.empty_like(idx))
+    return _finalize(_plus(words, seed_mixed + _GOLDEN))

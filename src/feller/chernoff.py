@@ -37,9 +37,15 @@ Every parallelizable built-in is a Lie group whose frame is left-invariant:
 R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group.  Each
 heat-geodesic branch is therefore right-multiplication by one fixed group
 element ``h_b(s)``, the frame geodesic from the identity: its ``move`` is
-``compose(coords, h_b(s))`` and it carries ``shift(s) -> h_b(s)``.  The sample
-loop moves all rows by one gather ``H[drawn]`` and one ``compose`` instead of
-one masked move per branch.
+``compose(coords, h_b(s))`` and it carries ``shift(s) -> h_b(s)``.
+
+Draws are integer: each step takes one splitmix64 word per row from
+``_kernels.step_uniforms`` and compares it with the thresholds
+``ceil(cumw_j * 2^64)`` of the exact cumulative weights.  A heat-geodesic MC
+path is a random walk on the group, ``x h_{d_1} ... h_{d_n}``, so the sample
+loop folds k draws into one index and moves all rows by one gather from a
+table of the ``b^k`` group products and one ``compose`` per k steps; flow
+branches move their rows by mask, one step at a time.
 """
 
 from __future__ import annotations
@@ -203,6 +209,41 @@ def branch_moves(
     return branches
 
 
+# a folded block of draws indexes a table of at most this many group products
+_TABLE_ROWS = 4096
+
+
+def _thresholds(branches: Sequence[Branch]) -> list:
+    """Integer thresholds ``T_j = ceil(cumw_j * 2^64)`` of every branch but the last.
+
+    A word z, uniform on [0, 2^64), draws branch ``sum_j (T_j <= z)``: the
+    first branch whose cumulative weight exceeds ``z / 2^64``, compared
+    exactly.  Only the last cumulative weight, 1, would not fit a word.
+    """
+    cumw, out = Fraction(0), []
+    for br in branches[:-1]:
+        cumw += br.weight
+        out.append(np.uint64(-(-(cumw.numerator << 64) // cumw.denominator)))
+    return out
+
+
+def _block_len(b: int) -> int:
+    """The largest k with ``b^k <= _TABLE_ROWS`` for ``b >= 2`` branches: the
+    draws folded into one index."""
+    k = 1
+    while b ** (k + 1) <= _TABLE_ROWS:
+        k += 1
+    return k
+
+
+def _products(H: np.ndarray, k: int, compose) -> np.ndarray:
+    """The ``b^k`` group products ``h_{d_1} ... h_{d_k}``, in row ``sum_i d_i b^(k-i)``."""
+    P = H
+    for _ in range(k - 1):
+        P = compose(np.repeat(P, len(H), axis=0), np.tile(H, (len(P), 1)))
+    return P
+
+
 def sample_steps(
     branches: Sequence[Branch],
     s: float,
@@ -213,31 +254,50 @@ def sample_steps(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
 
-    Step m draws ``u = step_uniforms(streams, m)`` per row and takes the first
-    branch whose cumulative weight exceeds u.  Yields each step's branch
-    indices and ``coords`` as they are before the move (the live array: copy
-    what must be kept); the move runs when the caller asks for the next step.
-    With ``compose`` (the manifold's) given and a shift on every branch, a
-    step moves all rows by one gather of the shifts ``H[drawn]`` and one
-    ``compose``; otherwise each branch moves its rows by mask.
+    Step m draws the word ``z = step_uniforms(streams, m)`` per row and takes
+    branch ``sum_j (T_j <= z)`` over the integer thresholds of ``_thresholds``.
+    The loop runs in blocks of k steps and yields once per block: the block's
+    draws and ``coords`` as they are before the block's moves (the live array:
+    copy what must be kept); the moves run when the caller asks for the next
+    block.
+
+    Without ``compose``, or with a branch that has no shift, k = 1: each
+    step yields its branch indices, and each branch moves its rows by mask.
+    With ``compose`` (the manifold's) and a shift on every branch, a path is
+    a random walk on the group, ``x h_{d_1} ... h_{d_n}``.  Then k is the
+    largest integer with ``b^k <= 4096`` for b branches (6 for b = 4, 12 for
+    b = 2), a block yields its draws folded into one index
+    ``sum_i d_i b^(k-i)``, and it moves all rows by one gather from a table
+    of the ``b^k`` products and one ``compose``.  The tables (one for the
+    last ``steps mod k`` draws) are built once per call by repeated
+    ``compose``, so endpoints differ from step-by-step moves by rounding only.
     """
-    cumw = np.cumsum([float(b.weight) for b in branches])
-    # u in [0, 1) passes cumw[j] for exactly the branches before the drawn one
-    thresholds = cumw[:-1]
-    shifted = compose is not None and all(br.shift is not None for br in branches)
-    if shifted:
+    b = len(branches)
+    thresholds = _thresholds(branches)
+    folded = compose is not None and all(br.shift is not None for br in branches)
+    k = _block_len(b) if folded else 1
+    if folded:
         H = np.array([br.shift(s) for br in branches])
-    for step in range(steps):
-        u = step_uniforms(streams, step)
-        drawn = np.zeros(u.shape, dtype=np.intp)
-        for c in thresholds:
-            drawn += c <= u
-        yield drawn, coords
-        if shifted:
-            coords[...] = compose(coords, np.take(H, drawn, axis=0))
+        tables = {}
+    index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
+    for start in range(0, steps, k):
+        size = min(k, steps - start)
+        for step in range(start, start + size):
+            z = step_uniforms(streams, step)
+            if step == start:
+                idx = np.zeros(z.shape, dtype=index_type)
+            else:
+                idx *= b
+            for T in thresholds:
+                idx += T <= z
+        yield idx, coords
+        if folded:
+            if size not in tables:
+                tables[size] = _products(H, size, compose)
+            coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
             continue
-        for b, br in enumerate(branches):
-            mask = drawn == b
+        for j, br in enumerate(branches):
+            mask = idx == j
             if np.any(mask):
                 coords[mask] = br.move(coords[mask], s)
 
@@ -405,12 +465,14 @@ def iterate_mc(
 ) -> McEstimate:
     """Monte-Carlo estimate of (S(t/n)^n f)(x).
 
-    One branch is drawn per step with probability equal to its weight; with a
-    potential present the multiplicative factor (1 + (t/n) c(state)) is
-    accumulated along the path.  For c = 0 this is an unbiased estimator of
+    One branch is drawn per step with probability equal to its weight, from
+    one integer word per path and step (``sample_steps``); with a potential
+    present the multiplicative factor (1 + (t/n) c(state)) is accumulated
+    along the path.  Heat-geodesic paths move k steps at a time by one group
+    product each.  For c = 0 this is an unbiased estimator of
     ``iterate_tree``; substreams are derived statelessly from
     (seed, path index), so results are reproducible and independent of any
-    worker decomposition.
+    worker decomposition.  ValueError unless ``0 <= seed < 2^64``.
     """
     spec.manifold._check_point(x)
     check_steps(t, n)

@@ -14,6 +14,7 @@ from feller.chernoff import ChernoffVariant as CV
 from feller.chernoff import branch_moves, sample_steps
 from feller.errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
 from feller.grids import GridFunction
+from feller.walks import walk_endpoints
 
 
 def quad_spec():
@@ -272,32 +273,32 @@ def test_mc_deterministic_per_seed():
     assert a.mean != c.mean
 
 
-def _table_draws(monkeypatch, branches, us):
-    """The branch indices sample_steps draws when step m's uniforms are us[m]."""
-    monkeypatch.setattr(chernoff, "step_uniforms", lambda streams, step: us[step])
-    coords = np.zeros((us.shape[1], 1))
-    return np.array([d.copy() for d, _ in sample_steps(branches, 0.1, coords, None, len(us))])
+def _table_draws(monkeypatch, branches, words):
+    """The branch indices sample_steps draws when step m's words are words[m]."""
+    monkeypatch.setattr(chernoff, "step_uniforms", lambda streams, step: words[step])
+    coords = np.zeros((words.shape[1], 1))
+    return np.array([d.copy() for d, _ in sample_steps(branches, 0.1, coords, None, len(words))])
 
 
 def test_branch_draw_matches_searchsorted(monkeypatch):
-    # the draw sum_j (cumw[j] <= u) over cumw[:-1] against the first branch
-    # whose cumulative weight exceeds u, on random u and on every boundary
+    # the draw sum_j (T_j <= z) against the first branch whose cumulative
+    # weight exceeds z / 2^64, compared exactly, on random words and on every
+    # threshold T_j = ceil(cumw_j 2^64); four of the six (7/12, 2/3, 5/6,
+    # 11/12) are not dyadic, so their T_j round up
     circ = fl.circle()
     fields = [fl.frame_field(circ, 1), fl.constant_field(circ, [0.5]), fl.constant_field(circ, [2.0])]
     branches = branch_moves(fl.GeneratorSpec(fields), CV.GENERAL)  # weights 1/2, 1/12 x 6
-    cumw = np.cumsum([float(b.weight) for b in branches])
-    cumw[-1] = 1.0
-    edges = cumw[:-1]
-    boundary = np.concatenate(
-        [[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]
-    )
-    us = np.stack([step_uniforms(substream(5, np.arange(boundary.size)), m) for m in range(50)])
-    us = np.concatenate([us, boundary[None, :]])
-    want = np.searchsorted(cumw, us, side="right")
-    np.testing.assert_array_equal(_table_draws(monkeypatch, branches, us), want)
-    assert np.all(np.bincount(want.ravel(), minlength=len(branches)) > 0)
-    # step_uniforms rounds to 1.0 for the top 2^-54 of its range: the last branch
-    assert _table_draws(monkeypatch, branches, np.ones((1, 1)))[0, 0] == len(branches) - 1
+    cumw = np.cumsum([b.weight for b in branches])
+    assert cumw[-1] == 1 and sum(w * 2**64 != math.ceil(w * 2**64) for w in cumw) == 4
+    edges = [math.ceil(w * 2**64) for w in cumw[:-1]]
+    boundary = [0, 2**64 - 1] + [e + d for e in edges for d in (-1, 0, 1)]
+    words = np.stack([step_uniforms(substream(5, np.arange(len(boundary))), m) for m in range(50)])
+    words = np.concatenate([words, np.array([boundary], dtype=np.uint64)])
+    want = [[sum(w <= Fraction(int(z), 2**64) for w in cumw) for z in row] for row in words]
+    np.testing.assert_array_equal(_table_draws(monkeypatch, branches, words), want)
+    assert np.all(np.bincount(np.ravel(want), minlength=len(branches)) > 0)
+    # the largest word draws the last branch
+    assert want[-1][1] == len(branches) - 1
 
 
 # -- group shifts ------------------------------------------------------------------------------
@@ -366,20 +367,70 @@ def test_compose_with_shift_is_the_move(name, x0, log_y, s):
     np.testing.assert_allclose(m.compose(up[None, :], down), e, atol=1e-12)
 
 
+def _chain(table, start, n, compose):
+    """Every block sample_steps yields for n steps of 1/8 from ``start``, and the endpoints."""
+    coords = start.copy()
+    streams = substream(3, np.arange(start.shape[0]))
+    blocks = [d.copy() for d, _ in sample_steps(table, 1.0 / 8, coords, streams, n, compose)]
+    return blocks, coords
+
+
 @pytest.mark.parametrize("name", GROUP_CHARTS)
 def test_sample_steps_shifts_match_the_moves(name):
-    # the gather-and-compose step against masked closed-form geodesic moves
+    # the folded blocks of k draws, each one gather from a table of group
+    # products and one compose, against masked closed-form geodesic moves one
+    # step at a time: the same draws, and endpoints equal up to rounding (the
+    # products associate differently)
     m, branches = _heat_branches(name)
+    b = len(branches)
+    k = max(j for j in range(1, 13) if b**j <= 4096)
+    assert k == {2: 12, 4: 6}[b]
     start = np.tile(m.random_points(1, np.random.default_rng(4)), (400, 1))
     reference = [replace(br, move=move, shift=None) for br, move in zip(branches, _geodesic_moves(m))]
+    for n in (1, k - 1, k, k + 1, 2 * k + 3):
+        blocks, end = _chain(branches, start, n, m.compose)
+        steps, want = _chain(reference, start, n, m.compose)
+        sizes = [min(k, n - i) for i in range(0, n, k)]
+        assert len(steps) == n and len(blocks) == len(sizes)
+        decoded = [idx // b ** (size - 1 - i) % b for idx, size in zip(blocks, sizes) for i in range(size)]
+        np.testing.assert_array_equal(decoded, steps)
+        np.testing.assert_allclose(end, want, rtol=1e-12, atol=1e-12)
+        assert not np.array_equal(end, start)
+
+
+def test_mc_rows_do_not_depend_on_the_batch():
+    h2 = fl.hyperbolic_h2()
+    spec = fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)])
     ends = []
-    for table in (branches, reference):
-        coords = start.copy()
-        for _ in sample_steps(table, 1.0 / 8, coords, substream(3, np.arange(400)), 8, m.compose):
-            pass
-        ends.append(coords)
-    _assert_shift_matches(m, ends[0], ends[1])
-    assert not np.array_equal(ends[0], start)
+
+    def f(c):
+        ends.append(c.copy())
+        return c[:, 1]
+
+    for samples in (20, 10):
+        fl.iterate_mc(spec, CV.HEAT_GEODESIC, 0.5, 32, f, h2.point([0.5, 1.0]), samples, seed=9181)
+    np.testing.assert_array_equal(ends[0][:10], ends[1])
+
+
+def test_one_word_per_row_and_step(monkeypatch):
+    # the bench reads chernoff.mc.sample_steps and walks.sample_steps as the
+    # words step_uniforms returns: one call per step, one word per row
+    calls = []
+
+    def counted(streams, step):
+        words = step_uniforms(streams, step)
+        calls.append(words.size)
+        return words
+
+    monkeypatch.setattr(chernoff, "step_uniforms", counted)
+    h2 = fl.hyperbolic_h2()
+    spec = fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)])
+    fl.iterate_mc(spec, CV.HEAT_GEODESIC, 0.5, 32, lambda c: c[:, 1], h2.point([0.5, 1.0]), 300, seed=1)
+    assert calls == [300] * 32
+    calls.clear()
+    circle_spec, circ = circle_heat()
+    walk_endpoints(circle_spec, circ.point([0.3]), 1.37, 16, 50, seed=2)
+    assert calls == [50] * 21
 
 
 # -- strategy agreement ----------------------------------------------------------------------

@@ -489,6 +489,11 @@ def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
     (["chernoff", "run", "--config",
       {"generator": {"fields": ["frame:1"], "drift": {"polcy": "derived"}}}], 2,
      "error: unknown generator drift keys ['polcy']"),
+] + [
+    (["chernoff", "run", "--manifold", "circle", "--variant", "heat-geodesic", "--strategy", "mc",
+      "--n", "4", "--t", "1", "--x", "0.3", "--f", "cos(theta)", "--samples", "100",
+      "--seed", seed], 2, "error: seed must be in [0, 2^64)")
+    for seed in ("-1", "18446744073709551616")
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a --config file with that JSON content

@@ -1,11 +1,19 @@
 import numpy as np
+import pytest
 
 from feller import _kernels as K
 
 
+def _uniforms(streams, step):
+    """The words of ``step`` scaled to [0, 1]."""
+    words = K.step_uniforms(streams, step)
+    assert words.dtype == np.uint64
+    return words * 2.0**-64
+
+
 def test_uniforms_range_and_moments():
     streams = K.substream(7, np.arange(200_000))
-    u = K.step_uniforms(streams, 3)
+    u = _uniforms(streams, 3)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
@@ -22,7 +30,34 @@ def test_substreams_distinct_and_deterministic():
 
 def test_step_decorrelated():
     streams = K.substream(3, np.arange(50_000))
-    u0 = K.step_uniforms(streams, 0)
-    u1 = K.step_uniforms(streams, 1)
+    u0 = _uniforms(streams, 0)
+    u1 = _uniforms(streams, 1)
     corr = np.corrcoef(u0, u1)[0, 1]
     assert abs(corr) < 0.02
+
+
+def _splitmix64(z: int) -> int:
+    """splitmix64's finalizer on one Python integer (mod 2^64)."""
+    mask = (1 << 64) - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 7, 2**64 - 1])
+def test_words_are_splitmix64_of_the_counter(seed):
+    golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    index = np.array([0, 1, 2, 999, 2**40])
+    streams = K.substream(seed, index)
+    mixed = _splitmix64((seed + golden) & mask)
+    want = [_splitmix64((mixed + int(i) * golden + golden) & mask) for i in index]
+    assert streams.tolist() == want
+    for step in (0, 7, 2**33):
+        want_z = [_splitmix64((w + (step + 1) * golden) & mask) for w in want]
+        assert K.step_uniforms(streams, step).tolist() == want_z
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_a_word_is_refused(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        K.substream(seed, np.arange(3))

@@ -420,6 +420,21 @@ def test_negative_time_refused():
                 call()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_a_word_refused(seed):
+    spec, circ = circle_heat()
+    x = circ.point([0.3])
+    h2_spec, h2 = h2_heat()
+    y = h2.point([0.2, 1.5])
+    for call in (
+        lambda: fl.iterate_mc(h2_spec, CV.HEAT_GEODESIC, 1.0, 4, lambda c: c[:, 1], y, 10, seed),
+        lambda: walk_endpoints(spec, x, 1.0, 4, 10, seed),
+        lambda: fl.sample_jump_path(spec, x, 1.0, 4, seed),
+    ):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            call()
+
+
 def test_expectation_equivalent_to_iterate_mc():
     # same law; means agree within combined error bars
     spec, circ = circle_heat()
