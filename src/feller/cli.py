@@ -16,16 +16,17 @@ Subcommands
 ``validate``       run the acceptance criteria; exit 1 on failure.
 
 ``chernoff run``, ``walk sample`` and ``walk stats`` share ``--manifold
---generator --t --seed --out --config --ode-tol --ode-h0 --ode-max-steps``
+--generator --t --seed --out --config --ode-tol --ode-max-steps``
 and resolve one ``ExperimentConfig``: the defaults, then the ``--config``
 file (keys that are not fields, and values whose JSON type is not that of
 the field's default, are refused), then the explicit flags, then
 the ``--generator`` file (it replaces the ``generator`` key) and the
-``--ode-*`` flags (merged into ``ode``).  The resolved configuration is
-recorded in the output header (CSV comment lines, schema=1), so a run is
-reproducible from its own header.  ``chernoff run`` builds its problem and
-evaluates its oracle once, before any row.  ``CHERNOFF_THREADS`` caps
-worker threads.
+``--ode-*`` flags (merged into ``ode``, which takes only ``tol`` and
+``max_steps``).  The resolved configuration is recorded in the output header
+(CSV comment lines, schema=1), so a run is reproducible from its own header.
+``chernoff run`` builds its problem and evaluates its oracle once, before any
+row; a failed row is listed in the summary, and a run whose every row fails
+exits 2.  ``CHERNOFF_THREADS`` caps worker threads.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from . import walks as wk
 from .chernoff import ChernoffVariant, iterate_grid, iterate_mc, iterate_tree
 from .errors import FellerError, OracleUnavailableError
 from .expressions import compile_scalar
-from .flows import OdeSettings
+from .flows import DEFAULT_ODE, OdeSettings
 from .grids import GridFunction
 
 SCHEMA = 1
@@ -110,6 +111,17 @@ def _load_config(path: Optional[str]) -> dict:
     return value
 
 
+def _check_keys(kind: str, values: dict, types: dict):
+    """Refuse a key of ``values`` outside ``types``, or a value of another JSON type."""
+    unknown = sorted(set(values) - types.keys())
+    if unknown:
+        raise ValueError(f"unknown {kind} keys {unknown}")
+    for key, value in values.items():
+        allowed, what = types[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"{kind} key {key!r} must be {what}, not {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then the --config file, then the explicit flags, which win.
 
@@ -118,13 +130,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     flags are applied after those.
     """
     file_values = _load_config(args.config)
-    unknown = sorted(set(file_values) - _CONFIG_TYPES.keys())
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}")
-    for key, value in file_values.items():
-        types, what = _CONFIG_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+    _check_keys("config", file_values, _CONFIG_TYPES)
     cfg = ExperimentConfig(**file_values)
     for key, value in vars(args).items():
         if key in _CONFIG_TYPES and value is not None:
@@ -133,7 +139,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         raise ValueError("paths must be >= 0")
     if args.generator_file:
         cfg.generator = _load_config(args.generator_file)
-    ode = {"tol": args.ode_tol, "h0": args.ode_h0, "max_steps": args.ode_max_steps}
+    ode = {"tol": args.ode_tol, "max_steps": args.ode_max_steps}
     cfg.ode = {**(cfg.ode or {}), **{k: v for k, v in ode.items() if v is not None}}
     return cfg
 
@@ -196,13 +202,15 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
     )
 
 
+# the JSON types an ``ode`` value may take, by the type of its OdeSettings default
+_ODE_TYPES = {k: _VALUE_TYPES[type(v)] for k, v in asdict(DEFAULT_ODE).items()}
+
+
 def _ode_settings(cfg: ExperimentConfig) -> OdeSettings:
+    """The RK4 settings of the ``ode`` object; another key or JSON type is refused."""
     o = cfg.ode or {}
-    return OdeSettings(
-        h_init=o.get("h0"),
-        tol=float(o.get("tol", 1e-9)),
-        max_steps=int(o.get("max_steps", 10**6)),
-    )
+    _check_keys("ode", o, _ODE_TYPES)
+    return replace(DEFAULT_ODE, **o)
 
 
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
@@ -337,6 +345,10 @@ def _cmd_chernoff_run(args) -> int:
     cfg = _resolve(args)
     if cfg.oracle:
         rows, summary = run_convergence(cfg)
+        if summary["failures"] and not rows:  # exit as the run without --oracle would
+            messages = dict.fromkeys(f["error"] for f in summary["failures"])
+            print(f"error: {'; '.join(messages)}", file=sys.stderr)
+            return 2
         _write_csv(
             cfg.out,
             _header_lines(cfg),
@@ -562,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out")
     shared.add_argument("--config")
     shared.add_argument("--ode-tol", type=float)
-    shared.add_argument("--ode-h0", type=float)
     shared.add_argument("--ode-max-steps", type=int)
 
     chernoff = sub.add_parser("chernoff", help="semigroup approximation runs")

@@ -3,15 +3,15 @@
 One engine backs the flow maps: fixed-step RK4 over a batch of starts, with
 step doubling.  ``flow_batch`` is the vectorized hot path used by the Chernoff
 branches and the walk samplers.  It takes one time for the batch or one time
-per row, and each row converges on its own: every row starts at 2 steps (or at
-the ``h_init`` start), and a row leaves the doubling loop, keeping its own fine
-result, at the first pass whose Richardson estimate meets
-``tol * max(1, |t_i|)`` and has fallen at the fourth-order rate from the
-doubling before (see ``OdeSettings``).  A row's endpoint is therefore the same
-in any batch, and the same as alone.  Passes of fewer than 16 steps may leave
-the chart or overflow; such a row is just not kept there.  ``integral_curve``
-runs the same engine on a single start and reports that row's step count (the
-fine pass it kept) and its Richardson estimate.
+per row, and each row converges on its own: every row starts at 2 steps, and a
+row leaves the doubling loop, keeping its own fine result, at the first pass
+whose Richardson estimate meets ``tol * max(1, |t_i|)`` and has fallen at the
+fourth-order rate from the doubling before (see ``OdeSettings``).  A row's
+endpoint is therefore the same in any batch, and the same as alone.  Passes of
+fewer than 16 steps may leave the chart (``Manifold.in_chart``) or overflow;
+such a row is just not kept there.  ``integral_curve`` runs the same engine on
+a single start and reports that row's step count (the fine pass it kept) and
+its Richardson estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
 built-ins, sphere rotations, the zero field) short-circuit the engine, which
@@ -39,12 +39,9 @@ _DEFAULT_MAX_STEPS = 10**6
 class OdeSettings:
     """Configuration of the step-doubling RK4 engine.
 
-    Every row doubles its step count from a start.  By default
-    (``h_init=None``) the start is 2 steps; an explicit ``h_init`` starts every
-    row of a batch at ``ceil(max_i |t_i| / h_init)`` steps, one count for the
-    batch, so with per-row times a row's result then depends on the longest
-    time beside it.  Each doubling compares a coarse pass with the fine pass of
-    twice its steps, and a row keeps that fine pass once all three hold:
+    Every row starts at 2 steps and doubles its step count.  Each doubling
+    compares a coarse pass with the fine pass of twice its steps, and a row
+    keeps that fine pass once all three hold:
 
     * its Richardson estimate ``est = max|fine - coarse| / 15`` meets
       ``tol_i = tol * max(1, |t_i|)``;
@@ -52,31 +49,29 @@ class OdeSettings:
       ``max(tol_i, 32 * est)``.  For a fourth-order method the estimate falls
       about 16x per doubling; passes not yet in that regime can understate
       their error.  The first doubling has no ``prev``, so the smallest pass
-      kept is 4x the start: 8 steps by default;
-    * the fine pass is finite and inside the chart (H2: ``y > 0``).
+      kept is 8 steps;
+    * the fine pass is inside the chart (``Manifold.in_chart``: finite, and
+      on H2 ``y > 0``).
 
     A pass of fewer than 16 steps may leave the chart or overflow without
     raising; from 16 steps on, such a pass raises ``StepLimitExceededError``.
-    No pass runs more than ``max_steps`` steps (the first coarse pass is capped
-    at ``max_steps // 2``); a row not kept when the next doubling would exceed
-    it raises ``StepLimitExceededError``.  ``max_steps`` must be at least 4.
+    No pass runs more than ``max_steps`` steps; a row not kept when the next
+    doubling would exceed it raises ``StepLimitExceededError``.  ``max_steps``
+    must be at least 4.
 
     ``tol`` bounds the estimate of the pass a row keeps, not that pass's true
     error, which can be larger: over 16 (field, t) cases with 400 starts each
     on the circle, H2 and R^1 the worst was 2.36 ``tol_i`` (``1+x1^2`` on R^1
     at t = 1), then 2.13 (H2 ``0.5*x,-y^3``) and 2.12 (R^1 ``-x1^3``); see
-    ``BENCH_11.json``.  ``tol`` and ``h_init`` must be ``> 0``; NaN is refused.
+    ``BENCH_11.json``.  ``tol`` must be ``> 0``; NaN is refused.
     """
 
-    h_init: Optional[float] = None
     tol: float = _DEFAULT_TOL
     max_steps: int = _DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.h_init is not None and not self.h_init > 0.0:
-            raise ValueError(f"h_init must be > 0, got {self.h_init}")
         if self.max_steps < 4:
             raise ValueError("max_steps must be >= 4 (a coarse pass and two doublings)")
 
@@ -119,29 +114,6 @@ def _rhs(A: VectorField, m: Manifold):
     return A.comps
 
 
-def _post(m: Manifold, c: np.ndarray) -> np.ndarray:
-    if isinstance(m, Sphere2):
-        return c / np.linalg.norm(c, axis=-1, keepdims=True)
-    return m.wrap(c)
-
-
-def _check_domain(m: Manifold, c: np.ndarray):
-    if m.name == "hyperbolic-h2" and np.any(c[..., 1] <= 0.0):
-        raise StepLimitExceededError(
-            "hyperbolic-h2: integral curve left the chart domain y > 0"
-        )
-    if not np.all(np.isfinite(c)):
-        raise StepLimitExceededError("integral curve diverged (non-finite state)")
-
-
-def _inside(m: Manifold, c: np.ndarray) -> np.ndarray:
-    """Per row: finite, and inside the chart (H2: ``y > 0``)."""
-    ok = np.isfinite(c).all(axis=1)
-    if m.name == "hyperbolic-h2":
-        ok &= c[:, 1] > 0.0
-    return ok
-
-
 def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
     """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row."""
     rhs = _rhs(A, A.manifold)
@@ -164,12 +136,12 @@ _CHECKED_STEPS = 16
 
 
 def _rk4_pass(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
-    if steps >= _CHECKED_STEPS:
-        c = _rk4_fixed(A, coords, t, steps)
-        _check_domain(A.manifold, c)
-        return c
+    m = A.manifold
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _rk4_fixed(A, coords, t, steps)
+        c = _rk4_fixed(A, coords, t, steps)
+    if steps >= _CHECKED_STEPS and not m.in_chart(c).all():
+        raise StepLimitExceededError(f"{m.name}: integral curve left the chart or diverged")
+    return c
 
 
 def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
@@ -180,23 +152,21 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     otherwise each row doubles its RK4 step count until its own fine pass is
     kept (see ``OdeSettings`` for the rule).
     """
+    m = A.manifold
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     times = np.broadcast_to(np.asarray(t, dtype=float), coords.shape[:1])
     moving = times != 0.0
     err = np.zeros(coords.shape[0])
     if A.is_zero or not moving.any():
-        return _post(A.manifold, coords.copy()), np.zeros(coords.shape[0], dtype=np.int64), err
+        return m.wrap(coords.copy()), np.zeros(coords.shape[0], dtype=np.int64), err
     if A.flow is not None:
         out = A.flow(coords, t)
         if not moving.all():  # as a scalar call with t = 0 would
             out[~moving] = coords[~moving]
-        _check_domain(A.manifold, out)
-        return _post(A.manifold, out), moving.astype(np.int64), err
-    if ode.h_init is None:
-        steps = 2
-    else:
-        steps = max(1, int(math.ceil(np.abs(times).max() / max(ode.h_init, 1e-300))))
-    steps = min(steps, ode.max_steps // 2)
+        if not m.in_chart(out).all():
+            raise StepLimitExceededError(f"{m.name}: integral curve left the chart or diverged")
+        return m.wrap(out), moving.astype(np.int64), err
+    steps = 2
     out = coords.copy()
     taken = np.zeros(coords.shape[0], dtype=np.int64)
     rows = np.flatnonzero(moving)
@@ -210,11 +180,11 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
             est = np.max(np.abs(fine - coarse), axis=1) / 15.0
         # keep a row once its estimate meets tol and has fallen at the fourth-order
         # rate (about 16x per doubling) from the one before
-        done = (est <= tol) & (prev <= np.maximum(tol, 32.0 * est)) & _inside(A.manifold, fine)
+        done = (est <= tol) & (prev <= np.maximum(tol, 32.0 * est)) & m.in_chart(fine)
         kept = rows[done]
         out[kept], taken[kept], err[kept] = fine[done], 2 * steps, est[done]
         if done.all():
-            return _post(A.manifold, out), taken, err
+            return m.wrap(out), taken, err
         if 4 * steps > ode.max_steps:
             raise StepLimitExceededError(
                 f"flow: no pass kept by {2 * steps} steps (estimate up to "

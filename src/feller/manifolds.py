@@ -168,6 +168,10 @@ class Manifold:
         """Reduce chart coordinates to their canonical representatives."""
         return coords
 
+    def in_chart(self, coords: np.ndarray) -> np.ndarray:
+        """Per row of ``coords``: finite and inside the chart's domain."""
+        return np.isfinite(coords).all(axis=-1)
+
     def geodesic_batch(self, xs, vs, t):
         raise NotImplementedError
 
@@ -293,6 +297,9 @@ class HyperbolicHalfPlane(Manifold):
         if c[1] <= 0.0:
             raise InvalidPointError("hyperbolic-h2: y must be > 0")
         return c
+
+    def in_chart(self, coords):
+        return super().in_chart(coords) & (coords[..., 1] > 0.0)
 
     def metric(self, x):
         self._check_point(x)
@@ -423,6 +430,8 @@ class Sphere2(Manifold):
     def _renorm(q):
         return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
+    wrap = _renorm  # project onto the sphere
+
     def metric(self, x):
         self._check_point(x)
         eye = np.eye(2)
@@ -482,100 +491,6 @@ class Sphere2(Manifold):
     def random_points(self, n, rng):
         q = rng.normal(size=(n, 3))
         return self._renorm(q)
-
-
-class CallbackManifold(Manifold):
-    """User-supplied metric behind the built-in interface.
-
-    Christoffels come from central finite differences of the metric and
-    geodesics from RK4 integration of the geodesic equation.  Distances,
-    log maps and frames are not available; bounded-geometry hypotheses are
-    the caller's responsibility and such manifolds are excluded from the
-    validation suite.
-    """
-
-    parallelizable = False
-
-    def __init__(self, d: int, metric_fn, name: str = "custom", fd_step: float = 1e-5):
-        self.name = name
-        self.dim = d
-        self.chart_dim = d
-        self._metric_fn = metric_fn
-        self._h = fd_step
-
-    def metric(self, x):
-        self._check_point(x)
-        g = np.asarray(self._metric_fn(x.coords), dtype=float)
-        det = np.linalg.det(g)
-        if det <= 0:
-            raise InvalidPointError(f"{self.name}: metric not positive definite")
-        return MetricData(g, np.linalg.inv(g), float(np.sqrt(det)))
-
-    def christoffel(self, x):
-        self._check_point(x)
-        c = x.coords
-        d = self.dim
-        h = self._h * max(1.0, float(np.linalg.norm(c)))
-        dg = np.empty((d, d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            dg[k] = (
-                np.asarray(self._metric_fn(c + e)) - np.asarray(self._metric_fn(c - e))
-            ) / (2.0 * h)
-        g_inv = np.linalg.inv(np.asarray(self._metric_fn(c), dtype=float))
-        # dg[k, i, j] = d_k g_{ij}
-        gamma = 0.5 * np.einsum(
-            "ad,cbd->abc", g_inv, dg
-        ) + 0.5 * np.einsum("ad,bdc->abc", g_inv, dg) - 0.5 * np.einsum(
-            "ad,dbc->abc", g_inv, dg
-        )
-        return gamma
-
-    def geodesic_batch(self, xs, vs, t):
-        xs = np.atleast_2d(xs)
-        vs = np.atleast_2d(vs)
-        t_arr = np.broadcast_to(np.asarray(t, dtype=float), xs.shape[:1])
-        out = np.empty_like(xs)
-        for i in range(xs.shape[0]):
-            out[i] = self._geodesic_one(xs[i], vs[i], float(t_arr[i]))
-        return out
-
-    def _geodesic_one(self, x, v, t, steps=256):
-        def acc(state):
-            p, w = state[: self.dim], state[self.dim :]
-            gam = self.christoffel(self.point(p))
-            return np.concatenate([w, -np.einsum("abc,b,c->a", gam, w, w)])
-
-        state = np.concatenate([x, v])
-        h = t / steps
-        for _ in range(steps):
-            k1 = acc(state)
-            k2 = acc(state + 0.5 * h * k1)
-            k3 = acc(state + 0.5 * h * k2)
-            k4 = acc(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return state[: self.dim]
-
-    def log_batch(self, xs, ys):
-        raise UnsupportedOperationError(f"{self.name}: no log map for callback metrics")
-
-    def distance_batch(self, xs, ys):
-        raise UnsupportedOperationError(f"{self.name}: no distance for callback metrics")
-
-    def dlog_sqrt_det_batch(self, xs):
-        xs = np.atleast_2d(xs)
-        out = np.empty_like(xs)
-        for i in range(xs.shape[0]):
-            c = xs[i]
-            h = self._h * max(1.0, float(np.linalg.norm(c)))
-            for k in range(self.dim):
-                e = np.zeros(self.dim)
-                e[k] = h
-                lp = np.log(np.linalg.det(np.asarray(self._metric_fn(c + e))))
-                lm = np.log(np.linalg.det(np.asarray(self._metric_fn(c - e))))
-                out[i, k] = 0.25 * (lp - lm) / h
-        return out
 
 
 # -- registry -----------------------------------------------------------------

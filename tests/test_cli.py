@@ -152,6 +152,24 @@ def test_potential_step_above_one_is_a_failed_row():
     assert all("dt*|c| reaches" in f["error"] for f in summary["failures"])
 
 
+@pytest.mark.parametrize("n, code", [("2,8", 0), ("2,4", 2)])
+def test_exit_2_only_when_every_row_fails(tmp_path, capsys, n, code):
+    gen = _write_json(tmp_path / "gen.json", {"fields": ["frame:1"], "drift": "zero",
+                                              "potential": "-3-2*sin(theta)^2"})
+    out = tmp_path / "conv.csv"
+    rc = main(["chernoff", "run", "--manifold", "circle", "--generator", gen,
+               "--strategy", "tree", "--t", "1", "--n", n, "--f", "cos(theta)+2",
+               "--x", "0.3", "--oracle", "expr:0", "--out", str(out)])
+    assert rc == code
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    if code == 0:  # n = 2 fails, n = 8 is a row
+        assert [f["n"] for f in json.loads(err)["failures"]] == [2]
+        assert out.read_text().splitlines()[-1].startswith("8,")
+    else:
+        assert err.startswith("error: ") and "dt*|c| reaches" in err
+        assert not out.exists()
+
+
 def test_walk_sample_reproducible(tmp_path, heat_gen):
     args = [
         "walk", "sample", "--kind", "geodesic", "--manifold", "circle",
@@ -328,7 +346,6 @@ def test_validate_filter_matching_nothing_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--ode-h0", "0", "h_init must be > 0"),
     ("--ode-tol", "nan", "tol must be > 0"),
 ])
 def test_bad_ode_settings_exit_before_any_row(tmp_path, capsys, flag, value, message):
@@ -450,6 +467,32 @@ def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
     assert float(value) == pytest.approx(math.exp(-0.25), abs=2e-3)
 
 
+@pytest.mark.parametrize("ode, message", [
+    ({"h0": 0.1}, "unknown ode keys ['h0']"),
+    ({"tolerance": 1e-30}, "unknown ode keys ['tolerance']"),
+    ({"tol": [1]}, "ode key 'tol' must be a number, not [1]"),
+    ({"tol": True}, "ode key 'tol' must be a number, not true"),
+    ({"max_steps": 100.7}, "ode key 'max_steps' must be an integer, not 100.7"),
+    ({"max_steps": "64"}, "ode key 'max_steps' must be an integer, not \"64\""),
+])
+@pytest.mark.parametrize("command", [["chernoff", "run", "--strategy", "tree", "--x", "0.3"],
+                                     ["walk", "sample"], ["walk", "stats"]])
+def test_bad_ode_object_refused(tmp_path, capsys, command, ode, message):
+    cfg = _write_json(tmp_path / "cfg.json", {"ode": ode})
+    out = tmp_path / "out.csv"
+    argv = command + ["--manifold", "circle", "--n", "2", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ode_h0_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chernoff", "run", "--ode-h0", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ode-h0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (["oracle", "eval", "--kernel", "wrapped-gauss-s1", "--f", "cos(theta)",
       "--t", "1.0", "--x", "0.0"], 0, ""),
@@ -492,7 +535,8 @@ def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
 ] + [
     (["chernoff", "run", "--manifold", "circle", "--variant", "heat-geodesic", "--strategy", "mc",
       "--n", "4", "--t", "1", "--x", "0.3", "--f", "cos(theta)", "--samples", "100",
-      "--seed", seed], 2, "error: seed must be in [0, 2^64)")
+      "--seed", seed] + oracle, 2, "error: seed must be in [0, 2^64)")
+    for oracle in ([], ["--oracle", "expr:cos(0.3)"])
     for seed in ("-1", "18446744073709551616")
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):

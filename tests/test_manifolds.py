@@ -8,9 +8,8 @@ from feller.errors import (
     BeyondInjectivityRadiusError,
     InvalidPointError,
     NotParallelizableError,
-    UnsupportedOperationError,
 )
-from feller.manifolds import TWO_PI, CallbackManifold, wrap_angle
+from feller.manifolds import TWO_PI, wrap_angle
 
 ALL = lambda: [fl.euclidean(1), fl.euclidean(2), fl.circle(), fl.torus2(),
                fl.hyperbolic_h2(), fl.sphere2()]
@@ -365,25 +364,13 @@ def test_manifold_from_string():
         fl.manifold_from_string("klein-bottle")
 
 
-# -- user-supplied metric behind the same interface --------------------------------------
-
-
-def test_callback_manifold_matches_half_plane():
-    ref = fl.hyperbolic_h2()
-    m = CallbackManifold(2, lambda c: np.diag([1.0 / c[1] ** 2, 1.0 / c[1] ** 2]),
-                         name="h2-callback")
-    x = m.point([0.2, 1.3])
-    np.testing.assert_allclose(
-        fl.metric_at(m, x).g, fl.metric_at(ref, ref.point([0.2, 1.3])).g, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        fl.christoffel_at(m, x),
-        fl.christoffel_at(ref, ref.point([0.2, 1.3])),
-        atol=1e-7,
-    )
-    v = np.array([0.4, -0.1])
-    got = m.geodesic_batch(x.coords[None, :], v[None, :], 0.8)[0]
-    want = ref.geodesic_batch(x.coords[None, :], v[None, :], 0.8)[0]
-    np.testing.assert_allclose(got, want, atol=1e-8)
-    with pytest.raises(UnsupportedOperationError):
-        m.distance_batch(x.coords[None, :], x.coords[None, :])
+@pytest.mark.parametrize("m", ALL(), ids=lambda m: m.name)
+def test_in_chart(m, rng):
+    xs = m.random_points(6, rng)
+    assert m.in_chart(xs).all()
+    for k, bad in enumerate([np.nan, np.inf, -np.inf]):
+        xs[2 * k, k % m.chart_dim] = bad
+    assert m.in_chart(xs).tolist() == [False, True] * 3
+    if m.name == "hyperbolic-h2":
+        assert m.in_chart(np.array([[0.3, 0.0], [0.3, -1.0], [0.3, 1e-300]])).tolist() == [
+            False, False, True]
