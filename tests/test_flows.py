@@ -216,9 +216,12 @@ def test_short_passes_may_leave_the_chart():
         fl.integral_curve(B, h2.point([0.0, 2.0]), 1.0)
 
 
-@pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}])
+@pytest.mark.parametrize("kw", [
+    {"tol": -0.0}, {"tol": -math.inf}, {"tol": -1.0},
+    {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
+])
 def test_ode_settings_refuse_non_positive_and_nan(kw):
-    # tol = nan never converged
+    # tol = nan never converged; -0.0 compares equal to 0.0
     with pytest.raises(ValueError, match="must be > 0"):
         OdeSettings(**kw)
 
