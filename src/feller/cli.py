@@ -440,14 +440,12 @@ def run_walk_study(cfg: ExperimentConfig):
 
 
 def _start_point(manifold: mf.Manifold, x: list) -> mf.Point:
-    """The first configured point, else a fixed start on each manifold."""
+    """The first configured point, else the group identity (the north pole on sphere2)."""
     if x:
         return manifold.point(x[0])
-    if manifold.name == "sphere2":
-        return manifold.point([0.0, 0.0, 1.0])
-    if manifold.name == "hyperbolic-h2":
-        return manifold.point([0.0, 1.0])
-    return manifold.point([0.0] * manifold.chart_dim)
+    if manifold.identity is not None:
+        return manifold.point(manifold.identity)
+    return manifold.point([0.0, 0.0, 1.0])
 
 
 def _reference_cdf(name: Optional[str]):

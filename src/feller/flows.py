@@ -22,6 +22,7 @@ per row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import StepLimitExceededError
 from .fields import VectorField
-from .manifolds import Manifold, Point, Sphere2
+from .manifolds import Point
 
 _DEFAULT_TOL = 1e-9
 _DEFAULT_MAX_STEPS = 10**6
@@ -57,21 +58,24 @@ class OdeSettings:
     raising; from 16 steps on, such a pass raises ``StepLimitExceededError``.
     No pass runs more than ``max_steps`` steps; a row not kept when the next
     doubling would exceed it raises ``StepLimitExceededError``.  ``max_steps``
-    must be at least 4.
+    must be an integer (not a bool) of at least 4.
 
     ``tol`` bounds the estimate of the pass a row keeps, not that pass's true
     error, which can be larger: over 16 (field, t) cases with 400 starts each
     on the circle, H2 and R^1 the worst was 2.36 ``tol_i`` (``1+x1^2`` on R^1
     at t = 1), then 2.13 (H2 ``0.5*x,-y^3``) and 2.12 (R^1 ``-x1^3``); see
-    ``BENCH_11.json``.  ``tol`` must be ``> 0``; NaN is refused.
+    ``BENCH_11.json``.  ``tol`` must be ``> 0`` and finite; NaN and inf are
+    refused.
     """
 
     tol: float = _DEFAULT_TOL
     max_steps: int = _DEFAULT_MAX_STEPS
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 4:
             raise ValueError("max_steps must be >= 4 (a coarse pass and two doublings)")
 
@@ -103,20 +107,14 @@ def negate(A: VectorField) -> VectorField:
     )
 
 
-def _rhs(A: VectorField, m: Manifold):
-    if isinstance(m, Sphere2):
-        # keep stage states admissible for the components callback
-        def rhs(c):
-            q = c / np.linalg.norm(c, axis=-1, keepdims=True)
-            return A.comps(q)
-
-        return rhs
-    return A.comps
-
-
 def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
-    """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row."""
-    rhs = _rhs(A, A.manifold)
+    """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row.
+
+    Stage states and steps go through ``Manifold.project`` (on sphere2 the
+    renormalisation), so the components callback sees admissible points only.
+    """
+    project = A.manifold.project
+    rhs = lambda c: A.comps(project(c))
     h = np.reshape(t, (-1, 1)) / steps
     c = coords.astype(float).copy()
     for _ in range(steps):
@@ -124,9 +122,7 @@ def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
         k2 = rhs(c + 0.5 * h * k1)
         k3 = rhs(c + 0.5 * h * k2)
         k4 = rhs(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if isinstance(A.manifold, Sphere2):
-            c = c / np.linalg.norm(c, axis=-1, keepdims=True)
+        c = project(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return c
 
 

@@ -1,9 +1,11 @@
 """Grid representations of functions on the compact built-in manifolds.
 
-Circle and Torus2 use equispaced periodic grids with linear or 4-point
-Lagrange ("cubic") interpolation; Sphere2 uses a latitude-longitude grid of
-cell centers with bilinear interpolation and pole rows synthesized as the
-mean of the adjacent row.  All interpolation reduces to a precomputed
+The flat charts (the circle and torus2, ``FlatTorus`` for d = 1 and 2) share
+one periodic path: an equispaced grid on each axis, with linear or 4-point
+Lagrange ("cubic") interpolation, and a stencil that is the tensor product of
+the per-axis stencils.  Only sphere2 has its own code: a latitude-longitude
+grid of cell centers with bilinear interpolation and pole rows synthesized as
+the mean of the adjacent row.  All interpolation reduces to a precomputed
 gather stencil, applied by the hot kernel in ``_kernels``.
 
 A stencil's index and weight arrays have shape ``(m, k)`` (one row per query
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._kernels import gather_weighted
 from .errors import ResolutionTooCoarseError, VariantIncompatibleError
-from .manifolds import Manifold, Sphere2, TWO_PI
+from .manifolds import FlatTorus, Manifold, Sphere2, TWO_PI
 
 _MIN_NODES = 8
 
@@ -70,27 +72,19 @@ class GridFunction:
 
     def __init__(self, manifold: Manifold, values: np.ndarray, interp: str = "cubic"):
         values = np.asarray(values, dtype=float)
-        name = manifold.name
-        if name == "circle":
-            if values.ndim != 1:
-                raise ValueError("circle grid values must be 1-D")
-        elif name == "torus2":
-            if values.ndim != 2:
-                raise ValueError("torus2 grid values must be 2-D")
-        elif name == "sphere2":
-            if values.ndim != 2:
-                raise ValueError("sphere2 grid values must be (n_lat, n_lon)")
-        else:
+        if not isinstance(manifold, (FlatTorus, Sphere2)):
             raise VariantIncompatibleError(
-                f"grid functions require a compact built-in, not {name}"
+                f"grid functions require a compact built-in, not {manifold.name}"
             )
+        if values.ndim != manifold.dim:
+            raise ValueError(f"{manifold.name} grid values must be {manifold.dim}-D")
         if min(values.shape) < _MIN_NODES:
             raise ResolutionTooCoarseError(
                 f"need >= {_MIN_NODES} nodes per axis, got {values.shape}"
             )
         if interp not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation order {interp!r}")
-        if name == "sphere2":
+        if isinstance(manifold, Sphere2):
             interp = "linear"  # bilinear with pole averaging is the only mode
         self.manifold = manifold
         self.values = values
@@ -108,27 +102,17 @@ class GridFunction:
         interp: str = "cubic",
     ) -> "GridFunction":
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        nodes = cls._nodes_for(manifold, shape)
-        return cls(manifold, np.asarray(fn(nodes), dtype=float).reshape(shape), interp)
+        grid = cls(manifold, np.empty(shape), interp)  # refuse a bad chart or shape before fn runs
+        return grid.with_values(np.asarray(fn(grid.node_coords()), dtype=float))
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.manifold, values.reshape(self.values.shape), self.interp)
 
     # -- nodes -------------------------------------------------------------
 
-    @staticmethod
-    def _nodes_for(manifold: Manifold, shape) -> np.ndarray:
-        name = manifold.name
-        if name == "circle":
-            (n,) = shape
-            return (TWO_PI * np.arange(n) / n)[:, None]
-        if name == "torus2":
-            n1, n2 = shape
-            t1 = TWO_PI * np.arange(n1) / n1
-            t2 = TWO_PI * np.arange(n2) / n2
-            g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-            return np.stack([g1.ravel(), g2.ravel()], axis=-1)
-        if name == "sphere2":
+    def node_coords(self) -> np.ndarray:
+        shape = self.values.shape
+        if isinstance(self.manifold, Sphere2):
             nlat, nlon = shape
             lat = -0.5 * np.pi + (np.arange(nlat) + 0.5) * np.pi / nlat
             lon = TWO_PI * np.arange(nlon) / nlon
@@ -138,13 +122,11 @@ class GridFunction:
                 [cl * np.cos(glon.ravel()), cl * np.sin(glon.ravel()), np.sin(glat.ravel())],
                 axis=-1,
             )
-        raise VariantIncompatibleError(f"no grids on {name}")
-
-    def node_coords(self) -> np.ndarray:
-        return self._nodes_for(self.manifold, self.values.shape)
+        axes = np.meshgrid(*(TWO_PI * np.arange(n) / n for n in shape), indexing="ij")
+        return np.stack([g.ravel() for g in axes], axis=-1)
 
     def cell_size(self) -> float:
-        if self.manifold.name == "sphere2":
+        if isinstance(self.manifold, Sphere2):
             return np.pi / self.values.shape[0]
         return TWO_PI / max(self.values.shape)
 
@@ -152,22 +134,18 @@ class GridFunction:
 
     def build_stencil(self, coords: np.ndarray) -> Stencil:
         """Precompute the gather stencil for query points (hot-path reuse)."""
-        name = self.manifold.name
         coords = np.atleast_2d(coords)
-        if name == "circle":
-            n = self.values.shape[0]
-            idx, w = _axis_stencil(coords[:, 0], n, self.interp)
-            return Stencil(idx.T, w.T)
-        if name == "torus2":
-            n1, n2 = self.values.shape
-            i1, w1 = _axis_stencil(coords[:, 0], n1, self.interp)
-            i2, w2 = _axis_stencil(coords[:, 1], n2, self.interp)
-            # column a * k + b (k nodes per axis) pairs node a of axis 1 with node b of axis 2
-            m = coords.shape[0]
-            idx = (i1[:, None, :] * n2 + i2[None, :, :]).reshape(-1, m)
-            w = (w1[:, None, :] * w2[None, :, :]).reshape(-1, m)
-            return Stencil(idx.T, w.T)
-        return self._sphere_stencil(coords)
+        if isinstance(self.manifold, Sphere2):
+            return self._sphere_stencil(coords)
+        # tensor product over the axes: column a * k + b (k nodes per axis)
+        # pairs column a of the axes before with node b of the next axis
+        m, shape = coords.shape[0], self.values.shape
+        idx, w = _axis_stencil(coords[:, 0], shape[0], self.interp)
+        for axis in range(1, len(shape)):
+            ia, wa = _axis_stencil(coords[:, axis], shape[axis], self.interp)
+            idx = (idx[:, None, :] * shape[axis] + ia[None, :, :]).reshape(-1, m)
+            w = (w[:, None, :] * wa[None, :, :]).reshape(-1, m)
+        return Stencil(idx.T, w.T)
 
     def _sphere_stencil(self, q: np.ndarray) -> Stencil:
         nlat, nlon = self.values.shape
@@ -201,7 +179,7 @@ class GridFunction:
     def flat_values(self, values: np.ndarray | None = None) -> np.ndarray:
         """Values raveled for stencil application (pole-padded on the sphere)."""
         v = self.values if values is None else values.reshape(self.values.shape)
-        if self.manifold.name != "sphere2":
+        if not isinstance(self.manifold, Sphere2):
             return np.ascontiguousarray(v.ravel())
         south = np.full(v.shape[1], v[0].mean())
         north = np.full(v.shape[1], v[-1].mean())

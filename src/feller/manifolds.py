@@ -168,6 +168,10 @@ class Manifold:
         """Reduce chart coordinates to their canonical representatives."""
         return coords
 
+    def project(self, coords: np.ndarray) -> np.ndarray:
+        """Coordinates moved back onto an embedded chart (RK4 stages); else unchanged."""
+        return coords
+
     def in_chart(self, coords: np.ndarray) -> np.ndarray:
         """Per row of ``coords``: finite and inside the chart's domain."""
         return np.isfinite(coords).all(axis=-1)
@@ -430,7 +434,7 @@ class Sphere2(Manifold):
     def _renorm(q):
         return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
-    wrap = _renorm  # project onto the sphere
+    wrap = project = _renorm  # onto the sphere
 
     def metric(self, x):
         self._check_point(x)

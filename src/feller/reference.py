@@ -2,12 +2,15 @@
 Crank-Nicolson finite-difference solver.
 
 These never touch the Chernoff/walk code paths; they exist to certify them.
+The finite-difference solver runs on the flat charts only (the circle and
+torus2, ``FlatTorus`` for d = 1 and 2): one operator builder assembles L on
+the periodic grid of any d, axis by axis.
 Series and quadrature truncations are chosen so the oracle error sits at
 least an order below every tolerance it is used to check, and doubling any
 truncation is verified to move the result by less than 1e-10.
 
 scipy is imported inside the functions that call it (``h2_heat_kernel``
-imports ``scipy.integrate``; ``fd_solve`` and its operator builders import
+imports ``scipy.integrate``; ``fd_solve`` and its operator builder import
 ``scipy.sparse``), so importing this module, and with it ``feller`` and
 ``feller.cli``, loads no scipy module.
 """
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import OracleUnavailableError, TruncationBudgetError, VariantIncompatibleError
 from .fields import GeneratorSpec
 from .grids import GridFunction
-from .manifolds import Point, TWO_PI, hyperbolic_h2
+from .manifolds import FlatTorus, Point, TWO_PI, hyperbolic_h2
 
 
 @dataclass(frozen=True)
@@ -273,13 +276,13 @@ class FdSolverSettings:
             raise ValueError("steps must be >= 1")
 
 
-def _shift_impl(n: int, k: int) -> scipy.sparse.csr_matrix:
-    """Periodic shift matrix: (S u)_i = u_{i+k mod n}."""
+def _axis_shift(shape: tuple, axis: int, k: int) -> scipy.sparse.csr_matrix:
+    """Periodic shift along one axis of a row-major grid: (S u)_i = u_{i + k e_axis}."""
     from scipy import sparse
 
-    rows = np.arange(n)
-    cols = np.mod(rows + k, n)
-    return sparse.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
+    n = math.prod(shape)
+    cols = np.roll(np.arange(n).reshape(shape), -k, axis=axis).ravel()
+    return sparse.csr_matrix((np.ones(n), (np.arange(n), cols)), shape=(n, n))
 
 
 def _advection_beta(spec: GeneratorSpec, nodes: np.ndarray) -> np.ndarray:
@@ -303,78 +306,49 @@ def _advection_beta(spec: GeneratorSpec, nodes: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _operator_circle(spec: GeneratorSpec, n: int) -> scipy.sparse.csr_matrix:
-    """L on n periodic nodes of the circle, as a CSR matrix."""
-    from scipy import sparse
-
-    h = TWO_PI / n
-    theta = TWO_PI * np.arange(n) / n
-    mid = theta + 0.5 * h
-    a_mid = np.zeros(n)
+def _a_entry(spec: GeneratorSpec, pts: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The diffusion coefficient a^{jk} = sum_f A_f^j A_f^k at each row of ``pts``."""
+    acc = np.zeros(pts.shape[0])
     for f in spec.fields:
-        a_mid += f.comps(mid[:, None])[:, 0] ** 2
-    sp = _shift_impl(n, 1)
-    sm = _shift_impl(n, -1)
-    eye = sparse.eye(n, format="csr")
-    wp = sparse.diags(a_mid)
-    wm = sparse.diags(np.roll(a_mid, 1))
-    lap = (wp @ (sp - eye) - wm @ (eye - sm)) / (2.0 * h * h)
-    nodes = theta[:, None]
-    beta = _advection_beta(spec, nodes)[:, 0]
-    adv = sparse.diags(beta) @ ((sp - sm) / (2.0 * h))
-    op = lap + adv
-    if spec.potential is not None:
-        op = op + sparse.diags(spec.potential_values(nodes))
-    return op.tocsr()
+        s = f.comps(pts)
+        acc += s[:, j] * s[:, k]
+    return acc
 
 
-def _operator_torus(spec: GeneratorSpec, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
-    """L on an n1 x n2 periodic torus grid (row-major nodes), as a CSR matrix."""
+def _operator(spec: GeneratorSpec, f0: GridFunction) -> scipy.sparse.csr_matrix:
+    """L on the periodic grid of ``f0`` (row-major nodes), as a CSR matrix.
+
+    Per axis k: the flux term d_k(a^{kk} d_k .) from the midpoint values of
+    a^{kk}, and the central difference D_k; on torus2 also the symmetrized
+    cross term 1/2 (D_1 a^{12} D_2 + D_2 a^{12} D_1).
+    """
     from scipy import sparse
 
-    n1, n2 = shape
-    h1, h2 = TWO_PI / n1, TWO_PI / n2
-    t1 = TWO_PI * np.arange(n1) / n1
-    t2 = TWO_PI * np.arange(n2) / n2
-    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    nodes = np.stack([g1.ravel(), g2.ravel()], axis=-1)
-
-    def a_matrix(pts):
-        acc = np.zeros((pts.shape[0], 2, 2))
-        for f in spec.fields:
-            s = f.comps(pts)
-            acc += np.einsum("ni,nj->nij", s, s)
-        return acc
-
-    eye1, eye2 = sparse.eye(n1, format="csr"), sparse.eye(n2, format="csr")
-    s1p = sparse.kron(_shift_impl(n1, 1), eye2, format="csr")
-    s1m = sparse.kron(_shift_impl(n1, -1), eye2, format="csr")
-    s2p = sparse.kron(eye1, _shift_impl(n2, 1), format="csr")
-    s2m = sparse.kron(eye1, _shift_impl(n2, -1), format="csr")
-    eye = sparse.eye(n1 * n2, format="csr")
-
-    mid1 = nodes.copy()
-    mid1[:, 0] += 0.5 * h1
-    a11_mid = a_matrix(mid1)[:, 0, 0]
-    mid2 = nodes.copy()
-    mid2[:, 1] += 0.5 * h2
-    a22_mid = a_matrix(mid2)[:, 1, 1]
-    # roll midpoint values by one cell along the corresponding axis
-    a11_m = np.roll(a11_mid.reshape(n1, n2), 1, axis=0).ravel()
-    a22_m = np.roll(a22_mid.reshape(n1, n2), 1, axis=1).ravel()
-    flux1 = (sparse.diags(a11_mid) @ (s1p - eye) - sparse.diags(a11_m) @ (eye - s1m)) / (
-        2.0 * h1 * h1
-    )
-    flux2 = (sparse.diags(a22_mid) @ (s2p - eye) - sparse.diags(a22_m) @ (eye - s2m)) / (
-        2.0 * h2 * h2
-    )
-    d1c = (s1p - s1m) / (2.0 * h1)
-    d2c = (s2p - s2m) / (2.0 * h2)
-    a12 = a_matrix(nodes)[:, 0, 1]
-    cross = 0.5 * (d1c @ sparse.diags(a12) @ d2c + d2c @ sparse.diags(a12) @ d1c)
+    shape = f0.values.shape
+    nodes = f0.node_coords()
+    eye = sparse.eye(nodes.shape[0], format="csr")
     beta = _advection_beta(spec, nodes)
-    adv = sparse.diags(beta[:, 0]) @ d1c + sparse.diags(beta[:, 1]) @ d2c
-    op = flux1 + flux2 + cross + adv
+    flux, drift, central = [], [], []
+    for k, n in enumerate(shape):
+        h = TWO_PI / n
+        sp, sm = _axis_shift(shape, k, 1), _axis_shift(shape, k, -1)
+        mid = nodes.copy()
+        mid[:, k] += 0.5 * h
+        a_p = _a_entry(spec, mid, k, k)
+        # the midpoint below each node: roll by one cell along the axis
+        a_m = np.roll(a_p.reshape(shape), 1, axis=k).ravel()
+        up, down = sparse.diags(a_p) @ (sp - eye), sparse.diags(a_m) @ (eye - sm)
+        flux.append((up - down) / (2.0 * h * h))
+        central.append((sp - sm) / (2.0 * h))
+        drift.append(sparse.diags(beta[:, k]) @ central[k])
+    # summation order is part of the result: fluxes, the cross term, then all drift terms
+    lap = sum(flux[1:], flux[0])
+    if len(shape) == 2:
+        d1, d2 = central
+        a12 = sparse.diags(_a_entry(spec, nodes, 0, 1))
+        lap = lap + 0.5 * (d1 @ a12 @ d2 + d2 @ a12 @ d1)
+    adv = sum(drift[1:], drift[0])
+    op = lap + adv
     if spec.potential is not None:
         op = op + sparse.diags(spec.potential_values(nodes))
     return op.tocsr()
@@ -383,7 +357,7 @@ def _operator_torus(spec: GeneratorSpec, shape: tuple[int, int]) -> scipy.sparse
 def fd_solve(
     spec: GeneratorSpec, f0: GridFunction, t: float, settings: FdSolverSettings
 ) -> GridFunction:
-    """Crank-Nicolson solution of du/dt = L u on Circle or Torus2 grids.
+    """Crank-Nicolson solution of du/dt = L u on circle or torus2 grids.
 
     The second-order part is discretized in conservative (flux) form, so
     with the derived drift and c = 0 the discrete volume integral is
@@ -394,9 +368,10 @@ def fd_solve(
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    name = f0.manifold.name
-    if name not in ("circle", "torus2"):
-        raise VariantIncompatibleError(f"fd_solve supports circle and torus2, not {name}")
+    if not isinstance(f0.manifold, FlatTorus):
+        raise VariantIncompatibleError(
+            f"fd_solve supports the circle and torus2, not {f0.manifold.name}"
+        )
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
     dt = t / settings.steps
@@ -404,10 +379,7 @@ def fd_solve(
         raise ValueError(
             f"time step {dt:.3g} exceeds the accuracy cap {_MAX_DT}; raise steps"
         )
-    if name == "circle":
-        op = _operator_circle(spec, f0.values.shape[0])
-    else:
-        op = _operator_torus(spec, f0.values.shape)
+    op = _operator(spec, f0)
     n_tot = op.shape[0]
     eye = sparse.eye(n_tot, format="csr")
     lhs = splu((eye - 0.5 * dt * op).tocsc())

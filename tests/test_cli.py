@@ -360,6 +360,24 @@ def test_bad_ode_settings_exit_before_any_row(tmp_path, capsys, flag, value, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+@pytest.mark.parametrize("command", [
+    ["chernoff", "run", "--strategy", "tree", "--x", "0.3", "--f", "sin(theta)"],
+    ["walk", "sample"],
+    ["walk", "stats", "--f", "sin(theta)"],
+])
+def test_non_finite_ode_tol_exits_2(tmp_path, capsys, command, tol):
+    # an infinite tol kept every row's first 8-step pass and exited 0
+    gen = _write_json(tmp_path / "gen.json", {"fields": ["custom:1+0.3*sin(theta)"],
+                                              "drift": "derived"})
+    out = tmp_path / "out.csv"
+    argv = command + ["--manifold", "circle", "--generator", gen, "--n", "2",
+                      "--ode-tol", tol, "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: tol must be > 0 and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_json_verdict(tmp_path, capsys):
     out = tmp_path / "verdict.json"
     rc = main(["validate", "--filter", "12-", "--out", str(out)])

@@ -348,18 +348,24 @@ def test_formal_symmetry_on_grids():
     assert residual(128) < 1e-8
 
 
-def test_negativity_on_grids(rng):
+@pytest.mark.parametrize("name, shape, fields", [
+    ("circle", 128, ["custom:1+0.3*sin(theta)"]),
+    ("torus2", (24, 20),
+     ["custom:1+0.3*sin(theta2),0.2*cos(theta1)", "custom:0.1,1+0.2*sin(theta1)"]),
+], ids=["circle", "torus2"])
+def test_negativity_on_grids(rng, name, shape, fields):
     # -<f, L f> >= 0 for the discrete conservative realization of the
     # derived-drift operator
-    from feller.reference import _operator_circle
+    from feller.reference import _operator
 
-    circ = fl.circle()
-    A = fl.expression_field(circ, ["1+0.3*sin(theta)"])
-    spec = fl.GeneratorSpec([A], drift_policy="derived")
-    op = _operator_circle(spec, 128).toarray()
-    w = 2 * np.pi / 128
+    m = fl.manifold_from_string(name)
+    spec = fl.GeneratorSpec([fl.field_from_string(m, f) for f in fields], drift_policy="derived")
+    op = _operator(spec, fl.GridFunction(m, np.zeros(shape))).toarray()
+    # the symmetric part is negative semidefinite to rounding
+    assert np.linalg.eigvalsh(0.5 * (op + op.T)).max() <= 1e-12
+    w = np.prod(2 * np.pi / np.atleast_1d(shape))
     for _ in range(25):
-        fvals = rng.uniform(-1, 1, 128)
+        fvals = rng.uniform(-1, 1, op.shape[0])
         assert (fvals @ (op @ fvals)) * w <= 1e-8
 
 

@@ -226,6 +226,20 @@ def test_ode_settings_refuse_non_positive_and_nan(kw):
         OdeSettings(**kw)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"tol": math.inf}, "tol must be > 0 and finite, got inf"),
+    ({"max_steps": 100.7}, "max_steps must be an integer, got 100.7"),
+    ({"max_steps": math.inf}, "max_steps must be an integer, got inf"),
+    ({"max_steps": 64.0}, "max_steps must be an integer, got 64.0"),
+    ({"max_steps": True}, "max_steps must be an integer, got True"),
+])
+def test_ode_settings_refuse_what_they_cannot_honour(kw, message):
+    # tol = inf kept the first 8-step pass of every row; max_steps = inf
+    # let a row that never meets tol double without a cap
+    with pytest.raises(ValueError, match=message):
+        OdeSettings(**kw)
+
+
 @pytest.mark.parametrize("t", [0.3, 1.0])
 def test_flow_batch_rows_are_batch_independent(t):
     # a hard row needs 128 steps; in one batch the parent ran every row at 128

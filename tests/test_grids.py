@@ -3,6 +3,7 @@ import pytest
 
 import feller as fl
 from feller._kernels import gather_weighted
+from feller.errors import ResolutionTooCoarseError, VariantIncompatibleError
 from feller.grids import GridFunction, _axis_stencil
 
 CASES = [
@@ -51,3 +52,25 @@ def test_torus_stencil_column_order(interp, rng):
         for b in range(k):
             np.testing.assert_array_equal(st.w[:, k * a + b], w1[a] * w2[b])
             np.testing.assert_array_equal(st.idx[:, k * a + b], i1[a] * n2 + i2[b])
+
+
+@pytest.mark.parametrize("name, shape, error, match", [
+    ("circle", (16, 16), ValueError, "circle grid values must be 1-D"),
+    ("torus2", (16,), ValueError, "torus2 grid values must be 2-D"),
+    ("sphere2", (16,), ValueError, "sphere2 grid values must be 2-D"),
+    ("euclidean:1", (16,), VariantIncompatibleError, "not euclidean:1"),
+    ("hyperbolic-h2", (16, 16), VariantIncompatibleError, "not hyperbolic-h2"),
+    ("circle", (7,), ResolutionTooCoarseError, "need >= 8 nodes"),
+    ("torus2", (16, 7), ResolutionTooCoarseError, "need >= 8 nodes"),
+    ("sphere2", (7, 16), ResolutionTooCoarseError, "need >= 8 nodes"),
+])
+def test_grid_function_refusals(name, shape, error, match):
+    m = fl.manifold_from_string(name)
+    with pytest.raises(error, match=match):
+        GridFunction(m, np.zeros(shape))
+
+    def never(_):
+        raise AssertionError("fn evaluated on a refused grid")
+
+    with pytest.raises(error, match=match):
+        GridFunction.from_function(m, shape, never)

@@ -242,6 +242,25 @@ def test_fd_torus_cross_terms():
     assert np.abs(out.values - want).max() <= 2e-3
 
 
+def test_fd_torus_of_a_function_of_theta1_is_the_circle_solve():
+    # a field and potential of theta1 alone, the frame field along theta2, and
+    # an f of theta1: every theta2 row of the torus solve is the circle solve
+    circ, torus = fl.circle(), fl.torus2()
+    pot = "-1-sin(theta1)^2"
+    spec_t = fl.GeneratorSpec(
+        [fl.field_from_string(torus, "custom:1+0.3*sin(theta1),0"), fl.frame_field(torus, 2)],
+        drift_policy="derived", potential=pot,
+    )
+    spec_c = fl.GeneratorSpec(
+        [fl.expression_field(circ, ["1+0.3*sin(theta)"])],
+        drift_policy="derived", potential=pot.replace("theta1", "theta"),
+    )
+    settings = FdSolverSettings(steps=50)
+    on_circle = fd_solve(spec_c, GridFunction.from_function(circ, 64, COS), 0.5, settings)
+    on_torus = fd_solve(spec_t, GridFunction.from_function(torus, (64, 16), COS), 0.5, settings)
+    assert np.abs(on_torus.values - on_circle.values[:, None]).max() <= 1e-13
+
+
 def test_fd_rejects_large_time_step():
     spec = variable_circle_spec()
     g0 = GridFunction.from_function(fl.circle(), 64, COS)
