@@ -255,6 +255,7 @@ class ChernoffRun:
             self.f0 = GridFunction.from_function(
                 self.manifold, cfg.grid_nodes, self.f, interp=cfg.interp
             )
+            cfg.interp = self.f0.interp  # record what runs: bilinear on sphere2
             self.coords = self.f0.node_coords()
         else:
             if not cfg.x:

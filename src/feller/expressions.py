@@ -1,9 +1,9 @@
 """Tiny arithmetic-expression compiler for config strings.
 
 Grammar: identifiers are the chart coordinate names of the manifold
-(plus ``pi``), operators ``+ - * / ^``, functions ``sin cos exp tanh log``
-(``sqrt`` and ``abs`` are accepted as conveniences).  Expressions compile to
-vectorized numpy functions of coordinate arrays.
+(``Manifold.coord_names``, plus ``pi``), operators ``+ - * / ^``, functions
+``sin cos exp tanh log`` (``sqrt`` and ``abs`` are accepted as conveniences).
+Expressions compile to vectorized numpy functions of coordinate arrays.
 
 ``compile_partials`` differentiates the parsed tree symbolically: one rule
 per operator (sum, difference, product, quotient, power, unary minus) and per
@@ -17,6 +17,7 @@ through the same ``build`` as the expression.  The derivative of ``abs`` is
 from __future__ import annotations
 
 import ast
+from typing import Sequence
 
 import numpy as np
 
@@ -42,21 +43,7 @@ _BINOPS = {
 }
 
 
-def coordinate_names(manifold) -> list[str]:
-    """Chart coordinate names used by expressions on this manifold."""
-    name = manifold.name
-    if name == "circle":
-        return ["theta"]
-    if name == "torus2":
-        return ["theta1", "theta2"]
-    if name == "hyperbolic-h2":
-        return ["x", "y"]
-    if name == "sphere2":
-        return ["x", "y", "z"]
-    return [f"x{i + 1}" for i in range(manifold.chart_dim)]
-
-
-def _aliases(names: list[str]) -> dict[str, int]:
+def _aliases(names: Sequence[str]) -> dict[str, int]:
     table = {n: i for i, n in enumerate(names)}
     # x, y, z aliases for low-dimensional Cartesian charts
     if names and names[0].startswith("x") and names[0] != "x":
@@ -76,7 +63,7 @@ def _parse(source: str) -> ast.AST:
         raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
 
 
-def _builder(source: str, names: list[str], table: dict[str, int], funcs: dict):
+def _builder(source: str, names: Sequence[str], table: dict[str, int], funcs: dict):
     """``build(node)``: the numpy closure of a tree, refusing what the grammar does not allow."""
 
     def build(node):
@@ -90,7 +77,7 @@ def _builder(source: str, names: list[str], table: dict[str, int], funcs: dict):
                 return lambda c: np.pi
             if node.id not in table:
                 raise ExpressionError(
-                    f"unknown identifier {node.id!r}; coordinates are {names}"
+                    f"unknown identifier {node.id!r}; coordinates are {list(names)}"
                 )
             i = table[node.id]
             return lambda c: c[..., i]
@@ -130,7 +117,7 @@ def _vectorized(inner, source: str):
     return evaluate
 
 
-def compile_expression(source: str, names: list[str]):
+def compile_expression(source: str, names: Sequence[str]):
     """Compile ``source`` to ``f(coords)`` acting on (..., len(names)) arrays."""
     build = _builder(source, names, _aliases(names), _FUNCS)
     return _vectorized(build(_parse(source)), source)
@@ -253,7 +240,7 @@ def _derivative(node, table: dict[str, int], j: int):
     return _mul(_call("sign", u), du)  # abs
 
 
-def compile_partials(source: str, names: list[str]) -> list:
+def compile_partials(source: str, names: Sequence[str]) -> list:
     """``[d f/d names[j] for j]`` of ``f = compile_expression(source, names)``.
 
     Refuses what ``compile_expression`` refuses.  A partial that folds to a
@@ -271,4 +258,4 @@ def compile_partials(source: str, names: list[str]) -> list:
 
 def compile_scalar(source: str, manifold):
     """Scalar function of points on ``manifold``: f(coords (..., cd)) -> (...,)."""
-    return compile_expression(source, coordinate_names(manifold))
+    return compile_expression(source, manifold.coord_names)

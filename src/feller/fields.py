@@ -9,9 +9,10 @@ Under the ``derived`` policy the drift is ``A_0 = 1/2 sum_i (div A_i) A_i``
 (covariant divergence), which makes the operator formally symmetric with
 respect to the Riemannian volume measure.
 
-Field components live in the canonical chart of the manifold; on the sphere
-they are ambient tangent 3-vectors and chart derivatives are taken in the
-orthographic tangent-plane chart at the evaluation point.
+Field components and their partials live in the stored coordinates of the
+manifold; on the sphere those are ambient tangent 3-vectors and their ambient
+partials, and ``Manifold.tangent_coords`` and ``Manifold.tangent_field`` carry
+them to and from the tangent planes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import manifolds as mf
 from .errors import DegenerateFieldsError, IncompatibleBaseError, VariantIncompatibleError
-from .expressions import compile_expression, compile_partials, compile_scalar, coordinate_names
+from .expressions import compile_expression, compile_partials, compile_scalar
 from .manifolds import Manifold, Point, Sphere2, TangentVector
 
 _H_FD = 1e-5     # first-order central differences
@@ -47,18 +48,15 @@ class VectorField:
         Map from coordinate arrays ``(n, chart_dim)`` to component arrays of
         the same shape.
     jacobian:
-        Optional analytic chart-basis partials ``J[i, j] = d_j A^i`` as a map
-        ``(n, cd) -> (n, cd, cd)``.  Every built-in constructor passes one,
-        ``custom:`` fields their symbolic partials, except ``custom:`` on
-        sphere2.  Central finite differences with step
-        ``1e-5 * max(1, |x|)`` substitute when absent.
+        Optional analytic partials ``J[i, j] = d_j A^i`` in the stored
+        coordinates as a map ``(n, cd) -> (n, cd, cd)``.  Every built-in
+        constructor passes one, ``custom:`` fields their symbolic partials.
+        Central finite differences with step ``1e-5 * max(1, |x|)``
+        substitute when absent.
     flow:
         Optional exact flow map ``(coords, t) -> coords``, with ``t`` a
         scalar or one time per row; integral curves fall back to the ODE
         integrator when absent.
-    declared_bounds:
-        Optional ``(c1, c2)`` with ``c1 >= sup |A|_g`` and
-        ``c2 >= sup |grad A|_g``, quoted in monotonicity reports.
     divergence_free:
         Asserts that the covariant divergence is identically zero.  The
         built-in constructors set it where this holds exactly (rotations of
@@ -74,7 +72,6 @@ class VectorField:
         comps: Callable[[np.ndarray], np.ndarray],
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         flow: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-        declared_bounds: Optional[tuple[float, float]] = None,
         name: str = "field",
         is_zero: bool = False,
         divergence_free: bool = False,
@@ -83,7 +80,6 @@ class VectorField:
         self._comps = comps
         self.jacobian = jacobian
         self.flow = flow
-        self.declared_bounds = declared_bounds
         self.name = name
         self.is_zero = is_zero
         self.divergence_free = divergence_free or is_zero
@@ -122,35 +118,22 @@ class VectorField:
 
 
 def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
-    """Covariant divergence sum_j (d_j A^j + A^j d_j log sqrt|g|)."""
+    """Covariant divergence tr(B^T J B) + A . d log sqrt|g|.
+
+    ``B`` is the tangent basis of ``Manifold.tangent_coords``: the identity on
+    the intrinsic charts, and on the sphere an orthonormal pair spanning the
+    tangent plane, where the volume gradient of the orthographic chart vanishes.
+    """
     m = A.manifold
     coords = np.atleast_2d(coords)
     if A.divergence_free:
         return np.zeros(coords.shape[0])
-    if isinstance(m, Sphere2):
-        return _sphere_divergence(A, coords)
-    jac = A.jacobian_batch(coords)
-    div = np.trace(jac, axis1=1, axis2=2)
+    jb = m.tangent_coords(coords, A.jacobian_batch(coords))  # J B
+    # the trace of (J B)^T B, which is that of B^T J B
+    div = np.trace(m.tangent_coords(coords, jb.transpose(0, 2, 1)), axis1=1, axis2=2)
     dlog = m.dlog_sqrt_det_batch(coords)
     if np.any(dlog):
         div = div + np.einsum("ni,ni->n", A.comps(coords), dlog)
-    return div
-
-
-def _sphere_divergence(A: VectorField, q: np.ndarray) -> np.ndarray:
-    # In the orthographic chart centered at q the volume gradient vanishes,
-    # so the divergence is the tangential trace of the ambient jacobian.
-    if A.jacobian is not None:
-        jac = A.jacobian(q)
-        return np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,nij,nj->n", q, jac, q)
-    basis = A.manifold.tangent_basis(q)  # (n, 3, 2)
-    h = _H_FD
-    div = np.zeros(q.shape[0])
-    for j in range(2):
-        e = basis[:, :, j]
-        qp = np.sqrt(1.0 - h * h) * q + h * e
-        qm = np.sqrt(1.0 - h * h) * q - h * e
-        div += np.einsum("ni,ni->n", A.comps(qp) - A.comps(qm), e) / (2.0 * h)
     return div
 
 
@@ -174,15 +157,14 @@ def zero_field(manifold: Manifold) -> VectorField:
         lambda c: np.zeros_like(np.atleast_2d(c)),
         jacobian=lambda c: np.zeros((np.atleast_2d(c).shape[0],) + (manifold.chart_dim,) * 2),
         flow=lambda c, t: np.atleast_2d(c).copy(),
-        declared_bounds=(0.0, 0.0),
         name="zero",
         is_zero=True,
     )
 
 
 def constant_field(manifold: Manifold, values: Sequence[float]) -> VectorField:
-    if isinstance(manifold, Sphere2):
-        raise VariantIncompatibleError("constant fields are not tangent to sphere2")
+    if manifold.chart_dim != manifold.dim:
+        raise VariantIncompatibleError(f"constant fields are not tangent to {manifold.name}")
     a = np.asarray(values, dtype=float)
     if a.shape != (manifold.chart_dim,):
         raise ValueError(f"expected {manifold.chart_dim} components")
@@ -206,51 +188,40 @@ def frame_field(manifold: Manifold, k: int) -> VectorField:
     if not 1 <= k <= manifold.dim:
         raise ValueError(f"frame index {k} out of range 1..{manifold.dim}")
     if isinstance(manifold, mf.HyperbolicHalfPlane):
-        if k == 1:
-            def flow(c, t):
-                c = np.atleast_2d(c)
-                out = c.copy()
-                out[:, 0] = c[:, 0] + np.multiply(t, c[:, 1])
-                return out
-
-            return VectorField(
-                manifold,
-                lambda c: np.stack(
-                    [np.atleast_2d(c)[:, 1], np.zeros(np.atleast_2d(c).shape[0])], axis=-1
-                ),
-                jacobian=lambda c: np.broadcast_to(
-                    np.array([[0.0, 1.0], [0.0, 0.0]]), (np.atleast_2d(c).shape[0], 2, 2)
-                ).copy(),
-                flow=flow,
-                declared_bounds=(1.0, 1.0),
-                name="frame:1",
-                divergence_free=True,
-            )
-
-        def flow(c, t):
-            c = np.atleast_2d(c)
-            out = c.copy()
-            out[:, 1] = c[:, 1] * np.exp(np.multiply(t, 1.0))
-            return out
-
-        return VectorField(
-            manifold,
-            lambda c: np.stack(
-                [np.zeros(np.atleast_2d(c).shape[0]), np.atleast_2d(c)[:, 1]], axis=-1
-            ),
-            jacobian=lambda c: np.broadcast_to(
-                np.array([[0.0, 0.0], [0.0, 1.0]]), (np.atleast_2d(c).shape[0], 2, 2)
-            ).copy(),
-            flow=flow,
-            declared_bounds=(1.0, 1.0),
-            name="frame:2",
-        )
-    basis = np.zeros(manifold.chart_dim)
-    basis[k - 1] = 1.0
-    f = constant_field(manifold, basis)
+        return _half_plane_frame_field(manifold, k)
+    f = constant_field(manifold, np.eye(manifold.chart_dim)[k - 1])
     f.name = f"frame:{k}"
-    f.declared_bounds = (1.0, 0.0)
     return f
+
+
+def _half_plane_frame_field(manifold: Manifold, k: int) -> VectorField:
+    """``y e_k`` on H2, with partials ``e_k (x) e_y`` and the exact flows
+    ``x + t y`` (k = 1) and ``y e^t`` (k = 2)."""
+    jac = np.outer(np.eye(2)[k - 1], [0.0, 1.0])  # e_k (x) e_y
+
+    def comps(c):
+        c = np.atleast_2d(c)
+        out = np.zeros_like(c)
+        out[:, k - 1] = c[:, 1]
+        return out
+
+    def flow(c, t):
+        c = np.atleast_2d(c)
+        out = c.copy()
+        if k == 1:
+            out[:, 0] = c[:, 0] + np.multiply(t, c[:, 1])
+        else:
+            out[:, 1] = c[:, 1] * np.exp(t)
+        return out
+
+    return VectorField(
+        manifold,
+        comps,
+        jacobian=lambda c: np.broadcast_to(jac, (np.atleast_2d(c).shape[0], 2, 2)).copy(),
+        flow=flow,
+        name=f"frame:{k}",
+        divergence_free=k == 1,
+    )
 
 
 def rotational_field(manifold: Manifold, k: int) -> VectorField:
@@ -284,33 +255,23 @@ def rotational_field(manifold: Manifold, k: int) -> VectorField:
         lambda c: np.cross(axis, np.atleast_2d(c)),
         jacobian=lambda c: np.broadcast_to(cross_mat, (np.atleast_2d(c).shape[0], 3, 3)).copy(),
         flow=flow,
-        declared_bounds=(1.0, 1.0),
         name=f"rotational:{k}",
         divergence_free=True,
     )
 
 
 def expression_field(manifold: Manifold, sources: Sequence[str]) -> VectorField:
-    """Field with components given by expression strings over the chart."""
-    names = coordinate_names(manifold)
+    """Field with components given by expression strings over the chart.
+
+    The partials are symbolic; on the sphere ``Manifold.tangent_field``
+    projects the components and their partials onto the tangent planes.
+    """
+    names = manifold.coord_names
     if len(sources) != manifold.chart_dim:
         raise ValueError(
             f"{manifold.name} needs {manifold.chart_dim} component expressions"
         )
     comps_fns = [compile_expression(s, names) for s in sources]
-    name = "custom:" + ",".join(sources)
-
-    if isinstance(manifold, Sphere2):
-        # no symbolic partials for the tangent projection: the jacobian and
-        # divergence fall back to central differences
-
-        def comps(c):
-            c = np.atleast_2d(c)
-            amb = np.stack([fn(c) for fn in comps_fns], axis=-1)
-            return amb - np.einsum("ni,ni->n", amb, c)[:, None] * c
-
-        return VectorField(manifold, comps, name=name)
-
     partials = [compile_partials(s, names) for s in sources]  # [i][j] = d_j A^i
 
     def comps(c):
@@ -321,7 +282,8 @@ def expression_field(manifold: Manifold, sources: Sequence[str]) -> VectorField:
         c = np.atleast_2d(c)
         return np.stack([np.stack([fn(c) for fn in row], axis=-1) for row in partials], axis=1)
 
-    return VectorField(manifold, comps, jacobian=jacobian, name=name)
+    comps, jacobian = manifold.tangent_field(comps, jacobian)
+    return VectorField(manifold, comps, jacobian=jacobian, name="custom:" + ",".join(sources))
 
 
 def field_from_string(manifold: Manifold, spec: str) -> VectorField:
@@ -461,10 +423,7 @@ class GeneratorSpec:
         """Chart components of A_1..A_r, shape (n, r, d)."""
         coords = np.atleast_2d(coords)
         amb = np.stack([f.comps(coords) for f in self.fields], axis=1)
-        if isinstance(self.manifold, Sphere2):
-            basis = self.manifold.tangent_basis(coords)  # (n, 3, 2)
-            return np.einsum("nrj,njk->nrk", amb, basis)
-        return amb
+        return self.manifold.tangent_coords(coords, amb)
 
     def ellipticity_margin(self, coords: np.ndarray) -> float:
         """Smallest singular value of the component matrix over the sample."""
@@ -507,11 +466,7 @@ def check_dominance(
     sig = spec.component_matrix(coords)  # (n, r, d)
     if np.linalg.svd(sig, compute_uv=False)[:, -1].min() <= _SVD_TOL:
         raise DegenerateFieldsError("fields degenerate at a sampled point")
-    if isinstance(spec.manifold, Sphere2):
-        basis = spec.manifold.tangent_basis(coords)
-        b = np.einsum("nj,njk->nk", B.comps(coords), basis)
-    else:
-        b = B.comps(coords)
+    b = spec.manifold.tangent_coords(coords, B.comps(coords))
     gram = np.einsum("nri,nrj->nij", sig, sig)
     ratio = np.einsum("ni,nij,nj->n", b, np.linalg.inv(gram), b)
     c_est = float(ratio.max())
@@ -527,8 +482,9 @@ def apply_generator(
 ) -> float:
     """(L_0 f)(x) + c(x) f(x).
 
-    With ``f_grad`` and ``f_hess`` (chart gradient/Hessian; ambient on the
-    sphere) the second-order terms are evaluated exactly from the field data.
+    With ``f_grad`` and ``f_hess`` (gradient and Hessian in the stored
+    coordinates; ambient on the sphere) the second-order terms are evaluated
+    exactly from the field data.
     Otherwise nested central differences along the integral curves of the
     fields are used: ``A_k(A_k f)(x) = d^2/dt^2 f(gamma_{x,A_k}(t))|_0``.
     """
@@ -542,27 +498,15 @@ def apply_generator(
 
 
 def _apply_generator_exact(spec, c, f_grad, f_hess) -> float:
-    m = spec.manifold
+    # A(Af) = A^T H A + grad f . (J A) in the stored coordinates: on the
+    # sphere too, since a tangent A differentiates along the sphere
     grad = np.asarray(f_grad(c))[0]
     hess = np.asarray(f_hess(c))[0]
-    if isinstance(m, Sphere2):
-        q = c[0]
-        basis = m.tangent_basis(c)[0]  # (3, 2)
-        grad_c = basis.T @ grad
-        hess_c = basis.T @ hess @ basis - np.eye(2) * float(grad @ q)
-        sig = np.einsum("rj,jk->rk", np.stack([f.comps(c)[0] for f in spec.fields]), basis)
-        jacs = [basis.T @ f.jacobian_batch(c)[0] @ basis for f in spec.fields]
-        drift_c = basis.T @ spec.drift_comps(c)[0]
-    else:
-        grad_c, hess_c = grad, hess
-        sig = np.stack([f.comps(c)[0] for f in spec.fields])
-        jacs = [f.jacobian_batch(c)[0] for f in spec.fields]
-        drift_c = spec.drift_comps(c)[0]
     acc = 0.0
-    for k in range(spec.r):
-        s = sig[k]
-        acc += 0.5 * (s @ hess_c @ s + (jacs[k] @ s) @ grad_c)
-    return float(acc + drift_c @ grad_c)
+    for fld in spec.fields:
+        s = fld.comps(c)[0]
+        acc += 0.5 * (s @ hess @ s + (fld.jacobian_batch(c)[0] @ s) @ grad)
+    return float(acc + spec.drift_comps(c)[0] @ grad)
 
 
 def _apply_generator_fd(spec, f, c, fx) -> float:

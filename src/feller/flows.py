@@ -100,7 +100,6 @@ def negate(A: VectorField) -> VectorField:
         lambda c: -A._comps(np.atleast_2d(c)),
         jacobian=(lambda c: -A.jacobian(np.atleast_2d(c))) if A.jacobian else None,
         flow=flow,
-        declared_bounds=A.declared_bounds,
         name=f"-({A.name})",
         is_zero=A.is_zero,
         divergence_free=A.divergence_free,

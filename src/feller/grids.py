@@ -1,12 +1,12 @@
 """Grid representations of functions on the compact built-in manifolds.
 
-The flat charts (the circle and torus2, ``FlatTorus`` for d = 1 and 2) share
-one periodic path: an equispaced grid on each axis, with linear or 4-point
-Lagrange ("cubic") interpolation, and a stencil that is the tensor product of
-the per-axis stencils.  Only sphere2 has its own code: a latitude-longitude
-grid of cell centers with bilinear interpolation and pole rows synthesized as
-the mean of the adjacent row.  All interpolation reduces to a precomputed
-gather stencil, applied by the hot kernel in ``_kernels``.
+The flat charts (the circle and torus2, ``FlatTorus`` for d = 1 and 2) have an
+equispaced periodic grid on each axis, with linear or 4-point Lagrange
+("cubic") interpolation.  Sphere2 has a latitude-longitude grid of cell
+centers, always bilinear, with pole rows synthesized as the mean of the
+adjacent row.  Every stencil is the tensor product of per-axis stencils (on
+sphere2: latitude over the pole-padded rows, periodic longitude), applied by
+the hot gather kernel in ``_kernels``.
 
 A stencil's index and weight arrays have shape ``(m, k)`` (one row per query
 point, one column per interpolation node) and are column-major: they are
@@ -16,6 +16,7 @@ per-column reads of the gather kernel are contiguous and no copy is made.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,19 +29,19 @@ from .manifolds import FlatTorus, Manifold, Sphere2, TWO_PI
 _MIN_NODES = 8
 
 
-def _cubic_weights(frac: np.ndarray) -> np.ndarray:
+def _cubic_weights(frac: np.ndarray) -> list:
     # 4-point Lagrange basis on nodes {-1, 0, 1, 2} evaluated at frac in [0,1)
     s = frac
-    w = np.empty((4,) + s.shape)
-    w[0] = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w[1] = (s * s - 1.0) * (s - 2.0) / 2.0
-    w[2] = -s * (s + 1.0) * (s - 2.0) / 2.0
-    w[3] = s * (s * s - 1.0) / 6.0
-    return w
+    return [
+        -s * (s - 1.0) * (s - 2.0) / 6.0,
+        (s * s - 1.0) * (s - 2.0) / 2.0,
+        -s * (s + 1.0) * (s - 2.0) / 2.0,
+        s * (s * s - 1.0) / 6.0,
+    ]
 
 
 def _axis_stencil(theta: np.ndarray, n: int, order: str):
-    """Per-axis periodic stencil: node indices (k, m) and weights (k, m)."""
+    """Per-axis periodic stencil: k node-index and k weight arrays of shape (m,)."""
     h = TWO_PI / n
     s = np.mod(theta, TWO_PI) / h
     # snap queries that sit on a node (within 1e-9 cells) so that zero
@@ -50,12 +51,8 @@ def _axis_stencil(theta: np.ndarray, n: int, order: str):
     i0 = np.floor(s).astype(np.int64)
     frac = s - i0
     if order == "linear":
-        idx = np.stack([i0, i0 + 1])
-        w = np.stack([1.0 - frac, frac])
-    else:
-        idx = np.stack([i0 - 1, i0, i0 + 1, i0 + 2])
-        w = _cubic_weights(frac)
-    return np.mod(idx, n), w
+        return [np.mod(i0, n), np.mod(i0 + 1, n)], [1.0 - frac, frac]
+    return [np.mod(i0 + k, n) for k in (-1, 0, 1, 2)], _cubic_weights(frac)
 
 
 @dataclass(frozen=True)
@@ -135,46 +132,37 @@ class GridFunction:
     def build_stencil(self, coords: np.ndarray) -> Stencil:
         """Precompute the gather stencil for query points (hot-path reuse)."""
         coords = np.atleast_2d(coords)
-        if isinstance(self.manifold, Sphere2):
-            return self._sphere_stencil(coords)
-        # tensor product over the axes: column a * k + b (k nodes per axis)
-        # pairs column a of the axes before with node b of the next axis
-        m, shape = coords.shape[0], self.values.shape
-        idx, w = _axis_stencil(coords[:, 0], shape[0], self.interp)
-        for axis in range(1, len(shape)):
-            ia, wa = _axis_stencil(coords[:, axis], shape[axis], self.interp)
-            idx = (idx[:, None, :] * shape[axis] + ia[None, :, :]).reshape(-1, m)
-            w = (w[:, None, :] * wa[None, :, :]).reshape(-1, m)
+        # tensor product over the axes, one node per axis in each column
+        # (the last axis varies fastest), written in place: no temporary
+        # larger than one row of the result
+        cols = list(itertools.product(*(zip(ia, wa) for ia, wa in self._axis_stencils(coords))))
+        idx = np.empty((len(cols), coords.shape[0]), dtype=np.int64)
+        w = np.empty(idx.shape)
+        for j, ((i0, w0), *rest) in enumerate(cols):
+            idx[j], w[j] = i0, w0
+            for n, (ia, wa) in zip(self.values.shape[1:], rest):
+                idx[j] *= n
+                idx[j] += ia
+                w[j] *= wa
         return Stencil(idx.T, w.T)
 
-    def _sphere_stencil(self, q: np.ndarray) -> Stencil:
-        nlat, nlon = self.values.shape
-        lat = np.arcsin(np.clip(q[:, 2], -1.0, 1.0))
-        lon = np.mod(np.arctan2(q[:, 1], q[:, 0]), TWO_PI)
-        # padded rows: 0 = south pole, 1..nlat = data, nlat+1 = north pole
+    def _axis_stencils(self, coords: np.ndarray) -> list:
+        """Per axis of the flat values, the ``_axis_stencil`` of the query points."""
+        shape = self.values.shape
+        if not isinstance(self.manifold, Sphere2):
+            return [_axis_stencil(coords[:, a], n, self.interp) for a, n in enumerate(shape)]
+        # latitude over the padded rows: 0 = south pole, 1..nlat = data,
+        # nlat+1 = north pole; longitude periodic
+        nlat, nlon = shape
+        lat = np.arcsin(np.clip(coords[:, 2], -1.0, 1.0))
         pad_lat = np.concatenate(
             [[-0.5 * np.pi], -0.5 * np.pi + (np.arange(nlat) + 0.5) * np.pi / nlat, [0.5 * np.pi]]
         )
         r1 = np.clip(np.searchsorted(pad_lat, lat, side="right"), 1, nlat + 1)
         r0 = r1 - 1
-        denom = pad_lat[r1] - pad_lat[r0]
-        flat = (lat - pad_lat[r0]) / denom
-        hl = TWO_PI / nlon
-        s = lon / hl
-        c0 = np.floor(s).astype(np.int64)
-        flon = s - c0
-        c0 = np.mod(c0, nlon)
-        c1 = np.mod(c0 + 1, nlon)
-        idx = np.stack([r0 * nlon + c0, r0 * nlon + c1, r1 * nlon + c0, r1 * nlon + c1])
-        w = np.stack(
-            [
-                (1.0 - flat) * (1.0 - flon),
-                (1.0 - flat) * flon,
-                flat * (1.0 - flon),
-                flat * flon,
-            ]
-        )
-        return Stencil(idx.T, w.T)
+        flat = (lat - pad_lat[r0]) / (pad_lat[r1] - pad_lat[r0])
+        lon = np.arctan2(coords[:, 1], coords[:, 0])
+        return [([r0, r1], [1.0 - flat, flat]), _axis_stencil(lon, nlon, "linear")]
 
     def flat_values(self, values: np.ndarray | None = None) -> np.ndarray:
         """Values raveled for stencil application (pole-padded on the sphere)."""

@@ -104,6 +104,7 @@ class Manifold:
     name: str = "abstract"
     dim: int = 0          # intrinsic dimension
     chart_dim: int = 0    # stored coordinate length (3 for Sphere2)
+    coord_names: tuple = ()  # the stored coordinates' names in expressions
     parallelizable: bool = True
     injectivity_radius: float = np.inf
     identity = None       # group identity in the chart; None: no group structure
@@ -176,6 +177,16 @@ class Manifold:
         """Per row of ``coords``: finite and inside the chart's domain."""
         return np.isfinite(coords).all(axis=-1)
 
+    def tangent_coords(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Components ``v`` (n, ..., chart_dim) at ``coords`` in a basis of the
+        tangent plane, shape (n, ..., dim): here the chart basis itself."""
+        return v
+
+    def tangent_field(self, comps, jacobian):
+        """Maps of a field's components and partials, projected onto the tangent
+        planes where the stored coordinates are ambient; else unchanged."""
+        return comps, jacobian
+
     def geodesic_batch(self, xs, vs, t):
         raise NotImplementedError
 
@@ -212,6 +223,7 @@ class Euclidean(Manifold):
         self.name = name or f"euclidean:{d}"
         self.dim = d
         self.chart_dim = d
+        self.coord_names = tuple(f"x{i + 1}" for i in range(d))
         self.identity = np.zeros(d)
         self.identity.setflags(write=False)
 
@@ -258,6 +270,10 @@ class FlatTorus(Euclidean):
 
     injectivity_radius = np.pi
 
+    def __init__(self, d: int, name: str = ""):
+        super().__init__(d, name)
+        self.coord_names = ("theta",) if d == 1 else tuple(f"theta{i + 1}" for i in range(d))
+
     def _validate(self, c):
         return wrap_angle(c)
 
@@ -294,6 +310,7 @@ class HyperbolicHalfPlane(Manifold):
     name = "hyperbolic-h2"
     dim = 2
     chart_dim = 2
+    coord_names = ("x", "y")
     identity = np.array([0.0, 1.0])
     identity.setflags(write=False)
 
@@ -417,6 +434,7 @@ class Sphere2(Manifold):
     name = "sphere2"
     dim = 2
     chart_dim = 3
+    coord_names = ("x", "y", "z")
     parallelizable = False
     injectivity_radius = np.pi
 
@@ -458,6 +476,26 @@ class Sphere2(Manifold):
         e2 = np.cross(xs, e1)
         return np.stack([e1, e2], axis=-1)
 
+    def tangent_coords(self, coords, v):
+        return np.einsum("n...j,njk->n...k", v, self.tangent_basis(coords))
+
+    def tangent_field(self, comps, jacobian):
+        # X = a - (a.q) q, and its partials J - q (J^T q + a)^T - (a.q) I
+        def tangent_comps(q):
+            q = np.atleast_2d(q)
+            a = comps(q)
+            return a - np.einsum("ni,ni->n", a, q)[:, None] * q
+
+        def tangent_jacobian(q):
+            q = np.atleast_2d(q)
+            a, jac = comps(q), jacobian(q)
+            row = np.einsum("nij,ni->nj", jac, q) + a
+            out = jac - q[:, :, None] * row[:, None, :]
+            out -= np.einsum("ni,ni->n", a, q)[:, None, None] * np.eye(3)
+            return out
+
+        return tangent_comps, tangent_jacobian
+
     def geodesic_batch(self, xs, vs, t):
         xs = np.atleast_2d(xs)
         vs = np.atleast_2d(vs)
@@ -490,7 +528,7 @@ class Sphere2(Manifold):
 
     def dlog_sqrt_det_batch(self, xs):
         # orthographic chart centered at the evaluation point
-        return np.zeros((np.atleast_2d(xs).shape[0], 2))
+        return np.zeros_like(xs)
 
     def random_points(self, n, rng):
         q = rng.normal(size=(n, 3))

@@ -469,6 +469,26 @@ def test_output_reproduces_from_its_own_header(tmp_path, heat_gen, argv):
     assert second.read_text() == first.read_text()
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "expr:exp(-1)*z"]],
+                         ids=["values", "convergence"])
+def test_sphere_grid_header_records_the_interpolation_that_ran(tmp_path, oracle):
+    # sphere2 grids are bilinear: a cubic request runs, and is recorded, as linear
+    gen = _write_json(tmp_path / "gen.json",
+                      {"fields": ["rotational:1", "rotational:2", "rotational:3"],
+                       "drift": "derived"})
+    argv = ["chernoff", "run", "--manifold", "sphere2", "--generator", gen,
+            "--strategy", "grid", "--grid-nodes", "8,16", "--t", "0.5", "--n", "2,4",
+            "--f", "z"] + oracle
+    tables = {}
+    for interp in ("cubic", "linear"):
+        out = tmp_path / f"{interp}.csv"
+        assert main(argv + ["--interp", interp, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[1][len("# config="):])["interp"] == "linear"
+        tables[interp] = [line.rsplit(",", 1)[0] for line in lines]  # drop wall_time
+    assert tables["cubic"] == tables["linear"]
+
+
 def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
     gen = _write_json(tmp_path / "gen.json",
                       {"manifold": "circle", "fields": ["frame:1", "frame:2"], "drift": "zero"})

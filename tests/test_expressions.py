@@ -110,11 +110,10 @@ def test_circle_divergence_is_the_exact_derivative(rng):
                                rtol=0.0, atol=1e-15)
 
 
-def test_custom_fields_carry_partials_except_on_the_sphere():
-    for name in ("euclidean:2", "circle", "torus2", "hyperbolic-h2"):
+def test_custom_fields_carry_partials():
+    for name in ("euclidean:2", "circle", "torus2", "hyperbolic-h2", "sphere2"):
         m = fl.manifold_from_string(name)
         assert fl.field_from_string(m, "custom:" + ",".join(["1"] * m.chart_dim)).jacobian
-    assert fl.field_from_string(fl.sphere2(), "custom:-y,x,0").jacobian is None
 
 
 def test_jacobian_layout():

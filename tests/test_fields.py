@@ -3,10 +3,9 @@ import pytest
 
 import feller as fl
 from feller.errors import DegenerateFieldsError, VariantIncompatibleError
-from feller.expressions import ExpressionError, compile_scalar, coordinate_names
+from feller.expressions import ExpressionError, compile_scalar
 from feller.fields import VectorField, divergence_batch
 from feller.flows import flow_batch, negate
-from feller.manifolds import Sphere2
 
 
 def heat_circle(drift="explicit"):
@@ -47,6 +46,47 @@ def test_divergence_rotational_field(rng):
     pts = s2.random_points(20, rng)
     np.testing.assert_allclose(divergence_batch(L3, pts), 0.0, atol=1e-12)
     np.testing.assert_allclose(divergence_batch(fd_only, pts), 0.0, atol=1e-8)
+
+
+def _tangent_basis_divergence(A, q):
+    """Sphere divergence by central differences along the great circles of
+    the tangent basis: the projection of the difference onto each direction."""
+    basis = A.manifold.tangent_basis(q)  # (n, 3, 2)
+    h = 1e-5
+    div = np.zeros(q.shape[0])
+    for j in range(2):
+        e = basis[:, :, j]
+        qp = np.sqrt(1.0 - h * h) * q + h * e
+        qm = np.sqrt(1.0 - h * h) * q - h * e
+        div += np.einsum("ni,ni->n", A.comps(qp) - A.comps(qm), e) / (2.0 * h)
+    return div
+
+
+SPHERE_CUSTOM = ["custom:-y,x,0", "custom:1,0,0", "custom:0.3*z,0.2*x*y,sin(x)",
+                 "custom:exp(0.5*y),x*z^2,0.4*cos(z)"]
+
+
+@pytest.mark.parametrize("spec", SPHERE_CUSTOM)
+def test_sphere_divergence_matches_tangent_basis_differences(spec, rng):
+    s2 = fl.sphere2()
+    A = fl.field_from_string(s2, spec)
+    q = s2.random_points(40, rng)
+    want = _tangent_basis_divergence(A, q)
+    np.testing.assert_array_equal(s2.dlog_sqrt_det_batch(q), np.zeros_like(q))
+    np.testing.assert_allclose(divergence_batch(A, q), want, rtol=0.0, atol=1e-8)
+    fd_only = VectorField(s2, A.comps)  # the generic ambient differences
+    np.testing.assert_allclose(divergence_batch(fd_only, q), want, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("spec", SPHERE_CUSTOM)
+def test_sphere_custom_partials_match_central_differences(spec, rng):
+    s2 = fl.sphere2()
+    A = fl.field_from_string(s2, spec)
+    q = s2.random_points(40, rng)
+    h = 1e-6
+    fd = np.stack([(A.comps(q + h * e) - A.comps(q - h * e)) / (2.0 * h) for e in np.eye(3)],
+                  axis=-1)
+    np.testing.assert_allclose(A.jacobian(q), fd, rtol=0.0, atol=1e-8)
 
 
 # -- derived drift ------------------------------------------------------------------
@@ -110,7 +150,7 @@ def _builtin_fields(m):
     specs += ["constant:[" + ",".join(map(str, c)) + "]" for c in consts]
     specs += [f"frame:{k}" for k in range(1, m.dim + 1)]
     specs += [f"rotational:{k}" for k in (1, 2, 3)]
-    specs += ["custom:" + ",".join(f"0.3*sin({v})" for v in coordinate_names(m))]
+    specs += ["custom:" + ",".join(f"0.3*sin({v})" for v in m.coord_names)]
     out = []
     for spec in specs:
         try:
@@ -121,12 +161,11 @@ def _builtin_fields(m):
 
 
 def _general_divergences(A, coords):
-    """Divergence of A by the general path(s), with the flag bypassed."""
+    """Divergence of A by the general path, with the flag bypassed: from A's
+    partials, and from central differences."""
     m = A.manifold
-    out = [divergence_batch(VectorField(m, A.comps, jacobian=A.jacobian), coords)]
-    if isinstance(m, Sphere2):  # the finite-difference branch as well
-        out.append(divergence_batch(VectorField(m, A.comps), coords))
-    return out
+    return [divergence_batch(VectorField(m, A.comps, jacobian=A.jacobian), coords),
+            divergence_batch(VectorField(m, A.comps), coords)]
 
 
 @pytest.mark.parametrize("name", BUILTIN_MANIFOLDS)
@@ -291,16 +330,36 @@ def test_generator_sphere_harmonic():
     assert fl.apply_generator(spec, f, q, f_grad=grad, f_hess=hess) == pytest.approx(-0.8)
 
 
-def test_generator_fd_matches_exact(rng):
-    # variable-coefficient case: the two evaluation paths agree
+def _circle_generator_case():
     circ = fl.circle()
-    A = fl.expression_field(circ, ["1+0.3*sin(theta)"])
-    spec = fl.GeneratorSpec([A], drift_policy="derived")
+    spec = fl.GeneratorSpec([fl.expression_field(circ, ["1+0.3*sin(theta)"])],
+                            drift_policy="derived")
     f = lambda c: np.cos(c[:, 0])
     grad = lambda c: -np.sin(c[:, 0])[:, None]
     hess = lambda c: -np.cos(c[:, 0])[:, None, None]
-    for th in rng.uniform(0, 2 * np.pi, 12):
-        x = circ.point([th])
+    return spec, f, grad, hess
+
+
+def _sphere_generator_case():
+    s2 = fl.sphere2()
+    fields = [fl.field_from_string(s2, "custom:0.3*z,0.2*x*y,sin(x)")]
+    fields += [fl.rotational_field(s2, k) for k in (1, 2, 3)]
+    spec = fl.GeneratorSpec(fields, drift_policy="derived")
+    f = lambda c: c[:, 0] * c[:, 2] + c[:, 1]  # x z + y, with ambient derivatives
+    grad = lambda c: np.stack([c[:, 2], np.ones(len(c)), c[:, 0]], axis=-1)
+    hess = lambda c: np.broadcast_to(
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), (len(c), 3, 3))
+    return spec, f, grad, hess
+
+
+@pytest.mark.parametrize("case", [_circle_generator_case, _sphere_generator_case],
+                         ids=["circle", "sphere2"])
+def test_generator_fd_matches_exact(rng, case):
+    # variable-coefficient case with a derived drift: the two evaluation paths agree
+    spec, f, grad, hess = case()
+    m = spec.manifold
+    for c in m.random_points(12, rng):
+        x = m.point(c)
         exact = fl.apply_generator(spec, f, x, f_grad=grad, f_hess=hess)
         numeric = fl.apply_generator(spec, f, x)
         assert numeric == pytest.approx(exact, abs=5e-6)
