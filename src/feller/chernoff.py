@@ -28,7 +28,12 @@ step time s.  Three evaluation strategies for S(t/n)^n f read it at s = t/n:
 exact tree recursion (``iterate_tree``, the oracle), semi-Lagrangian grid
 sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
-random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n).
+random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n);
+``sample_endpoints`` runs it on fixed blocks of ``_SAMPLE_ROWS`` rows for
+``iterate_mc`` and ``walks.walk_endpoints``.  The tree, too, is evaluated in
+chunks of at most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the
+sampler holds more than one block of points at a time, whatever the leaf
+or sample count.
 Wherever a step evaluates the potential (the grid nodes, each tree level's
 points, each MC step's states, the ``apply_S`` rows), ``dt * |c| > 1`` raises
 ``PotentialStepError``.
@@ -244,6 +249,50 @@ def _products(H: np.ndarray, k: int, compose) -> np.ndarray:
     return P
 
 
+def _chain(
+    branches: Sequence[Branch],
+    s: float,
+    compose: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+) -> Callable[[np.ndarray, np.ndarray, int], Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The sample loop of ``sample_steps`` for one branch table at step time s.
+
+    The thresholds, the fold length and the product tables are made once and
+    shared by every row batch the returned loop runs.
+    """
+    b = len(branches)
+    thresholds = _thresholds(branches)
+    folded = compose is not None and all(br.shift is not None for br in branches)
+    k = _block_len(b) if folded else 1
+    if folded:
+        H = np.array([br.shift(s) for br in branches])
+    tables = {}
+    index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
+
+    def run(coords, streams, steps):
+        for start in range(0, steps, k):
+            size = min(k, steps - start)
+            for step in range(start, start + size):
+                z = step_uniforms(streams, step)
+                if step == start:
+                    idx = np.zeros(z.shape, dtype=index_type)
+                else:
+                    idx *= b
+                for T in thresholds:
+                    idx += T <= z
+            yield idx, coords
+            if folded:
+                if size not in tables:
+                    tables[size] = _products(H, size, compose)
+                coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
+                continue
+            for j, br in enumerate(branches):
+                mask = idx == j
+                if np.any(mask):
+                    coords[mask] = br.move(coords[mask], s)
+
+    return run
+
+
 def sample_steps(
     branches: Sequence[Branch],
     s: float,
@@ -272,34 +321,43 @@ def sample_steps(
     last ``steps mod k`` draws) are built once per call by repeated
     ``compose``, so endpoints differ from step-by-step moves by rounding only.
     """
-    b = len(branches)
-    thresholds = _thresholds(branches)
-    folded = compose is not None and all(br.shift is not None for br in branches)
-    k = _block_len(b) if folded else 1
-    if folded:
-        H = np.array([br.shift(s) for br in branches])
-        tables = {}
-    index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
-    for start in range(0, steps, k):
-        size = min(k, steps - start)
-        for step in range(start, start + size):
-            z = step_uniforms(streams, step)
-            if step == start:
-                idx = np.zeros(z.shape, dtype=index_type)
-            else:
-                idx *= b
-            for T in thresholds:
-                idx += T <= z
-        yield idx, coords
-        if folded:
-            if size not in tables:
-                tables[size] = _products(H, size, compose)
-            coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
-            continue
-        for j, br in enumerate(branches):
-            mask = idx == j
-            if np.any(mask):
-                coords[mask] = br.move(coords[mask], s)
+    return _chain(branches, s, compose)(coords, streams, steps)
+
+
+# the endpoint sampler runs this many rows at a time
+_SAMPLE_ROWS = 32768
+
+
+def sample_endpoints(
+    spec: GeneratorSpec,
+    branches: Sequence[Branch],
+    s: float,
+    x: Point,
+    rows: int,
+    seed: int,
+    steps: int,
+    potential: bool = False,
+) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """Endpoints of ``rows`` branch chains of ``steps`` draws at step time s from x.
+
+    Row i draws from ``substream(seed, i)``.  The rows run in blocks of
+    ``_SAMPLE_ROWS``; each block yields ``(lo, coords, factor)``: its first
+    row index, its endpoints and, with ``potential``, the factor
+    ``prod_m (1 + s c(state_m))`` per row (None without).  Every row's draws
+    and moves depend on its index alone, so the blocks reproduce one
+    whole-batch run bit for bit, in memory that does not grow with ``rows``.
+    The product tables of ``sample_steps`` are built once per call.
+    """
+    run = _chain(branches, s, spec.manifold.compose)
+    # no rows still run one empty block, which checks the seed
+    for lo in range(0, max(rows, 1), _SAMPLE_ROWS):
+        hi = min(lo + _SAMPLE_ROWS, rows)
+        coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy()
+        factor = np.ones(hi - lo) if potential else None
+        for _, before in run(coords, substream(seed, np.arange(lo, hi)), steps):
+            if potential:
+                factor *= 1.0 + _potential_step(spec, s, before)
+        yield lo, coords, factor
 
 
 def branch_set(
@@ -354,6 +412,12 @@ def apply_S(
     return float(apply_S_batch(spec, variant, t, f, x.coords[None, :], ode)[0])
 
 
+# the tree is evaluated in chunks of at most this many leaves, each grown from
+# at least _CHUNK_NODES nodes: chunks grown from one node each run slower
+_CHUNK_LEAVES = 2**16
+_CHUNK_NODES = 16
+
+
 def iterate_tree(
     spec: GeneratorSpec,
     variant: ChernoffVariant,
@@ -366,10 +430,18 @@ def iterate_tree(
 ) -> float:
     """Exact (S(t/n)^n f)(x) by full expansion of the branch tree.
 
-    Breadth-first expansion over coordinate/weight arrays; deterministic and
-    bit-reproducible for fixed ode settings.  The leaf count is
-    ``branches^n`` (+1 branch when a potential is present) and must stay
-    within ``budget``.
+    The leaf count is ``b^n`` for b branches (+1 branch when a potential is
+    present) and must stay within ``budget``.  The first levels expand
+    breadth-first, over coordinate/weight arrays, to a frontier; the last
+    ``depth`` levels expand one chunk of frontier nodes at a time, where
+    ``depth`` is the largest with ``_CHUNK_NODES * b^depth <= _CHUNK_LEAVES``.
+    Each chunk of at most ``_CHUNK_LEAVES`` leaves is evaluated by ``f`` and
+    its weighted sum added to a running total, chunk by chunk in frontier
+    order, so memory does not grow with the leaf count.  A tree of at most
+    ``_CHUNK_LEAVES`` leaves is one chunk, summed by one dot product in the
+    order of a whole-tree expansion; a larger tree's sum differs from that
+    by rounding only.  Deterministic and bit-reproducible for fixed ode
+    settings.
     """
     spec.manifold._check_point(x)
     check_steps(t, n)
@@ -382,17 +454,28 @@ def iterate_tree(
             f"{b}^{n} leaf evaluations exceed the budget of {budget}"
         )
     weights = [float(br.weight) for br in branches]
-    pts = x.coords[None, :].copy()
-    wts = np.ones(1)
-    for _ in range(n):
-        blocks = [br.move(pts, dt) for br in branches]
-        wblocks = [w * wts for w in weights]
-        if has_pot:
-            blocks.append(pts)
-            wblocks.append(_potential_step(spec, dt, pts) * wts)
-        pts = np.concatenate(blocks, axis=0)
-        wts = np.concatenate(wblocks)
-    return float(np.asarray(f(pts), dtype=float) @ wts)
+
+    def expand(pts, wts, levels):
+        for _ in range(levels):
+            blocks = [br.move(pts, dt) for br in branches]
+            wblocks = [w * wts for w in weights]
+            if has_pot:
+                blocks.append(pts)
+                wblocks.append(_potential_step(spec, dt, pts) * wts)
+            pts = np.concatenate(blocks, axis=0)
+            wts = np.concatenate(wblocks)
+        return pts, wts
+
+    depth = 0
+    while depth < n and _CHUNK_NODES * b ** (depth + 1) <= _CHUNK_LEAVES:
+        depth += 1
+    frontier, fw = expand(x.coords[None, :].copy(), np.ones(1), n - depth)
+    per_chunk = max(_CHUNK_LEAVES // b**depth, 1)
+    total = 0.0
+    for lo in range(0, frontier.shape[0], per_chunk):
+        pts, wts = expand(frontier[lo : lo + per_chunk], fw[lo : lo + per_chunk], depth)
+        total += float(np.asarray(f(pts), dtype=float) @ wts)
+    return total
 
 
 def iterate_grid(
@@ -472,24 +555,24 @@ def iterate_mc(
     product each.  For c = 0 this is an unbiased estimator of
     ``iterate_tree``; substreams are derived statelessly from
     (seed, path index), so results are reproducible and independent of any
-    worker decomposition.  ValueError unless ``0 <= seed < 2^64``.
+    worker decomposition.  The paths run in ``sample_endpoints``'s row
+    blocks; ``f`` is evaluated block by block into one ``(samples,)`` array,
+    whose mean and standard error are those of one whole-batch run, bit for
+    bit.  Memory beyond that array is one block's.
+    ValueError unless ``0 <= seed < 2^64``.
     """
     spec.manifold._check_point(x)
     check_steps(t, n)
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    dt = t / n
     branches = branch_moves(spec, variant, ode)
-    coords = np.broadcast_to(x.coords, (samples, x.coords.shape[0])).copy()
-    streams = substream(seed, np.arange(samples))
     has_pot = variant is ChernoffVariant.GENERAL and spec.potential is not None
-    factor = np.ones(samples) if has_pot else None
-    for _, before in sample_steps(branches, dt, coords, streams, n, spec.manifold.compose):
-        if has_pot:
-            factor *= 1.0 + _potential_step(spec, dt, before)
-    vals = np.asarray(f(coords), dtype=float)
-    if has_pot:
-        vals = vals * factor
+    vals = np.empty(samples)
+    for lo, coords, factor in sample_endpoints(
+        spec, branches, t / n, x, samples, seed, n, potential=has_pot
+    ):
+        v = np.asarray(f(coords), dtype=float)
+        vals[lo : lo + coords.shape[0]] = v if factor is None else v * factor
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)

@@ -288,7 +288,7 @@ def _oracle_values(run: ChernoffRun) -> np.ndarray:
         return np.asarray(compile_scalar(arg, run.manifold)(run.coords), dtype=float)
     if kind == "kernel":
         kid = rf.HeatKernelId.from_string(arg)
-        return np.array([rf.exact_semigroup(kid, run.f, cfg.t, c) for c in run.coords])
+        return rf.exact_semigroup_batch(kid, run.f, cfg.t, run.coords)
     if kind == "fd":
         steps = int(arg) if arg else max(100, int(math.ceil(cfg.t / 5e-3)))
         f0 = GridFunction.from_function(run.manifold, cfg.grid_nodes, run.f, interp=cfg.interp)

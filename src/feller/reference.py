@@ -219,8 +219,10 @@ def h2_kernel_mass(t: float, rho_max: float = None) -> float:
     return float(vals @ w * 0.5 * rho_max)
 
 
-def _hyperbolic_h2(f, t, x):
-    # polar quadrature around x: u(x) = int p_{t/2}(rho) f(exp_x(rho, phi)) sinh(rho)
+def _hyperbolic_h2(f, t, xs):
+    # polar quadrature around each row x of xs:
+    # u(x) = int p_{t/2}(rho) f(exp_x(rho, phi)) sinh(rho); the kernel values
+    # are shared by every row, and each row's polar nodes are one batch
     m = hyperbolic_h2()
     th = t / 2.0  # e^{t (1/2) Laplacian} = heat kernel at time t/2
     rho_max = 12.0 * math.sqrt(th) + 6.0
@@ -229,16 +231,18 @@ def _hyperbolic_h2(f, t, x):
     rho = 0.5 * rho_max * (nodes + 1.0)
     kern = h2_heat_kernel(rho, th)
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    frame = m.frame_batch(x[None, :])  # (2, 1, 2)
-    e1, e2 = frame[0, 0], frame[1, 0]
-    dirs = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2  # unit g-norm
-    starts = np.broadcast_to(x, (n_phi, 2)).copy()
-    acc = np.empty(n_rho)
-    for i, r in enumerate(rho):
-        pts = m.geodesic_batch(starts, dirs, r)
-        acc[i] = float(np.asarray(f(pts), dtype=float).mean())
-    integrand = kern * np.sinh(rho) * acc * TWO_PI
-    return float(integrand @ w * 0.5 * rho_max)
+    radii = np.repeat(rho, n_phi)
+    out = np.empty(len(xs))
+    for j, x in enumerate(xs):
+        frame = m.frame_batch(x[None, :])  # (2, 1, 2)
+        e1, e2 = frame[0, 0], frame[1, 0]
+        dirs = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2  # unit g-norm
+        starts = np.broadcast_to(x, (n_rho * n_phi, 2)).copy()
+        pts = m.geodesic_batch(starts, np.tile(dirs, (n_rho, 1)), radii)
+        acc = np.asarray(f(pts), dtype=float).reshape(n_rho, n_phi).mean(axis=1)
+        integrand = kern * np.sinh(rho) * acc * TWO_PI
+        out[j] = float(integrand @ w * 0.5 * rho_max)
+    return out
 
 
 def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
@@ -256,8 +260,22 @@ def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
     if kernel.tag == "sphere-harmonics":
         return _sphere_harmonics(fn, t, coords, kernel.l_max)
     if kernel.tag == "hyperbolic-h2":
-        return _hyperbolic_h2(fn, t, coords)
+        return float(_hyperbolic_h2(fn, t, coords[None, :])[0])
     raise OracleUnavailableError(f"no oracle for {kernel.tag}")
+
+
+def exact_semigroup_batch(kernel: HeatKernelId, f, t: float, coords) -> np.ndarray:
+    """``exact_semigroup`` at every row of ``coords``.
+
+    The H2 kernel values depend on t alone, so one call computes them once
+    for all rows; the other oracles run row by row.
+    """
+    if t <= 0.0:
+        raise ValueError("exact_semigroup requires t > 0")
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    if kernel.tag == "hyperbolic-h2":
+        return _hyperbolic_h2(_as_callable(f), t, coords)
+    return np.array([exact_semigroup(kernel, f, t, x) for x in coords], dtype=float)
 
 
 # -- Crank-Nicolson finite differences ---------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._kernels import substream
-from .chernoff import ChernoffVariant, branch_moves, check_steps, sample_steps
+from .chernoff import ChernoffVariant, branch_moves, check_steps, sample_endpoints, sample_steps
 from .errors import EmptySampleError
 from .fields import GeneratorSpec
 from .flows import DEFAULT_ODE, OdeSettings
@@ -252,14 +252,14 @@ def walk_endpoints(
     seed: int,
     ode: OdeSettings = DEFAULT_ODE,
 ) -> np.ndarray:
-    """Vectorized endpoints X_n(t) for n_samples jump paths."""
+    """Endpoints X_n(t) of n_samples jump paths, sampled by ``chernoff.sample_endpoints``."""
     spec.manifold._check_point(x)
     steps = _walk_steps(t, n)
-    coords = np.broadcast_to(x.coords, (n_samples, x.coords.shape[0])).copy()
-    streams = substream(seed, np.arange(n_samples))
-    for _ in sample_steps(branch_moves(spec, GENERAL, ode), 1.0 / n, coords, streams, steps):
-        pass
-    return coords
+    out = np.empty((n_samples, x.coords.shape[0]))
+    branches = branch_moves(spec, GENERAL, ode)
+    for lo, coords, _ in sample_endpoints(spec, branches, 1.0 / n, x, n_samples, seed, steps):
+        out[lo : lo + coords.shape[0]] = coords
+    return out
 
 
 def endpoint_values(

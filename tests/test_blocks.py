@@ -1,0 +1,190 @@
+"""The tree in frontier chunks and the endpoint sampler in row blocks.
+
+Each blocked path is compared with the whole-batch loop it replaced, kept
+here as the reference: the sampler bit for bit, the tree to rounding (its
+chunks sum in another order).  The memory test pins the bound the blocks
+exist for.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import feller as fl
+from feller import chernoff
+from feller._kernels import substream
+from feller.chernoff import ChernoffVariant as CV
+from feller.chernoff import branch_moves, sample_steps
+from feller.errors import BudgetExceededError, PotentialStepError
+from feller.walks import walk_endpoints
+
+B = chernoff._SAMPLE_ROWS
+
+
+def h2_heat():
+    h2 = fl.hyperbolic_h2()
+    spec = fl.GeneratorSpec([fl.frame_field(h2, 1), fl.frame_field(h2, 2)])
+    center = np.array([0.0, 1.0])
+
+    def f(c):
+        d = h2.distance_batch(np.broadcast_to(center, c.shape).copy(), c)
+        return np.exp(-0.5 * d**2)
+
+    return spec, CV.HEAT_GEODESIC, f, h2.point([0.5, 1.0])
+
+
+def circle_general(field="const"):
+    """A circle GENERAL spec with two fields, a drift and a potential: 6 branches."""
+    circ = fl.circle()
+    second = {"const": fl.constant_field(circ, [0.5]),
+              "rk4": fl.field_from_string(circ, "custom:1+0.3*sin(theta)")}[field]
+    spec = fl.GeneratorSpec(
+        [fl.frame_field(circ, 1), second], drift=fl.constant_field(circ, [0.3]),
+        potential="-0.5-0.5*sin(theta)^2",
+    )
+    return spec, CV.GENERAL, (lambda c: np.cos(c[:, 0]) + 2.0), circ.point([0.7])
+
+
+# -- the sampler ------------------------------------------------------------------
+
+
+def unblocked_endpoints(spec, variant, s, x, rows, seed, steps, potential):
+    """Every row in one batch through sample_steps: endpoints and potential factors."""
+    coords = np.broadcast_to(x.coords, (rows, x.coords.shape[0])).copy()
+    streams = substream(seed, np.arange(rows))
+    factor = np.ones(rows)
+    loop = sample_steps(branch_moves(spec, variant), s, coords, streams, steps,
+                        spec.manifold.compose)
+    for _, before in loop:
+        if potential:
+            factor *= 1.0 + s * spec.potential_values(before)
+    return coords, factor
+
+
+def unblocked_mc(spec, variant, t, n, f, x, samples, seed):
+    potential = spec.potential is not None
+    ends, factor = unblocked_endpoints(spec, variant, t / n, x, samples, seed, n, potential)
+    vals = np.asarray(f(ends), dtype=float)
+    if potential:
+        vals = vals * factor
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("case", [h2_heat, circle_general])
+@pytest.mark.parametrize("samples", [B - 1, B, B + 1, 2 * B + 3])
+def test_mc_blocks_equal_one_batch(case, samples):
+    spec, variant, f, x = case()
+    est = fl.iterate_mc(spec, variant, 0.5, 7, f, x, samples, seed=31)
+    mean, stderr = unblocked_mc(spec, variant, 0.5, 7, f, x, samples, seed=31)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex())
+
+
+@pytest.mark.parametrize("samples", [B - 1, B, B + 1, 2 * B + 3])
+def test_walk_endpoint_blocks_equal_one_batch(samples):
+    spec, _, _, x = circle_general()
+    got = walk_endpoints(spec, x, 0.5, 14, samples, seed=17)
+    want, _ = unblocked_endpoints(spec, CV.GENERAL, 1.0 / 14, x, samples, 17, 7, False)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_walk_endpoints_of_no_paths():
+    spec, _, _, x = circle_general()
+    assert walk_endpoints(spec, x, 0.5, 14, 0, seed=17).shape == (0, 1)
+    h2_spec, _, _, y = h2_heat()
+    assert walk_endpoints(h2_spec, y, 0.5, 14, 0, seed=17).shape == (0, 2)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        walk_endpoints(spec, x, 0.5, 14, 0, seed=-1)
+
+
+def test_product_tables_built_once_per_call(monkeypatch):
+    # 2B + 3 rows in three blocks, 32 steps of k = 6: one table of 6 draws
+    # and one of the last 2, not three of each
+    built = []
+    products = chernoff._products
+
+    def counted(H, k, compose):
+        built.append(k)
+        return products(H, k, compose)
+
+    monkeypatch.setattr(chernoff, "_products", counted)
+    spec, variant, f, x = h2_heat()
+    fl.iterate_mc(spec, variant, 0.5, 32, f, x, 2 * B + 3, seed=5)
+    assert sorted(built) == [2, 6]
+
+
+# -- the tree ---------------------------------------------------------------------
+
+
+def breadth_first_tree(spec, variant, t, n, f, x):
+    """The whole tree level by level, then one dot product over all leaves."""
+    dt = t / n
+    branches = branch_moves(spec, variant)
+    weights = [float(br.weight) for br in branches]
+    pts, wts = x.coords[None, :].copy(), np.ones(1)
+    for _ in range(n):
+        blocks = [br.move(pts, dt) for br in branches]
+        wblocks = [w * wts for w in weights]
+        if spec.potential is not None:
+            blocks.append(pts)
+            wblocks.append(dt * spec.potential_values(pts) * wts)
+        pts, wts = np.concatenate(blocks), np.concatenate(wblocks)
+    return float(np.asarray(f(pts), dtype=float) @ wts)
+
+
+@pytest.mark.parametrize("case, n", [(h2_heat, 9), (circle_general, 7)])
+def test_tree_chunks_agree_with_breadth_first(case, n):
+    spec, variant, f, x = case()
+    b = len(branch_moves(spec, variant)) + (spec.potential is not None)
+    assert b**n >= 4 * chernoff._CHUNK_LEAVES  # several chunks
+    got = fl.iterate_tree(spec, variant, 0.5, n, f, x)
+    want = breadth_first_tree(spec, variant, 0.5, n, f, x)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert fl.iterate_tree(spec, variant, 0.5, n, f, x).hex() == got.hex()
+
+
+def test_tree_chunks_of_rk4_rows(monkeypatch):
+    # RK4 rows converge on their own, so small chunks reach the same leaves
+    spec, variant, f, x = circle_general("rk4")
+    want = fl.iterate_tree(spec, variant, 0.5, 4, f, x)  # 6^4 leaves: one chunk
+    assert want == breadth_first_tree(spec, variant, 0.5, 4, f, x)
+    monkeypatch.setattr(chernoff, "_CHUNK_LEAVES", 64)
+    monkeypatch.setattr(chernoff, "_CHUNK_NODES", 2)
+    got = fl.iterate_tree(spec, variant, 0.5, 4, f, x)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_chunked_tree_keeps_its_refusals(monkeypatch):
+    monkeypatch.setattr(chernoff, "_CHUNK_LEAVES", 16)
+    monkeypatch.setattr(chernoff, "_CHUNK_NODES", 2)
+    spec, variant, f, x = h2_heat()
+    with pytest.raises(BudgetExceededError):
+        fl.iterate_tree(spec, variant, 0.5, 12, f, x, budget=4**11)
+    circ = fl.circle()
+    strong = fl.GeneratorSpec([fl.frame_field(circ, 1)], potential="-3-2*sin(theta)^2")
+    with pytest.raises(PotentialStepError, match="> 1"):
+        fl.iterate_tree(strong, CV.GENERAL, 1.0, 4, f=lambda c: np.cos(c[:, 0]),
+                        x=circ.point([0.3]))
+
+
+# -- memory ------------------------------------------------------------------------
+
+CAP = 64 * 2**20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_and_mc_memory_does_not_grow_with_the_work():
+    # the whole-batch tree of 4^11 leaves peaked near 320 MiB
+    spec, variant, f, x = h2_heat()
+    tree = _traced_peak(lambda: fl.iterate_tree(spec, variant, 0.5, 11, f, x))
+    mc = _traced_peak(lambda: fl.iterate_mc(spec, variant, 0.5, 32, f, x, 500_000, seed=9))
+    assert tree < CAP and mc < CAP, (tree / 2**20, mc / 2**20)
