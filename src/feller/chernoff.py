@@ -23,8 +23,9 @@ semigroup generated by L.  Variants:
 
 ``branch_moves`` is the one description of a step: the branch table of
 S(.) in draw order (for ``GENERAL`` the drift first, then +A_1, -A_1, ..,
-+A_r, -A_r), each branch with its exact weight and a move evaluated at the
-step time s.  Three evaluation strategies for S(t/n)^n f read it at s = t/n:
++A_r, -A_r, then with c != 0 the identity with the signed weight s c(x)), each
+branch with its weight and a move evaluated at the step time s.  Three
+evaluation strategies for S(t/n)^n f read it at s = t/n:
 exact tree recursion (``iterate_tree``, the oracle), semi-Lagrangian grid
 sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
@@ -33,10 +34,8 @@ random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n);
 ``iterate_mc`` and ``walks.walk_endpoints``.  The tree, too, is evaluated in
 chunks of at most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the
 sampler holds more than one block of points at a time, whatever the leaf
-or sample count.
-Wherever a step evaluates the potential (the grid nodes, each tree level's
-points, each MC step's states, the ``apply_S`` rows), ``dt * |c| > 1`` raises
-``PotentialStepError``.
+or sample count.  Wherever a strategy evaluates the potential branch's
+weight, ``dt * |c| > 1`` raises ``PotentialStepError``.
 
 Every parallelizable built-in is a Lie group whose frame is left-invariant:
 R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group.  Each
@@ -44,13 +43,11 @@ heat-geodesic branch is therefore right-multiplication by one fixed group
 element ``h_b(s)``, the frame geodesic from the identity: its ``move`` is
 ``compose(coords, h_b(s))`` and it carries ``shift(s) -> h_b(s)``.
 
-Draws are integer: each step takes one splitmix64 word per row from
-``_kernels.step_uniforms`` and compares it with the thresholds
-``ceil(cumw_j * 2^64)`` of the exact cumulative weights.  A heat-geodesic MC
-path is a random walk on the group, ``x h_{d_1} ... h_{d_n}``, so the sample
-loop folds k draws into one index and moves all rows by one gather from a
-table of the ``b^k`` group products and one ``compose`` per k steps; flow
-branches move their rows by mask, one step at a time.
+Draws are integer: one splitmix64 word per row and step against the
+thresholds of ``_thresholds``.  With the signed branch a row draws with
+probability |weight| / M, M = 1 + |s c(x)|, and carries a signed mass (Del
+Moral, *Feynman-Kac Formulae*, 2004, ch. 2).  A heat-geodesic MC path folds k
+draws into one gather from a table of group products (``sample_steps``).
 """
 
 from __future__ import annotations
@@ -95,14 +92,6 @@ class BranchSet:
 
     points: list
     weights: np.ndarray
-    potential_term: float
-
-
-def _require_driftless(spec: GeneratorSpec, variant: ChernoffVariant):
-    if spec.potential is not None:
-        raise VariantIncompatibleError(f"{variant.value} requires c = 0")
-    if not (spec.drift_policy == "explicit" and spec.drift.is_zero):
-        raise VariantIncompatibleError(f"{variant.value} requires A_0 = 0")
 
 
 def check_steps(t: float, n: int) -> None:
@@ -139,13 +128,19 @@ class Branch:
     A branch that is right-multiplication by a group element of its manifold
     (every heat-geodesic branch) also carries ``shift(s)``, that element
     ``h_b(s)``, and its move is ``manifold.compose(coords, shift(s))``.  None
-    otherwise.
+    otherwise.  The potential branch is the identity, with ``weight`` 0 and
+    the signed per-row weight ``signed(coords, s) = s c(x)``; None otherwise.
     """
 
     weight: Fraction
     label: str
     move: Callable[[np.ndarray, float], np.ndarray]
     shift: Optional[Callable[[float], np.ndarray]] = None
+    signed: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    def weight_at(self, coords: np.ndarray, s: float):
+        """The weight at step time s: a float, or ``s c`` at the rows of ``coords``."""
+        return float(self.weight) if self.signed is None else self.signed(coords, s)
 
 
 def branch_moves(
@@ -157,7 +152,8 @@ def branch_moves(
 
     ``GENERAL`` lists the drift first, then ``+A_1, -A_1, .., +A_r, -A_r``;
     the driftless variants list ``+-A_j``; ``HEAT_GEODESIC`` lists the
-    geodesics with initial velocities ``+-sqrt(d) e_k``.
+    geodesics with initial velocities ``+-sqrt(d) e_k``.  A potential, only
+    with ``GENERAL``, is the signed identity branch, last.
     """
     m = spec.manifold
     branches: list[Branch] = []
@@ -178,15 +174,14 @@ def branch_moves(
         branches.append(Branch(Fraction(1, 2), "flow(A_0, 2s)", drift))
         field_pairs(Fraction(1, 4 * r), lambda s: np.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant in (ChernoffVariant.DRIFTLESS_CORRECTED, ChernoffVariant.DRIFTLESS_LITERAL):
-        _require_driftless(spec, variant)
+        if not (spec.drift_policy == "explicit" and spec.drift.is_zero):
+            raise VariantIncompatibleError(f"{variant.value} requires A_0 = 0")
         r = spec.r
         if variant is ChernoffVariant.DRIFTLESS_CORRECTED:
             field_pairs(Fraction(1, 2 * r), lambda s: np.sqrt(r * s), "sqrt(rs)")
         else:
             field_pairs(Fraction(1, 2 * r), lambda s: np.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant is ChernoffVariant.HEAT_GEODESIC:
-        if spec.potential is not None:
-            raise VariantIncompatibleError("heat-geodesic requires c = 0")
         if m.identity is None:
             raise VariantIncompatibleError(
                 f"heat-geodesic requires a parallelizable manifold, not {m.name}"
@@ -211,6 +206,11 @@ def branch_moves(
         raise ValueError(variant)
 
     assert sum(b.weight for b in branches) == 1
+    if spec.potential is not None:
+        if variant is not ChernoffVariant.GENERAL:
+            raise VariantIncompatibleError(f"{variant.value} requires c = 0")
+        signed = lambda coords, s: _potential_step(spec, s, coords)
+        branches.append(Branch(Fraction(0), "identity, s c(x)", lambda c, s: c, signed=signed))
     return branches
 
 
@@ -219,16 +219,19 @@ _TABLE_ROWS = 4096
 
 
 def _thresholds(branches: Sequence[Branch]) -> list:
-    """Integer thresholds ``T_j = ceil(cumw_j * 2^64)`` of every branch but the last.
+    """Thresholds ``T_j = ceil(cumw_j * 2^64)`` of every branch but the last.
 
     A word z, uniform on [0, 2^64), draws branch ``sum_j (T_j <= z)``: the
     first branch whose cumulative weight exceeds ``z / 2^64``, compared
-    exactly.  Only the last cumulative weight, 1, would not fit a word.
+    exactly.  Only the last cumulative weight, 1, would not fit a word.  With
+    the signed branch last, ``T_j = cumw_j`` as floats and z is ``u M``, u =
+    ``(word >> 11) 2^-53`` and M = ``1 + |s c|``: ``u M >= 1`` draws it.
     """
     cumw, out = Fraction(0), []
     for br in branches[:-1]:
         cumw += br.weight
-        out.append(np.uint64(-(-(cumw.numerator << 64) // cumw.denominator)))
+        T = -(-(cumw.numerator << 64) // cumw.denominator)
+        out.append(np.uint64(T) if branches[-1].signed is None else float(cumw))
     return out
 
 
@@ -261,6 +264,7 @@ def _chain(
     """
     b = len(branches)
     thresholds = _thresholds(branches)
+    signed = branches[-1].signed
     folded = compose is not None and all(br.shift is not None for br in branches)
     k = _block_len(b) if folded else 1
     if folded:
@@ -268,7 +272,7 @@ def _chain(
     tables = {}
     index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
 
-    def run(coords, streams, steps):
+    def run(coords, streams, steps, mass=None):
         for start in range(0, steps, k):
             size = min(k, steps - start)
             for step in range(start, start + size):
@@ -277,6 +281,11 @@ def _chain(
                     idx = np.zeros(z.shape, dtype=index_type)
                 else:
                     idx *= b
+                if signed is not None:  # u M >= 1 draws the signed branch
+                    weight = signed(coords, s)
+                    scale = 1.0 + np.abs(weight)
+                    z = (z >> np.uint64(11)) * 2.0**-53 * scale
+                    mass *= np.where((z >= 1.0) & (weight < 0.0), -scale, scale)
                 for T in thresholds:
                     idx += T <= z
             yield idx, coords
@@ -304,11 +313,13 @@ def sample_steps(
     """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
 
     Step m draws the word ``z = step_uniforms(streams, m)`` per row and takes
-    branch ``sum_j (T_j <= z)`` over the integer thresholds of ``_thresholds``.
-    The loop runs in blocks of k steps and yields once per block: the block's
-    draws and ``coords`` as they are before the block's moves (the live array:
-    copy what must be kept); the moves run when the caller asks for the next
-    block.
+    branch ``sum_j (T_j <= z)`` over the thresholds of ``_thresholds`` (a
+    table with the signed branch runs in ``sample_endpoints``, which carries
+    each row's mass: M per step, negated where the draw is a negative
+    weight).  The loop runs in blocks of k steps and yields once per block:
+    the block's draws and ``coords`` as they are before the block's moves
+    (the live array: copy what must be kept); the moves run when the caller
+    asks for the next block.
 
     Without ``compose``, or with a branch that has no shift, k = 1: each
     step yields its branch indices, and each branch moves its rows by mask.
@@ -336,28 +347,26 @@ def sample_endpoints(
     rows: int,
     seed: int,
     steps: int,
-    potential: bool = False,
-) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Endpoints of ``rows`` branch chains of ``steps`` draws at step time s from x.
 
     Row i draws from ``substream(seed, i)``.  The rows run in blocks of
-    ``_SAMPLE_ROWS``; each block yields ``(lo, coords, factor)``: its first
-    row index, its endpoints and, with ``potential``, the factor
-    ``prod_m (1 + s c(state_m))`` per row (None without).  Every row's draws
-    and moves depend on its index alone, so the blocks reproduce one
-    whole-batch run bit for bit, in memory that does not grow with ``rows``.
-    The product tables of ``sample_steps`` are built once per call.
+    ``_SAMPLE_ROWS``; each block yields ``(lo, coords, mass)``: its first
+    row index, its endpoints and their signed masses (all 1 for a table
+    without a signed branch).  Every row's draws and moves depend on its
+    index alone, so the blocks reproduce one whole-batch run bit for bit, in
+    memory that does not grow with ``rows``.  The product tables of
+    ``sample_steps`` are built once per call.
     """
     run = _chain(branches, s, spec.manifold.compose)
     # no rows still run one empty block, which checks the seed
     for lo in range(0, max(rows, 1), _SAMPLE_ROWS):
         hi = min(lo + _SAMPLE_ROWS, rows)
         coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy()
-        factor = np.ones(hi - lo) if potential else None
-        for _, before in run(coords, substream(seed, np.arange(lo, hi)), steps):
-            if potential:
-                factor *= 1.0 + _potential_step(spec, s, before)
-        yield lo, coords, factor
+        mass = np.ones(hi - lo)
+        for _ in run(coords, substream(seed, np.arange(lo, hi)), steps, mass):
+            pass
+        yield lo, coords, mass
 
 
 def branch_set(
@@ -367,17 +376,14 @@ def branch_set(
     x: Point,
     ode: OdeSettings = DEFAULT_ODE,
 ) -> BranchSet:
-    """Shifted points, weights and potential term of S(t) at x."""
+    """Shifted points and weights of S(t) at x; with a potential, x last with weight t c(x)."""
     spec.manifold._check_point(x)
     check_steps(t, 1)
     branches = branch_moves(spec, variant, ode)
     c = x.coords[None, :]
     pts = [spec.manifold.point(br.move(c, t)[0]) for br in branches]
-    pot = 0.0
-    if variant is ChernoffVariant.GENERAL and spec.potential is not None:
-        pot = float(_potential_step(spec, t, c)[0])
-    weights = np.array([float(br.weight) for br in branches])
-    return BranchSet(points=pts, weights=weights, potential_term=pot)
+    weights = np.hstack([br.weight_at(c, t) for br in branches])
+    return BranchSet(points=pts, weights=weights)
 
 
 def apply_S_batch(
@@ -393,9 +399,7 @@ def apply_S_batch(
     coords = np.atleast_2d(coords)
     acc = np.zeros(coords.shape[0])
     for br in branch_moves(spec, variant, ode):
-        acc += float(br.weight) * np.asarray(f(br.move(coords, t)), dtype=float)
-    if variant is ChernoffVariant.GENERAL and spec.potential is not None:
-        acc += _potential_step(spec, t, coords) * np.asarray(f(coords), dtype=float)
+        acc += br.weight_at(coords, t) * np.asarray(f(br.move(coords, t)), dtype=float)
     return acc
 
 
@@ -407,7 +411,7 @@ def apply_S(
     x: Point,
     ode: OdeSettings = DEFAULT_ODE,
 ) -> float:
-    """(S(t)f)(x) = sum_i w_i f(p_i) + t c(x) f(x)."""
+    """(S(t)f)(x) = sum_i w_i f(p_i), the last term t c(x) f(x) with a potential."""
     spec.manifold._check_point(x)
     return float(apply_S_batch(spec, variant, t, f, x.coords[None, :], ode)[0])
 
@@ -430,8 +434,8 @@ def iterate_tree(
 ) -> float:
     """Exact (S(t/n)^n f)(x) by full expansion of the branch tree.
 
-    The leaf count is ``b^n`` for b branches (+1 branch when a potential is
-    present) and must stay within ``budget``.  The first levels expand
+    The leaf count is ``b^n`` for b branches (a potential is one) and must
+    stay within ``budget``.  The first levels expand
     breadth-first, over coordinate/weight arrays, to a frontier; the last
     ``depth`` levels expand one chunk of frontier nodes at a time, where
     ``depth`` is the largest with ``_CHUNK_NODES * b^depth <= _CHUNK_LEAVES``.
@@ -447,21 +451,16 @@ def iterate_tree(
     check_steps(t, n)
     dt = t / n
     branches = branch_moves(spec, variant, ode)
-    has_pot = variant is ChernoffVariant.GENERAL and spec.potential is not None
-    b = len(branches) + (1 if has_pot else 0)
+    b = len(branches)
     if b**n > budget:
         raise BudgetExceededError(
             f"{b}^{n} leaf evaluations exceed the budget of {budget}"
         )
-    weights = [float(br.weight) for br in branches]
 
     def expand(pts, wts, levels):
         for _ in range(levels):
             blocks = [br.move(pts, dt) for br in branches]
-            wblocks = [w * wts for w in weights]
-            if has_pot:
-                blocks.append(pts)
-                wblocks.append(_potential_step(spec, dt, pts) * wts)
+            wblocks = [br.weight_at(pts, dt) * wts for br in branches]
             pts = np.concatenate(blocks, axis=0)
             wts = np.concatenate(wblocks)
         return pts, wts
@@ -490,39 +489,34 @@ def iterate_grid(
 
     The branch displacement of every node is precomputed once (the fields
     are autonomous), so each sweep is a handful of stencil gathers:
-    cost O(n * nodes * branches).
+    cost O(n * nodes * branches).  The potential's identity is a diagonal.
     """
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
     check_steps(t, n)
     dt = t / n
     branches = branch_moves(spec, variant, ode)
-    weights = [float(br.weight) for br in branches]
     nodes = f0.node_coords()
+    weights = [br.weight_at(nodes, dt) for br in branches]
     stencils = []
     max_disp = 0.0
     for br in branches:
         target = br.move(nodes, dt)
         if f0.interp == "linear":  # only the warning below reads the displacement
             max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
-        stencils.append(f0.build_stencil(target))
+        stencils.append(f0.build_stencil(target) if br.signed is None else None)
     if 0.0 < max_disp < f0.cell_size():
         warnings.warn(
             "branch displacement below one grid cell with linear interpolation; "
             "results may be dominated by interpolation error",
             stacklevel=2,
         )
-    pot = None
-    if variant is ChernoffVariant.GENERAL and spec.potential is not None:
-        pot = _potential_step(spec, dt, nodes)
     values = f0.values.ravel().copy()
     for _ in range(n):
         flat = f0.flat_values(values)
         new = weights[0] * stencils[0].apply(flat)
         for w, st in zip(weights[1:], stencils[1:]):
-            new += w * st.apply(flat)
-        if pot is not None:
-            new += pot * values
+            new += w * (values if st is None else st.apply(flat))
         values = new
     return f0.with_values(values)
 
@@ -549,16 +543,18 @@ def iterate_mc(
     """Monte-Carlo estimate of (S(t/n)^n f)(x).
 
     One branch is drawn per step with probability equal to its weight, from
-    one integer word per path and step (``sample_steps``); with a potential
-    present the multiplicative factor (1 + (t/n) c(state)) is accumulated
-    along the path.  Heat-geodesic paths move k steps at a time by one group
-    product each.  For c = 0 this is an unbiased estimator of
-    ``iterate_tree``; substreams are derived statelessly from
-    (seed, path index), so results are reproducible and independent of any
-    worker decomposition.  The paths run in ``sample_endpoints``'s row
-    blocks; ``f`` is evaluated block by block into one ``(samples,)`` array,
-    whose mean and standard error are those of one whole-batch run, bit for
-    bit.  Memory beyond that array is one block's.
+    one integer word per path and step (``sample_steps``); with a potential,
+    with probability |weight| / M, M = 1 + (t/n)|c|, and a sample is f(end)
+    times its path's signed mass.  Heat-geodesic paths move k steps at a time
+    by one group product each.  An unbiased estimator of ``iterate_tree`` for
+    every c, at a higher variance when c != 0 (circle, c = -3-2 sin^2, f =
+    cos + 2, t = 1, n = 8: stderr 0.08 from 4e5 samples on a value of 0.02);
+    substreams are derived statelessly from (seed, path index), so results
+    are reproducible and independent of any worker decomposition.  The paths
+    run in ``sample_endpoints``'s row blocks; ``f`` is evaluated block by
+    block into one ``(samples,)`` array, whose mean and standard error are
+    those of one whole-batch run, bit for bit.  Memory beyond that array is
+    one block's.
     ValueError unless ``0 <= seed < 2^64``.
     """
     spec.manifold._check_point(x)
@@ -566,13 +562,9 @@ def iterate_mc(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     branches = branch_moves(spec, variant, ode)
-    has_pot = variant is ChernoffVariant.GENERAL and spec.potential is not None
     vals = np.empty(samples)
-    for lo, coords, factor in sample_endpoints(
-        spec, branches, t / n, x, samples, seed, n, potential=has_pot
-    ):
-        v = np.asarray(f(coords), dtype=float)
-        vals[lo : lo + coords.shape[0]] = v if factor is None else v * factor
+    for lo, coords, mass in sample_endpoints(spec, branches, t / n, x, samples, seed, n):
+        vals[lo : lo + coords.shape[0]] = np.asarray(f(coords), dtype=float) * mass
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)

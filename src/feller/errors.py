@@ -42,9 +42,9 @@ class VariantIncompatibleError(FellerError):
 
 
 class PotentialStepError(FellerError):
-    """A Chernoff step with dt*|c| > 1 where the potential is evaluated: the
-    potential term outweighs the whole step (for c < 0 the weight 1 + dt*c
-    turns negative and S(dt) is no longer positive)."""
+    """A step with dt*|c| > 1 where the potential branch's weight dt*c is
+    evaluated: the potential term outweighs the whole step (for c < 0 the
+    weight 1 + dt*c turns negative and S(dt) is no longer positive)."""
 
 
 class ResolutionTooCoarseError(FellerError):

@@ -246,9 +246,9 @@ def _hyperbolic_h2(f, t, xs):
 
 
 def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
-    """(e^{t (1/2) Laplacian} f)(x) from the closed-form kernel."""
-    if t <= 0.0:
-        raise ValueError("exact_semigroup requires t > 0")
+    """(e^{t (1/2) Laplacian} f)(x) from the closed-form kernel, for finite t > 0."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"exact_semigroup requires a finite t > 0, not {t!r}")
     fn = _as_callable(f)
     coords = x.coords if isinstance(x, Point) else np.atleast_1d(np.asarray(x, dtype=float))
     if kernel.tag == "gauss-rd":
@@ -270,8 +270,8 @@ def exact_semigroup_batch(kernel: HeatKernelId, f, t: float, coords) -> np.ndarr
     The H2 kernel values depend on t alone, so one call computes them once
     for all rows; the other oracles run row by row.
     """
-    if t <= 0.0:
-        raise ValueError("exact_semigroup requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"exact_semigroup requires a finite t > 0, not {t!r}")
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if kernel.tag == "hyperbolic-h2":
         return _hyperbolic_h2(_as_callable(f), t, coords)

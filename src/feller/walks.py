@@ -2,8 +2,9 @@
 
 The walks are the branch chain of the ``GENERAL`` Chernoff family taken at
 the step time s = 1/n: ``chernoff.branch_moves`` is their branch table and
-``chernoff.sample_steps`` their sample loop.  At each of the ``floor(n t)``
-steps a branch xi in {0, .., 2r} is drawn in table order,
+``chernoff.sample_steps`` their sample loop.  No path realises the table's
+signed potential branch, so every walk refuses c != 0.  At each of the
+``floor(n t)`` steps a branch xi in {0, .., 2r} is drawn in table order,
 
     P(xi = 0) = 1/2        -> move along A_0 for time 2s,
     P(xi = k) = 1/(4r)     -> move along +A_j (k = 2j-1) or -A_j (k = 2j)
@@ -36,7 +37,7 @@ import numpy as np
 
 from ._kernels import substream
 from .chernoff import ChernoffVariant, branch_moves, check_steps, sample_endpoints, sample_steps
-from .errors import EmptySampleError
+from .errors import EmptySampleError, VariantIncompatibleError
 from .fields import GeneratorSpec
 from .flows import DEFAULT_ODE, OdeSettings
 from .manifolds import Point
@@ -55,6 +56,13 @@ class StepDistribution:
         return [p for _, p in self.branches]
 
 
+def _walk_table(spec: GeneratorSpec, ode: OdeSettings = DEFAULT_ODE) -> list:
+    """The ``GENERAL`` table, refused if it holds the signed potential branch."""
+    if (branches := branch_moves(spec, GENERAL, ode))[-1].signed is not None:
+        raise VariantIncompatibleError("walks realise the diffusion of L_0 and require c = 0")
+    return branches
+
+
 def _walk_steps(t: float, n: int) -> int:
     """Number of whole steps of the n-th walk in [0, t]."""
     check_steps(t, n)
@@ -68,7 +76,7 @@ def step_distribution(spec: GeneratorSpec, n: int) -> StepDistribution:
     """
     check_steps(0.0, n)
     return StepDistribution(
-        branches=[(br.label, br.weight) for br in branch_moves(spec, GENERAL)]
+        branches=[(br.label, br.weight) for br in _walk_table(spec)]
     )
 
 
@@ -99,7 +107,7 @@ class PathSample:
         if self.kind == "jump":
             return 0.0
         m = self.spec.manifold
-        branches = branch_moves(self.spec, GENERAL, ode)
+        branches = _walk_table(self.spec, ode)
         worst = 0.0
         skeleton_times = self.times * self.n
         starts = np.flatnonzero(np.abs(skeleton_times - np.round(skeleton_times)) < 1e-9)
@@ -160,7 +168,7 @@ def sample_path(
     steps = _walk_steps(t_max, n)
     partial = kind != "jump" and t_max - steps / n > 1e-12 / n
     draws = steps + partial
-    branches = branch_moves(spec, GENERAL, ode)
+    branches = _walk_table(spec, ode)
     coords = x.coords[None, :].copy()
     pts = np.empty((draws + 1, coords.shape[1]))
     xi = np.empty(draws, dtype=np.int64)
@@ -256,7 +264,7 @@ def walk_endpoints(
     spec.manifold._check_point(x)
     steps = _walk_steps(t, n)
     out = np.empty((n_samples, x.coords.shape[0]))
-    branches = branch_moves(spec, GENERAL, ode)
+    branches = _walk_table(spec, ode)
     for lo, coords, _ in sample_endpoints(spec, branches, 1.0 / n, x, n_samples, seed, steps):
         out[lo : lo + coords.shape[0]] = coords
     return out

@@ -14,7 +14,7 @@ import pytest
 
 import feller as fl
 from feller import chernoff
-from feller._kernels import substream
+from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
 from feller.chernoff import branch_moves, sample_steps
 from feller.errors import BudgetExceededError, PotentialStepError
@@ -35,14 +35,15 @@ def h2_heat():
     return spec, CV.HEAT_GEODESIC, f, h2.point([0.5, 1.0])
 
 
-def circle_general(field="const"):
-    """A circle GENERAL spec with two fields, a drift and a potential: 6 branches."""
+def circle_general(field="const", potential="-0.5-0.5*sin(theta)^2"):
+    """A circle GENERAL spec with two fields, a drift and a potential: 6 branches
+    (5 without the potential, as the walks require)."""
     circ = fl.circle()
     second = {"const": fl.constant_field(circ, [0.5]),
               "rk4": fl.field_from_string(circ, "custom:1+0.3*sin(theta)")}[field]
     spec = fl.GeneratorSpec(
         [fl.frame_field(circ, 1), second], drift=fl.constant_field(circ, [0.3]),
-        potential="-0.5-0.5*sin(theta)^2",
+        potential=potential,
     )
     return spec, CV.GENERAL, (lambda c: np.cos(c[:, 0]) + 2.0), circ.point([0.7])
 
@@ -50,25 +51,39 @@ def circle_general(field="const"):
 # -- the sampler ------------------------------------------------------------------
 
 
-def unblocked_endpoints(spec, variant, s, x, rows, seed, steps, potential):
-    """Every row in one batch through sample_steps: endpoints and potential factors."""
+def unblocked_endpoints(spec, variant, s, x, rows, seed, steps):
+    """Every row in one batch: endpoints and signed masses.
+
+    A table without the potential runs sample_steps.  With it, the signed
+    draw runs here step by step: u = (word >> 11) 2^-53 and M = 1 + s |c|;
+    the potential's identity where u M >= 1, else the fixed branch
+    #{j : cumw_j <= u M}; the mass takes M and, for the identity, the sign
+    of c.
+    """
+    branches = branch_moves(spec, variant)
     coords = np.broadcast_to(x.coords, (rows, x.coords.shape[0])).copy()
     streams = substream(seed, np.arange(rows))
-    factor = np.ones(rows)
-    loop = sample_steps(branch_moves(spec, variant), s, coords, streams, steps,
-                        spec.manifold.compose)
-    for _, before in loop:
-        if potential:
-            factor *= 1.0 + s * spec.potential_values(before)
-    return coords, factor
+    mass = np.ones(rows)
+    if spec.potential is None:
+        for _ in sample_steps(branches, s, coords, streams, steps, spec.manifold.compose):
+            pass
+        return coords, mass
+    cumw = np.cumsum([float(br.weight) for br in branches[:-1]])
+    for step in range(steps):
+        c = spec.potential_values(coords)
+        M = 1.0 + s * np.abs(c)
+        u = (step_uniforms(streams, step) >> np.uint64(11)).astype(float) * 2.0**-53
+        identity = u * M >= 1.0
+        drawn = np.where(identity, len(branches) - 1, np.searchsorted(cumw, u * M, side="right"))
+        mass *= np.where(identity & (c < 0.0), -M, M)
+        for j, br in enumerate(branches):
+            coords[drawn == j] = br.move(coords[drawn == j], s)
+    return coords, mass
 
 
 def unblocked_mc(spec, variant, t, n, f, x, samples, seed):
-    potential = spec.potential is not None
-    ends, factor = unblocked_endpoints(spec, variant, t / n, x, samples, seed, n, potential)
-    vals = np.asarray(f(ends), dtype=float)
-    if potential:
-        vals = vals * factor
+    ends, mass = unblocked_endpoints(spec, variant, t / n, x, samples, seed, n)
+    vals = np.asarray(f(ends), dtype=float) * mass
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -83,14 +98,14 @@ def test_mc_blocks_equal_one_batch(case, samples):
 
 @pytest.mark.parametrize("samples", [B - 1, B, B + 1, 2 * B + 3])
 def test_walk_endpoint_blocks_equal_one_batch(samples):
-    spec, _, _, x = circle_general()
+    spec, _, _, x = circle_general(potential=None)
     got = walk_endpoints(spec, x, 0.5, 14, samples, seed=17)
-    want, _ = unblocked_endpoints(spec, CV.GENERAL, 1.0 / 14, x, samples, 17, 7, False)
+    want, _ = unblocked_endpoints(spec, CV.GENERAL, 1.0 / 14, x, samples, 17, 7)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_walk_endpoints_of_no_paths():
-    spec, _, _, x = circle_general()
+    spec, _, _, x = circle_general(potential=None)
     assert walk_endpoints(spec, x, 0.5, 14, 0, seed=17).shape == (0, 1)
     h2_spec, _, _, y = h2_heat()
     assert walk_endpoints(h2_spec, y, 0.5, 14, 0, seed=17).shape == (0, 2)
@@ -118,17 +133,16 @@ def test_product_tables_built_once_per_call(monkeypatch):
 
 
 def breadth_first_tree(spec, variant, t, n, f, x):
-    """The whole tree level by level, then one dot product over all leaves."""
+    """The whole tree level by level, then one dot product over all leaves.
+
+    The table carries the potential, if any, as its last branch.
+    """
     dt = t / n
     branches = branch_moves(spec, variant)
-    weights = [float(br.weight) for br in branches]
     pts, wts = x.coords[None, :].copy(), np.ones(1)
     for _ in range(n):
         blocks = [br.move(pts, dt) for br in branches]
-        wblocks = [w * wts for w in weights]
-        if spec.potential is not None:
-            blocks.append(pts)
-            wblocks.append(dt * spec.potential_values(pts) * wts)
+        wblocks = [br.weight_at(pts, dt) * wts for br in branches]
         pts, wts = np.concatenate(blocks), np.concatenate(wblocks)
     return float(np.asarray(f(pts), dtype=float) @ wts)
 
@@ -136,7 +150,7 @@ def breadth_first_tree(spec, variant, t, n, f, x):
 @pytest.mark.parametrize("case, n", [(h2_heat, 9), (circle_general, 7)])
 def test_tree_chunks_agree_with_breadth_first(case, n):
     spec, variant, f, x = case()
-    b = len(branch_moves(spec, variant)) + (spec.potential is not None)
+    b = len(branch_moves(spec, variant))
     assert b**n >= 4 * chernoff._CHUNK_LEAVES  # several chunks
     got = fl.iterate_tree(spec, variant, 0.5, n, f, x)
     want = breadth_first_tree(spec, variant, 0.5, n, f, x)

@@ -49,7 +49,18 @@ def test_branch_set_general_euclid():
     bs = fl.branch_set(spec, CV.GENERAL, 0.5, e1.point([2.0]))
     got = sorted((p.coords[0], w) for p, w in zip(bs.points, bs.weights))
     assert got == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.25)]
-    assert bs.potential_term == 0.0
+
+
+def test_branch_set_lists_the_potential_last():
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="explicit",
+                            potential="-1-sin(theta)^2")
+    x, t = circ.point([0.3]), 0.25
+    bs = fl.branch_set(spec, CV.GENERAL, t, x)
+    assert len(bs.points) == len(bs.weights) == 4
+    assert bs.points[-1].coords.tobytes() == x.coords.tobytes()
+    assert bs.weights[-1] == t * (-1.0 - math.sin(0.3) ** 2)
+    np.testing.assert_array_equal(bs.weights[:-1], [0.5, 0.25, 0.25])
 
 
 def test_branch_set_heat_geodesic_circle():
@@ -502,6 +513,21 @@ def test_potential_step_above_one_is_refused(n):
         fl.iterate_grid(spec, CV.GENERAL, 1.0, n, GridFunction.from_function(circ, 64, f))
     with pytest.raises(PotentialStepError):
         fl.apply_S(spec, CV.GENERAL, 1.0 / n, f, circ.point([1.2]))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_mc_with_a_potential_agrees_with_the_tree(n):
+    # the signed draw; the parent's (1 + dt c) factor was off by z = 74 (n = 8)
+    # and z = 56 (n = 10) on this case
+    circ = fl.circle()
+    spec = fl.GeneratorSpec(
+        [fl.frame_field(circ, 1)], drift_policy="explicit", potential="-1-sin(theta)^2"
+    )
+    f = lambda c: np.cos(c[:, 0])
+    x = circ.point([0.3])
+    tree = fl.iterate_tree(spec, CV.GENERAL, 1.0, n, f, x)
+    mc = fl.iterate_mc(spec, CV.GENERAL, 1.0, n, f, x, 400_000, seed=5)
+    assert abs(mc.mean - tree) <= 4.0 * mc.stderr
 
 
 def test_potential_step_guard_reads_the_evaluated_points():

@@ -199,6 +199,20 @@ def test_walk_stats_json(tmp_path, quad_gen, capsys):
     assert all(abs(s["mean_f"]) < 4 * s["stderr_f"] + 0.05 for s in stats)
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sample", ["--paths", "2"]),
+    ("stats", ["--samples", "10", "--f", "cos(theta)"]),
+])
+def test_walk_with_a_potential_exits_2(tmp_path, capsys, command, flags):
+    gen = _write_json(tmp_path / "gen.json", {"fields": ["frame:1"], "drift": "zero",
+                                              "potential": "-1-sin(theta)^2"})
+    out = tmp_path / "walk.out"
+    rc = main(["walk", command, "--manifold", "circle", "--generator", gen, "--t", "1",
+               "--n", "8", "--seed", "3", "--out", str(out)] + flags)
+    assert rc == 2
+    assert "error: walks realise the diffusion of L_0 and require c = 0" in capsys.readouterr().err
+
+
 def test_walk_stats_degenerate_pointmass():
     cfg = ExperimentConfig(
         manifold="euclidean:1",

@@ -11,6 +11,7 @@ from feller.reference import (
     HeatKernelId,
     _wrapped_gauss_kernel,
     exact_semigroup,
+    exact_semigroup_batch,
     fd_solve,
     h2_heat_kernel,
     h2_kernel_mass,
@@ -27,6 +28,21 @@ def variable_circle_spec():
 
 
 # -- closed-form kernels ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_exact_semigroup_refuses_a_time_that_is_not_finite_and_positive(t):
+    # the parent raised "cannot convert float NaN to integer" for NaN and
+    # returned 0.0 for +inf
+    k = HeatKernelId.from_string("wrapped-gauss-s1")
+    h2 = HeatKernelId.from_string("hyperbolic-h2")
+    for call in (
+        lambda: exact_semigroup(k, COS, t, np.array([0.3])),
+        lambda: exact_semigroup_batch(k, COS, t, np.array([[0.3], [1.0]])),
+        lambda: exact_semigroup_batch(h2, COS, t, np.array([[0.0, 1.0]])),
+    ):
+        with pytest.raises(ValueError, match="requires a finite t > 0"):
+            call()
 
 
 def test_kernel_id_parsing():

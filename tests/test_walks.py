@@ -10,7 +10,7 @@ import feller as fl
 from feller import walks
 from feller.chernoff import ChernoffVariant as CV
 from feller.chernoff import branch_moves
-from feller.errors import EmptySampleError
+from feller.errors import EmptySampleError, VariantIncompatibleError
 from feller.walks import walk_endpoints
 
 
@@ -418,6 +418,24 @@ def test_negative_time_refused():
         for call in _entry_points(4, t) + [apply_S]:
             with pytest.raises(ValueError, match="t must be >= 0"):
                 call()
+
+
+def test_walks_refuse_a_potential():
+    # the parent dropped c: estimate_expectation returned 2.5765427250976765
+    # with and without c = -3-2 sin^2
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="explicit",
+                            potential="-3-2*sin(theta)^2")
+    x = circ.point([0.3])
+    f = lambda c: np.cos(c[:, 0]) + 2.0
+    calls = [
+        lambda: fl.step_distribution(spec, 8),
+        lambda: walk_endpoints(spec, x, 1.0, 8, 10, seed=0),
+        lambda: fl.estimate_expectation(spec, f, x, 1.0, 8, 10, seed=0),
+    ] + [lambda kind=kind: walks.sample_path(kind, spec, x, 1.0, 8, seed=0) for kind in walks.PATH_KINDS]
+    for call in calls:
+        with pytest.raises(VariantIncompatibleError, match="require c = 0"):
+            call()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
