@@ -31,7 +31,11 @@ sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
 random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n);
 ``sample_endpoints`` runs it on fixed blocks of ``_SAMPLE_ROWS`` rows for
-``iterate_mc`` and ``walks.walk_endpoints``.  The tree, too, is evaluated in
+``iterate_mc`` and ``walks.walk_endpoints``.  Each flow branch carries its
+field and a signed flow time (``-A_j`` flows ``A_j`` for ``-tau``), so the
+loop moves the rows of a pair ``+-A_j`` in one ``flow_batch`` call; and as
+every row of a block starts at x, the endpoint sampler moves one row per
+distinct draw history while those are few.  The tree, too, is evaluated in
 chunks of at most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the
 sampler holds more than one block of points at a time, whatever the leaf
 or sample count.  Wherever a strategy evaluates the potential branch's
@@ -63,8 +67,8 @@ import numpy as np
 
 from ._kernels import step_uniforms, substream
 from .errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
-from .fields import GeneratorSpec
-from .flows import DEFAULT_ODE, OdeSettings, flow_batch, negate
+from .fields import GeneratorSpec, VectorField
+from .flows import DEFAULT_ODE, OdeSettings, flow_batch
 from .grids import GridFunction
 from .manifolds import Point
 
@@ -125,6 +129,12 @@ class Branch:
     (``2s``, ``sqrt(2rs)``, ``sqrt(rs)``) or a geodesic time (``sqrt(s)``).
     A flow move also takes ``s`` as an ``(n,)`` array, one step time per row.
 
+    A flow branch also carries its ``field``, the signed flow time
+    ``time(s)`` and the ``ode`` settings: its move is
+    ``flow_batch(field, coords, time(s), ode)``.  The ``-A_j`` branch flows
+    ``A_j`` itself for ``-tau(s)``, so the sample loop moves the rows of both
+    branches of a pair in one call, with one time per row.  None otherwise.
+
     A branch that is right-multiplication by a group element of its manifold
     (every heat-geodesic branch) also carries ``shift(s)``, that element
     ``h_b(s)``, and its move is ``manifold.compose(coords, shift(s))``.  None
@@ -137,6 +147,9 @@ class Branch:
     move: Callable[[np.ndarray, float], np.ndarray]
     shift: Optional[Callable[[float], np.ndarray]] = None
     signed: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    field: Optional[VectorField] = None
+    time: Optional[Callable[[float], float]] = None
+    ode: Optional[OdeSettings] = None
 
     def weight_at(self, coords: np.ndarray, s: float):
         """The weight at step time s: a float, or ``s c`` at the rows of ``coords``."""
@@ -158,20 +171,22 @@ def branch_moves(
     m = spec.manifold
     branches: list[Branch] = []
 
-    def flow_move(field, tau):
-        return lambda coords, s: flow_batch(field, coords, tau(s), ode)
+    def flow_branch(weight, label, field, time):
+        move = lambda coords, s: flow_batch(field, coords, time(s), ode)
+        return Branch(weight, label, move, field=field, time=time, ode=ode)
 
     def field_pairs(weight, tau, tau_label):
         for j, f in enumerate(spec.fields, start=1):
-            branches.append(Branch(weight, f"flow(+A_{j}, {tau_label})", flow_move(f, tau)))
+            branches.append(flow_branch(weight, f"flow(+A_{j}, {tau_label})", f, tau))
+            # -A_j flows A_j backwards: flow_batch(negate(A), c, t) to the bit
             branches.append(
-                Branch(weight, f"flow(-A_{j}, {tau_label})", flow_move(negate(f), tau))
+                flow_branch(weight, f"flow(-A_{j}, {tau_label})", f, lambda s: -tau(s))
             )
 
     if variant is ChernoffVariant.GENERAL:
         r = spec.r
-        drift = flow_move(spec.drift_field(), lambda s: 2.0 * s)
-        branches.append(Branch(Fraction(1, 2), "flow(A_0, 2s)", drift))
+        drift = spec.drift_field()
+        branches.append(flow_branch(Fraction(1, 2), "flow(A_0, 2s)", drift, lambda s: 2.0 * s))
         field_pairs(Fraction(1, 4 * r), lambda s: np.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant in (ChernoffVariant.DRIFTLESS_CORRECTED, ChernoffVariant.DRIFTLESS_LITERAL):
         if not (spec.drift_policy == "explicit" and spec.drift.is_zero):
@@ -256,11 +271,11 @@ def _chain(
     branches: Sequence[Branch],
     s: float,
     compose: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> Callable[[np.ndarray, np.ndarray, int], Iterator[tuple[np.ndarray, np.ndarray]]]:
+) -> Callable[..., Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The sample loop of ``sample_steps`` for one branch table at step time s.
 
-    The thresholds, the fold length and the product tables are made once and
-    shared by every row batch the returned loop runs.
+    The thresholds, the fold length, the product tables and the flow times
+    are made once and shared by every row batch the returned loop runs.
     """
     b = len(branches)
     thresholds = _thresholds(branches)
@@ -272,7 +287,34 @@ def _chain(
     tables = {}
     index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
 
-    def run(coords, streams, steps, mass=None):
+    # the flow branches of one field (+A_j and -A_j) move in one call with one
+    # signed time per row; every other branch moves on its own
+    groups: dict = {}
+    for j, br in enumerate(branches):
+        groups.setdefault(j if br.field is None else (br.field, br.ode), []).append(j)
+    group_of = np.empty(b, dtype=np.intp)
+    for g, members in enumerate(groups.values()):
+        group_of[members] = g
+    leaders = [branches[members[0]] for members in groups.values()]
+    times = np.array([0.0 if br.field is None else br.time(s) for br in branches])
+
+    def move(coords, idx):
+        """Move each row of ``coords``, in place, by the branch ``idx`` drew."""
+        group = group_of[idx]
+        for g, br in enumerate(leaders):
+            mask = group == g
+            if not np.any(mask):
+                continue
+            if br.field is None:
+                coords[mask] = br.move(coords[mask], s)
+            else:
+                coords[mask] = flow_batch(br.field, coords[mask], times[idx[mask]], br.ode)
+
+    def run(coords, streams, steps, mass=None, shared=False):
+        # with ``shared`` every row starts at one point, so the rows of one draw
+        # history hold the same coordinates: ``hist`` numbers the histories and
+        # one row of each moves, until they outnumber the rows over b
+        hist = np.zeros(coords.shape[0], dtype=np.intp) if shared and not folded else None
         for start in range(0, steps, k):
             size = min(k, steps - start)
             for step in range(start, start + size):
@@ -293,11 +335,17 @@ def _chain(
                 if size not in tables:
                     tables[size] = _products(H, size, compose)
                 coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
-                continue
-            for j, br in enumerate(branches):
-                mask = idx == j
-                if np.any(mask):
-                    coords[mask] = br.move(coords[mask], s)
+            elif hist is None:
+                move(coords, idx)
+            else:
+                keys, first, hist = np.unique(
+                    hist * b + idx, return_index=True, return_inverse=True
+                )
+                ends = coords[first]
+                move(ends, keys % b)
+                coords[...] = ends[hist]
+                if keys.size * b > coords.shape[0]:
+                    hist = None
 
     return run
 
@@ -322,7 +370,9 @@ def sample_steps(
     asks for the next block.
 
     Without ``compose``, or with a branch that has no shift, k = 1: each
-    step yields its branch indices, and each branch moves its rows by mask.
+    step yields its branch indices, and each branch moves its rows by mask;
+    the flow branches of one field (``+A_j`` and ``-A_j``) move theirs in
+    one ``flow_batch`` call with one signed time per row.
     With ``compose`` (the manifold's) and a shift on every branch, a path is
     a random walk on the group, ``x h_{d_1} ... h_{d_n}``.  Then k is the
     largest integer with ``b^k <= 4096`` for b branches (6 for b = 4, 12 for
@@ -357,6 +407,14 @@ def sample_endpoints(
     index alone, so the blocks reproduce one whole-batch run bit for bit, in
     memory that does not grow with ``rows``.  The product tables of
     ``sample_steps`` are built once per call.
+
+    Every row of a block starts at x, so rows that have drawn the same
+    branches so far hold the same coordinates.  Without ``compose`` folding,
+    the loop numbers these draw histories (``np.unique`` of ``hist * b +
+    drawn``), moves one row per history and branch and scatters the result
+    back, as long as the histories times b stay within the block's rows;
+    then every row moves.  A flow endpoint does not depend on its batch, so
+    the endpoints keep their bits.
     """
     run = _chain(branches, s, spec.manifold.compose)
     # no rows still run one empty block, which checks the seed
@@ -364,7 +422,7 @@ def sample_endpoints(
         hi = min(lo + _SAMPLE_ROWS, rows)
         coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy()
         mass = np.ones(hi - lo)
-        for _ in run(coords, substream(seed, np.arange(lo, hi)), steps, mass):
+        for _ in run(coords, substream(seed, np.arange(lo, hi)), steps, mass, shared=True):
             pass
         yield lo, coords, mass
 

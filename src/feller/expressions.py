@@ -108,12 +108,20 @@ def _builder(source: str, names: Sequence[str], table: dict[str, int], funcs: di
 
 
 def _vectorized(inner, source: str):
+    """``evaluate(coords)``, a fresh ``coords.shape[:-1]`` array of ``inner(coords)``.
+
+    ``evaluate.inner`` is the bare closure: a float coordinate array in, an
+    array or (for a literal) a float out, for callers that write it into an
+    array of their own.
+    """
+
     def evaluate(coords):
         coords = np.asarray(coords, dtype=float)
         out = inner(coords)
         return np.broadcast_to(np.asarray(out, dtype=float), coords.shape[:-1]).copy()
 
     evaluate.source = source
+    evaluate.inner = inner
     return evaluate
 
 

@@ -117,12 +117,15 @@ class VectorField:
         return out
 
 
-def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
+def divergence_batch(
+    A: VectorField, coords: np.ndarray, comps: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Covariant divergence tr(B^T J B) + A . d log sqrt|g|.
 
     ``B`` is the tangent basis of ``Manifold.tangent_coords``: the identity on
     the intrinsic charts, and on the sphere an orthonormal pair spanning the
     tangent plane, where the volume gradient of the orthographic chart vanishes.
+    ``comps``, when given, is ``A.comps(coords)``, not evaluated again.
     """
     m = A.manifold
     coords = np.atleast_2d(coords)
@@ -133,7 +136,8 @@ def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
     div = np.trace(m.tangent_coords(coords, jb.transpose(0, 2, 1)), axis1=1, axis2=2)
     dlog = m.dlog_sqrt_det_batch(coords)
     if np.any(dlog):
-        div = div + np.einsum("ni,ni->n", A.comps(coords), dlog)
+        a = A.comps(coords) if comps is None else comps
+        div = div + np.einsum("ni,ni->n", a, dlog)
     return div
 
 
@@ -271,16 +275,25 @@ def expression_field(manifold: Manifold, sources: Sequence[str]) -> VectorField:
         raise ValueError(
             f"{manifold.name} needs {manifold.chart_dim} component expressions"
         )
-    comps_fns = [compile_expression(s, names) for s in sources]
-    partials = [compile_partials(s, names) for s in sources]  # [i][j] = d_j A^i
+    comps_fns = [compile_expression(s, names).inner for s in sources]
+    # [i][j] = d_j A^i
+    partials = [[fn.inner for fn in compile_partials(s, names)] for s in sources]
 
+    # each component and partial is written into one array: a literal broadcasts
     def comps(c):
-        c = np.atleast_2d(c)
-        return np.stack([fn(c) for fn in comps_fns], axis=-1)
+        c = np.atleast_2d(np.asarray(c, dtype=float))
+        out = np.empty(c.shape)
+        for i, fn in enumerate(comps_fns):
+            out[:, i] = fn(c)
+        return out
 
     def jacobian(c):
-        c = np.atleast_2d(c)
-        return np.stack([np.stack([fn(c) for fn in row], axis=-1) for row in partials], axis=1)
+        c = np.atleast_2d(np.asarray(c, dtype=float))
+        out = np.empty(c.shape + c.shape[-1:])
+        for i, row in enumerate(partials):
+            for j, fn in enumerate(row):
+                out[:, i, j] = fn(c)
+        return out
 
     comps, jacobian = manifold.tangent_field(comps, jacobian)
     return VectorField(manifold, comps, jacobian=jacobian, name="custom:" + ",".join(sources))
@@ -387,7 +400,8 @@ class GeneratorSpec:
         acc = np.zeros_like(coords)
         for f in self.fields:
             if not f.divergence_free:
-                acc += 0.5 * divergence_batch(f, coords)[:, None] * f.comps(coords)
+                a = f.comps(coords)
+                acc += 0.5 * divergence_batch(f, coords, a)[:, None] * a
         if self.drift_policy == "derived_plus":
             acc = acc + self.drift.comps(coords)
         return acc

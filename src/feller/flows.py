@@ -16,7 +16,8 @@ its Richardson estimate.
 Fields that carry an exact flow map (constants, frame fields of the
 built-ins, sphere rotations, the zero field) short-circuit the engine, which
 keeps the quadratic-exactness checks exact to rounding; they too take one time
-per row.
+per row.  Times may be negative: a flow for ``-t`` gives the bits of the
+negated field's flow for ``t``, so one call can move rows both ways.
 """
 
 from __future__ import annotations
@@ -91,7 +92,12 @@ class FlowResult:
 
 
 def negate(A: VectorField) -> VectorField:
-    """The field -A (flows run backwards)."""
+    """The field -A (flows run backwards).
+
+    ``flow_batch(negate(A), c, t)`` gives the bits of ``flow_batch(A, c, -t)``,
+    which is how the Chernoff branches flow ``-A_j``; this constructor stays
+    for callers that want -A as a field of its own.
+    """
     flow = None
     if A.flow is not None:
         flow = lambda c, t: A.flow(c, -t)
@@ -197,8 +203,8 @@ def flow_batch(
 ) -> np.ndarray:
     """Endpoints of the integral curves of A after time t, for a batch of starts.
 
-    ``t`` is a scalar or an ``(n,)`` array, one time per row; each row's
-    endpoint is the one it would have alone.  ``ode.tol`` bounds each row's
+    ``t`` is a scalar or an ``(n,)`` array, one time per row, of either
+    sign; each row's endpoint is the one it would have alone.  ``ode.tol`` bounds each row's
     Richardson estimate, not its true error (see ``OdeSettings``).
     """
     return _integrate(A, coords, t, ode)[0]

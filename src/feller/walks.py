@@ -21,7 +21,10 @@ skeleton instants (sub-samples t_max/(8n) apart) with one connector per kind:
   one move per distinct drawn branch, with one step time per row.
 
 For a shared seed all kinds reproduce identical skeleton values bit-for-bit;
-``walk_endpoints`` runs the same loop on a batch of paths.  Substreams are
+``walk_endpoints`` runs the same loop on a batch of paths through
+``chernoff.sample_endpoints``, which moves the rows of ``+A_j`` and ``-A_j``
+in one flow call (``-A_j`` is ``A_j`` flowed for ``-sqrt(2 r s)``) and, while
+few draw histories exist, one row per history.  Substreams are
 mixed statelessly from (seed, path index), so sampling is reproducible and
 independent of any worker decomposition.
 """

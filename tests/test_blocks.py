@@ -2,8 +2,9 @@
 
 Each blocked path is compared with the whole-batch loop it replaced, kept
 here as the reference: the sampler bit for bit, the tree to rounding (its
-chunks sum in another order).  The memory test pins the bound the blocks
-exist for.
+chunks sum in another order).  The sampler's shared draw histories and
+paired flow calls are compared with each row run alone, bit for bit.  The
+memory test pins the bound the blocks exist for.
 """
 
 import math
@@ -18,6 +19,7 @@ from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
 from feller.chernoff import branch_moves, sample_steps
 from feller.errors import BudgetExceededError, PotentialStepError
+from feller.flows import flow_batch
 from feller.walks import walk_endpoints
 
 B = chernoff._SAMPLE_ROWS
@@ -52,17 +54,22 @@ def circle_general(field="const", potential="-0.5-0.5*sin(theta)^2"):
 
 
 def unblocked_endpoints(spec, variant, s, x, rows, seed, steps):
-    """Every row in one batch: endpoints and signed masses.
+    """Every row in one batch: endpoints and signed masses."""
+    return chain_endpoints(spec, variant, s, x, substream(seed, np.arange(rows)), steps)
+
+
+def chain_endpoints(spec, variant, s, x, streams, steps):
+    """Endpoints and signed masses of one chain per stream, every row in one batch.
 
     A table without the potential runs sample_steps.  With it, the signed
-    draw runs here step by step: u = (word >> 11) 2^-53 and M = 1 + s |c|;
-    the potential's identity where u M >= 1, else the fixed branch
-    #{j : cumw_j <= u M}; the mass takes M and, for the identity, the sign
-    of c.
+    draw runs here step by step, each branch on its own rows:
+    u = (word >> 11) 2^-53 and M = 1 + s |c|; the potential's identity where
+    u M >= 1, else the fixed branch #{j : cumw_j <= u M}; the mass takes M
+    and, for the identity, the sign of c.
     """
     branches = branch_moves(spec, variant)
+    rows = streams.shape[0]
     coords = np.broadcast_to(x.coords, (rows, x.coords.shape[0])).copy()
-    streams = substream(seed, np.arange(rows))
     mass = np.ones(rows)
     if spec.potential is None:
         for _ in sample_steps(branches, s, coords, streams, steps, spec.manifold.compose):
@@ -102,6 +109,59 @@ def test_walk_endpoint_blocks_equal_one_batch(samples):
     got = walk_endpoints(spec, x, 0.5, 14, samples, seed=17)
     want, _ = unblocked_endpoints(spec, CV.GENERAL, 1.0 / 14, x, samples, 17, 7)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def circle_derived():
+    """The walk-rk4 table: an RK4 field and its RK4 derived drift, 3 branches."""
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                            drift_policy="derived")
+    return spec, CV.GENERAL, None, circ.point([0.7])
+
+
+def sphere_derived():
+    """Rotations with exact flows and a custom field: an RK4 derived drift, 9 branches."""
+    s2 = fl.sphere2()
+    fields = [fl.rotational_field(s2, k) for k in (1, 2, 3)]
+    fields.append(fl.field_from_string(s2, "custom:0.3*y,0,1"))
+    spec = fl.GeneratorSpec(fields, drift_policy="derived")
+    return spec, CV.GENERAL, None, s2.point([0.6, 0.0, 0.8])
+
+
+def circle_potential():
+    return circle_general("rk4")
+
+
+@pytest.mark.parametrize("case, block, rows, steps", [
+    (circle_derived, 64, 150, 7), (sphere_derived, 82, 90, 3), (circle_potential, 64, 150, 6),
+])
+def test_endpoints_equal_each_row_alone(case, block, rows, steps, monkeypatch):
+    # rows of one draw history move once, and +-A_j in one call, until the
+    # histories outnumber the block's rows over b; each block shares anew
+    monkeypatch.setattr(chernoff, "_SAMPLE_ROWS", block)
+    moved = []
+
+    def counted(A, coords, t, ode=chernoff.DEFAULT_ODE):
+        moved.append(coords.shape[0])
+        return flow_batch(A, coords, t, ode)
+
+    monkeypatch.setattr(chernoff, "flow_batch", counted)
+    spec, variant, _, x = case()
+    s, seed = 0.2 / steps, 23
+    branches = branch_moves(spec, variant)
+    ends, mass = [], []
+    for lo, coords, m in chernoff.sample_endpoints(spec, branches, s, x, rows, seed, steps):
+        assert lo == len(ends)
+        ends.extend(coords)
+        mass.extend(m)
+    assert sum(moved) < rows * steps
+    monkeypatch.setattr(chernoff, "flow_batch", flow_batch)
+    for i in range(rows):
+        alone, m = chain_endpoints(spec, variant, s, x, substream(seed, np.array([i])), steps)
+        assert ends[i].tobytes() == alone[0].tobytes(), i
+        assert mass[i].hex() == m[0].hex(), i
+    if spec.potential is not None:
+        assert min(mass) < 0.0 < max(mass)
 
 
 def test_walk_endpoints_of_no_paths():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import feller as fl
@@ -344,7 +344,8 @@ def _assert_shift_matches(m, got, want):
 
 
 @pytest.mark.parametrize("name", GROUP_CHARTS)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
 @given(
     x0=st.floats(-2.0, 2.0),
     log_y=st.floats(-2.0, 2.0),

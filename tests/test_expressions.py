@@ -2,7 +2,7 @@ import ast
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import feller as fl
@@ -165,7 +165,8 @@ def _quotients(f, c, j, h):
     return (f0 - fm) / h, (fp - f0) / h
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
 @given(source=EXPRESSIONS, x1=COORDS, x2=COORDS)
 def test_partials_match_central_differences(source, x1, x2):
     f = compile_expression(source, NAMES)

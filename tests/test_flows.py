@@ -300,6 +300,22 @@ def test_per_row_times_give_the_bits_of_scalar_calls(case, rng):
         assert batch[i].tobytes() == flow_batch(A, s[None, :], float(t))[0].tobytes(), i
 
 
+@pytest.mark.parametrize("case", list(_per_row_cases()))
+def test_negative_times_flow_the_negated_field(case, rng):
+    # the -A_j branch of a Chernoff step flows A_j for -tau, and moves the rows of
+    # both branches of the pair in one call with one signed time per row
+    A = _per_row_cases()[case]
+    starts = A.manifold.random_points(12, rng)
+    tau = 0.6
+    backwards = flow_batch(A, starts, -tau)
+    assert backwards.tobytes() == flow_batch(negate(A), starts, tau).tobytes()
+    sign = np.where(np.arange(12) % 3 == 0, -1.0, 1.0)
+    paired = flow_batch(A, starts, sign * tau)
+    back = sign < 0.0
+    assert paired[back].tobytes() == flow_batch(A, starts[back], -tau).tobytes()
+    assert paired[~back].tobytes() == flow_batch(A, starts[~back], tau).tobytes()
+
+
 # -- monotone-distance horizon -------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import feller as fl
@@ -341,7 +341,8 @@ def test_point_wraps_tiny_negative_angles_to_zero():
     np.testing.assert_array_equal(fl.torus2().point([-1e-300, -TWO_PI]).coords, [0.0, 0.0])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
 @given(
     a=st.floats(0.0, 2 * np.pi - 1e-9),
     b=st.floats(0.0, 2 * np.pi - 1e-9),

@@ -1,7 +1,7 @@
 """Tree, Monte-Carlo and grid evaluate one operator, S(t/n)^n, at finite n.
 
 Property tests over the GENERAL family with a bounded, signed potential on
-the parallelizable built-ins and under every drift policy:
+the parallelizable built-ins and sphere2, under every drift policy:
 
 * tree vs MC is a z-test: the signed draw is unbiased for every c;
 * tree vs grid (circle, torus2) is bounded by a refinement pair: the error
@@ -46,6 +46,12 @@ CASES = {
         ["frame:1", "frame:2"], "constant:[0.1,0.0]",
         lambda c: np.sin(c[:, 0]), lambda c: 1.0 / (1.0 + c[:, 0] ** 2 + np.log(c[:, 1]) ** 2),
     ),
+    # the rotations flow exactly and have no divergence; the custom field (e_z
+    # plus 0.3 y e_x, projected) has one, so the derived drift is an RK4 field
+    "sphere2": (
+        ["rotational:1", "rotational:2", "rotational:3", "custom:0.3*y,0,1"], "rotational:3",
+        lambda c: c[:, 2], lambda c: c[:, 0] + c[:, 1] * c[:, 2],
+    ),
 }
 
 
@@ -70,7 +76,10 @@ coordinates = st.floats(-1.0, 1.0)
 @given(amplitude=amplitudes, u=coordinates, v=coordinates)
 def test_tree_and_mc_agree(name, policy, amplitude, u, v):
     m, spec, f = make_spec(name, policy, amplitude)
-    x = m.point({"hyperbolic-h2": [u, np.exp(v)], "torus2": [u, v]}.get(name, [u]))
+    x = m.point({
+        "hyperbolic-h2": [u, np.exp(v)], "torus2": [u, v],
+        "sphere2": [np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v)],
+    }.get(name, [u]))
     tree = fl.iterate_tree(spec, CV.GENERAL, T, N_STEPS, f, x)
     mc = fl.iterate_mc(spec, CV.GENERAL, T, N_STEPS, f, x, 4000, seed=11)
     assert abs(mc.mean - tree) <= 4.0 * mc.stderr, (tree, mc)
