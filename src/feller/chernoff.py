@@ -51,7 +51,9 @@ Draws are integer: one splitmix64 word per row and step against the
 thresholds of ``_thresholds``.  With the signed branch a row draws with
 probability |weight| / M, M = 1 + |s c(x)|, and carries a signed mass (Del
 Moral, *Feynman-Kac Formulae*, 2004, ch. 2).  A heat-geodesic MC path folds k
-draws into one gather from a table of group products (``sample_steps``).
+draws into one gather from a table of group products (``sample_steps``), and
+a heat-geodesic tree chunk folds its last levels into one ``compose`` with
+such a table (``iterate_tree``); both move by rounding only.
 """
 
 from __future__ import annotations
@@ -260,7 +262,11 @@ def _block_len(b: int) -> int:
 
 
 def _products(H: np.ndarray, k: int, compose) -> np.ndarray:
-    """The ``b^k`` group products ``h_{d_1} ... h_{d_k}``, in row ``sum_i d_i b^(k-i)``."""
+    """The ``b^k`` products ``h_{d_1} ... h_{d_k}``, in row ``sum_i d_i b^(k-i)``.
+
+    ``H`` holds one row per branch: group elements with the manifold's
+    ``compose``, or weights as a column with ``np.multiply``.
+    """
     P = H
     for _ in range(k - 1):
         P = compose(np.repeat(P, len(H), axis=0), np.tile(H, (len(P), 1)))
@@ -475,9 +481,10 @@ def apply_S(
 
 
 # the tree is evaluated in chunks of at most this many leaves, each grown from
-# at least _CHUNK_NODES nodes: chunks grown from one node each run slower
-_CHUNK_LEAVES = 2**16
+# at least _CHUNK_NODES nodes: chunks grown from one node each run slower.  A
+# folded chunk's product table is never larger than the sampler's.
 _CHUNK_NODES = 16
+_CHUNK_LEAVES = _CHUNK_NODES * _TABLE_ROWS
 
 
 def iterate_tree(
@@ -499,10 +506,18 @@ def iterate_tree(
     ``depth`` is the largest with ``_CHUNK_NODES * b^depth <= _CHUNK_LEAVES``.
     Each chunk of at most ``_CHUNK_LEAVES`` leaves is evaluated by ``f`` and
     its weighted sum added to a running total, chunk by chunk in frontier
-    order, so memory does not grow with the leaf count.  A tree of at most
-    ``_CHUNK_LEAVES`` leaves is one chunk, summed by one dot product in the
-    order of a whole-tree expansion; a larger tree's sum differs from that
-    by rounding only.  Deterministic and bit-reproducible for fixed ode
+    order, so memory does not grow with the leaf count.
+
+    When every branch is a group shift (the ``HEAT_GEODESIC`` tables), a
+    chunk's ``depth`` levels are folded as in ``sample_steps``: its leaves
+    are one ``compose`` of each node with the ``b^depth`` products of
+    ``_products``, weighted by the products of the branch weights, and the
+    chunk sums as ``fw @ (f(leaves).reshape(nodes, b^depth) @ wP)``.  Its
+    value differs from a whole-tree expansion by rounding only.  Otherwise
+    each chunk expands level by level: a tree of at most ``_CHUNK_LEAVES``
+    leaves is one chunk, summed by one dot product in the order of a
+    whole-tree expansion, and a larger tree's sum differs from that by
+    rounding only.  Deterministic and bit-reproducible for fixed ode
     settings.
     """
     spec.manifold._check_point(x)
@@ -528,10 +543,24 @@ def iterate_tree(
         depth += 1
     frontier, fw = expand(x.coords[None, :].copy(), np.ones(1), n - depth)
     per_chunk = max(_CHUNK_LEAVES // b**depth, 1)
+    folded = depth > 0 and all(br.shift is not None for br in branches)
+    if folded:
+        compose = spec.manifold.compose
+        leaves = b**depth
+        H = np.array([br.shift(dt) for br in branches])
+        P = np.tile(_products(H, depth, compose), (min(per_chunk, len(frontier)), 1))
+        W = np.array([[float(br.weight)] for br in branches])
+        wP = _products(W, depth, np.multiply)[:, 0]
     total = 0.0
     for lo in range(0, frontier.shape[0], per_chunk):
-        pts, wts = expand(frontier[lo : lo + per_chunk], fw[lo : lo + per_chunk], depth)
-        total += float(np.asarray(f(pts), dtype=float) @ wts)
+        nodes, wts = frontier[lo : lo + per_chunk], fw[lo : lo + per_chunk]
+        if folded:
+            pts = compose(np.repeat(nodes, leaves, axis=0), P[: len(nodes) * leaves])
+            vals = np.asarray(f(pts), dtype=float).reshape(len(nodes), leaves)
+            total += float(wts @ (vals @ wP))
+        else:
+            pts, wts = expand(nodes, wts, depth)
+            total += float(np.asarray(f(pts), dtype=float) @ wts)
     return total
 
 

@@ -298,13 +298,20 @@ class FlatTorus(Euclidean):
         return rng.uniform(0.0, TWO_PI, size=(n, self.dim))
 
 
+# squares and products in this range are normal, far from overflow and from
+# the subnormal squares that round a sum of two squares
+_SAFE_LO, _SAFE_HI = 2.0**-960, 2.0**960
+
+
 class HyperbolicHalfPlane(Manifold):
     """Upper half plane with metric (dx^2 + dy^2)/y^2, as the ``ax+b`` group.
 
     Geodesics and logs are one closed form each at the identity i = (0, 1),
     where the frame is the standard basis, moved to x by ``compose``; with
     the distance they have no case split near vertical and keep their digits
-    at short range.
+    at short range.  The distance takes |y - x| as the root of a sum of
+    squares, and falls back to ``hypot`` and sqrt(y_x) sqrt(y_y) on the rows
+    where the squares or y_x y_y would under- or overflow.
     """
 
     name = "hyperbolic-h2"
@@ -385,20 +392,35 @@ class HyperbolicHalfPlane(Manifold):
         return k[:, None] * np.stack([2.0 * p, p * p + q_1 * (q + 1.0)], axis=-1)
 
     def distance_batch(self, xs, ys):
-        # 2 asinh(|y - x| / (2 sqrt(y_x y_y))) in two row-sized arrays,
-        # bitwise symmetric in (x, y)
+        # 2 asinh(|y - x| / (2 sqrt(y_x y_y))), bitwise symmetric in (x, y).
+        # |y - x| is sqrt(d^2 + h^2) and the root sqrt(y_x y_y) where the
+        # squared sum (or an exact 0) and y_x y_y lie in [_SAFE_LO, _SAFE_HI];
+        # other rows take hypot(d, h) / (sqrt(y_x) sqrt(y_y)), which neither
+        # underflows nor overflows
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
         d = np.subtract(ys[:, 0], xs[:, 0])
         h = np.subtract(ys[:, 1], xs[:, 1])
-        np.hypot(d, h, out=d)
-        np.multiply(xs[:, 1], ys[:, 1], out=h)
-        np.sqrt(h, out=h)
-        np.divide(d, h, out=d)
-        d *= 0.5
-        np.arcsinh(d, out=d)
-        d *= 2.0
-        return d
+        lo, hi = _SAFE_LO, _SAFE_HI
+        with np.errstate(all="ignore"):  # the careful rows are redone below
+            r = d * d
+            r += h * h
+            yy = xs[:, 1] * ys[:, 1]
+            careful = np.empty(0, dtype=np.intp)
+            bounded = lambda a: lo <= a.min() and a.max() <= hi
+            if r.size and not (bounded(r) and bounded(yy)):
+                safe = (r >= lo) & (r <= hi) | (d == 0.0) & (h == 0.0)
+                careful = np.flatnonzero(~(safe & (yy >= lo) & (yy <= hi)))
+            np.sqrt(r, out=r)
+            np.sqrt(yy, out=yy)
+            np.divide(r, yy, out=r)
+        if careful.size:
+            root = np.sqrt(xs[careful, 1]) * np.sqrt(ys[careful, 1])
+            r[careful] = np.hypot(d[careful], h[careful]) / root
+        r *= 0.5
+        np.arcsinh(r, out=r)
+        r *= 2.0
+        return r
 
     def frame_batch(self, xs):
         # y d/dx and y d/dy: globally smooth orthonormal frame.

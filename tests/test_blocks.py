@@ -2,7 +2,8 @@
 
 Each blocked path is compared with the whole-batch loop it replaced, kept
 here as the reference: the sampler bit for bit, the tree to rounding (its
-chunks sum in another order).  The sampler's shared draw histories and
+chunks sum in another order, and a heat-geodesic chunk folds its levels into
+one product table).  The sampler's shared draw histories and
 paired flow calls are compared with each row run alone, bit for bit.  The
 memory test pins the bound the blocks exist for.
 """
@@ -213,6 +214,42 @@ def test_tree_chunks_agree_with_breadth_first(case, n):
     b = len(branch_moves(spec, variant))
     assert b**n >= 4 * chernoff._CHUNK_LEAVES  # several chunks
     got = fl.iterate_tree(spec, variant, 0.5, n, f, x)
+    want = breadth_first_tree(spec, variant, 0.5, n, f, x)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert fl.iterate_tree(spec, variant, 0.5, n, f, x).hex() == got.hex()
+
+
+def heat_geodesic(name):
+    """A heat-geodesic table on a group chart with a smooth positive f: b = 2d."""
+    if name == "hyperbolic-h2":
+        return h2_heat()
+    m = fl.manifold_from_string(name)
+    spec = fl.GeneratorSpec([fl.frame_field(m, k + 1) for k in range(m.dim)])
+    if name.startswith("euclidean"):
+        f = lambda c: np.exp(-0.5 * np.sum(c * c, axis=1))
+    else:
+        f = lambda c: 2.0 + np.prod(np.cos(c), axis=1)
+    return spec, CV.HEAT_GEODESIC, f, m.point(np.linspace(0.3, 0.9, m.dim))
+
+
+@pytest.mark.parametrize("name, n, chunks", [
+    ("circle", 10, 1), ("circle", 18, 4),
+    ("torus2", 8, 1), ("torus2", 9, 4),
+    ("hyperbolic-h2", 8, 1), ("hyperbolic-h2", 10, 16),
+    ("euclidean:3", 6, 1), ("euclidean:3", 7, 5),
+])
+def test_folded_tree_agrees_with_breadth_first(name, n, chunks):
+    # a heat-geodesic chunk is one compose with the product table
+    spec, variant, f, x = heat_geodesic(name)
+    b = len(branch_moves(spec, variant))
+    rows = []
+
+    def counted(c):
+        rows.append(c.shape[0])
+        return f(c)
+
+    got = fl.iterate_tree(spec, variant, 0.5, n, counted, x)
+    assert sum(rows) == b**n and len(rows) == chunks
     want = breadth_first_tree(spec, variant, 0.5, n, f, x)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
     assert fl.iterate_tree(spec, variant, 0.5, n, f, x).hex() == got.hex()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -263,6 +265,68 @@ def test_distance_symmetry_triangle(rng):
         dab = m.distance_batch(a, b)
         np.testing.assert_array_equal(dab, m.distance_batch(b, a))
         assert np.all(dab <= m.distance_batch(a, c) + m.distance_batch(c, b) + 1e-10)
+
+
+def _h2_hypot_distance(xs, ys):
+    """The H2 distance with ``hypot`` at every row: 2 asinh(hypot / (2 sqrt(y_x y_y)))."""
+    d = np.hypot(ys[:, 0] - xs[:, 0], ys[:, 1] - xs[:, 1])
+    return 2.0 * np.arcsinh(d / (2.0 * np.sqrt(xs[:, 1] * ys[:, 1])))
+
+
+def test_h2_distance_matches_hypot_form(rng):
+    m = fl.hyperbolic_h2()
+    xs = m.random_points(100_000, rng)
+    ys = m.random_points(100_000, rng)
+    # half the pairs at separations from 1 down to 1e-12 of y_x
+    sep = np.exp(rng.uniform(np.log(1e-12), 0.0, (50_000, 1))) * xs[::2, 1:]
+    ys[::2] = xs[::2] + sep * rng.normal(size=(50_000, 2))
+    ys[::2, 1] = np.abs(ys[::2, 1])
+    got, want = m.distance_batch(xs, ys), _h2_hypot_distance(xs, ys)
+    assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * want)
+
+
+def _h2_extreme_pairs(rng):
+    """Unit-scale pairs, and the same pairs scaled by powers of two near 1e-170,
+    1e-300 and 1e200, where squares and products under- or overflow."""
+    m = fl.hyperbolic_h2()
+    xs, ys = m.random_points(200, rng), m.random_points(200, rng)
+    ys[:100] = xs[:100] + 1e-6 * xs[:100, 1:] * rng.normal(size=(100, 2))
+    return xs, ys, (2.0**-564, 2.0**-760, 2.0**-990, 2.0**664)
+
+
+def test_h2_distance_at_extreme_scales_keeps_its_digits(rng):
+    # the distance is invariant under (x, y) -> s (x, y)
+    m = fl.hyperbolic_h2()
+    xs, ys, scales = _h2_extreme_pairs(rng)
+    want = m.distance_batch(xs, ys)
+    for s in scales:
+        np.testing.assert_allclose(m.distance_batch(s * xs, s * ys), want, rtol=1e-15, atol=0.0)
+    # one batch that mixes every scale takes the careful form row by row
+    mixed = m.distance_batch(np.vstack([s * xs for s in (1.0,) + scales]),
+                             np.vstack([s * ys for s in (1.0,) + scales]))
+    np.testing.assert_allclose(mixed, np.tile(want, len(scales) + 1), rtol=1e-15, atol=0.0)
+    # horizontal separations from 1e-170 to 1e-300 at unit height
+    for sep in (1e-170, 1e-200, 1e-250, 1e-300):
+        d = m.distance_batch(np.array([[0.0, 1.0]]), np.array([[sep, 1.0]]))
+        assert d[0] == pytest.approx(sep, rel=1e-15, abs=0.0)
+
+
+def test_h2_distance_at_tiny_heights():
+    # y_x y_y underflows here: the product form gave nan and inf
+    m = fl.hyperbolic_h2()
+    assert m.distance_batch([[0.0, 1e-170]], [[0.0, 1e-170]])[0] == 0.0
+    d = m.distance_batch([[0.0, 1e-170]], [[1e-170, 2e-170]])[0]
+    assert d == pytest.approx(2.0 * math.asinh(0.5), rel=1e-15)
+
+
+def test_h2_distance_symmetric_and_zero_at_every_scale(rng):
+    m = fl.hyperbolic_h2()
+    xs, ys, scales = _h2_extreme_pairs(rng)
+    a = np.vstack([s * xs for s in (1.0,) + scales])
+    b = np.vstack([s * ys for s in (1.0,) + scales])
+    assert m.distance_batch(a, b).tobytes() == m.distance_batch(b, a).tobytes()
+    for pts in (a, xs, scales[0] * xs, scales[-1] * xs):
+        np.testing.assert_array_equal(m.distance_batch(pts, pts), 0.0)
 
 
 # -- frames ---------------------------------------------------------------------------
