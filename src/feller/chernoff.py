@@ -69,7 +69,7 @@ import numpy as np
 
 from ._kernels import step_uniforms, substream
 from .errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
-from .fields import GeneratorSpec, VectorField
+from .fields import GeneratorSpec, VectorField, apply_generator
 from .flows import DEFAULT_ODE, OdeSettings, flow_batch
 from .grids import GridFunction
 from .manifolds import Point
@@ -673,8 +673,6 @@ def consistency_defect(
     generator; O(t) for the consistent variants, and converging to the
     non-zero residual |L_0 f| for the literal driftless form.
     """
-    from .fields import apply_generator
-
     if t <= 0.0:
         raise ValueError("consistency_defect requires t > 0")
     coords = np.stack([p.coords for p in sample])

@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import manifolds as mf
 from .errors import DegenerateFieldsError, IncompatibleBaseError, VariantIncompatibleError
 from .expressions import compile_expression, compile_partials, compile_scalar
 from .manifolds import Manifold, Point, Sphere2, TangentVector
@@ -60,10 +59,11 @@ class VectorField:
     divergence_free:
         Asserts that the covariant divergence is identically zero.  The
         built-in constructors set it where this holds exactly (rotations of
-        sphere2, frame and constant fields of the flat charts, ``frame:1`` of
-        H2, the zero field); ``divergence_batch`` then returns zeros and a
-        derived drift leaves the field out, so a derived drift of such fields
-        is the zero field and costs no integration.  Implied by ``is_zero``.
+        sphere2, frame fields of the flat charts and ``frame:1`` of H2, the
+        constant fields of a ``uniform_volume`` chart, the zero field);
+        ``divergence_batch`` then returns zeros and a derived drift leaves the
+        field out, so a derived drift of such fields is the zero field and
+        costs no integration.  Implied by ``is_zero``.
     """
 
     def __init__(
@@ -108,9 +108,7 @@ class VectorField:
         h = _H_FD * _fd_scale(coords)
         out = np.empty((n, cd, cd))
         for j in range(cd):
-            e = np.zeros(cd)
-            e[j] = 1.0
-            step = h[:, None] * e
+            step = h[:, None] * np.eye(cd)[j]
             out[:, :, j] = (self.comps(coords + step) - self.comps(coords - step)) / (
                 2.0 * h[:, None]
             )
@@ -180,52 +178,34 @@ def constant_field(manifold: Manifold, values: Sequence[float]) -> VectorField:
         flow=lambda c, t: manifold.wrap(np.atleast_2d(c) + _column(t) * a),
         name=f"constant:{list(a)}",
         is_zero=bool(np.all(a == 0.0)),
-        # the volume density is constant only in the flat charts
-        divergence_free=isinstance(manifold, mf.Euclidean),  # FlatTorus included
+        divergence_free=manifold.uniform_volume,
     )
 
 
 def frame_field(manifold: Manifold, k: int) -> VectorField:
-    """k-th orthonormal frame field (1-based) of a parallelizable built-in."""
+    """k-th orthonormal frame field (1-based) of a parallelizable built-in.
+
+    The field is left-invariant: its flow is ``compose(x, frame_shift(k, t))``,
+    its partials are constant (one unit difference of the affine
+    ``frame_batch`` at the identity), and so is its divergence, whose value
+    at the identity sets ``divergence_free``.
+    """
     if not manifold.parallelizable:
         raise VariantIncompatibleError(f"{manifold.name} has no global frame")
     if not 1 <= k <= manifold.dim:
         raise ValueError(f"frame index {k} out of range 1..{manifold.dim}")
-    if isinstance(manifold, mf.HyperbolicHalfPlane):
-        return _half_plane_frame_field(manifold, k)
-    f = constant_field(manifold, np.eye(manifold.chart_dim)[k - 1])
-    f.name = f"frame:{k}"
-    return f
-
-
-def _half_plane_frame_field(manifold: Manifold, k: int) -> VectorField:
-    """``y e_k`` on H2, with partials ``e_k (x) e_y`` and the exact flows
-    ``x + t y`` (k = 1) and ``y e^t`` (k = 2)."""
-    jac = np.outer(np.eye(2)[k - 1], [0.0, 1.0])  # e_k (x) e_y
-
-    def comps(c):
-        c = np.atleast_2d(c)
-        out = np.zeros_like(c)
-        out[:, k - 1] = c[:, 1]
-        return out
-
-    def flow(c, t):
-        c = np.atleast_2d(c)
-        out = c.copy()
-        if k == 1:
-            out[:, 0] = c[:, 0] + np.multiply(t, c[:, 1])
-        else:
-            out[:, 1] = c[:, 1] * np.exp(t)
-        return out
-
-    return VectorField(
+    comps = lambda c: manifold.frame_batch(np.atleast_2d(c))[k - 1]
+    e = manifold.identity
+    jac = (comps(e + np.eye(manifold.chart_dim)) - comps(e)).T  # J[i, j] = d_j A^i
+    field = VectorField(
         manifold,
         comps,
-        jacobian=lambda c: np.broadcast_to(jac, (np.atleast_2d(c).shape[0], 2, 2)).copy(),
-        flow=flow,
+        jacobian=lambda c: np.broadcast_to(jac, (np.atleast_2d(c).shape[0],) + jac.shape).copy(),
+        flow=lambda c, t: manifold.compose(np.atleast_2d(c), manifold.frame_shift(k, t)),
         name=f"frame:{k}",
-        divergence_free=k == 1,
     )
+    field.divergence_free = bool(divergence_batch(field, e[None, :])[0] == 0.0)
+    return field
 
 
 def rotational_field(manifold: Manifold, k: int) -> VectorField:

@@ -1,12 +1,15 @@
-"""Grid representations of functions on the compact built-in manifolds.
+"""Grid representations of functions on the charts that declare a grid.
 
-The flat charts (the circle and torus2, ``FlatTorus`` for d = 1 and 2) have an
-equispaced periodic grid on each axis, with linear or 4-point Lagrange
-("cubic") interpolation.  Sphere2 has a latitude-longitude grid of cell
-centers, always bilinear, with pole rows synthesized as the mean of the
-adjacent row.  Every stencil is the tensor product of per-axis stencils (on
-sphere2: latitude over the pole-padded rows, periodic longitude), applied by
-the hot gather kernel in ``_kernels``.
+The chart gives the kind of each axis (``Manifold.grid_axes``), the map from
+its coordinates to the per-axis grid angles and back (``grid_angles``,
+``grid_point``) and its interpolation orders (``grid_orders``).  A periodic
+axis has n equispaced angles and linear or 4-point Lagrange ("cubic")
+interpolation; a polar axis has n cell-centred latitudes, padded by pole
+rows that hold the mean of the adjacent row, and linear interpolation.  The
+circle and torus2 have periodic axes, sphere2 a polar latitude and a
+periodic longitude, bilinear only.  Every stencil is the tensor product of
+per-axis stencils over the padded values, applied by the hot gather kernel
+in ``_kernels``.
 
 A stencil's index and weight arrays have shape ``(m, k)`` (one row per query
 point, one column per interpolation node) and are column-major: they are
@@ -24,20 +27,17 @@ import numpy as np
 
 from ._kernels import gather_weighted
 from .errors import ResolutionTooCoarseError, VariantIncompatibleError
-from .manifolds import FlatTorus, Manifold, Sphere2, TWO_PI
+from .manifolds import Manifold, TWO_PI
 
 _MIN_NODES = 8
+_POLAR = "polar"
 
 
-def _cubic_weights(frac: np.ndarray) -> list:
-    # 4-point Lagrange basis on nodes {-1, 0, 1, 2} evaluated at frac in [0,1)
-    s = frac
-    return [
-        -s * (s - 1.0) * (s - 2.0) / 6.0,
-        (s * s - 1.0) * (s - 2.0) / 2.0,
-        -s * (s + 1.0) * (s - 2.0) / 2.0,
-        s * (s * s - 1.0) / 6.0,
-    ]
+def _axis_nodes(kind: str, n: int) -> np.ndarray:
+    """Grid angles of the n nodes of an axis."""
+    if kind == _POLAR:
+        return -0.5 * np.pi + (np.arange(n) + 0.5) * np.pi / n
+    return TWO_PI * np.arange(n) / n
 
 
 def _axis_stencil(theta: np.ndarray, n: int, order: str):
@@ -52,7 +52,24 @@ def _axis_stencil(theta: np.ndarray, n: int, order: str):
     frac = s - i0
     if order == "linear":
         return [np.mod(i0, n), np.mod(i0 + 1, n)], [1.0 - frac, frac]
-    return [np.mod(i0 + k, n) for k in (-1, 0, 1, 2)], _cubic_weights(frac)
+    # 4-point Lagrange basis on nodes {-1, 0, 1, 2} evaluated at frac in [0,1)
+    s = frac
+    return [np.mod(i0 + k, n) for k in (-1, 0, 1, 2)], [
+        -s * (s - 1.0) * (s - 2.0) / 6.0,
+        (s * s - 1.0) * (s - 2.0) / 2.0,
+        -s * (s + 1.0) * (s - 2.0) / 2.0,
+        s * (s * s - 1.0) / 6.0,
+    ]
+
+
+def _polar_stencil(lat: np.ndarray, n: int):
+    """Linear stencil in latitude over the padded rows: 0 = south pole,
+    1..n = data, n+1 = north pole."""
+    pad = np.concatenate([[-0.5 * np.pi], _axis_nodes(_POLAR, n), [0.5 * np.pi]])
+    r1 = np.clip(np.searchsorted(pad, lat, side="right"), 1, n + 1)
+    r0 = r1 - 1
+    frac = (lat - pad[r0]) / (pad[r1] - pad[r0])
+    return [r0, r1], [1.0 - frac, frac]
 
 
 @dataclass(frozen=True)
@@ -69,11 +86,11 @@ class GridFunction:
 
     def __init__(self, manifold: Manifold, values: np.ndarray, interp: str = "cubic"):
         values = np.asarray(values, dtype=float)
-        if not isinstance(manifold, (FlatTorus, Sphere2)):
+        if not manifold.grid_axes:
             raise VariantIncompatibleError(
                 f"grid functions require a compact built-in, not {manifold.name}"
             )
-        if values.ndim != manifold.dim:
+        if values.ndim != len(manifold.grid_axes):
             raise ValueError(f"{manifold.name} grid values must be {manifold.dim}-D")
         if min(values.shape) < _MIN_NODES:
             raise ResolutionTooCoarseError(
@@ -81,12 +98,14 @@ class GridFunction:
             )
         if interp not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation order {interp!r}")
-        if isinstance(manifold, Sphere2):
-            interp = "linear"  # bilinear with pole averaging is the only mode
+        if interp not in manifold.grid_orders:
+            interp = manifold.grid_orders[0]
         self.manifold = manifold
         self.values = values
         self.values.setflags(write=False)
         self.interp = interp
+        # per axis, the rows of padding at each end: a pole row on a polar axis
+        self._pads = tuple(int(kind == _POLAR) for kind in manifold.grid_axes)
 
     # -- constructors -----------------------------------------------------
 
@@ -108,24 +127,14 @@ class GridFunction:
     # -- nodes -------------------------------------------------------------
 
     def node_coords(self) -> np.ndarray:
-        shape = self.values.shape
-        if isinstance(self.manifold, Sphere2):
-            nlat, nlon = shape
-            lat = -0.5 * np.pi + (np.arange(nlat) + 0.5) * np.pi / nlat
-            lon = TWO_PI * np.arange(nlon) / nlon
-            glat, glon = np.meshgrid(lat, lon, indexing="ij")
-            cl = np.cos(glat.ravel())
-            return np.stack(
-                [cl * np.cos(glon.ravel()), cl * np.sin(glon.ravel()), np.sin(glat.ravel())],
-                axis=-1,
-            )
-        axes = np.meshgrid(*(TWO_PI * np.arange(n) / n for n in shape), indexing="ij")
-        return np.stack([g.ravel() for g in axes], axis=-1)
+        kinds, shape = self.manifold.grid_axes, self.values.shape
+        axes = np.meshgrid(*map(_axis_nodes, kinds, shape), indexing="ij")
+        return self.manifold.grid_point([g.ravel() for g in axes])
 
     def cell_size(self) -> float:
-        if isinstance(self.manifold, Sphere2):
-            return np.pi / self.values.shape[0]
-        return TWO_PI / max(self.values.shape)
+        """The smallest node spacing in grid angle over the axes."""
+        kinds, shape = self.manifold.grid_axes, self.values.shape
+        return min((np.pi if kind == _POLAR else TWO_PI) / n for kind, n in zip(kinds, shape))
 
     # -- interpolation -------------------------------------------------------
 
@@ -140,38 +149,32 @@ class GridFunction:
         w = np.empty(idx.shape)
         for j, ((i0, w0), *rest) in enumerate(cols):
             idx[j], w[j] = i0, w0
-            for n, (ia, wa) in zip(self.values.shape[1:], rest):
-                idx[j] *= n
+            for n, p, (ia, wa) in zip(self.values.shape[1:], self._pads[1:], rest):
+                idx[j] *= n + 2 * p  # the padded length of the axis
                 idx[j] += ia
                 w[j] *= wa
         return Stencil(idx.T, w.T)
 
     def _axis_stencils(self, coords: np.ndarray) -> list:
-        """Per axis of the flat values, the ``_axis_stencil`` of the query points."""
-        shape = self.values.shape
-        if not isinstance(self.manifold, Sphere2):
-            return [_axis_stencil(coords[:, a], n, self.interp) for a, n in enumerate(shape)]
-        # latitude over the padded rows: 0 = south pole, 1..nlat = data,
-        # nlat+1 = north pole; longitude periodic
-        nlat, nlon = shape
-        lat = np.arcsin(np.clip(coords[:, 2], -1.0, 1.0))
-        pad_lat = np.concatenate(
-            [[-0.5 * np.pi], -0.5 * np.pi + (np.arange(nlat) + 0.5) * np.pi / nlat, [0.5 * np.pi]]
-        )
-        r1 = np.clip(np.searchsorted(pad_lat, lat, side="right"), 1, nlat + 1)
-        r0 = r1 - 1
-        flat = (lat - pad_lat[r0]) / (pad_lat[r1] - pad_lat[r0])
-        lon = np.arctan2(coords[:, 1], coords[:, 0])
-        return [([r0, r1], [1.0 - flat, flat]), _axis_stencil(lon, nlon, "linear")]
+        """Per grid axis, the stencil of the query points over the padded values."""
+        kinds, shape = self.manifold.grid_axes, self.values.shape
+        return [
+            _polar_stencil(a, n) if kind == _POLAR else _axis_stencil(a, n, self.interp)
+            for kind, a, n in zip(kinds, self.manifold.grid_angles(coords), shape)
+        ]
 
     def flat_values(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Values raveled for stencil application (pole-padded on the sphere)."""
+        """Values raveled for stencil application, each polar axis padded at
+        both ends by the mean of its first and last row."""
         v = self.values if values is None else values.reshape(self.values.shape)
-        if not isinstance(self.manifold, Sphere2):
+        if not any(self._pads):
             return np.ascontiguousarray(v.ravel())
-        south = np.full(v.shape[1], v[0].mean())
-        north = np.full(v.shape[1], v[-1].mean())
-        return np.ascontiguousarray(np.concatenate([south, v.ravel(), north]))
+        out = np.pad(v, [(p, p) for p in self._pads])
+        for a in np.flatnonzero(self._pads):
+            ends = (slice(None),) * a
+            out[ends + (0,)] = v[ends + (0,)].mean()
+            out[ends + (-1,)] = v[ends + (-1,)].mean()
+        return out.ravel()
 
     def interpolate(self, coords: np.ndarray) -> np.ndarray:
         return self.build_stencil(coords).apply(self.flat_values())

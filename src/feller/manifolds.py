@@ -96,9 +96,18 @@ class Manifold:
     (R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group).
     It sets ``identity`` and implements ``compose(coords, h)``,
     right-multiplication of each row by the group element ``h`` (one element,
-    or one per row), and ``geodesic_shift(v, t)``, the element reached from
-    the identity along the geodesic with initial velocity ``v``.  A frame
-    geodesic from any point is then one ``compose``.
+    or one per row), and ``geodesic_shift(v, t)`` and ``frame_shift(k, t)``,
+    the elements reached from the identity along the geodesic with initial
+    velocity ``v`` and along the k-th frame field.  A frame geodesic or a
+    frame-field flow from any point is then one ``compose``.  The frame
+    components are affine in the chart (``y e_k`` on H2, else constant).
+
+    A chart with a canonical grid names the kind of each axis in
+    ``grid_axes``: ``"periodic"`` (n equispaced angles) or ``"polar"`` (n
+    cell-centred latitudes between the two poles), the interpolation orders
+    it supports in ``grid_orders``, the first the fallback, and maps its
+    coordinates to the per-axis angles and back (``grid_angles``,
+    ``grid_point``).  A chart with ``uniform_volume`` has constant density.
     """
 
     name: str = "abstract"
@@ -108,6 +117,9 @@ class Manifold:
     parallelizable: bool = True
     injectivity_radius: float = np.inf
     identity = None       # group identity in the chart; None: no group structure
+    uniform_volume = False  # sqrt(det g) constant in the chart: constant fields are divergence-free
+    grid_axes: tuple = ()   # kinds of the canonical grid's axes; () for no grid
+    grid_orders: tuple = ()  # interpolation orders of the grid
 
     # -- points ---------------------------------------------------------
 
@@ -156,10 +168,6 @@ class Manifold:
 
     def frame(self, x: Point) -> list[TangentVector]:
         """Orthonormal global frame at x (parallelizable built-ins only)."""
-        if not self.parallelizable:
-            raise NotParallelizableError(
-                f"{self.name} admits no global smooth frame"
-            )
         comps = self.frame_batch(x.coords[None, :])
         return [TangentVector(x, np.array(comps[k, 0])) for k in range(self.dim)]
 
@@ -196,6 +204,14 @@ class Manifold:
     def geodesic_shift(self, v, t):
         raise UnsupportedOperationError(f"{self.name}: no group structure")
 
+    def grid_angles(self, coords) -> list:
+        """Per grid axis, the grid angle of each row of ``coords``: here its coordinates."""
+        return [coords[:, a] for a in range(self.dim)]
+
+    def grid_point(self, angles) -> np.ndarray:
+        """The coordinates of the points with the given per-axis grid angles."""
+        return np.stack(angles, axis=-1)
+
     def log_batch(self, xs, ys):
         raise NotImplementedError
 
@@ -216,6 +232,8 @@ class Manifold:
 
 class Euclidean(Manifold):
     """Flat R^d with the standard metric."""
+
+    uniform_volume = True
 
     def __init__(self, d: int, name: str = ""):
         if d < 1:
@@ -246,6 +264,9 @@ class Euclidean(Manifold):
     def geodesic_shift(self, v, t):
         return t * np.asarray(v)
 
+    def frame_shift(self, k, t):
+        return np.asarray(t, dtype=float)[..., None] * np.eye(self.dim)[k - 1]
+
     def log_batch(self, xs, ys):
         return ys - xs
 
@@ -253,10 +274,7 @@ class Euclidean(Manifold):
         return np.linalg.norm(ys - xs, axis=-1)
 
     def frame_batch(self, xs):
-        n = xs.shape[0]
-        return np.broadcast_to(
-            np.eye(self.dim)[:, None, :], (self.dim, n, self.dim)
-        ).copy()
+        return np.repeat(np.eye(self.dim)[:, None, :], xs.shape[0], axis=1)
 
     def dlog_sqrt_det_batch(self, xs):
         return np.zeros_like(xs)
@@ -269,10 +287,12 @@ class FlatTorus(Euclidean):
     """R^d modulo 2*pi in every coordinate: Circle (d=1) or Torus2 (d=2)."""
 
     injectivity_radius = np.pi
+    grid_orders = ("linear", "cubic")
 
     def __init__(self, d: int, name: str = ""):
         super().__init__(d, name)
         self.coord_names = ("theta",) if d == 1 else tuple(f"theta{i + 1}" for i in range(d))
+        self.grid_axes = ("periodic",) * d
 
     def _validate(self, c):
         return wrap_angle(c)
@@ -347,7 +367,7 @@ class HyperbolicHalfPlane(Manifold):
 
     def geodesic_batch(self, xs, vs, t):
         # the frame at x is y_x times the standard basis at the identity
-        xs = np.atleast_2d(xs)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self.compose(xs, self.geodesic_shift(np.atleast_2d(vs) / xs[:, 1:], t))
 
     def compose(self, coords, h):
@@ -377,6 +397,12 @@ class HyperbolicHalfPlane(Manifold):
         out = np.stack([a * np.sinh(sigma) / den, 1.0 / den], axis=-1)
         return np.where((sigma == 0.0)[..., None], self.identity, out)
 
+    def frame_shift(self, k, t):
+        # the one-parameter groups of y d/dx and y d/dy: (t, 1) and (0, e^t)
+        t = np.asarray(t, dtype=float)
+        pair = (t, np.ones_like(t)) if k == 1 else (np.zeros_like(t), np.exp(t))
+        return np.stack(pair, axis=-1)
+
     def log_batch(self, xs, ys):
         # z = x^-1 y = (p, q); the geodesic from i to z leaves along
         # (2p, p^2 + (q - 1)(q + 1)), of euclidean norm |z - i| |z + i|
@@ -397,8 +423,8 @@ class HyperbolicHalfPlane(Manifold):
         # squared sum (or an exact 0) and y_x y_y lie in [_SAFE_LO, _SAFE_HI];
         # other rows take hypot(d, h) / (sqrt(y_x) sqrt(y_y)), which neither
         # underflows nor overflows
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
         d = np.subtract(ys[:, 0], xs[:, 0])
         h = np.subtract(ys[:, 1], xs[:, 1])
         lo, hi = _SAFE_LO, _SAFE_HI
@@ -459,6 +485,8 @@ class Sphere2(Manifold):
     coord_names = ("x", "y", "z")
     parallelizable = False
     injectivity_radius = np.pi
+    grid_axes = ("polar", "periodic")  # latitude, longitude
+    grid_orders = ("linear",)
 
     def _validate(self, c):
         r = np.linalg.norm(c)
@@ -500,6 +528,14 @@ class Sphere2(Manifold):
 
     def tangent_coords(self, coords, v):
         return np.einsum("n...j,njk->n...k", v, self.tangent_basis(coords))
+
+    def grid_angles(self, coords):
+        return [np.arcsin(np.clip(coords[:, 2], -1.0, 1.0)), np.arctan2(coords[:, 1], coords[:, 0])]
+
+    def grid_point(self, angles):
+        lat, lon = angles
+        cl = np.cos(lat)
+        return np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)], axis=-1)
 
     def tangent_field(self, comps, jacobian):
         # X = a - (a.q) q, and its partials J - q (J^T q + a)^T - (a.q) I

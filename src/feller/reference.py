@@ -2,9 +2,9 @@
 Crank-Nicolson finite-difference solver.
 
 These never touch the Chernoff/walk code paths; they exist to certify them.
-The finite-difference solver runs on the flat charts only (the circle and
-torus2, ``FlatTorus`` for d = 1 and 2): one operator builder assembles L on
-the periodic grid of any d, axis by axis.
+The finite-difference solver runs on the grids whose axes are all periodic
+(the circle and torus2): one operator builder assembles L on the periodic
+grid of any d, axis by axis.
 Series and quadrature truncations are chosen so the oracle error sits at
 least an order below every tolerance it is used to check, and doubling any
 truncation is verified to move the result by less than 1e-10.
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleUnavailableError, TruncationBudgetError, VariantIncompatibleError
-from .fields import GeneratorSpec
+from .fields import GeneratorSpec, divergence_batch
 from .grids import GridFunction
-from .manifolds import FlatTorus, Point, TWO_PI, hyperbolic_h2
+from .manifolds import Point, TWO_PI, circle, hyperbolic_h2, sphere2, torus2
 
 
 @dataclass(frozen=True)
@@ -97,26 +97,15 @@ def _wrapped_gauss_kernel(delta: np.ndarray, t: float) -> np.ndarray:
     return norm * acc
 
 
-_S1_QUAD = 4096
-
-
-def _wrapped_gauss_s1(f, t, theta):
-    grid = TWO_PI * np.arange(_S1_QUAD) / _S1_QUAD
-    vals = np.asarray(f(grid[:, None]), dtype=float)
-    kern = _wrapped_gauss_kernel(theta - grid, t)
-    return float(kern @ vals * (TWO_PI / _S1_QUAD))
-
-
-def _torus_product(f, t, x):
-    n = 512
-    g1 = TWO_PI * np.arange(n) / n
-    g2 = TWO_PI * np.arange(n) / n
-    t1, t2 = np.meshgrid(g1, g2, indexing="ij")
-    pts = np.stack([t1.ravel(), t2.ravel()], axis=-1)
-    vals = np.asarray(f(pts), dtype=float).reshape(n, n)
-    k1 = _wrapped_gauss_kernel(x[0] - g1, t)
-    k2 = _wrapped_gauss_kernel(x[1] - g2, t)
-    return float(k1 @ vals @ k2 * (TWO_PI / n) ** 2)
+def _periodic_product(f, t, x, m, n):
+    """Product of wrapped Gaussians over the grid of n nodes per axis of the
+    periodic chart m, contracted one axis at a time."""
+    nodes = GridFunction(m, np.empty((n,) * m.dim))
+    vals = np.asarray(f(nodes.node_coords()), dtype=float).reshape(nodes.values.shape)
+    g = TWO_PI * np.arange(n) / n  # the node angles of each axis
+    for xa in x:
+        vals = _wrapped_gauss_kernel(xa - g, t) @ vals
+    return float(vals * (TWO_PI / n) ** m.dim)
 
 
 # -- spherical-harmonic series on S^2 ---------------------------------------------
@@ -146,11 +135,7 @@ def _sphere_harmonics(f, t, x, l_max):
     n_c, n_phi = 256, 256
     c, w = np.polynomial.legendre.leggauss(n_c)
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    # orthonormal tangent pair at x
-    ref = np.array([0.0, 0.0, 1.0]) if abs(x[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, x)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(x, e1)
+    e1, e2 = sphere2().tangent_basis(x)[0].T  # orthonormal tangent pair at x
     s = np.sqrt(np.maximum(1.0 - c**2, 0.0))
     y = (
         c[:, None, None] * x[None, None, :]
@@ -234,8 +219,7 @@ def _hyperbolic_h2(f, t, xs):
     radii = np.repeat(rho, n_phi)
     out = np.empty(len(xs))
     for j, x in enumerate(xs):
-        frame = m.frame_batch(x[None, :])  # (2, 1, 2)
-        e1, e2 = frame[0, 0], frame[1, 0]
+        e1, e2 = m.frame_batch(x[None, :])[:, 0]  # the frame at x
         dirs = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2  # unit g-norm
         starts = np.broadcast_to(x, (n_rho * n_phi, 2)).copy()
         pts = m.geodesic_batch(starts, np.tile(dirs, (n_rho, 1)), radii)
@@ -254,9 +238,9 @@ def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
     if kernel.tag == "gauss-rd":
         return _gauss_rd(fn, t, coords, kernel.d)
     if kernel.tag == "wrapped-gauss-s1":
-        return _wrapped_gauss_s1(fn, t, float(coords[0]))
+        return _periodic_product(fn, t, coords[:1], circle(), 4096)
     if kernel.tag == "torus-product":
-        return _torus_product(fn, t, coords)
+        return _periodic_product(fn, t, coords[:2], torus2(), 512)
     if kernel.tag == "sphere-harmonics":
         return _sphere_harmonics(fn, t, coords, kernel.l_max)
     if kernel.tag == "hyperbolic-h2":
@@ -311,8 +295,6 @@ def _advection_beta(spec: GeneratorSpec, nodes: np.ndarray) -> np.ndarray:
     beta^j = sigma_0^j - 1/2 sum_k (div A_k) sigma_k^j; beta vanishes
     identically under the derived drift.
     """
-    from .fields import divergence_batch
-
     if spec.drift_policy == "derived":
         return np.zeros_like(nodes)
     extra = spec.drift.comps(nodes)
@@ -386,7 +368,7 @@ def fd_solve(
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    if not isinstance(f0.manifold, FlatTorus):
+    if any(kind != "periodic" for kind in f0.manifold.grid_axes):
         raise VariantIncompatibleError(
             f"fd_solve supports the circle and torus2, not {f0.manifold.name}"
         )

@@ -185,7 +185,7 @@ def _c05():
 
     def f(c):
         c = np.atleast_2d(c)
-        d = h2.distance_batch(np.broadcast_to(center, c.shape).copy(), c)
+        d = h2.distance_batch(np.broadcast_to(center, c.shape), c)
         return np.exp(-0.5 * d**2)
 
     kernel = rf.HeatKernelId.from_string("hyperbolic-h2")

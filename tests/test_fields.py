@@ -193,6 +193,51 @@ def test_half_plane_fields_with_divergence_unflagged(spec, rng):
     assert np.abs(divergence_batch(A, coords)).min() > 1e-3
 
 
+# -- frame fields -------------------------------------------------------------------
+
+
+def _h2_frame_closed_form(k, c, t):
+    """The H2 frame flows in closed form: x + t y along y d/dx, y e^t along y d/dy."""
+    out = c.copy()
+    if k == 1:
+        out[:, 0] = c[:, 0] + np.multiply(t, c[:, 1])
+    else:
+        out[:, 1] = c[:, 1] * np.exp(t)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_h2_frame_flows_are_their_closed_forms(k, rng):
+    h2 = fl.hyperbolic_h2()
+    A = fl.frame_field(h2, k)
+    c = h2.random_points(60, rng)
+    per_row = np.concatenate([-rng.uniform(0.0, 2.0, 30), rng.uniform(0.0, 2.0, 30)])
+    for t in (0.7, -0.7, per_row):
+        want = _h2_frame_closed_form(k, c, t)
+        assert A.flow(c, t).tobytes() == want.tobytes()
+        assert flow_batch(A, c, t).tobytes() == want.tobytes()
+    # y e_k, with the partials e_k (x) e_y and the divergence 0 (k = 1) or -1 (k = 2)
+    np.testing.assert_array_equal(A.comps(c), np.eye(2)[k - 1] * c[:, 1:])
+    np.testing.assert_array_equal(A.jacobian_batch(c), np.broadcast_to(
+        np.outer(np.eye(2)[k - 1], [0.0, 1.0]), (60, 2, 2)))
+    assert A.divergence_free == (k == 1)
+    want = 0.0 if k == 1 else -1.0
+    np.testing.assert_allclose(divergence_batch(A, c), want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["euclidean:1", "euclidean:3", "circle", "torus2"])
+def test_flat_frame_fields_are_unit_translations(name, rng):
+    m = fl.manifold_from_string(name)
+    c = m.random_points(20, rng)
+    t = rng.uniform(-1.0, 1.0, 20)
+    for k in range(1, m.dim + 1):
+        A, e = fl.frame_field(m, k), np.eye(m.dim)[k - 1]
+        assert A.divergence_free
+        np.testing.assert_array_equal(A.comps(c), np.broadcast_to(e, c.shape))
+        np.testing.assert_array_equal(A.jacobian_batch(c), 0.0)
+        np.testing.assert_array_equal(A.flow(c, t), m.wrap(c + t[:, None] * e))
+
+
 def torus_frame_spec(drift_policy="derived", drift=None):
     t2 = fl.torus2()
     return fl.GeneratorSpec(

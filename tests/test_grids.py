@@ -5,6 +5,7 @@ import feller as fl
 from feller._kernels import gather_weighted
 from feller.errors import ResolutionTooCoarseError, VariantIncompatibleError
 from feller.grids import GridFunction, _axis_stencil
+from feller.manifolds import TWO_PI
 
 CASES = [
     ("circle", 40, "linear"),
@@ -74,3 +75,47 @@ def test_grid_function_refusals(name, shape, error, match):
 
     with pytest.raises(error, match=match):
         GridFunction.from_function(m, shape, never)
+
+
+GRID_CHARTS = [("circle", 40), ("torus2", (24, 32)), ("sphere2", (16, 32))]
+
+
+@pytest.mark.parametrize("name, shape", GRID_CHARTS)
+def test_grid_angles_map_back_to_the_nodes(name, shape):
+    m = fl.manifold_from_string(name)
+    nodes = GridFunction(m, np.zeros(shape)).node_coords()
+    back = m.grid_point(m.grid_angles(nodes))
+    if m.grid_axes == ("periodic",) * m.dim:  # the angles are the coordinates
+        np.testing.assert_array_equal(back, nodes)
+    else:  # through arcsin and arctan2: to rounding
+        np.testing.assert_allclose(back, nodes, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("name, shape", GRID_CHARTS)
+def test_interpolation_at_the_nodes_returns_the_values(name, shape):
+    m = fl.manifold_from_string(name)
+    for order in m.grid_orders:
+        g = GridFunction.from_function(m, shape, lambda c: np.cos(3.0 * c[:, 0]) + c[:, -1], order)
+        got, want = g.interpolate(g.node_coords()), g.values.ravel()
+        if m.grid_axes == ("periodic",) * m.dim:  # nodes snap onto themselves
+            np.testing.assert_array_equal(got, want)
+        else:  # the latitude of a node is recomputed by arcsin, without a snap
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("name, shape, cell", [
+    ("circle", 40, TWO_PI / 40),
+    ("torus2", (24, 32), TWO_PI / 32),
+    ("sphere2", (16, 32), np.pi / 16),
+    ("sphere2", (12, 40), TWO_PI / 40),  # longitude finer than latitude
+])
+def test_cell_size_is_the_smallest_axis_spacing(name, shape, cell):
+    assert GridFunction(fl.manifold_from_string(name), np.zeros(shape)).cell_size() == cell
+
+
+def test_sphere_pole_rows_are_the_means_of_the_edge_rows(rng):
+    g = GridFunction(fl.sphere2(), rng.normal(size=(8, 16)))
+    flat = g.flat_values().reshape(10, 16)
+    np.testing.assert_array_equal(flat[1:-1], g.values)
+    np.testing.assert_array_equal(flat[0], g.values[0].mean())
+    np.testing.assert_array_equal(flat[-1], g.values[-1].mean())

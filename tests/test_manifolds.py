@@ -267,6 +267,28 @@ def test_distance_symmetry_triangle(rng):
         assert np.all(dab <= m.distance_batch(a, c) + m.distance_batch(c, b) + 1e-10)
 
 
+# integer points and velocities, one pair per built-in chart
+INT_CASES = {
+    "euclidean:2": ([[0, 1], [2, -1]], [[2, 3], [1, 1]], [[1, -1], [0, 2]]),
+    "circle": ([[1], [5]], [[2], [4]], [[1], [-3]]),
+    "torus2": ([[1, 2], [0, 6]], [[2, 1], [1, 5]], [[1, 1], [-2, 0]]),
+    "hyperbolic-h2": ([[0, 1], [1, 3]], [[0, 2], [-1, 2]], [[1, 1], [0, -2]]),
+    "sphere2": ([[0, 0, 1], [1, 0, 0]], [[1, 0, 0], [0, -1, 0]], [[0, 1, 0], [0, 0, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", list(INT_CASES))
+def test_integer_coordinates_give_the_float_results(name):
+    # H2's compose builds its output like its input, so int rows once came back int
+    m = fl.manifold_from_string(name)
+    xs, ys, vs = (np.array(a) for a in INT_CASES[name])
+    fx, fy, fv = (a.astype(float) for a in (xs, ys, vs))
+    np.testing.assert_array_equal(m.distance_batch(xs, ys), m.distance_batch(fx, fy))
+    np.testing.assert_array_equal(m.log_batch(xs, ys), m.log_batch(fx, fy))
+    for t in (2, np.array([1, -1])):
+        np.testing.assert_array_equal(m.geodesic_batch(xs, vs, t), m.geodesic_batch(fx, fv, t))
+
+
 def _h2_hypot_distance(xs, ys):
     """The H2 distance with ``hypot`` at every row: 2 asinh(hypot / (2 sqrt(y_x y_y)))."""
     d = np.hypot(ys[:, 0] - xs[:, 0], ys[:, 1] - xs[:, 1])

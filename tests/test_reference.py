@@ -290,3 +290,10 @@ def test_fd_rejects_sphere():
     g0 = GridFunction.from_function(s2, (16, 32), lambda c: c[:, 2], interp="linear")
     with pytest.raises(VariantIncompatibleError):
         fd_solve(spec, g0, 0.1, FdSolverSettings(steps=20))
+
+
+def test_fd_solve_refuses_a_grid_with_a_polar_axis():
+    s2 = fl.sphere2()
+    spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)])
+    with pytest.raises(VariantIncompatibleError, match="not sphere2"):
+        fd_solve(spec, GridFunction(s2, np.zeros((16, 32))), 0.1, FdSolverSettings(steps=10))

@@ -1,0 +1,46 @@
+"""Chart knowledge stays in the charts: the grid, field and oracle modules
+name no chart class in their code (docstrings and comments aside), except
+``rotational_field``'s input check, which names ``Sphere2``."""
+
+import ast
+import inspect
+
+import pytest
+
+from feller import fields, grids, manifolds, reference
+
+CHART_CLASSES = {
+    name for name, obj in vars(manifolds).items()
+    if inspect.isclass(obj) and issubclass(obj, manifolds.Manifold)
+} - {"Manifold"}
+
+
+def _chart_classes_named(module) -> set:
+    """Chart classes named in the module's code, bare or as a module attribute."""
+    tree = ast.parse(inspect.getsource(module))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names & CHART_CLASSES
+
+
+def test_the_chart_classes_are_the_built_ins():
+    assert CHART_CLASSES == {"Euclidean", "FlatTorus", "HyperbolicHalfPlane", "Sphere2"}
+
+
+@pytest.mark.parametrize("module, allowed", [
+    (grids, set()),
+    (fields, {"Sphere2"}),
+    (reference, set()),
+])
+def test_module_names_no_chart_class(module, allowed):
+    assert _chart_classes_named(module) == allowed
+    namespace = {name for name, obj in vars(module).items() if inspect.isclass(obj)}
+    assert namespace & CHART_CLASSES == allowed
+
+
+def test_fields_names_sphere2_only_in_the_rotational_input_check():
+    tree = ast.parse(inspect.getsource(fields))
+    rot = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "rotational_field")
+    uses = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "Sphere2"]
+    assert uses and all(rot.lineno <= line <= rot.end_lineno for line in uses)
