@@ -23,29 +23,30 @@ semigroup generated by L.  Variants:
 
 ``branch_moves`` is the one description of a step: the branch table of
 S(.) in draw order (for ``GENERAL`` the drift first, then +A_1, -A_1, ..,
-+A_r, -A_r, then with c != 0 the identity with the signed weight s c(x)), each
-branch with its weight and a move evaluated at the step time s.  Three
-evaluation strategies for S(t/n)^n f read it at s = t/n:
-exact tree recursion (``iterate_tree``, the oracle), semi-Lagrangian grid
-sweeps (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
-``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
-random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n);
-``sample_endpoints`` runs it on fixed blocks of ``_SAMPLE_ROWS`` rows for
-``iterate_mc`` and ``walks.walk_endpoints``.  Each flow branch carries its
-field and a signed flow time (``-A_j`` flows ``A_j`` for ``-tau``), so the
-loop moves the rows of a pair ``+-A_j`` in one ``flow_batch`` call; and as
-every row of a block starts at x, the endpoint sampler moves one row per
-distinct draw history while those are few.  The tree, too, is evaluated in
-chunks of at most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the
-sampler holds more than one block of points at a time, whatever the leaf
-or sample count.  Wherever a strategy evaluates the potential branch's
-weight, ``dt * |c| > 1`` raises ``PotentialStepError``.
++A_r, -A_r, then with c != 0 the identity with the signed weight s c(x)),
+each branch with its weight and the data of its move at the step time s.
+``move_rows`` is the one place rows move: row i by branch ``idx[i]``, the
+rows of one field (``-A_j`` flows ``A_j`` for ``-tau``) in one
+``flow_batch`` call with one signed time per row, the group-shift rows in
+one ``compose``.  Three evaluation strategies for S(t/n)^n f read the table
+at s = t/n: exact tree recursion (``iterate_tree``, the oracle),
+semi-Lagrangian grid sweeps (``iterate_grid``) and Monte-Carlo path sampling
+(``iterate_mc``).  ``sample_steps`` is the one sample loop, shared by
+``iterate_mc`` and the random walks of ``walks`` (which read the
+``GENERAL`` table at s = 1/n); ``sample_endpoints`` runs it on fixed blocks
+of ``_SAMPLE_ROWS`` rows for ``iterate_mc`` and ``walks.walk_endpoints``,
+and as every row of a block starts at x, moves one row per distinct draw
+history while those are few.  The tree, too, is evaluated in chunks of at
+most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the sampler holds
+more than one block of points at a time, whatever the leaf or sample count.
+Wherever a strategy evaluates the potential branch's weight,
+``dt * |c| > 1`` raises ``PotentialStepError``.
 
 Every parallelizable built-in is a Lie group whose frame is left-invariant:
 R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group.  Each
 heat-geodesic branch is therefore right-multiplication by one fixed group
-element ``h_b(s)``, the frame geodesic from the identity: its ``move`` is
-``compose(coords, h_b(s))`` and it carries ``shift(s) -> h_b(s)``.
+element ``h_b(s)``, the frame geodesic from the identity: it carries
+``shift(s) -> h_b(s)`` and its manifold's ``compose``.
 
 Draws are integer: one splitmix64 word per row and step against the
 thresholds of ``_thresholds``.  With the signed branch a row draws with
@@ -53,7 +54,8 @@ probability |weight| / M, M = 1 + |s c(x)|, and carries a signed mass (Del
 Moral, *Feynman-Kac Formulae*, 2004, ch. 2).  A heat-geodesic MC path folds k
 draws into one gather from a table of group products (``sample_steps``), and
 a heat-geodesic tree chunk folds its last levels into one ``compose`` with
-such a table (``iterate_tree``); both move by rounding only.
+such a table (``iterate_tree``); both move by rounding only.  A table folds
+whenever every branch is a group shift.
 """
 
 from __future__ import annotations
@@ -124,34 +126,27 @@ def _potential_step(spec: GeneratorSpec, dt: float, coords: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class Branch:
-    """One branch of S(s): exact weight, label and move.
+    """One branch of S(s): its exact weight, its label and the data of its move.
 
-    ``move(coords, s)`` sends a coordinate batch to its shifted batch for the
-    step time ``s``; it is the one place that turns ``s`` into a flow time
-    (``2s``, ``sqrt(2rs)``, ``sqrt(rs)``) or a geodesic time (``sqrt(s)``).
-    A flow move also takes ``s`` as an ``(n,)`` array, one step time per row.
+    ``move_rows`` reads the move; a branch carries one of three kinds:
 
-    A flow branch also carries its ``field``, the signed flow time
-    ``time(s)`` and the ``ode`` settings: its move is
-    ``flow_batch(field, coords, time(s), ode)``.  The ``-A_j`` branch flows
-    ``A_j`` itself for ``-tau(s)``, so the sample loop moves the rows of both
-    branches of a pair in one call, with one time per row.  None otherwise.
-
-    A branch that is right-multiplication by a group element of its manifold
-    (every heat-geodesic branch) also carries ``shift(s)``, that element
-    ``h_b(s)``, and its move is ``manifold.compose(coords, shift(s))``.  None
-    otherwise.  The potential branch is the identity, with ``weight`` 0 and
-    the signed per-row weight ``signed(coords, s) = s c(x)``; None otherwise.
+    * a flow: its ``field``, the ``ode`` settings and the signed flow time
+      ``time(s)`` at step time s (``2s``, ``sqrt(2rs)`` or ``sqrt(rs)``; the
+      ``-A_j`` branch flows ``A_j`` itself for ``-tau(s)``);
+    * a group shift (every heat-geodesic branch): right-multiplication by the
+      element ``shift(s)`` of its manifold, whose product is ``compose``;
+    * the potential's identity: ``weight`` 0 and the signed per-row weight
+      ``signed(coords, s) = s c(x)``.
     """
 
     weight: Fraction
     label: str
-    move: Callable[[np.ndarray, float], np.ndarray]
-    shift: Optional[Callable[[float], np.ndarray]] = None
-    signed: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     field: Optional[VectorField] = None
-    time: Optional[Callable[[float], float]] = None
+    time: Optional[Callable] = None
     ode: Optional[OdeSettings] = None
+    shift: Optional[Callable[[float], np.ndarray]] = None
+    compose: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    signed: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def weight_at(self, coords: np.ndarray, s: float):
         """The weight at step time s: a float, or ``s c`` at the rows of ``coords``."""
@@ -174,13 +169,11 @@ def branch_moves(
     branches: list[Branch] = []
 
     def flow_branch(weight, label, field, time):
-        move = lambda coords, s: flow_batch(field, coords, time(s), ode)
-        return Branch(weight, label, move, field=field, time=time, ode=ode)
+        return Branch(weight, label, field=field, time=time, ode=ode)
 
     def field_pairs(weight, tau, tau_label):
         for j, f in enumerate(spec.fields, start=1):
             branches.append(flow_branch(weight, f"flow(+A_{j}, {tau_label})", f, tau))
-            # -A_j flows A_j backwards: flow_batch(negate(A), c, t) to the bit
             branches.append(
                 flow_branch(weight, f"flow(-A_{j}, {tau_label})", f, lambda s: -tau(s))
             )
@@ -212,9 +205,8 @@ def branch_moves(
             # geodesic from the identity
             v = sign * root_d * frame[k, 0]
             shift = lambda s: m.geodesic_shift(v, math.sqrt(s))
-            move = lambda coords, s: m.compose(np.atleast_2d(coords), shift(s))
             label = f"geodesic({mark}sqrt(d) e_{k + 1}, sqrt(s))"
-            return Branch(Fraction(1, 2 * d), label, move, shift=shift)
+            return Branch(Fraction(1, 2 * d), label, shift=shift, compose=m.compose)
 
         for k in range(d):
             for sign, mark in ((+1.0, "+"), (-1.0, "-")):
@@ -227,8 +219,56 @@ def branch_moves(
         if variant is not ChernoffVariant.GENERAL:
             raise VariantIncompatibleError(f"{variant.value} requires c = 0")
         signed = lambda coords, s: _potential_step(spec, s, coords)
-        branches.append(Branch(Fraction(0), "identity, s c(x)", lambda c, s: c, signed=signed))
+        branches.append(Branch(Fraction(0), "identity, s c(x)", signed=signed))
     return branches
+
+
+def move_rows(branches: Sequence[Branch], coords: np.ndarray, idx, s) -> np.ndarray:
+    """Row i of ``coords`` moved by branch ``idx[i]`` at step time s, as a new array.
+
+    The one place rows move.  ``idx`` is one branch index per row, or one for
+    every row; ``s`` is a scalar, or for a flow table one step time per row.
+    The rows of one field (``+A_j`` and ``-A_j``) move in one ``flow_batch``
+    call with one signed time per row, the shift rows in one ``compose`` with
+    one group element per row, and the rows of the potential's identity stay
+    put.  Both moves act row by row, so each row gets the bits it would get
+    alone.
+    """
+    coords = np.atleast_2d(coords)
+    idx = np.broadcast_to(idx, coords.shape[:1])
+    movers: dict = {}
+    for j, br in enumerate(branches):
+        # the identity's rows stay put; row masks find the drawn branches, as
+        # np.unique and np.isin allocate per-row index arrays
+        if br.signed is None and (idx == j).any():
+            movers.setdefault(br.compose if br.field is None else (br.field, br.ode), []).append(j)
+    out = None
+    for members in movers.values():
+        mask = np.logical_or.reduce([idx == j for j in members])
+        every = mask.all()
+        sub = slice(None) if every else mask  # a view, not a copy, of every row
+        lead = branches[members[0]]
+        if lead.field is None:
+            vals = np.array([branches[j].shift(s) for j in members])
+        else:
+            s_sub = s if np.ndim(s) == 0 else np.asarray(s)[sub]
+            vals = np.array([branches[j].time(s_sub) for j in members])
+        # a lone branch passes its shift or time as it is; several pick one per row
+        if len(members) == 1:
+            vals = vals[0]
+        else:
+            which = np.searchsorted(members, idx[sub])
+            vals = vals[which] if np.ndim(s) == 0 else vals[which, np.arange(which.size)]
+        if lead.field is None:
+            moved = lead.compose(coords[sub], vals)
+        else:
+            moved = flow_batch(lead.field, coords[sub], vals, lead.ode)
+        if every:  # one mover holds every row
+            return moved
+        if out is None:
+            out = np.array(coords, dtype=float)
+        out[mask] = moved
+    return np.array(coords, dtype=float) if out is None else out
 
 
 # a folded block of draws indexes a table of at most this many group products
@@ -274,47 +314,23 @@ def _products(H: np.ndarray, k: int, compose) -> np.ndarray:
 
 
 def _chain(
-    branches: Sequence[Branch],
-    s: float,
-    compose: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    branches: Sequence[Branch], s: float
 ) -> Callable[..., Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The sample loop of ``sample_steps`` for one branch table at step time s.
 
-    The thresholds, the fold length, the product tables and the flow times
-    are made once and shared by every row batch the returned loop runs.
+    The thresholds, the fold length and the product tables are made once and
+    shared by every row batch the returned loop runs.
     """
     b = len(branches)
     thresholds = _thresholds(branches)
     signed = branches[-1].signed
-    folded = compose is not None and all(br.shift is not None for br in branches)
+    folded = all(br.shift is not None for br in branches)
     k = _block_len(b) if folded else 1
     if folded:
+        compose = branches[0].compose
         H = np.array([br.shift(s) for br in branches])
     tables = {}
     index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
-
-    # the flow branches of one field (+A_j and -A_j) move in one call with one
-    # signed time per row; every other branch moves on its own
-    groups: dict = {}
-    for j, br in enumerate(branches):
-        groups.setdefault(j if br.field is None else (br.field, br.ode), []).append(j)
-    group_of = np.empty(b, dtype=np.intp)
-    for g, members in enumerate(groups.values()):
-        group_of[members] = g
-    leaders = [branches[members[0]] for members in groups.values()]
-    times = np.array([0.0 if br.field is None else br.time(s) for br in branches])
-
-    def move(coords, idx):
-        """Move each row of ``coords``, in place, by the branch ``idx`` drew."""
-        group = group_of[idx]
-        for g, br in enumerate(leaders):
-            mask = group == g
-            if not np.any(mask):
-                continue
-            if br.field is None:
-                coords[mask] = br.move(coords[mask], s)
-            else:
-                coords[mask] = flow_batch(br.field, coords[mask], times[idx[mask]], br.ode)
 
     def run(coords, streams, steps, mass=None, shared=False):
         # with ``shared`` every row starts at one point, so the rows of one draw
@@ -342,14 +358,12 @@ def _chain(
                     tables[size] = _products(H, size, compose)
                 coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
             elif hist is None:
-                move(coords, idx)
+                coords[...] = move_rows(branches, coords, idx, s)
             else:
                 keys, first, hist = np.unique(
                     hist * b + idx, return_index=True, return_inverse=True
                 )
-                ends = coords[first]
-                move(ends, keys % b)
-                coords[...] = ends[hist]
+                coords[...] = move_rows(branches, coords[first], keys % b, s)[hist]
                 if keys.size * b > coords.shape[0]:
                     hist = None
 
@@ -362,7 +376,6 @@ def sample_steps(
     coords: np.ndarray,
     streams: np.ndarray,
     steps: int,
-    compose: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
 
@@ -375,20 +388,19 @@ def sample_steps(
     (the live array: copy what must be kept); the moves run when the caller
     asks for the next block.
 
-    Without ``compose``, or with a branch that has no shift, k = 1: each
-    step yields its branch indices, and each branch moves its rows by mask;
-    the flow branches of one field (``+A_j`` and ``-A_j``) move theirs in
-    one ``flow_batch`` call with one signed time per row.
-    With ``compose`` (the manifold's) and a shift on every branch, a path is
-    a random walk on the group, ``x h_{d_1} ... h_{d_n}``.  Then k is the
+    With a branch that is not a group shift, k = 1: each step yields its
+    branch indices, and ``move_rows`` moves the rows by them.
+    When every branch is a group shift, a path is a random walk on the
+    group, ``x h_{d_1} ... h_{d_n}``.  Then k is the
     largest integer with ``b^k <= 4096`` for b branches (6 for b = 4, 12 for
     b = 2), a block yields its draws folded into one index
     ``sum_i d_i b^(k-i)``, and it moves all rows by one gather from a table
     of the ``b^k`` products and one ``compose``.  The tables (one for the
     last ``steps mod k`` draws) are built once per call by repeated
-    ``compose``, so endpoints differ from step-by-step moves by rounding only.
+    ``compose``, so endpoints differ from ``move_rows`` step by step by
+    rounding only.
     """
-    return _chain(branches, s, compose)(coords, streams, steps)
+    return _chain(branches, s)(coords, streams, steps)
 
 
 # the endpoint sampler runs this many rows at a time
@@ -396,7 +408,6 @@ _SAMPLE_ROWS = 32768
 
 
 def sample_endpoints(
-    spec: GeneratorSpec,
     branches: Sequence[Branch],
     s: float,
     x: Point,
@@ -415,14 +426,14 @@ def sample_endpoints(
     ``sample_steps`` are built once per call.
 
     Every row of a block starts at x, so rows that have drawn the same
-    branches so far hold the same coordinates.  Without ``compose`` folding,
-    the loop numbers these draw histories (``np.unique`` of ``hist * b +
+    branches so far hold the same coordinates.  Unless the table folds, the
+    loop numbers these draw histories (``np.unique`` of ``hist * b +
     drawn``), moves one row per history and branch and scatters the result
     back, as long as the histories times b stay within the block's rows;
     then every row moves.  A flow endpoint does not depend on its batch, so
     the endpoints keep their bits.
     """
-    run = _chain(branches, s, spec.manifold.compose)
+    run = _chain(branches, s)
     # no rows still run one empty block, which checks the seed
     for lo in range(0, max(rows, 1), _SAMPLE_ROWS):
         hi = min(lo + _SAMPLE_ROWS, rows)
@@ -445,7 +456,8 @@ def branch_set(
     check_steps(t, 1)
     branches = branch_moves(spec, variant, ode)
     c = x.coords[None, :]
-    pts = [spec.manifold.point(br.move(c, t)[0]) for br in branches]
+    moved = move_rows(branches, np.repeat(c, len(branches), axis=0), np.arange(len(branches)), t)
+    pts = [spec.manifold.point(p) for p in moved]
     weights = np.hstack([br.weight_at(c, t) for br in branches])
     return BranchSet(points=pts, weights=weights)
 
@@ -461,9 +473,12 @@ def apply_S_batch(
     """(S(t)f) evaluated at a batch of coordinate rows."""
     check_steps(t, 1)
     coords = np.atleast_2d(coords)
-    acc = np.zeros(coords.shape[0])
-    for br in branch_moves(spec, variant, ode):
-        acc += br.weight_at(coords, t) * np.asarray(f(br.move(coords, t)), dtype=float)
+    branches = branch_moves(spec, variant, ode)
+    b, rows = len(branches), coords.shape[0]
+    moved = move_rows(branches, np.tile(coords, (b, 1)), np.repeat(np.arange(b), rows), t)
+    acc = np.zeros(rows)
+    for br, pts in zip(branches, np.split(moved, b)):
+        acc += br.weight_at(coords, t) * np.asarray(f(pts), dtype=float)
     return acc
 
 
@@ -514,7 +529,8 @@ def iterate_tree(
     ``_products``, weighted by the products of the branch weights, and the
     chunk sums as ``fw @ (f(leaves).reshape(nodes, b^depth) @ wP)``.  Its
     value differs from a whole-tree expansion by rounding only.  Otherwise
-    each chunk expands level by level: a tree of at most ``_CHUNK_LEAVES``
+    each chunk expands level by level, one ``move_rows`` call per level over
+    the nodes tiled branch-major: a tree of at most ``_CHUNK_LEAVES``
     leaves is one chunk, summed by one dot product in the order of a
     whole-tree expansion, and a larger tree's sum differs from that by
     rounding only.  Deterministic and bit-reproducible for fixed ode
@@ -532,10 +548,9 @@ def iterate_tree(
 
     def expand(pts, wts, levels):
         for _ in range(levels):
-            blocks = [br.move(pts, dt) for br in branches]
-            wblocks = [br.weight_at(pts, dt) * wts for br in branches]
-            pts = np.concatenate(blocks, axis=0)
-            wts = np.concatenate(wblocks)
+            # branch-major: leaf j * len(pts) + i is node i moved by branch j
+            wts = np.concatenate([br.weight_at(pts, dt) * wts for br in branches])
+            pts = move_rows(branches, np.tile(pts, (b, 1)), np.repeat(np.arange(b), len(pts)), dt)
         return pts, wts
 
     depth = 0
@@ -545,7 +560,7 @@ def iterate_tree(
     per_chunk = max(_CHUNK_LEAVES // b**depth, 1)
     folded = depth > 0 and all(br.shift is not None for br in branches)
     if folded:
-        compose = spec.manifold.compose
+        compose = branches[0].compose
         leaves = b**depth
         H = np.array([br.shift(dt) for br in branches])
         P = np.tile(_products(H, depth, compose), (min(per_chunk, len(frontier)), 1))
@@ -575,7 +590,8 @@ def iterate_grid(
     """n semi-Lagrangian sweeps of S(t/n) applied to a grid function.
 
     The branch displacement of every node is precomputed once (the fields
-    are autonomous), so each sweep is a handful of stencil gathers:
+    are autonomous), one ``move_rows`` call per branch, so each sweep is a
+    handful of stencil gathers:
     cost O(n * nodes * branches).  The potential's identity is a diagonal.
     """
     if f0.manifold is not spec.manifold:
@@ -587,8 +603,10 @@ def iterate_grid(
     weights = [br.weight_at(nodes, dt) for br in branches]
     stencils = []
     max_disp = 0.0
-    for br in branches:
-        target = br.move(nodes, dt)
+    # one branch at a time: moving every branch's nodes in one call holds b
+    # targets and their flow temporaries at once
+    for j, br in enumerate(branches):
+        target = move_rows(branches, nodes, j, dt)
         if f0.interp == "linear":  # only the warning below reads the displacement
             max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
         stencils.append(f0.build_stencil(target) if br.signed is None else None)
@@ -650,7 +668,7 @@ def iterate_mc(
         raise ValueError("samples must be >= 2")
     branches = branch_moves(spec, variant, ode)
     vals = np.empty(samples)
-    for lo, coords, mass in sample_endpoints(spec, branches, t / n, x, samples, seed, n):
+    for lo, coords, mass in sample_endpoints(branches, t / n, x, samples, seed, n):
         vals[lo : lo + coords.shape[0]] = np.asarray(f(coords), dtype=float) * mass
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))

@@ -91,27 +91,6 @@ class FlowResult:
     est_error: float
 
 
-def negate(A: VectorField) -> VectorField:
-    """The field -A (flows run backwards).
-
-    ``flow_batch(negate(A), c, t)`` gives the bits of ``flow_batch(A, c, -t)``,
-    which is how the Chernoff branches flow ``-A_j``; this constructor stays
-    for callers that want -A as a field of its own.
-    """
-    flow = None
-    if A.flow is not None:
-        flow = lambda c, t: A.flow(c, -t)
-    return VectorField(
-        A.manifold,
-        lambda c: -A._comps(np.atleast_2d(c)),
-        jacobian=(lambda c: -A.jacobian(np.atleast_2d(c))) if A.jacobian else None,
-        flow=flow,
-        name=f"-({A.name})",
-        is_zero=A.is_zero,
-        divergence_free=A.divergence_free,
-    )
-
-
 def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
     """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row.
 

@@ -195,15 +195,6 @@ def h2_heat_kernel(rho: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def h2_kernel_mass(t: float, rho_max: float = None) -> float:
-    """int p_t 2 pi sinh(rho) drho; equals 1, used as an oracle self-check."""
-    rho_max = rho_max or (12.0 * math.sqrt(t) + 6.0)
-    nodes, w = np.polynomial.legendre.leggauss(256)
-    rho = 0.5 * rho_max * (nodes + 1.0)
-    vals = h2_heat_kernel(rho, t) * 2.0 * math.pi * np.sinh(rho)
-    return float(vals @ w * 0.5 * rho_max)
-
-
 def _hyperbolic_h2(f, t, xs):
     # polar quadrature around each row x of xs:
     # u(x) = int p_{t/2}(rho) f(exp_x(rho, phi)) sinh(rho); the kernel values

@@ -18,15 +18,17 @@ skeleton instants (sub-samples t_max/(8n) apart) with one connector per kind:
 * ``geodesic`` - consecutive skeleton points joined by shortest geodesics;
 * ``flow`` - the drawn branch evaluated at its local step time s < 1/n, so
   the within-step move is traversed continuously along the integral curve;
-  one move per distinct drawn branch, with one step time per row.
+  every sub-sample moves in one ``chernoff.move_rows`` call, with one step
+  time per row.
 
-For a shared seed all kinds reproduce identical skeleton values bit-for-bit;
+Every move, of the skeleton and of the ``flow`` connector, is
+``chernoff.move_rows``, which flows the rows of ``+A_j`` and ``-A_j`` in
+one call (``-A_j`` is ``A_j`` flowed for ``-sqrt(2 r s)``).  For a shared
+seed all kinds reproduce identical skeleton values bit-for-bit;
 ``walk_endpoints`` runs the same loop on a batch of paths through
-``chernoff.sample_endpoints``, which moves the rows of ``+A_j`` and ``-A_j``
-in one flow call (``-A_j`` is ``A_j`` flowed for ``-sqrt(2 r s)``) and, while
-few draw histories exist, one row per history.  Substreams are
-mixed statelessly from (seed, path index), so sampling is reproducible and
-independent of any worker decomposition.
+``chernoff.sample_endpoints``, which moves one row per draw history while
+few exist.  Substreams are mixed statelessly from (seed, path index), so
+sampling is reproducible and independent of any worker decomposition.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._kernels import substream
-from .chernoff import ChernoffVariant, branch_moves, check_steps, sample_endpoints, sample_steps
+from .chernoff import (
+    ChernoffVariant, branch_moves, check_steps, move_rows, sample_endpoints, sample_steps,
+)
 from .errors import EmptySampleError, VariantIncompatibleError
 from .fields import GeneratorSpec
 from .flows import DEFAULT_ODE, OdeSettings
@@ -104,34 +108,6 @@ class PathSample:
         i = int(np.searchsorted(self.times, t, side="right") - 1)
         return self.points[max(i, 0)]
 
-    def check_interpolation(self, ode: OdeSettings = DEFAULT_ODE, tol: float = 1e-8) -> float:
-        """Recompute each segment's connecting curve from its start (up to the
-        next skeleton instant, or to t_max); return the worst deviation."""
-        if self.kind == "jump":
-            return 0.0
-        m = self.spec.manifold
-        branches = _walk_table(self.spec, ode)
-        worst = 0.0
-        skeleton_times = self.times * self.n
-        starts = np.flatnonzero(np.abs(skeleton_times - np.round(skeleton_times)) < 1e-9)
-        ends = np.append(starts[1:], self.times.size - 1)
-        for seg, (i0, i1) in enumerate(zip(starts, ends)):
-            if i1 == i0:
-                continue
-            a = self.points[i0][None, :]
-            local = self.times[i0 + 1 : i1 + 1] - self.times[i0]
-            if self.kind == "geodesic":
-                v = m.log_batch(a, self.points[i1][None, :])
-                xs, vs = np.repeat(a, local.size, axis=0), np.repeat(v, local.size, axis=0)
-                cur = m.geodesic_batch(xs, vs, local / local[-1])
-            else:
-                move = branches[int(self.xi[seg])].move
-                cur = move(np.repeat(a, local.size, axis=0), local)
-            worst = max(worst, float(np.abs(cur - self.points[i0 + 1 : i1 + 1]).max()))
-        if worst > tol:
-            raise AssertionError(f"interpolation deviates by {worst:.2e} > {tol:.0e}")
-        return worst
-
 
 PATH_KINDS = ("jump", "geodesic", "flow")
 
@@ -193,10 +169,7 @@ def sample_path(
         m, a = spec.manifold, pts[k[inner]]
         out[inner] = m.geodesic_batch(a, m.log_batch(a, pts[k[inner] + 1]), frac[inner])
     else:
-        drawn = xi[k[inner]]
-        for b in np.unique(drawn):
-            rows = inner[drawn == b]
-            out[rows] = branches[b].move(pts[k[rows]], frac[rows] / n)
+        out[inner] = move_rows(branches, pts[k[inner]], xi[k[inner]], frac[inner] / n)
     return PathSample(kind, times, out, n, seed, spec, xi)
 
 
@@ -268,7 +241,7 @@ def walk_endpoints(
     steps = _walk_steps(t, n)
     out = np.empty((n_samples, x.coords.shape[0]))
     branches = _walk_table(spec, ode)
-    for lo, coords, _ in sample_endpoints(spec, branches, 1.0 / n, x, n_samples, seed, steps):
+    for lo, coords, _ in sample_endpoints(branches, 1.0 / n, x, n_samples, seed, steps):
         out[lo : lo + coords.shape[0]] = coords
     return out
 

@@ -18,7 +18,7 @@ import feller as fl
 from feller import chernoff
 from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
-from feller.chernoff import branch_moves, sample_steps
+from feller.chernoff import branch_moves, move_rows, sample_steps
 from feller.errors import BudgetExceededError, PotentialStepError
 from feller.flows import flow_batch
 from feller.walks import walk_endpoints
@@ -73,7 +73,7 @@ def chain_endpoints(spec, variant, s, x, streams, steps):
     coords = np.broadcast_to(x.coords, (rows, x.coords.shape[0])).copy()
     mass = np.ones(rows)
     if spec.potential is None:
-        for _ in sample_steps(branches, s, coords, streams, steps, spec.manifold.compose):
+        for _ in sample_steps(branches, s, coords, streams, steps):
             pass
         return coords, mass
     cumw = np.cumsum([float(br.weight) for br in branches[:-1]])
@@ -84,8 +84,9 @@ def chain_endpoints(spec, variant, s, x, streams, steps):
         identity = u * M >= 1.0
         drawn = np.where(identity, len(branches) - 1, np.searchsorted(cumw, u * M, side="right"))
         mass *= np.where(identity & (c < 0.0), -M, M)
-        for j, br in enumerate(branches):
-            coords[drawn == j] = br.move(coords[drawn == j], s)
+        for j in range(len(branches)):
+            sel = drawn == j
+            coords[sel] = move_rows(branches, coords[sel], drawn[sel], s)
     return coords, mass
 
 
@@ -151,7 +152,7 @@ def test_endpoints_equal_each_row_alone(case, block, rows, steps, monkeypatch):
     s, seed = 0.2 / steps, 23
     branches = branch_moves(spec, variant)
     ends, mass = [], []
-    for lo, coords, m in chernoff.sample_endpoints(spec, branches, s, x, rows, seed, steps):
+    for lo, coords, m in chernoff.sample_endpoints(branches, s, x, rows, seed, steps):
         assert lo == len(ends)
         ends.extend(coords)
         mass.extend(m)
@@ -202,7 +203,8 @@ def breadth_first_tree(spec, variant, t, n, f, x):
     branches = branch_moves(spec, variant)
     pts, wts = x.coords[None, :].copy(), np.ones(1)
     for _ in range(n):
-        blocks = [br.move(pts, dt) for br in branches]
+        blocks = [move_rows(branches, pts, np.full(len(pts), j), dt)
+                  for j in range(len(branches))]
         wblocks = [br.weight_at(pts, dt) * wts for br in branches]
         pts, wts = np.concatenate(blocks), np.concatenate(wblocks)
     return float(np.asarray(f(pts), dtype=float) @ wts)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +10,9 @@ import feller as fl
 from feller import chernoff
 from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
-from feller.chernoff import branch_moves, sample_steps
+from feller.chernoff import branch_moves, move_rows, sample_steps
 from feller.errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
+from feller.flows import flow_batch
 from feller.grids import GridFunction
 from feller.walks import walk_endpoints
 
@@ -312,6 +312,62 @@ def test_branch_draw_matches_searchsorted(monkeypatch):
     assert want[-1][1] == len(branches) - 1
 
 
+# -- the mover ---------------------------------------------------------------------------------
+
+# per chart: a field with an exact flow, an RK4 field and a potential
+MOVER_CHARTS = {
+    "euclidean:2": ("frame:1", "custom:1+0.2*tanh(x2),0.3*sin(x1)", "-0.5*tanh(x1)^2"),
+    "circle": ("frame:1", "custom:1+0.3*sin(theta)", "-0.5-0.5*sin(theta)^2"),
+    "torus2": ("frame:2", "custom:1+0.2*cos(theta2),0.3*sin(theta1)", "-0.5*sin(theta1)^2"),
+    "hyperbolic-h2": ("frame:1", "custom:y,0.2*x*y", "-0.5/(1+x^2)"),
+    "sphere2": ("rotational:1", "custom:-y,x,0.3*x*z", "-0.5*z^2"),
+}
+MOVER_CASES = [
+    (name, variant, table)
+    for name in MOVER_CHARTS
+    for variant, table in [
+        (CV.GENERAL, "derived drift"), (CV.GENERAL, "potential"), (CV.GENERAL, "per-row s"),
+        (CV.DRIFTLESS_CORRECTED, ""), (CV.DRIFTLESS_LITERAL, ""), (CV.HEAT_GEODESIC, ""),
+    ]
+    if not (name == "sphere2" and variant is CV.HEAT_GEODESIC)
+]
+
+
+def _moved_alone(br, row, s):
+    """One row moved by one branch, straight from the branch's data."""
+    if br.signed is not None:
+        return row
+    if br.field is not None:
+        return flow_batch(br.field, row, br.time(s), br.ode)
+    return br.compose(row, br.shift(s))
+
+
+@pytest.mark.parametrize("name, variant, table", MOVER_CASES)
+def test_move_rows_gives_each_row_its_bits_alone(name, variant, table, rng):
+    m = fl.manifold_from_string(name)
+    exact, rk4, potential = MOVER_CHARTS[name]
+    fields = [fl.field_from_string(m, exact), fl.field_from_string(m, rk4)]
+    if variant is CV.GENERAL:
+        spec = fl.GeneratorSpec(fields, drift_policy="derived",
+                                potential=potential if table == "potential" else None)
+    else:
+        spec = fl.GeneratorSpec(fields, drift_policy="explicit")
+    branches = branch_moves(spec, variant)
+    b = len(branches)
+    idx = rng.permutation(np.arange(4 * b) % b)  # every branch, shuffled
+    coords = m.random_points(idx.size, rng)
+    s = rng.uniform(0.01, 0.1, idx.size) if table == "per-row s" else 0.05
+    moved = move_rows(branches, coords, idx, s)
+    assert moved.shape == coords.shape and not np.shares_memory(moved, coords)
+    for i, j in enumerate(idx):
+        alone = _moved_alone(branches[j], coords[i : i + 1], np.broadcast_to(s, idx.shape)[i])
+        assert moved[i].tobytes() == alone[0].tobytes(), (i, branches[j].label)
+    if table == "potential":
+        assert branches[-1].signed is not None
+        stay = idx == b - 1
+        assert moved[stay].tobytes() == coords[stay].tobytes()
+
+
 # -- group shifts ------------------------------------------------------------------------------
 
 
@@ -357,10 +413,10 @@ def test_compose_with_shift_is_the_move(name, x0, log_y, s):
     x = m.point(c).coords[None, :]
     e = m.identity[None, :]
     assert all(br.shift is not None for br in branches)
-    for br, geodesic in zip(branches, _geodesic_moves(m)):
+    for j, (br, geodesic) in enumerate(zip(branches, _geodesic_moves(m))):
         got = m.compose(x, br.shift(s))
         np.testing.assert_array_equal(m.compose(x, br.shift(s)[None, :]), got)
-        np.testing.assert_array_equal(br.move(x, s), got)
+        np.testing.assert_array_equal(move_rows(branches, x, [j], s), got)
         _assert_shift_matches(m, got, geodesic(x, s))
     h = np.stack([br.shift(s) for br in branches])
     if name != "hyperbolic-h2":
@@ -379,12 +435,29 @@ def test_compose_with_shift_is_the_move(name, x0, log_y, s):
     np.testing.assert_allclose(m.compose(up[None, :], down), e, atol=1e-12)
 
 
-def _chain(table, start, n, compose):
+def _chain(table, start, n):
     """Every block sample_steps yields for n steps of 1/8 from ``start``, and the endpoints."""
     coords = start.copy()
     streams = substream(3, np.arange(start.shape[0]))
-    blocks = [d.copy() for d, _ in sample_steps(table, 1.0 / 8, coords, streams, n, compose)]
+    blocks = [d.copy() for d, _ in sample_steps(table, 1.0 / 8, coords, streams, n)]
     return blocks, coords
+
+
+def _geodesic_chain(table, moves, start, n):
+    """The reference of ``_chain``: step by step, the draws sum_j (T_j <= z) over
+    the exact thresholds T_j = ceil(cumw_j 2^64), and each branch's rows moved by
+    its closed-form geodesic."""
+    coords = start.copy()
+    streams = substream(3, np.arange(start.shape[0]))
+    cumw = np.cumsum([br.weight for br in table])[:-1]
+    T = np.array([math.ceil(w * 2**64) for w in cumw], dtype=np.uint64)
+    steps = []
+    for m in range(n):
+        drawn = np.sum(T[:, None] <= step_uniforms(streams, m), axis=0)
+        for j, move in enumerate(moves):
+            coords[drawn == j] = move(coords[drawn == j], 1.0 / 8)
+        steps.append(drawn)
+    return steps, coords
 
 
 @pytest.mark.parametrize("name", GROUP_CHARTS)
@@ -398,10 +471,9 @@ def test_sample_steps_shifts_match_the_moves(name):
     k = max(j for j in range(1, 13) if b**j <= 4096)
     assert k == {2: 12, 4: 6}[b]
     start = np.tile(m.random_points(1, np.random.default_rng(4)), (400, 1))
-    reference = [replace(br, move=move, shift=None) for br, move in zip(branches, _geodesic_moves(m))]
     for n in (1, k - 1, k, k + 1, 2 * k + 3):
-        blocks, end = _chain(branches, start, n, m.compose)
-        steps, want = _chain(reference, start, n, m.compose)
+        blocks, end = _chain(branches, start, n)
+        steps, want = _geodesic_chain(branches, _geodesic_moves(m), start, n)
         sizes = [min(k, n - i) for i in range(0, n, k)]
         assert len(steps) == n and len(blocks) == len(sizes)
         decoded = [idx // b ** (size - 1 - i) % b for idx, size in zip(blocks, sizes) for i in range(size)]

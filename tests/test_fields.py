@@ -5,7 +5,8 @@ import feller as fl
 from feller.errors import DegenerateFieldsError, VariantIncompatibleError
 from feller.expressions import ExpressionError, compile_scalar
 from feller.fields import VectorField, divergence_batch
-from feller.flows import flow_batch, negate
+from feller.flows import flow_batch
+from test_flows import negate
 
 
 def heat_circle(drift="explicit"):

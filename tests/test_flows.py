@@ -9,7 +9,22 @@ from feller.errors import StepLimitExceededError
 from feller.fields import VectorField
 from feller import flows
 from feller.cli import main
-from feller.flows import DEFAULT_ODE, OdeSettings, _integrate, _rk4_fixed, flow_batch, negate
+from feller.flows import DEFAULT_ODE, OdeSettings, _integrate, _rk4_fixed, flow_batch
+
+
+def negate(A: VectorField) -> VectorField:
+    """The field -A, built from A's components, jacobian and exact flow: the
+    reference that a flow of A for -t is checked against."""
+    flow = None if A.flow is None else (lambda c, t: A.flow(c, -t))
+    return VectorField(
+        A.manifold,
+        lambda c: -A._comps(np.atleast_2d(c)),
+        jacobian=(lambda c: -A.jacobian(np.atleast_2d(c))) if A.jacobian else None,
+        flow=flow,
+        name=f"-({A.name})",
+        is_zero=A.is_zero,
+        divergence_free=A.divergence_free,
+    )
 
 
 def exp_series(t: float) -> float:

@@ -1,13 +1,15 @@
 """Chart knowledge stays in the charts: the grid, field and oracle modules
 name no chart class in their code (docstrings and comments aside), except
-``rotational_field``'s input check, which names ``Sphere2``."""
+``rotational_field``'s input check, which names ``Sphere2``.  Rows move in
+one place: ``chernoff.move_rows``, beside the two folded paths."""
 
 import ast
+import dataclasses
 import inspect
 
 import pytest
 
-from feller import fields, grids, manifolds, reference
+from feller import chernoff, fields, grids, manifolds, reference, walks
 
 CHART_CLASSES = {
     name for name, obj in vars(manifolds).items()
@@ -44,3 +46,28 @@ def test_fields_names_sphere2_only_in_the_rotational_input_check():
     rot = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "rotational_field")
     uses = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "Sphere2"]
     assert uses and all(rot.lineno <= line <= rot.end_lineno for line in uses)
+
+
+def _callers(module, name) -> set:
+    """The top-level definitions of ``module`` whose code calls ``name``, bare or
+    as an attribute (None for a call outside any definition)."""
+    tree = ast.parse(inspect.getsource(module))
+    out = set()
+    for top in tree.body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                     getattr(n.func, "attr", None)):
+                out.add(getattr(top, "name", None))
+    return out
+
+
+def test_move_rows_is_the_only_mover():
+    # a flow moves rows only in move_rows; a group product also in the folded
+    # paths of the sample loop (_chain) and the tree, and in their product tables
+    assert _callers(chernoff, "flow_batch") == {"move_rows"}
+    assert _callers(chernoff, "compose") == {"move_rows", "_chain", "iterate_tree", "_products"}
+    assert _callers(walks, "flow_batch") == _callers(walks, "compose") == set()
+    # a branch is data: no move closure, and no option picks another path
+    assert "move" not in {f.name for f in dataclasses.fields(chernoff.Branch)}
+    assert "compose" not in inspect.signature(chernoff.sample_steps).parameters
+    assert "compose" not in inspect.signature(chernoff._chain).parameters
