@@ -160,10 +160,12 @@ def branch_moves(
 ) -> list[Branch]:
     """The branch table of S(.): every branch in draw order with its exact weight.
 
-    ``GENERAL`` lists the drift first, then ``+A_1, -A_1, .., +A_r, -A_r``;
-    the driftless variants list ``+-A_j``; ``HEAT_GEODESIC`` lists the
-    geodesics with initial velocities ``+-sqrt(d) e_k``.  A potential, only
-    with ``GENERAL``, is the signed identity branch, last.
+    ``GENERAL`` lists the drift ``spec.drift_field()`` first, then ``+A_1,
+    -A_1, .., +A_r, -A_r``; the driftless variants list ``+-A_j`` and accept
+    a spec exactly when ``spec.drift_field().is_zero``, whatever its drift
+    policy; ``HEAT_GEODESIC`` lists the geodesics with initial velocities
+    ``+-sqrt(d) e_k``.  A potential, only with ``GENERAL``, is the signed
+    identity branch, last.
     """
     m = spec.manifold
     branches: list[Branch] = []
@@ -184,7 +186,7 @@ def branch_moves(
         branches.append(flow_branch(Fraction(1, 2), "flow(A_0, 2s)", drift, lambda s: 2.0 * s))
         field_pairs(Fraction(1, 4 * r), lambda s: np.sqrt(2.0 * r * s), "sqrt(2rs)")
     elif variant in (ChernoffVariant.DRIFTLESS_CORRECTED, ChernoffVariant.DRIFTLESS_LITERAL):
-        if not (spec.drift_policy == "explicit" and spec.drift.is_zero):
+        if not spec.drift_field().is_zero:
             raise VariantIncompatibleError(f"{variant.value} requires A_0 = 0")
         r = spec.r
         if variant is ChernoffVariant.DRIFTLESS_CORRECTED:

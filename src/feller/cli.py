@@ -159,14 +159,20 @@ _GENERATOR_TYPES = {
 _GENERATOR_KEYS = set(_GENERATOR_TYPES) | {"manifold"}
 
 
+# a drift string is the field B of an explicit drift, except these forms,
+# given as (policy, field) pairs; null is the explicit zero drift
+_DRIFT_FORMS = {"derived": ("derived", None)}
+
+
 def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
     """Instantiate a GeneratorSpec from its JSON description.
 
-    ``fields`` is a list of field strings, ``drift`` null, ``"zero"``,
-    ``"derived"``, a field string or ``{"policy": .., "field": ..}``,
-    ``potential`` null or an expression and ``feller`` a boolean; a value of
-    another JSON type is refused, and so is a key outside these and
-    ``manifold``, or a drift object key other than ``policy`` and ``field``.
+    ``fields`` is a list of field strings, ``drift`` null, ``"derived"``, a
+    field string or ``{"policy": .., "field": ..}``, each one (policy, field)
+    pair for ``GeneratorSpec``, ``potential`` null or an expression and
+    ``feller`` a boolean; a value of another JSON type is refused, and so is
+    a key outside these and ``manifold``, or a drift object key other than
+    ``policy`` and ``field``.
     """
     unknown = sorted(set(gen) - _GENERATOR_KEYS)
     if unknown:
@@ -175,30 +181,21 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
         if key in gen and not valid(gen[key]):
             raise ValueError(f"generator key {key!r} must be {what}, not {json.dumps(gen[key])}")
     fields = [fd.field_from_string(manifold, s) for s in gen.get("fields", [])]
-    drift = gen.get("drift", "zero")
-    potential = gen.get("potential")
-    feller_flag = gen.get("feller", True)
-    if drift in (None, "zero"):
-        return fd.GeneratorSpec(fields, "explicit", potential=potential, feller=feller_flag)
-    if drift == "derived":
-        return fd.GeneratorSpec(fields, "derived", potential=potential, feller=feller_flag)
+    drift = gen.get("drift")
     if isinstance(drift, dict):
         unknown = sorted(set(drift) - {"policy", "field"})
         if unknown:
             raise ValueError(f"unknown generator drift keys {unknown}")
-        policy = drift.get("policy", "explicit")
-        extra = drift.get("field")
+        policy, extra = drift.get("policy", "explicit"), drift.get("field")
         if not (extra is None or isinstance(extra, str)):
             raise ValueError(
                 f"generator drift 'field' must be a string or null, not {json.dumps(extra)}"
             )
-        dfield = fd.field_from_string(manifold, extra) if extra else None
-        if policy == "derived+":
-            policy = "derived_plus"
-        return fd.GeneratorSpec(fields, policy, drift=dfield, potential=potential, feller=feller_flag)
+    else:
+        policy, extra = _DRIFT_FORMS.get(drift, ("explicit", drift))
     return fd.GeneratorSpec(
-        fields, "explicit", drift=fd.field_from_string(manifold, drift),
-        potential=potential, feller=feller_flag,
+        fields, policy, drift=fd.field_from_string(manifold, extra) if extra else None,
+        potential=gen.get("potential"), feller=gen.get("feller", True),
     )
 
 
@@ -477,14 +474,7 @@ def _cmd_walk_stats(args) -> int:
 
 def _cmd_oracle_eval(args) -> int:
     kid = rf.HeatKernelId.from_string(args.kernel)
-    manifold = {
-        "gauss-rd": mf.euclidean(kid.d),
-        "wrapped-gauss-s1": mf.circle(),
-        "torus-product": mf.torus2(),
-        "sphere-harmonics": mf.sphere2(),
-        "hyperbolic-h2": mf.hyperbolic_h2(),
-    }[kid.tag]
-    f = compile_scalar(args.f, manifold)
+    f = compile_scalar(args.f, kid.chart())
     val = rf.exact_semigroup(kid, f, args.t, np.array(args.x))
     print(f"{val:.12g}")
     return 0

@@ -5,9 +5,9 @@ for ``A_0`` and an optional bounded potential ``c``:
 
     L f = 1/2 sum_k A_k(A_k f) + A_0 f + c f.
 
-Under the ``derived`` policy the drift is ``A_0 = 1/2 sum_i (div A_i) A_i``
-(covariant divergence), which makes the operator formally symmetric with
-respect to the Riemannian volume measure.
+The drift is ``A_0 = [derived] 1/2 sum_i (div A_i) A_i + B`` (covariant
+divergence, and ``B`` a given field): the derived part makes the operator
+formally symmetric with respect to the Riemannian volume measure.
 
 Field components and their partials live in the stored coordinates of the
 manifold; on the sphere those are ambient tangent 3-vectors and their ambient
@@ -312,16 +312,18 @@ class DominanceReport:
 
 
 class GeneratorSpec:
-    """Data of the operator ``1/2 sum A_k A_k + A_0 + c``.
+    """Data of the operator ``1/2 sum A_k A_k + A_0 + c``, with the drift
+    ``A_0 = [derived] 1/2 sum_k (div A_k) A_k + B``.
 
     Parameters
     ----------
     fields:
         The diffusion fields ``A_1..A_r`` (``r >= d``, all on one manifold).
     drift_policy:
-        ``"explicit"`` (``drift`` is ``A_0``, default zero),
-        ``"derived"`` (``A_0 = 1/2 sum (div A_i) A_i``), or
-        ``"derived_plus"`` (derived drift plus the field ``drift``).
+        ``"explicit"`` (``[derived] = 0``), or ``"derived"`` and
+        ``"derived_plus"`` (alias ``"derived+"``; it requires ``drift``).
+    drift:
+        The field ``B``; the zero field when absent.
     potential:
         Optional scalar map (callable on coordinate arrays, or an expression
         string).  ``feller=True`` asserts ``c <= 0`` at sampled points.
@@ -345,6 +347,7 @@ class GeneratorSpec:
             raise DegenerateFieldsError(
                 f"r = {len(fields)} < d = {manifold.dim}: cannot be elliptic"
             )
+        drift_policy = "derived_plus" if drift_policy == "derived+" else drift_policy
         if drift_policy not in ("explicit", "derived", "derived_plus"):
             raise ValueError(f"unknown drift policy {drift_policy!r}")
         if drift_policy == "derived_plus" and drift is None:
@@ -354,14 +357,12 @@ class GeneratorSpec:
         self.manifold = manifold
         self.fields = list(fields)
         self.drift_policy = drift_policy
-        self.drift = drift if drift is not None else (
-            zero_field(manifold) if drift_policy == "explicit" else None
-        )
+        self.derived = drift_policy != "explicit"
+        self.drift = drift if drift is not None else zero_field(manifold)
         if isinstance(potential, str):
             potential = compile_scalar(potential, manifold)
         self.potential = potential
         self.feller = feller
-        self._drift_field_cache: Optional[VectorField] = None
 
     @property
     def r(self) -> int:
@@ -373,35 +374,31 @@ class GeneratorSpec:
 
     # -- drift ---------------------------------------------------------------
 
-    def drift_comps(self, coords: np.ndarray) -> np.ndarray:
+    def divergence_drift(self, coords: np.ndarray) -> np.ndarray:
+        """The derived part ``1/2 sum_k (div A_k) A_k`` at the rows of ``coords``,
+        whatever the policy; divergence-free fields add nothing."""
         coords = np.atleast_2d(coords)
-        if self.drift_policy == "explicit":
-            return self.drift.comps(coords)
         acc = np.zeros_like(coords)
         for f in self.fields:
             if not f.divergence_free:
                 a = f.comps(coords)
                 acc += 0.5 * divergence_batch(f, coords, a)[:, None] * a
-        if self.drift_policy == "derived_plus":
-            acc = acc + self.drift.comps(coords)
         return acc
 
-    def drift_field(self) -> VectorField:
-        """The drift A_0 as a vector field (flowable).
+    def drift_comps(self, coords: np.ndarray) -> np.ndarray:
+        """``A_0`` at the rows of ``coords``."""
+        if not self.derived:
+            return self.drift.comps(coords)
+        acc = self.divergence_drift(coords)
+        return acc if self.drift.is_zero else acc + self.drift.comps(coords)
 
-        When every field is divergence-free the derived part vanishes, so the
-        drift is the zero field (``derived``) or ``B`` itself (``derived_plus``).
-        """
-        derived_zero = all(f.divergence_free for f in self.fields)
-        if self.drift_policy == "explicit" or (
-            derived_zero and self.drift_policy == "derived_plus"
-        ):
+    def drift_field(self) -> VectorField:
+        """The drift A_0 as a flowable field: ``B`` itself when the derived part
+        vanishes (explicit, or every field divergence-free), so ``is_zero``
+        tells whether ``A_0 = 0``."""
+        if not self.derived or all(f.divergence_free for f in self.fields):
             return self.drift
-        if self._drift_field_cache is None:
-            self._drift_field_cache = zero_field(self.manifold) if derived_zero else VectorField(
-                self.manifold, self.drift_comps, name=f"drift[{self.drift_policy}]"
-            )
-        return self._drift_field_cache
+        return VectorField(self.manifold, self.drift_comps, name="drift")
 
     # -- potential -------------------------------------------------------------
 
@@ -440,8 +437,8 @@ class GeneratorSpec:
 
 
 def derive_drift(spec: GeneratorSpec, x: Point) -> TangentVector:
-    """Drift A_0(x) = 1/2 sum_i (div A_i)(x) A_i(x) (+ B(x) when present)."""
-    if spec.drift_policy == "explicit":
+    """Drift A_0(x) = 1/2 sum_i (div A_i)(x) A_i(x) + B(x)."""
+    if not spec.derived:
         raise ValueError("derive_drift requires a derived drift policy")
     spec.manifold._check_point(x)
     return TangentVector(x, spec.drift_comps(x.coords[None, :])[0])

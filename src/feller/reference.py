@@ -24,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleUnavailableError, TruncationBudgetError, VariantIncompatibleError
-from .fields import GeneratorSpec, divergence_batch
+from .fields import GeneratorSpec
 from .grids import GridFunction
-from .manifolds import Point, TWO_PI, circle, hyperbolic_h2, sphere2, torus2
+from .manifolds import Manifold, Point, TWO_PI, circle, euclidean, hyperbolic_h2, sphere2, torus2
 
 
 @dataclass(frozen=True)
 class HeatKernelId:
-    """Closed-form heat-kernel selector for e^{t (1/2) Laplacian}."""
+    """Closed-form heat-kernel selector for e^{t (1/2) Laplacian}; its points
+    are in the stored coordinates of ``chart()``."""
 
     tag: str                     # gauss-rd | wrapped-gauss-s1 | torus-product
     #                            | sphere-harmonics | hyperbolic-h2
@@ -48,9 +49,24 @@ class HeatKernelId:
             if lm < 8:
                 raise ValueError("sphere-harmonics requires l_max >= 8")
             return cls("sphere-harmonics", l_max=lm)
-        if name in ("wrapped-gauss-s1", "torus-product", "hyperbolic-h2"):
+        if name in _CHARTS:
             return cls(name)
         raise ValueError(f"unknown heat kernel {s!r}")
+
+    def chart(self) -> Manifold:
+        """The manifold whose stored coordinates the kernel's points are."""
+        if self.tag not in _CHARTS:
+            raise OracleUnavailableError(f"no oracle for {self.tag}")
+        return _CHARTS[self.tag](self)
+
+
+_CHARTS = {
+    "gauss-rd": lambda k: euclidean(k.d),
+    "wrapped-gauss-s1": lambda k: circle(),
+    "torus-product": lambda k: torus2(),
+    "sphere-harmonics": lambda k: sphere2(),
+    "hyperbolic-h2": lambda k: hyperbolic_h2(),
+}
 
 
 def _as_callable(f):
@@ -222,25 +238,13 @@ def _hyperbolic_h2(f, t, xs):
 
 def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
     """(e^{t (1/2) Laplacian} f)(x) from the closed-form kernel, for finite t > 0."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"exact_semigroup requires a finite t > 0, not {t!r}")
-    fn = _as_callable(f)
     coords = x.coords if isinstance(x, Point) else np.atleast_1d(np.asarray(x, dtype=float))
-    if kernel.tag == "gauss-rd":
-        return _gauss_rd(fn, t, coords, kernel.d)
-    if kernel.tag == "wrapped-gauss-s1":
-        return _periodic_product(fn, t, coords[:1], circle(), 4096)
-    if kernel.tag == "torus-product":
-        return _periodic_product(fn, t, coords[:2], torus2(), 512)
-    if kernel.tag == "sphere-harmonics":
-        return _sphere_harmonics(fn, t, coords, kernel.l_max)
-    if kernel.tag == "hyperbolic-h2":
-        return float(_hyperbolic_h2(fn, t, coords[None, :])[0])
-    raise OracleUnavailableError(f"no oracle for {kernel.tag}")
+    return float(exact_semigroup_batch(kernel, f, t, coords[None, :])[0])
 
 
 def exact_semigroup_batch(kernel: HeatKernelId, f, t: float, coords) -> np.ndarray:
-    """``exact_semigroup`` at every row of ``coords``.
+    """``exact_semigroup`` at every row of ``coords``; ValueError unless each
+    row has the ``chart_dim`` coordinates of the kernel's chart.
 
     The H2 kernel values depend on t alone, so one call computes them once
     for all rows; the other oracles run row by row.
@@ -248,9 +252,18 @@ def exact_semigroup_batch(kernel: HeatKernelId, f, t: float, coords) -> np.ndarr
     if not 0.0 < t < math.inf:
         raise ValueError(f"exact_semigroup requires a finite t > 0, not {t!r}")
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    m, fn = kernel.chart(), _as_callable(f)
+    if coords.ndim != 2 or coords.shape[1] != m.chart_dim:
+        raise ValueError(f"{kernel.tag} takes points of {m.chart_dim} coordinates")
     if kernel.tag == "hyperbolic-h2":
-        return _hyperbolic_h2(_as_callable(f), t, coords)
-    return np.array([exact_semigroup(kernel, f, t, x) for x in coords], dtype=float)
+        return _hyperbolic_h2(fn, t, coords)
+    if kernel.tag == "gauss-rd":
+        one = lambda x: _gauss_rd(fn, t, x, kernel.d)
+    elif kernel.tag == "sphere-harmonics":
+        one = lambda x: _sphere_harmonics(fn, t, x, kernel.l_max)
+    else:  # the circle's and the torus's products of wrapped Gaussians
+        one = lambda x: _periodic_product(fn, t, x, m, 4096 if m.dim == 1 else 512)
+    return np.array([one(x) for x in coords], dtype=float)
 
 
 # -- Crank-Nicolson finite differences ---------------------------------------------
@@ -283,18 +296,10 @@ def _advection_beta(spec: GeneratorSpec, nodes: np.ndarray) -> np.ndarray:
 
     In the flat periodic charts the operator splits as
     L = 1/2 d_j(a^{jk} d_k .) + beta . grad + c with
-    beta^j = sigma_0^j - 1/2 sum_k (div A_k) sigma_k^j; beta vanishes
-    identically under the derived drift.
+    beta = A_0 - 1/2 sum_k (div A_k) A_k, exactly zero under the derived
+    drift without an extra field.
     """
-    if spec.drift_policy == "derived":
-        return np.zeros_like(nodes)
-    extra = spec.drift.comps(nodes)
-    if spec.drift_policy == "derived_plus":
-        return extra
-    acc = extra.copy()
-    for f in spec.fields:
-        acc -= 0.5 * divergence_batch(f, nodes)[:, None] * f.comps(nodes)
-    return acc
+    return spec.drift_comps(nodes) - spec.divergence_drift(nodes)
 
 
 def _a_entry(spec: GeneratorSpec, pts: np.ndarray, j: int, k: int) -> np.ndarray:

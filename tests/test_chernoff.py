@@ -81,16 +81,46 @@ def test_weights_exact_rationals(r):
         assert math.fsum(float(w) for w in weights) == 1.0
 
 
+DRIFTLESS = [CV.DRIFTLESS_CORRECTED, CV.DRIFTLESS_LITERAL]
+
+
 def test_driftless_variants_reject_drift_and_potential():
     circ = fl.circle()
-    derived = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="derived")
+    A = fl.field_from_string(circ, "custom:1+0.3*sin(theta)")
+    frame, B = fl.frame_field(circ, 1), fl.constant_field(circ, [0.5])
+    refused = [
+        fl.GeneratorSpec([A], drift_policy="derived"),  # a non-zero derived drift
+        fl.GeneratorSpec([frame], drift=B),
+        fl.GeneratorSpec([frame], drift_policy="derived", drift=B),
+        fl.GeneratorSpec([frame], drift_policy="derived_plus", drift=B),
+        fl.GeneratorSpec([frame], potential="-1"),
+        fl.GeneratorSpec([frame], drift_policy="derived", potential="-1"),
+    ]
+    for variant in DRIFTLESS:
+        for spec in refused:
+            with pytest.raises(VariantIncompatibleError):
+                branch_moves(spec, variant)
     with pytest.raises(VariantIncompatibleError):
-        branch_moves(derived, CV.DRIFTLESS_LITERAL)
-    with_c = fl.GeneratorSpec([fl.frame_field(circ, 1)], potential="-1")
-    with pytest.raises(VariantIncompatibleError):
-        branch_moves(with_c, CV.DRIFTLESS_CORRECTED)
-    with pytest.raises(VariantIncompatibleError):
-        branch_moves(with_c, CV.HEAT_GEODESIC)
+        branch_moves(refused[-1], CV.HEAT_GEODESIC)
+
+
+def _zero_drift_fields(chart):
+    """Fields whose derived drift is exactly zero, and a point."""
+    m = fl.manifold_from_string(chart)
+    if chart == "sphere2":
+        return [fl.rotational_field(m, k) for k in (1, 2, 3)], m.point([0.6, 0.0, 0.8])
+    return [fl.frame_field(m, k) for k in range(1, m.dim + 1)], m.point([0.4, 2.0][:m.dim])
+
+
+@pytest.mark.parametrize("variant", DRIFTLESS, ids=lambda v: v.value)
+@pytest.mark.parametrize("chart", ["circle", "torus2", "sphere2"])
+def test_driftless_variants_accept_a_derived_drift_that_is_zero(variant, chart):
+    fields, x = _zero_drift_fields(chart)
+    f = lambda c: np.cos(c[:, 0]) + c[:, -1] ** 2
+    derived = fl.GeneratorSpec(fields, drift_policy="derived")
+    assert derived.drift_field().is_zero
+    want = fl.iterate_tree(fl.GeneratorSpec(fields), variant, 0.3, 3, f, x)
+    assert fl.iterate_tree(derived, variant, 0.3, 3, f, x) == want
 
 
 def test_heat_geodesic_needs_parallelizable():

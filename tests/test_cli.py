@@ -328,6 +328,30 @@ def test_generator_description_variants():
     assert spec3.drift.comps(np.zeros((1, 1)))[0, 0] == 2.0
 
 
+@pytest.mark.parametrize("fields", [["frame:1"], ["custom:1+0.3*sin(theta)"]])
+def test_derived_drift_with_a_field_adds_the_field(fields):
+    circ, x = fl.circle(), np.array([[0.3]])
+    field = "constant:[0.5]"
+    derived, plus, bare = (
+        build_generator(circ, {"fields": fields, "drift": drift})
+        for drift in ({"policy": "derived", "field": field},
+                      {"policy": "derived+", "field": field}, "derived")
+    )
+    np.testing.assert_array_equal(derived.drift_comps(x), plus.drift_comps(x))
+    np.testing.assert_allclose(derived.drift_comps(x), bare.drift_comps(x) + 0.5, rtol=1e-15)
+    assert derived.drift_comps(x)[0, 0] != 0.0
+
+
+def test_oracle_eval_takes_each_kernel_chart(capsys):
+    for kernel, f, x in [("gauss-rd:2", "x1*x2", "0.3,-1"), ("torus-product", "1", "0,1"),
+                         ("sphere-harmonics", "z", "0,0,1")]:
+        assert main(["oracle", "eval", "--kernel", kernel, "--f", f, "--t", "0.5", "--x", x]) == 0
+    assert [float(v) for v in capsys.readouterr().out.split()] == pytest.approx(
+        [-0.3, 1.0, math.exp(-0.5)], abs=1e-10)
+    assert main(["oracle", "eval", "--kernel", "torus-product", "--f", "1", "--t", "0.5",
+                 "--x", "0"]) == 2
+
+
 def test_usage_error_exit_code():
     assert main([
         "oracle", "eval", "--kernel", "nope", "--f", "1", "--t", "1", "--x", "0",

@@ -9,6 +9,7 @@ from feller.grids import GridFunction
 from feller.reference import (
     FdSolverSettings,
     HeatKernelId,
+    _advection_beta,
     _wrapped_gauss_kernel,
     exact_semigroup,
     exact_semigroup_batch,
@@ -156,6 +157,33 @@ def test_exact_semigroup_rejects_nonpositive_time():
         exact_semigroup(k, COS, 0.0, np.array([0.0]))
 
 
+def test_kernel_chart():
+    assert HeatKernelId.from_string("gauss-rd:2").chart() is fl.euclidean(2)
+    assert HeatKernelId.from_string("gauss-rd").chart() is fl.euclidean(1)
+    assert HeatKernelId.from_string("wrapped-gauss-s1").chart() is fl.circle()
+    assert HeatKernelId.from_string("torus-product").chart() is fl.torus2()
+    assert HeatKernelId.from_string("sphere-harmonics").chart() is fl.sphere2()
+    assert HeatKernelId.from_string("hyperbolic-h2").chart() is fl.hyperbolic_h2()
+
+
+XY = lambda c: c[:, 0] * c[:, 1]
+
+
+@pytest.mark.parametrize("kernel, f, x", [
+    ("gauss-rd:1", XY, [0.0, 0.0]),
+    ("wrapped-gauss-s1", COS, [0.3, 1.0]),
+    ("torus-product", COS, [0.3]),
+    ("hyperbolic-h2", COS, [0.3, 1.0, 2.0]),
+    ("sphere-harmonics", COS, [0.0, 1.0]),
+], ids=["gauss-rd", "wrapped-gauss-s1", "torus-product", "hyperbolic-h2", "sphere-harmonics"])
+def test_exact_semigroup_refuses_a_point_off_the_kernel_chart(kernel, f, x):
+    k = HeatKernelId.from_string(kernel)
+    with pytest.raises(ValueError, match="coordinates"):
+        exact_semigroup(k, f, 0.5, np.array(x))
+    with pytest.raises(ValueError, match="coordinates"):
+        exact_semigroup_batch(k, f, 0.5, np.array([x, x]))
+
+
 # -- finite differences ----------------------------------------------------------------
 
 
@@ -284,6 +312,26 @@ def test_fd_torus_of_a_function_of_theta1_is_the_circle_solve():
     on_circle = fd_solve(spec_c, GridFunction.from_function(circ, 64, COS), 0.5, settings)
     on_torus = fd_solve(spec_t, GridFunction.from_function(torus, (64, 16), COS), 0.5, settings)
     assert np.abs(on_torus.values - on_circle.values[:, None]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("manifold, fields", [
+    ("circle", ["custom:1+0.3*sin(theta)"]),
+    ("torus2", ["custom:1+0.3*sin(theta1),0.2*cos(theta2)", "frame:2",
+                "custom:0.1*cos(theta1),1+0.2*sin(theta2)"]),
+])
+def test_fd_advection_is_the_drift_left_over_by_the_derived_part(manifold, fields):
+    m = fl.manifold_from_string(manifold)
+    A = [fl.field_from_string(m, s) for s in fields]
+    B = fl.constant_field(m, [0.5, -0.25][:m.dim])
+    nodes = GridFunction(m, np.zeros((24,) * m.dim)).node_coords()
+    derived = fl.GeneratorSpec(A, drift_policy="derived")
+    np.testing.assert_array_equal(_advection_beta(derived, nodes), 0.0)
+    for policy in ("derived", "derived_plus"):
+        with_b = fl.GeneratorSpec(A, drift_policy=policy, drift=B)
+        np.testing.assert_allclose(_advection_beta(with_b, nodes), B.comps(nodes), rtol=0, atol=1e-15)
+    explicit = fl.GeneratorSpec(A, drift=B)
+    np.testing.assert_allclose(_advection_beta(explicit, nodes),
+                               B.comps(nodes) - derived.drift_comps(nodes), rtol=0, atol=1e-15)
 
 
 def test_fd_rejects_large_time_step():

@@ -1,15 +1,19 @@
 """Chart knowledge stays in the charts: the grid, field and oracle modules
 name no chart class in their code (docstrings and comments aside), except
 ``rotational_field``'s input check, which names ``Sphere2``.  Rows move in
-one place: ``chernoff.move_rows``, beside the two folded paths."""
+one place: ``chernoff.move_rows``, beside the two folded paths.  The drift
+policy is read in ``fields`` alone, and an oracle's chart in ``reference``."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-from feller import chernoff, fields, grids, manifolds, reference, walks
+import feller
+from feller import chernoff, cli, fields, grids, manifolds, reference, walks
 
 CHART_CLASSES = {
     name for name, obj in vars(manifolds).items()
@@ -71,3 +75,20 @@ def test_move_rows_is_the_only_mover():
     assert "move" not in {f.name for f in dataclasses.fields(chernoff.Branch)}
     assert "compose" not in inspect.signature(chernoff.sample_steps).parameters
     assert "compose" not in inspect.signature(chernoff._chain).parameters
+
+
+def test_only_fields_reads_the_drift_policy():
+    readers = set()
+    for info in pkgutil.iter_modules(feller.__path__):
+        module = importlib.import_module(f"feller.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        if any(isinstance(n, ast.Attribute) and n.attr == "drift_policy" for n in ast.walk(tree)):
+            readers.add(info.name)
+    assert readers == {"fields"}
+
+
+def test_cli_names_no_heat_kernel_tag():
+    tags = {"gauss-rd", "wrapped-gauss-s1", "torus-product", "sphere-harmonics", "hyperbolic-h2"}
+    strings = [n.value for n in ast.walk(ast.parse(inspect.getsource(cli)))
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert [s for s in strings if any(tag in s for tag in tags)] == []
