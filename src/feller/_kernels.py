@@ -16,13 +16,23 @@ def using_numba() -> bool:
 # Every grid interpolation in the package reduces to a gather-dot with a
 # precomputed stencil: out[i] = sum_k values[idx[i, k]] * w[i, k].  Stencils
 # from ``grids`` are column-major, so every ``idx[:, k]`` and ``w[:, k]`` read
-# below is contiguous.
+# below is contiguous.  A stencil also names its live columns, those with a
+# nonzero weight in some row; the kernel reads only those, in increasing
+# order.  A skipped term is values[..] * (+-0), so the sum differs only where
+# it would be a signed zero, or where a zero-weight neighbour is inf or nan
+# (which then no longer reaches the result).
 
 
-def gather_weighted(values, idx, w):
-    """Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k]."""
-    acc = values[idx[:, 0]] * w[:, 0]
-    for k in range(1, idx.shape[1]):
+def gather_weighted(values, idx, w, cols=None):
+    """Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k], over the
+    columns ``cols`` (every column when None) in the order given."""
+    if cols is None:
+        cols = range(idx.shape[1])
+    if len(cols) == 0:
+        return np.zeros(idx.shape[0], dtype=np.result_type(values, w))
+    k0, *rest = cols
+    acc = values[idx[:, k0]] * w[:, k0]
+    for k in rest:
         acc = acc + values[idx[:, k]] * w[:, k]
     return acc
 

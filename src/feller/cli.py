@@ -285,6 +285,8 @@ def _oracle_values(run: ChernoffRun) -> np.ndarray:
         return np.asarray(compile_scalar(arg, run.manifold)(run.coords), dtype=float)
     if kind == "kernel":
         kid = rf.HeatKernelId.from_string(arg)
+        if not kid.covers(run.manifold):
+            raise OracleUnavailableError(f"kernel {arg!r} is no oracle on {run.manifold.name}")
         return rf.exact_semigroup_batch(kid, run.f, cfg.t, run.coords)
     if kind == "fd":
         steps = int(arg) if arg else max(100, int(math.ceil(cfg.t / 5e-3)))

@@ -15,6 +15,11 @@ A stencil's index and weight arrays have shape ``(m, k)`` (one row per query
 point, one column per interpolation node) and are column-major: they are
 built as ``(k, m)`` arrays and stored as their transposed views, so the
 per-column reads of the gather kernel are contiguous and no copy is made.
+The stencil also records its live columns, those with a nonzero weight in
+some row, and the kernel gathers only those.  A query that sits on a node of
+an axis (a shift along one axis of torus2, an identity move) has the weights
+(1, 0) or (0, 1, 0, 0) on that axis, so whole tensor columns are dead: a
+heat-geodesic cubic sweep on torus2 gathers 4 of its 16 columns.
 """
 
 from __future__ import annotations
@@ -76,9 +81,10 @@ def _polar_stencil(lat: np.ndarray, n: int):
 class Stencil:
     idx: np.ndarray      # (m, k) flat indices, column-major
     w: np.ndarray        # (m, k) weights, column-major
+    cols: tuple          # the live columns, in order: those with a nonzero weight in some row
 
     def apply(self, flat_values: np.ndarray) -> np.ndarray:
-        return gather_weighted(flat_values, self.idx, self.w)
+        return gather_weighted(flat_values, self.idx, self.w, self.cols)
 
 
 class GridFunction:
@@ -153,7 +159,8 @@ class GridFunction:
                 idx[j] *= n + 2 * p  # the padded length of the axis
                 idx[j] += ia
                 w[j] *= wa
-        return Stencil(idx.T, w.T)
+        live = tuple(j for j in range(len(w)) if w[j].any())  # one contiguous row per column
+        return Stencil(idx.T, w.T, live)
 
     def _axis_stencils(self, coords: np.ndarray) -> list:
         """Per grid axis, the stencil of the query points over the padded values."""

@@ -59,6 +59,14 @@ class HeatKernelId:
             raise OracleUnavailableError(f"no oracle for {self.tag}")
         return _CHARTS[self.tag](self)
 
+    def covers(self, manifold: Manifold) -> bool:
+        """Whether the kernel is the heat flow of runs on ``manifold``: those on
+        its chart, and for gauss-rd:d those on a chart with d periodic axes (the
+        flat tori), where a periodic f flows as it does on R^d."""
+        if manifold.name == self.chart().name:
+            return True
+        return self.tag == "gauss-rd" and manifold.grid_axes == ("periodic",) * self.d
+
 
 _CHARTS = {
     "gauss-rd": lambda k: euclidean(k.d),

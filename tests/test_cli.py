@@ -627,3 +627,34 @@ def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     )
     assert proc.returncode == code
     assert err in proc.stderr
+
+
+@pytest.mark.parametrize("manifold, kernel, code", [
+    ("torus2", "torus-product", 0),
+    ("torus2", "gauss-rd:2", 0),  # a periodic f flows on the flat torus as on R^2
+    ("torus2", "hyperbolic-h2", 2),
+    ("torus2", "sphere-harmonics", 2),
+    ("torus2", "gauss-rd:1", 2),
+    ("circle", "wrapped-gauss-s1", 0),
+    ("circle", "gauss-rd:1", 0),
+    ("circle", "torus-product", 2),
+])
+def test_a_kernel_oracle_must_cover_the_run_manifold(tmp_path, capsys, manifold, kernel, code):
+    d = 2 if manifold == "torus2" else 1
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"fields": [f"frame:{k + 1}" for k in range(d)], "drift": "zero"}))
+    f = "cos(theta1)*cos(theta2)" if d == 2 else "cos(theta)"
+    out = tmp_path / "conv.csv"
+    assert main([
+        "chernoff", "run", "--manifold", manifold, "--generator", str(gen),
+        "--variant", "heat-geodesic", "--t", "0.5", "--n", "4,8", "--strategy", "tree",
+        "--x", ",".join(["0.3", "1.0"][:d]), "--f", f, "--oracle", f"kernel:{kernel}",
+        "--out", str(out),
+    ]) == code
+    if code:
+        assert capsys.readouterr().err.strip() == (
+            f"error: kernel {kernel!r} is no oracle on {manifold}")
+        assert not out.exists()
+    else:
+        errs = [float(r.split(",")[1]) for r in out.read_text().splitlines()[3:]]
+        assert len(errs) == 2 and max(errs) < 2e-2

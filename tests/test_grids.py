@@ -3,6 +3,7 @@ import pytest
 
 import feller as fl
 from feller._kernels import gather_weighted
+from feller.chernoff import ChernoffVariant, branch_moves, move_rows
 from feller.errors import ResolutionTooCoarseError, VariantIncompatibleError
 from feller.grids import GridFunction, _axis_stencil
 from feller.manifolds import TWO_PI
@@ -119,3 +120,28 @@ def test_sphere_pole_rows_are_the_means_of_the_edge_rows(rng):
     np.testing.assert_array_equal(flat[1:-1], g.values)
     np.testing.assert_array_equal(flat[0], g.values[0].mean())
     np.testing.assert_array_equal(flat[-1], g.values[-1].mean())
+
+
+def _branch_stencils(spec, variant, shape, dt):
+    """The grid stencil of every moving branch of the step table, as iterate_grid builds it."""
+    g = GridFunction(spec.manifold, np.zeros(shape), "cubic")
+    nodes, branches = g.node_coords(), branch_moves(spec, variant)
+    return [g.build_stencil(move_rows(branches, nodes, j, dt)) for j in range(len(branches))]
+
+
+def test_a_heat_geodesic_shift_on_torus2_gathers_4_of_16_columns():
+    t2 = fl.torus2()
+    spec = fl.GeneratorSpec([fl.frame_field(t2, 1), fl.frame_field(t2, 2)], drift_policy="explicit")
+    stencils = _branch_stencils(spec, ChernoffVariant.HEAT_GEODESIC, (24, 32), 1.0 / 64)
+    assert len(stencils) == 4 and all(st.w.shape[1] == 16 for st in stencils)
+    # a shift along one axis: that axis's 4 nodes, and the one node it sits on of the other
+    assert {st.cols for st in stencils} == {(1, 5, 9, 13), (4, 5, 6, 7)}
+
+
+def test_a_general_rk4_stencil_on_the_circle_keeps_every_column():
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                            drift_policy="derived")
+    stencils = _branch_stencils(spec, ChernoffVariant.GENERAL, 40, 1.0 / 32)
+    assert len(stencils) == 3  # the derived drift and +-A_1
+    assert all(st.cols == (0, 1, 2, 3) for st in stencils)

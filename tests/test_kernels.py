@@ -61,3 +61,34 @@ def test_words_are_splitmix64_of_the_counter(seed):
 def test_seed_outside_a_word_is_refused(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
         K.substream(seed, np.arange(3))
+
+
+def _stencil_with_dead_columns(rng, dead, m=300, k=16, nodes=50):
+    """A random column-major stencil whose columns ``dead`` hold signed zeros."""
+    idx = np.asfortranarray(rng.integers(0, nodes, size=(m, k)))
+    w = np.asfortranarray(rng.normal(size=(m, k)))
+    w[:, dead] = rng.choice([0.0, -0.0], size=(m, len(dead)))
+    live = tuple(j for j in range(k) if j not in dead)
+    return idx, w, live
+
+
+@pytest.mark.parametrize("dead", [[0], [0, 2, 3, 15], [4, 5, 6, 7, 12], list(range(1, 16))])
+def test_gather_over_the_live_columns_equals_the_full_gather(rng, dead):
+    idx, w, live = _stencil_with_dead_columns(rng, dead)
+    values = rng.normal(size=50)
+    assert np.array_equal(K.gather_weighted(values, idx, w, live), K.gather_weighted(values, idx, w))
+
+
+def test_a_nan_behind_a_zero_weight_no_longer_reaches_the_result(rng):
+    idx, w, live = _stencil_with_dead_columns(rng, [0, 3])
+    idx[:, 3] = 50  # a node that only the dead column 3 reads
+    values = np.append(rng.normal(size=50), np.nan)
+    assert not np.isnan(K.gather_weighted(values, idx, w, live)).any()
+    assert np.isnan(K.gather_weighted(values, idx, w)).all()
+
+
+def test_a_stencil_without_live_columns_gives_zeros(rng):
+    idx, w, live = _stencil_with_dead_columns(rng, list(range(16)))
+    assert live == ()
+    out = K.gather_weighted(np.full(50, np.nan), idx, w, live)
+    assert out.shape == (300,) and out.dtype == float and not out.any()

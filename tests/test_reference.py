@@ -166,6 +166,20 @@ def test_kernel_chart():
     assert HeatKernelId.from_string("hyperbolic-h2").chart() is fl.hyperbolic_h2()
 
 
+def test_a_kernel_covers_its_chart_and_gauss_rd_the_flat_tori():
+    charts = ["euclidean:1", "euclidean:2", "circle", "torus2", "sphere2", "hyperbolic-h2"]
+    for tag, covered in [
+        ("gauss-rd:1", {"euclidean:1", "circle"}),
+        ("gauss-rd:2", {"euclidean:2", "torus2"}),
+        ("wrapped-gauss-s1", {"circle"}),
+        ("torus-product", {"torus2"}),
+        ("sphere-harmonics", {"sphere2"}),
+        ("hyperbolic-h2", {"hyperbolic-h2"}),
+    ]:
+        kid = HeatKernelId.from_string(tag)
+        assert {c for c in charts if kid.covers(fl.manifold_from_string(c))} == covered
+
+
 XY = lambda c: c[:, 0] * c[:, 1]
 
 

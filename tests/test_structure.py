@@ -1,8 +1,10 @@
 """Chart knowledge stays in the charts: the grid, field and oracle modules
 name no chart class in their code (docstrings and comments aside), except
 ``rotational_field``'s input check, which names ``Sphere2``.  Rows move in
-one place: ``chernoff.move_rows``, beside the two folded paths.  The drift
-policy is read in ``fields`` alone, and an oracle's chart in ``reference``."""
+one place: ``chernoff.move_rows``, beside the two folded paths.  Grid values
+are gathered in one place: ``Stencil.apply``, which passes the live columns.
+The drift policy is read in ``fields`` alone, and an oracle's chart in
+``reference``."""
 
 import ast
 import dataclasses
@@ -10,6 +12,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import feller
@@ -52,17 +55,17 @@ def test_fields_names_sphere2_only_in_the_rotational_input_check():
     assert uses and all(rot.lineno <= line <= rot.end_lineno for line in uses)
 
 
+def _called_names(node) -> set:
+    """The names called in ``node``'s code, bare or as an attribute."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
 def _callers(module, name) -> set:
     """The top-level definitions of ``module`` whose code calls ``name``, bare or
     as an attribute (None for a call outside any definition)."""
     tree = ast.parse(inspect.getsource(module))
-    out = set()
-    for top in tree.body:
-        for n in ast.walk(top):
-            if isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
-                                                     getattr(n.func, "attr", None)):
-                out.add(getattr(top, "name", None))
-    return out
+    return {getattr(top, "name", None) for top in tree.body if name in _called_names(top)}
 
 
 def test_move_rows_is_the_only_mover():
@@ -75,6 +78,22 @@ def test_move_rows_is_the_only_mover():
     assert "move" not in {f.name for f in dataclasses.fields(chernoff.Branch)}
     assert "compose" not in inspect.signature(chernoff.sample_steps).parameters
     assert "compose" not in inspect.signature(chernoff._chain).parameters
+
+
+def test_stencil_apply_is_the_only_gatherer():
+    # every interpolation passes the stencil's live columns, so none gathers a dead one
+    callers = set()
+    for info in pkgutil.iter_modules(feller.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"feller.{info.name}")))
+        for top in tree.body:
+            scopes = ([(f"{top.name}.{getattr(d, 'name', None)}", d) for d in top.body]
+                      if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+            for label, scope in scopes:
+                if "gather_weighted" in _called_names(scope):
+                    callers.add(f"{info.name}.{label}")
+    assert callers == {"grids.Stencil.apply"}
+    dead = grids.Stencil(np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2)), ())
+    assert not dead.apply(np.array([np.nan])).any()  # apply reads no dead column
 
 
 def test_only_fields_reads_the_drift_policy():
