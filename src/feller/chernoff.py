@@ -28,15 +28,17 @@ each branch with its weight and the data of its move at the step time s.
 ``move_rows`` is the one place rows move: row i by branch ``idx[i]``, the
 rows of one field (``-A_j`` flows ``A_j`` for ``-tau``) in one
 ``flow_batch`` call with one signed time per row, the group-shift rows in
-one ``compose``.  Three evaluation strategies for S(t/n)^n f read the table
-at s = t/n: exact tree recursion (``iterate_tree``, the oracle),
-semi-Lagrangian grid sweeps (``iterate_grid``) and Monte-Carlo path sampling
-(``iterate_mc``).  ``sample_steps`` is the one sample loop, shared by
-``iterate_mc`` and the random walks of ``walks`` (which read the
-``GENERAL`` table at s = 1/n); ``sample_endpoints`` runs it on fixed blocks
-of ``_SAMPLE_ROWS`` rows for ``iterate_mc`` and ``walks.walk_endpoints``,
-and as every row of a block starts at x, moves one row per distinct draw
-history while those are few.  The tree, too, is evaluated in chunks of at
+one ``compose``; ``_level`` is the one expansion of a level of S(s), for
+``iterate_tree``, ``apply_S_batch`` and ``branch_set``.  Three evaluation
+strategies for S(t/n)^n f read the table at s = t/n: exact tree recursion
+(``iterate_tree``, the oracle), semi-Lagrangian grid sweeps
+(``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
+``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
+random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n);
+``sample_endpoints`` runs it on fixed blocks of ``_SAMPLE_ROWS`` rows for
+``iterate_mc`` and ``walks.walk_endpoints``.  When every row starts at one
+point, the loop moves one row per distinct draw history while those are
+few.  The tree, too, is evaluated in chunks of at
 most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the sampler holds
 more than one block of points at a time, whatever the leaf or sample count.
 Wherever a strategy evaluates the potential branch's weight,
@@ -334,11 +336,11 @@ def _chain(
     tables = {}
     index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
 
-    def run(coords, streams, steps, mass=None, shared=False):
-        # with ``shared`` every row starts at one point, so the rows of one draw
-        # history hold the same coordinates: ``hist`` numbers the histories and
-        # one row of each moves, until they outnumber the rows over b
-        hist = np.zeros(coords.shape[0], dtype=np.intp) if shared and not folded else None
+    def run(coords, streams, steps, mass=None):
+        # when every row starts at one point, the rows of one draw history hold
+        # the same coordinates: ``hist`` numbers the histories and one row of
+        # each moves, until they outnumber the rows over b
+        hist = None if folded or (coords != coords[:1]).any() else np.zeros(len(coords), np.intp)
         for start in range(0, steps, k):
             size = min(k, steps - start)
             for step in range(start, start + size):
@@ -441,9 +443,18 @@ def sample_endpoints(
         hi = min(lo + _SAMPLE_ROWS, rows)
         coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy()
         mass = np.ones(hi - lo)
-        for _ in run(coords, substream(seed, np.arange(lo, hi)), steps, mass, shared=True):
+        for _ in run(coords, substream(seed, np.arange(lo, hi)), steps, mass):
             pass
         yield lo, coords, mass
+
+
+def _level(branches: Sequence[Branch], pts: np.ndarray, wts: np.ndarray, s: float):
+    """One level of S(s) from the nodes ``pts`` of weights ``wts``: the leaves,
+    branch-major (leaf ``j * len(pts) + i`` is node i moved by branch j, in one
+    ``move_rows`` call), and their weights."""
+    b = len(branches)
+    leaves = move_rows(branches, np.tile(pts, (b, 1)), np.repeat(np.arange(b), len(pts)), s)
+    return leaves, np.concatenate([br.weight_at(pts, s) * wts for br in branches])
 
 
 def branch_set(
@@ -456,12 +467,8 @@ def branch_set(
     """Shifted points and weights of S(t) at x; with a potential, x last with weight t c(x)."""
     spec.manifold._check_point(x)
     check_steps(t, 1)
-    branches = branch_moves(spec, variant, ode)
-    c = x.coords[None, :]
-    moved = move_rows(branches, np.repeat(c, len(branches), axis=0), np.arange(len(branches)), t)
-    pts = [spec.manifold.point(p) for p in moved]
-    weights = np.hstack([br.weight_at(c, t) for br in branches])
-    return BranchSet(points=pts, weights=weights)
+    moved, weights = _level(branch_moves(spec, variant, ode), x.coords[None, :], np.ones(1), t)
+    return BranchSet(points=[spec.manifold.point(p) for p in moved], weights=weights)
 
 
 def apply_S_batch(
@@ -475,13 +482,10 @@ def apply_S_batch(
     """(S(t)f) evaluated at a batch of coordinate rows."""
     check_steps(t, 1)
     coords = np.atleast_2d(coords)
-    branches = branch_moves(spec, variant, ode)
-    b, rows = len(branches), coords.shape[0]
-    moved = move_rows(branches, np.tile(coords, (b, 1)), np.repeat(np.arange(b), rows), t)
-    acc = np.zeros(rows)
-    for br, pts in zip(branches, np.split(moved, b)):
-        acc += br.weight_at(coords, t) * np.asarray(f(pts), dtype=float)
-    return acc
+    branches, rows = branch_moves(spec, variant, ode), coords.shape[0]
+    moved, weights = _level(branches, coords, np.ones(rows), t)
+    terms = (weights * np.asarray(f(moved), dtype=float)).reshape(len(branches), rows)
+    return sum(terms, np.zeros(rows))  # in table order: np.sum reassociates one row's terms
 
 
 def apply_S(
@@ -517,10 +521,10 @@ def iterate_tree(
     """Exact (S(t/n)^n f)(x) by full expansion of the branch tree.
 
     The leaf count is ``b^n`` for b branches (a potential is one) and must
-    stay within ``budget``.  The first levels expand
-    breadth-first, over coordinate/weight arrays, to a frontier; the last
-    ``depth`` levels expand one chunk of frontier nodes at a time, where
-    ``depth`` is the largest with ``_CHUNK_NODES * b^depth <= _CHUNK_LEAVES``.
+    stay within ``budget``.  The first levels expand breadth-first, one
+    ``_level`` each, to a frontier; the last ``depth = min(n, _block_len(b))``
+    levels expand one chunk of frontier nodes at a time (the largest depth
+    with ``_CHUNK_NODES * b^depth <= _CHUNK_LEAVES``).
     Each chunk of at most ``_CHUNK_LEAVES`` leaves is evaluated by ``f`` and
     its weighted sum added to a running total, chunk by chunk in frontier
     order, so memory does not grow with the leaf count.
@@ -531,12 +535,11 @@ def iterate_tree(
     ``_products``, weighted by the products of the branch weights, and the
     chunk sums as ``fw @ (f(leaves).reshape(nodes, b^depth) @ wP)``.  Its
     value differs from a whole-tree expansion by rounding only.  Otherwise
-    each chunk expands level by level, one ``move_rows`` call per level over
-    the nodes tiled branch-major: a tree of at most ``_CHUNK_LEAVES``
-    leaves is one chunk, summed by one dot product in the order of a
-    whole-tree expansion, and a larger tree's sum differs from that by
-    rounding only.  Deterministic and bit-reproducible for fixed ode
-    settings.
+    each chunk expands level by level, one ``_level`` each: a tree of at
+    most ``_CHUNK_LEAVES`` leaves is one chunk, summed by one dot product in
+    the order of a whole-tree expansion, and a larger tree's sum differs
+    from that by rounding only.  Deterministic and bit-reproducible for
+    fixed ode settings.
     """
     spec.manifold._check_point(x)
     check_steps(t, n)
@@ -548,19 +551,12 @@ def iterate_tree(
             f"{b}^{n} leaf evaluations exceed the budget of {budget}"
         )
 
-    def expand(pts, wts, levels):
-        for _ in range(levels):
-            # branch-major: leaf j * len(pts) + i is node i moved by branch j
-            wts = np.concatenate([br.weight_at(pts, dt) * wts for br in branches])
-            pts = move_rows(branches, np.tile(pts, (b, 1)), np.repeat(np.arange(b), len(pts)), dt)
-        return pts, wts
-
-    depth = 0
-    while depth < n and _CHUNK_NODES * b ** (depth + 1) <= _CHUNK_LEAVES:
-        depth += 1
-    frontier, fw = expand(x.coords[None, :].copy(), np.ones(1), n - depth)
+    depth = min(n, _block_len(b))
+    frontier, fw = x.coords[None, :].copy(), np.ones(1)
+    for _ in range(n - depth):
+        frontier, fw = _level(branches, frontier, fw, dt)
     per_chunk = max(_CHUNK_LEAVES // b**depth, 1)
-    folded = depth > 0 and all(br.shift is not None for br in branches)
+    folded = all(br.shift is not None for br in branches)
     if folded:
         compose = branches[0].compose
         leaves = b**depth
@@ -576,8 +572,9 @@ def iterate_tree(
             vals = np.asarray(f(pts), dtype=float).reshape(len(nodes), leaves)
             total += float(wts @ (vals @ wP))
         else:
-            pts, wts = expand(nodes, wts, depth)
-            total += float(np.asarray(f(pts), dtype=float) @ wts)
+            for _ in range(depth):
+                nodes, wts = _level(branches, nodes, wts, dt)
+            total += float(np.asarray(f(nodes), dtype=float) @ wts)
     return total
 
 

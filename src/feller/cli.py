@@ -25,8 +25,9 @@ the ``--generator`` file (it replaces the ``generator`` key) and the
 ``max_steps``).  The resolved configuration is recorded in the output header
 (CSV comment lines, schema=1), so a run is reproducible from its own header.
 ``chernoff run`` builds its problem and evaluates its oracle once, before any
-row; a failed row is listed in the summary, and a run whose every row fails
-exits 2.  ``CHERNOFF_THREADS`` caps worker threads.
+row, and runs every row in one pool of at most ``CHERNOFF_THREADS`` workers.
+With ``--oracle`` a failed row is listed in the summary and a run whose every
+row fails exits 2; without, the first failed row exits 2 and writes no table.
 """
 
 from __future__ import annotations
@@ -93,11 +94,18 @@ class ExperimentConfig:
         return {k: v for k, v in self.__dict__.items()}
 
 
-# the JSON types a --config value may take, by the type of its field's default
-_VALUE_TYPES = {list: ((list,), "a list"), dict: ((dict,), "an object"),
-                int: ((int,), "an integer"), float: ((int, float), "a number"),
-                str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
-_CONFIG_TYPES = {k: _VALUE_TYPES[type(v)] for k, v in vars(ExperimentConfig()).items()}
+def _is(*types):
+    """The check that a JSON value has one of ``types``; a boolean is no number."""
+    return lambda v: isinstance(v, types) and (bool in types or not isinstance(v, bool))
+
+
+# a JSON schema maps each key to a (check, description) pair; a --config or
+# ``ode`` value must have the JSON type of its field's default
+_VALUE_TYPES = {list: (_is(list), "a list"), dict: (_is(dict), "an object"),
+                int: (_is(int), "an integer"), float: (_is(int, float), "a number"),
+                str: (_is(str), "a string"),
+                type(None): (_is(str, type(None)), "a string or null")}
+_CONFIG_SCHEMA = {k: _VALUE_TYPES[type(v)] for k, v in vars(ExperimentConfig()).items()}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -111,14 +119,14 @@ def _load_config(path: Optional[str]) -> dict:
     return value
 
 
-def _check_keys(kind: str, values: dict, types: dict):
-    """Refuse a key of ``values`` outside ``types``, or a value of another JSON type."""
-    unknown = sorted(set(values) - types.keys())
+def _check_keys(kind: str, values: dict, schema: dict):
+    """Refuse a key of ``values`` outside ``schema``, or a value its check fails."""
+    unknown = sorted(set(values) - schema.keys())
     if unknown:
         raise ValueError(f"unknown {kind} keys {unknown}")
     for key, value in values.items():
-        allowed, what = types[key]
-        if isinstance(value, bool) or not isinstance(value, allowed):
+        check, what = schema[key]
+        if not check(value):
             raise ValueError(f"{kind} key {key!r} must be {what}, not {json.dumps(value)}")
 
 
@@ -130,10 +138,10 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     flags are applied after those.
     """
     file_values = _load_config(args.config)
-    _check_keys("config", file_values, _CONFIG_TYPES)
+    _check_keys("config", file_values, _CONFIG_SCHEMA)
     cfg = ExperimentConfig(**file_values)
     for key, value in vars(args).items():
-        if key in _CONFIG_TYPES and value is not None:
+        if key in _CONFIG_SCHEMA and value is not None:
             setattr(cfg, key, value)
     if cfg.paths < 0:
         raise ValueError("paths must be >= 0")
@@ -144,69 +152,49 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# the JSON types a generator value may take
-_GENERATOR_TYPES = {
-    "fields": (_is_str_list, "a list of strings"),
-    "drift": (lambda v: v is None or isinstance(v, (str, dict)), "null, a string or an object"),
-    "potential": (lambda v: v is None or isinstance(v, str), "null or a string"),
-    "feller": (lambda v: isinstance(v, bool), "a boolean"),
+_GENERATOR_SCHEMA = {
+    # ``oracle fd`` reads the chart from the generator file when no flag gives one
+    "manifold": (_is(str), "a string"),
+    "fields": (lambda v: _is(list)(v) and all(map(_is(str), v)), "a list of strings"),
+    "drift": (_is(type(None), str, dict), "null, a string or an object"),
+    "potential": (_is(type(None), str), "null or a string"),
+    "feller": (_is(bool), "a boolean"),
 }
-# ``oracle fd`` reads the chart from the generator file when no flag gives one
-_GENERATOR_KEYS = set(_GENERATOR_TYPES) | {"manifold"}
-
-
-# a drift string is the field B of an explicit drift, except these forms,
-# given as (policy, field) pairs; null is the explicit zero drift
-_DRIFT_FORMS = {"derived": ("derived", None)}
+_DRIFT_SCHEMA = {"policy": (_is(str), "a string"),
+                 "field": (_is(type(None), str), "a string or null")}
 
 
 def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
     """Instantiate a GeneratorSpec from its JSON description.
 
-    ``fields`` is a list of field strings, ``drift`` null, ``"derived"``, a
-    field string or ``{"policy": .., "field": ..}``, each one (policy, field)
-    pair for ``GeneratorSpec``, ``potential`` null or an expression and
-    ``feller`` a boolean; a value of another JSON type is refused, and so is
-    a key outside these and ``manifold``, or a drift object key other than
-    ``policy`` and ``field``.
+    ``fields`` is a list of field strings, ``potential`` null or an
+    expression, ``feller`` a boolean and ``drift`` an object ``{"policy":
+    .., "field": ..}`` (``GeneratorSpec``'s policy and field B: ``"derived"``
+    with a field is D + B, D the derived part), null (the zero drift), a
+    field string (the explicit B) or ``"derived"`` (D).  ``_check_keys``
+    refuses a key outside these and ``manifold``, or outside ``policy`` and
+    ``field`` in a drift object, and a value of another JSON type.
     """
-    unknown = sorted(set(gen) - _GENERATOR_KEYS)
-    if unknown:
-        raise ValueError(f"unknown generator keys {unknown}")
-    for key, (valid, what) in _GENERATOR_TYPES.items():
-        if key in gen and not valid(gen[key]):
-            raise ValueError(f"generator key {key!r} must be {what}, not {json.dumps(gen[key])}")
+    _check_keys("generator", gen, _GENERATOR_SCHEMA)
     fields = [fd.field_from_string(manifold, s) for s in gen.get("fields", [])]
     drift = gen.get("drift")
-    if isinstance(drift, dict):
-        unknown = sorted(set(drift) - {"policy", "field"})
-        if unknown:
-            raise ValueError(f"unknown generator drift keys {unknown}")
-        policy, extra = drift.get("policy", "explicit"), drift.get("field")
-        if not (extra is None or isinstance(extra, str)):
-            raise ValueError(
-                f"generator drift 'field' must be a string or null, not {json.dumps(extra)}"
-            )
-    else:
-        policy, extra = _DRIFT_FORMS.get(drift, ("explicit", drift))
+    if not isinstance(drift, dict):
+        drift = {"policy": "derived"} if drift == "derived" else {"field": drift}
+    _check_keys("generator drift", drift, _DRIFT_SCHEMA)
+    policy, extra = drift.get("policy", "explicit"), drift.get("field")
     return fd.GeneratorSpec(
         fields, policy, drift=fd.field_from_string(manifold, extra) if extra else None,
         potential=gen.get("potential"), feller=gen.get("feller", True),
     )
 
 
-# the JSON types an ``ode`` value may take, by the type of its OdeSettings default
-_ODE_TYPES = {k: _VALUE_TYPES[type(v)] for k, v in asdict(DEFAULT_ODE).items()}
+_ODE_SCHEMA = {k: _VALUE_TYPES[type(v)] for k, v in asdict(DEFAULT_ODE).items()}
 
 
 def _ode_settings(cfg: ExperimentConfig) -> OdeSettings:
     """The RK4 settings of the ``ode`` object; another key or JSON type is refused."""
     o = cfg.ode or {}
-    _check_keys("ode", o, _ODE_TYPES)
+    _check_keys("ode", o, _ODE_SCHEMA)
     return replace(DEFAULT_ODE, **o)
 
 
@@ -296,6 +284,21 @@ def _oracle_values(run: ChernoffRun) -> np.ndarray:
     raise OracleUnavailableError(f"unknown oracle {cfg.oracle!r}")
 
 
+def _rows(schedule, one_row):
+    """``one_row(n)`` for each n of the schedule in a pool of ``_threads()``
+    workers: the results in schedule order, and ``(n, exception)`` for each
+    row that raised a FellerError or ValueError."""
+    results, failures = [], []
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+        futures = [(int(n), pool.submit(one_row, int(n))) for n in schedule]
+        for n, fut in futures:
+            try:
+                results.append(fut.result())
+            except (FellerError, ValueError) as exc:
+                failures.append((n, exc))
+    return results, failures
+
+
 @dataclass
 class ConvergenceRow:
     n: int
@@ -308,8 +311,8 @@ def run_convergence(cfg: ExperimentConfig):
     """Errors vs the configured oracle across the n-schedule, plus a slope fit.
 
     Returns (rows, summary dict).  The problem and the oracle values are
-    built once, before any row; a row that fails records its error message
-    instead of aborting the run.
+    built once, before any row; each row is reduced to its ``ConvergenceRow``
+    in its worker, and a row that fails records its error message instead.
     """
     run = ChernoffRun(cfg)
     ref = _oracle_values(run)
@@ -321,14 +324,8 @@ def run_convergence(cfg: ExperimentConfig):
         se = 0.0 if stderr is None else float(stderr.max())
         return ConvergenceRow(n, err, se, time.perf_counter() - t0)
 
-    rows, failures = [], []
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        futures = {n: pool.submit(one_row, int(n)) for n in cfg.n_schedule}
-        for n, fut in futures.items():
-            try:
-                rows.append(fut.result())
-            except (FellerError, ValueError) as exc:
-                failures.append({"n": int(n), "error": str(exc)})
+    rows, failed = _rows(cfg.n_schedule, one_row)
+    failures = [{"n": n, "error": str(exc)} for n, exc in failed]
     rows.sort(key=lambda r: r.n)
     summary = {"schema": SCHEMA, "config": cfg.resolved(), "failures": failures}
     errs = np.array([r.error_sup for r in rows])
@@ -364,20 +361,23 @@ def _cmd_chernoff_run(args) -> int:
         ";".join(f"{c:.10g}" for c in point)
         for point in (run.coords if cfg.strategy == "grid" else cfg.x)
     ]
-    rows = []
-    for n in cfg.n_schedule:
-        n = int(n)
+
+    def one_row(n: int):
         values, stderr = run.evaluate(n)
         errs = [""] * len(values) if stderr is None else [f"{s:.6g}" for s in stderr]
-        rows += [
+        return [
             (cfg.variant, cfg.strategy, cfg.t, n, label, f"{v:.12g}", e)
             for label, v, e in zip(labels, values, errs)
         ]
+
+    rows, failed = _rows(cfg.n_schedule, one_row)
+    if failed:  # the first failure in schedule order; no table
+        raise failed[0][1]
     _write_csv(
         cfg.out,
         _header_lines(cfg),
         ["variant", "strategy", "t", "n", "point_or_node", "value", "stderr"],
-        rows,
+        [line for lines in rows for line in lines],
     )
     return 0
 
@@ -484,6 +484,7 @@ def _cmd_oracle_eval(args) -> int:
 
 def _cmd_oracle_fd(args) -> int:
     gen = _load_config(args.generator)
+    _check_keys("generator", gen, _GENERATOR_SCHEMA)  # before its manifold is read
     manifold = mf.manifold_from_string(args.manifold or gen.get("manifold", "circle"))
     spec = build_generator(manifold, gen)
     f0 = GridFunction.from_function(manifold, args.nodes, compile_scalar(args.f0, manifold))

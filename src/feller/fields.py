@@ -320,8 +320,8 @@ class GeneratorSpec:
     fields:
         The diffusion fields ``A_1..A_r`` (``r >= d``, all on one manifold).
     drift_policy:
-        ``"explicit"`` (``[derived] = 0``), or ``"derived"`` and
-        ``"derived_plus"`` (alias ``"derived+"``; it requires ``drift``).
+        ``"explicit"`` (``[derived] = 0``, so ``A_0 = B``) or ``"derived"``
+        (``A_0 = D + B``, D the derived part); any other value is refused.
     drift:
         The field ``B``; the zero field when absent.
     potential:
@@ -347,11 +347,8 @@ class GeneratorSpec:
             raise DegenerateFieldsError(
                 f"r = {len(fields)} < d = {manifold.dim}: cannot be elliptic"
             )
-        drift_policy = "derived_plus" if drift_policy == "derived+" else drift_policy
-        if drift_policy not in ("explicit", "derived", "derived_plus"):
+        if drift_policy not in ("explicit", "derived"):
             raise ValueError(f"unknown drift policy {drift_policy!r}")
-        if drift_policy == "derived_plus" and drift is None:
-            raise ValueError("derived_plus requires the extra field B")
         if drift is not None and drift.manifold is not manifold:
             raise IncompatibleBaseError("drift field on a different manifold")
         self.manifold = manifold

@@ -128,9 +128,10 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     """(endpoints, RK4 steps per row, Richardson error estimate per row) of the flow of A.
 
     ``t`` is one time for the batch or one per row; rows with ``t_i = 0`` stay
-    put and report 0 steps.  An exact flow reports one step per moving row;
-    otherwise each row doubles its RK4 step count until its own fine pass is
-    kept (see ``OdeSettings`` for the rule).
+    put and report 0 steps, and a zero field returns its rows untouched (no
+    ``wrap``).  An exact flow reports one step per moving row; otherwise each
+    row doubles its RK4 step count until its own fine pass is kept (see
+    ``OdeSettings`` for the rule).
     """
     m = A.manifold
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -138,7 +139,8 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     moving = times != 0.0
     err = np.zeros(coords.shape[0])
     if A.is_zero or not moving.any():
-        return m.wrap(coords.copy()), np.zeros(coords.shape[0], dtype=np.int64), err
+        out = coords.copy() if A.is_zero else m.wrap(coords.copy())
+        return out, np.zeros(coords.shape[0], dtype=np.int64), err
     if A.flow is not None:
         out = A.flow(coords, t)
         if not moving.all():  # as a scalar call with t = 0 would

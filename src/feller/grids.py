@@ -70,7 +70,12 @@ def _axis_stencil(theta: np.ndarray, n: int, order: str):
 def _polar_stencil(lat: np.ndarray, n: int):
     """Linear stencil in latitude over the padded rows: 0 = south pole,
     1..n = data, n+1 = north pole."""
-    pad = np.concatenate([[-0.5 * np.pi], _axis_nodes(_POLAR, n), [0.5 * np.pi]])
+    nodes = _axis_nodes(_POLAR, n)
+    # snap latitudes on a node (within 1e-9 cells) as _axis_stencil does; NaN stays NaN
+    s = (lat + 0.5 * np.pi) * (n / np.pi) - 0.5
+    near = np.clip(np.nan_to_num(np.round(s)), 0, n - 1)
+    lat = np.where(np.abs(s - near) < 1e-9, nodes[near.astype(np.int64)], lat)
+    pad = np.concatenate([[-0.5 * np.pi], nodes, [0.5 * np.pi]])
     r1 = np.clip(np.searchsorted(pad, lat, side="right"), 1, n + 1)
     r0 = r1 - 1
     frac = (lat - pad[r0]) / (pad[r1] - pad[r0])

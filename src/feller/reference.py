@@ -93,9 +93,6 @@ def _gauss_rd(f, t, x, d):
         raise OracleUnavailableError("gauss-rd oracle supports d <= 3")
     u, w = np.polynomial.hermite.hermgauss(_GH_NODES)
     scale = math.sqrt(2.0 * t)
-    if d == 1:
-        pts = x[None, :] + scale * u[:, None]
-        return float(w @ np.asarray(f(pts)) / math.sqrt(math.pi))
     grids = np.meshgrid(*([u] * d), indexing="ij")
     wgrids = np.meshgrid(*([w] * d), indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=-1)

@@ -92,7 +92,6 @@ def test_driftless_variants_reject_drift_and_potential():
         fl.GeneratorSpec([A], drift_policy="derived"),  # a non-zero derived drift
         fl.GeneratorSpec([frame], drift=B),
         fl.GeneratorSpec([frame], drift_policy="derived", drift=B),
-        fl.GeneratorSpec([frame], drift_policy="derived_plus", drift=B),
         fl.GeneratorSpec([frame], potential="-1"),
         fl.GeneratorSpec([frame], drift_policy="derived", potential="-1"),
     ]
@@ -224,6 +223,23 @@ def test_grid_identity_at_time_zero():
     g0 = cos_grid(64)
     out = fl.iterate_grid(spec, CV.GENERAL, 0.0, 1, g0)
     np.testing.assert_array_equal(out.values, g0.values)
+
+
+def test_sphere2_zero_moves_gather_one_column():
+    # S(0) moves no node on sphere2: every branch's stencil at s = 0, and the
+    # zero drift's at any s, is the identity gather of one live column; a
+    # rotation about the polar axis keeps its latitude column alone
+    s2 = fl.sphere2()
+    spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)], drift_policy="derived")
+    g0 = GridFunction.from_function(s2, (16, 32), lambda c: c[:, 2] + c[:, 0] ** 2, "linear")
+    nodes, flat = g0.node_coords(), g0.flat_values()
+    branches = branch_moves(spec, CV.GENERAL)
+    for j in range(len(branches)):
+        st = g0.build_stencil(move_rows(branches, nodes, j, 0.0))
+        assert st.cols == (0,)
+        np.testing.assert_array_equal(st.apply(flat), g0.values.ravel())
+    cols = [g0.build_stencil(move_rows(branches, nodes, j, 1.0 / 64)).cols for j in range(7)]
+    assert cols == [(0,)] + [(0, 1, 2, 3)] * 4 + [(0, 1)] * 2
 
 
 def test_grid_circle_closed_form():
@@ -524,6 +540,30 @@ def test_mc_rows_do_not_depend_on_the_batch():
     for samples in (20, 10):
         fl.iterate_mc(spec, CV.HEAT_GEODESIC, 0.5, 32, f, h2.point([0.5, 1.0]), samples, seed=9181)
     np.testing.assert_array_equal(ends[0][:10], ends[1])
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["equal-rows", "distinct-rows"])
+def test_sample_steps_gives_each_row_its_bits_alone(monkeypatch, equal):
+    # rows that start at one point move one row per draw history, distinct
+    # rows every row; either way a row draws and ends as it does alone
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                            drift_policy="derived")
+    branches = branch_moves(spec, CV.GENERAL)
+    rows = 48
+    start = np.full((rows, 1), 0.7) if equal else circ.random_points(rows, np.random.default_rng(5))
+    streams = substream(8, np.arange(rows))
+    moved = []
+    rows_moved = lambda br, coords, idx, s: moved.append(len(coords)) or move_rows(br, coords, idx, s)
+    monkeypatch.setattr(chernoff, "move_rows", rows_moved)
+    coords = start.copy()
+    drawn = [d.copy() for d, _ in sample_steps(branches, 0.125, coords, streams, 5)]
+    assert (moved[0] <= len(branches)) == equal  # equal rows: one row per branch drawn
+    for i in range(rows):
+        alone = start[i : i + 1].copy()
+        drawn_alone = [d.copy() for d, _ in sample_steps(branches, 0.125, alone, streams[i : i + 1], 5)]
+        assert [d[i] for d in drawn] == [d[0] for d in drawn_alone]
+        assert coords[i].tobytes() == alone[0].tobytes(), i
 
 
 def test_one_word_per_row_and_step(monkeypatch):

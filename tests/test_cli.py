@@ -170,6 +170,37 @@ def test_exit_2_only_when_every_row_fails(tmp_path, capsys, n, code):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["tree", "mc"])
+def test_pooled_rows_without_oracle_write_the_serial_table(tmp_path, monkeypatch, strategy):
+    # every row of a run without --oracle runs in the pool: its table is the
+    # one a single worker writes, byte for byte
+    gen = _write_json(tmp_path / "gen.json", {"fields": ["custom:1+0.3*sin(theta)"],
+                                              "drift": "derived"})
+    tables = []
+    for threads in ("4", "1"):
+        monkeypatch.setenv("CHERNOFF_THREADS", threads)
+        out = tmp_path / f"table-{threads}.csv"
+        assert main(["chernoff", "run", "--manifold", "circle", "--generator", gen,
+                     "--strategy", strategy, "--t", "0.5", "--n", "2,4,8", "--f", "cos(theta)",
+                     "--x", "0.3", "--x", "2.1", "--samples", "3000", "--seed", "5",
+                     "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert len(tables[0].decode().splitlines()) == 3 + 3 * 2  # header, columns, 3 n x 2 points
+
+
+def test_failed_row_without_oracle_exits_2_before_the_table(tmp_path, capsys):
+    # 3^15 and 3^16 leaves exceed the tree budget: the first failure in
+    # schedule order is reported, and no table is written
+    out = tmp_path / "table.csv"
+    rc = main(["chernoff", "run", "--manifold", "circle", "--strategy", "tree", "--t", "1",
+               "--n", "2,15,16,4", "--f", "cos(theta)", "--x", "0.3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3^15 leaf evaluations exceed the budget") and "3^16" not in err
+    assert not out.exists()
+
+
 def test_walk_sample_reproducible(tmp_path, heat_gen):
     args = [
         "walk", "sample", "--kind", "geodesic", "--manifold", "circle",
@@ -318,10 +349,11 @@ def test_generator_description_variants():
     assert spec.drift_policy == "derived"
     spec2 = build_generator(
         circ,
-        {"fields": ["frame:1"], "drift": {"policy": "derived+", "field": "constant:[0.5]"},
+        {"fields": ["frame:1"], "drift": {"policy": "derived", "field": "constant:[0.5]"},
          "potential": "-1"},
     )
-    assert spec2.drift_policy == "derived_plus"
+    assert spec2.drift_policy == "derived"
+    assert spec2.drift.comps(np.zeros((1, 1)))[0, 0] == 0.5
     assert spec2.potential is not None
     spec3 = build_generator(circ, {"fields": ["frame:1"], "drift": "constant:[2]"})
     assert spec3.drift_policy == "explicit"
@@ -332,12 +364,10 @@ def test_generator_description_variants():
 def test_derived_drift_with_a_field_adds_the_field(fields):
     circ, x = fl.circle(), np.array([[0.3]])
     field = "constant:[0.5]"
-    derived, plus, bare = (
+    derived, bare = (
         build_generator(circ, {"fields": fields, "drift": drift})
-        for drift in ({"policy": "derived", "field": field},
-                      {"policy": "derived+", "field": field}, "derived")
+        for drift in ({"policy": "derived", "field": field}, "derived")
     )
-    np.testing.assert_array_equal(derived.drift_comps(x), plus.drift_comps(x))
     np.testing.assert_allclose(derived.drift_comps(x), bare.drift_comps(x) + 0.5, rtol=1e-15)
     assert derived.drift_comps(x)[0, 0] != 0.0
 
@@ -600,7 +630,7 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
      "error: generator key 'feller' must be a boolean, not \"no\""),
     (["chernoff", "run", "--config",
       {"generator": {"fields": ["frame:1"], "drift": {"policy": "explicit", "field": 2}}}], 2,
-     "error: generator drift 'field' must be a string or null, not 2"),
+     "error: generator drift key 'field' must be a string or null, not 2"),
     (["chernoff", "run", "--manifold", "circle", "--strategy", "tree", "--variant", "general",
       "--f", "1", "--n", "4", "--t", "1", "--x", "0.3", "--config",
       {"generator": {"fields": ["frame:1"], "drift": "zero", "potental": "-1"}}], 2,
@@ -614,9 +644,17 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
       "--seed", seed] + oracle, 2, "error: seed must be in [0, 2^64)")
     for oracle in ([], ["--oracle", "expr:cos(0.3)"])
     for seed in ("-1", "18446744073709551616")
+] + [
+    # oracle fd reads its chart from the generator file, after checking it
+    (["oracle", "fd", "--generator", {"manifold": 5, "fields": ["frame:1"]}, "--f0", "cos(theta)",
+      "--t", "0.1", "--nodes", "16", "--steps", "20"], 2,
+     "error: generator key 'manifold' must be a string, not 5"),
+    (["chernoff", "run", "--config",
+      {"generator": {"fields": ["frame:1"], "drift": {"policy": "derived+", "field": "zero"}}}], 2,
+     "error: unknown drift policy 'derived+'"),
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
-    # a non-string in argv is a --config file with that JSON content
+    # a non-string in argv is a JSON file with that content (a --config or a --generator)
     argv = [a if isinstance(a, str) else _write_json(tmp_path / "cfg.json", a) for a in argv]
     src = str(Path(fl.__file__).parents[1])
     env = {**os.environ,

@@ -127,15 +127,23 @@ def test_drift_requires_derived_policy():
 
 
 def test_derived_plus_adds_extra_field():
+    # the derived drift with a field B is D + B
     h2 = fl.hyperbolic_h2()
     B = fl.frame_field(h2, 1)
     spec = fl.GeneratorSpec(
         [fl.frame_field(h2, 1), fl.frame_field(h2, 2)],
-        drift_policy="derived_plus",
+        drift_policy="derived",
         drift=B,
     )
     v = fl.derive_drift(spec, h2.point([0.0, 2.0]))
     np.testing.assert_allclose(v.comps, [2.0, -1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("policy", ["derived_plus", "derived+", "Derived", "", None])
+def test_drift_policy_is_explicit_or_derived(policy):
+    frame = fl.frame_field(fl.circle(), 1)
+    with pytest.raises(ValueError, match="unknown drift policy"):
+        fl.GeneratorSpec([frame], drift_policy=policy, drift=fl.constant_field(fl.circle(), [0.5]))
 
 
 # -- divergence-free flag ---------------------------------------------------------------
@@ -266,7 +274,7 @@ def test_derived_drift_of_divergence_free_fields_costs_nothing(make_spec, rng, m
 
 def test_derived_plus_of_divergence_free_fields_is_B():
     B = fl.constant_field(fl.torus2(), [0.3, -0.2])
-    assert torus_frame_spec("derived_plus", B).drift_field() is B
+    assert torus_frame_spec("derived", B).drift_field() is B
 
 
 def test_derived_drift_with_a_custom_field_still_integrates(rng):

@@ -52,6 +52,15 @@ def test_zero_field_stationary():
     assert res.est_error == 0.0
 
 
+@pytest.mark.parametrize("name", ["circle", "sphere2"])
+def test_zero_field_returns_its_rows_untouched(name, rng):
+    # no wrap either: off-chart angles stay, and sphere points are not renormalised
+    m = fl.manifold_from_string(name)
+    rows = m.random_points(50, rng) * (1.0 + 1e-12) + (7.0 if name == "circle" else 0.0)
+    for t in (0.0, 0.7, np.linspace(-1.0, 1.0, 50)):
+        assert flow_batch(fl.zero_field(m), rows, t).tobytes() == rows.tobytes()
+
+
 def test_exponential_flow_vs_series():
     A, e1 = linear_field()
     res = fl.integral_curve(A, e1.point([1.0]), 1.0)

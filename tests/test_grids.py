@@ -97,11 +97,8 @@ def test_interpolation_at_the_nodes_returns_the_values(name, shape):
     m = fl.manifold_from_string(name)
     for order in m.grid_orders:
         g = GridFunction.from_function(m, shape, lambda c: np.cos(3.0 * c[:, 0]) + c[:, -1], order)
-        got, want = g.interpolate(g.node_coords()), g.values.ravel()
-        if m.grid_axes == ("periodic",) * m.dim:  # nodes snap onto themselves
-            np.testing.assert_array_equal(got, want)
-        else:  # the latitude of a node is recomputed by arcsin, without a snap
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=8 * np.finfo(float).eps)
+        # nodes snap onto themselves, a latitude recomputed by arcsin too
+        np.testing.assert_array_equal(g.interpolate(g.node_coords()), g.values.ravel())
 
 
 @pytest.mark.parametrize("name, shape, cell", [

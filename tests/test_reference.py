@@ -83,6 +83,16 @@ def test_gauss_rd_second_moment():
         assert got == pytest.approx(0.16 + t, abs=1e-12)
 
 
+def test_gauss_rd_1d_is_the_gauss_hermite_sum():
+    # the d-axis Gauss-Hermite product at d = 1 is the 1-D sum, bit for bit
+    u, w = np.polynomial.hermite.hermgauss(64)
+    f = lambda c: np.cos(c[:, 0]) + c[:, 0] ** 3
+    for x, t in ((0.4, 0.1), (-1.3, 0.7)):
+        want = float(w @ f(x + math.sqrt(2.0 * t) * u[:, None]) / math.sqrt(math.pi))
+        got = exact_semigroup(HeatKernelId.from_string("gauss-rd:1"), f, t, np.array([x]))
+        assert got == want
+
+
 def test_gauss_rd_2d_product():
     k = HeatKernelId.from_string("gauss-rd:2")
     f = lambda c: np.cos(c[:, 0]) * c[:, 1]
@@ -340,9 +350,8 @@ def test_fd_advection_is_the_drift_left_over_by_the_derived_part(manifold, field
     nodes = GridFunction(m, np.zeros((24,) * m.dim)).node_coords()
     derived = fl.GeneratorSpec(A, drift_policy="derived")
     np.testing.assert_array_equal(_advection_beta(derived, nodes), 0.0)
-    for policy in ("derived", "derived_plus"):
-        with_b = fl.GeneratorSpec(A, drift_policy=policy, drift=B)
-        np.testing.assert_allclose(_advection_beta(with_b, nodes), B.comps(nodes), rtol=0, atol=1e-15)
+    with_b = fl.GeneratorSpec(A, drift_policy="derived", drift=B)
+    np.testing.assert_allclose(_advection_beta(with_b, nodes), B.comps(nodes), rtol=0, atol=1e-15)
     explicit = fl.GeneratorSpec(A, drift=B)
     np.testing.assert_allclose(_advection_beta(explicit, nodes),
                                B.comps(nodes) - derived.drift_comps(nodes), rtol=0, atol=1e-15)

@@ -22,7 +22,9 @@ from feller.chernoff import ChernoffVariant as CV
 from feller.grids import GridFunction
 
 T, N_STEPS = 0.5, 3
-POLICIES = ["explicit", "derived", "derived_plus"]
+# drift labels, as (policy, with B): A_0 = B, A_0 = D (the derived part) and A_0 = D + B
+POLICIES = {"explicit": ("explicit", True), "derived": ("derived", False),
+            "derived_plus": ("derived", True)}
 PROPERTY = settings(derandomize=True, deadline=None, phases=[Phase.explicit, Phase.generate])
 
 # per chart: diffusion fields (not all divergence-free, so the derived drift
@@ -55,11 +57,12 @@ CASES = {
 }
 
 
-def make_spec(name, policy, amplitude):
+def make_spec(name, label, amplitude):
     m = fl.manifold_from_string(name)
     sources, extra, shape, f = CASES[name]
     fields = [fl.field_from_string(m, s) for s in sources]
-    drift = None if policy == "derived" else fl.field_from_string(m, extra)
+    policy, with_b = POLICIES[label]
+    drift = fl.field_from_string(m, extra) if with_b else None
     spec = fl.GeneratorSpec(fields, drift_policy=policy, drift=drift,
                             potential=lambda c: amplitude * shape(c), feller=False)
     return m, spec, f
@@ -70,7 +73,7 @@ amplitudes = st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0))
 coordinates = st.floats(-1.0, 1.0)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("policy", list(POLICIES))
 @pytest.mark.parametrize("name", list(CASES))
 @settings(PROPERTY, max_examples=3)
 @given(amplitude=amplitudes, u=coordinates, v=coordinates)
@@ -88,7 +91,7 @@ def test_tree_and_mc_agree(name, policy, amplitude, u, v):
 GRIDS = {"circle": (32,), "torus2": (16, 16)}
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("policy", list(POLICIES))
 @pytest.mark.parametrize("name", list(GRIDS))
 @settings(PROPERTY, max_examples=2)
 @given(amplitude=amplitudes, node=st.integers(0, 2**16))

@@ -1,10 +1,12 @@
 """Chart knowledge stays in the charts: the grid, field and oracle modules
 name no chart class in their code (docstrings and comments aside), except
 ``rotational_field``'s input check, which names ``Sphere2``.  Rows move in
-one place: ``chernoff.move_rows``, beside the two folded paths.  Grid values
-are gathered in one place: ``Stencil.apply``, which passes the live columns.
-The drift policy is read in ``fields`` alone, and an oracle's chart in
-``reference``."""
+one place: ``chernoff.move_rows``, beside the two folded paths, and one level
+of S(s) is expanded in one place: ``chernoff._level``.  Grid values are
+gathered in one place: ``Stencil.apply``, which passes the live columns.
+The drift policy is read in ``fields`` alone and takes two values, an
+oracle's chart is read in ``reference``, the CLI's rows run in one pool and
+its JSON is checked by one function."""
 
 import ast
 import dataclasses
@@ -80,6 +82,29 @@ def test_move_rows_is_the_only_mover():
     assert "compose" not in inspect.signature(chernoff._chain).parameters
 
 
+def test_level_is_the_only_level_expansion():
+    # the tree, apply_S_batch and branch_set expand a level by _level; the
+    # sample loop and the grid move their rows directly
+    assert _callers(chernoff, "move_rows") == {"_level", "_chain", "iterate_grid"}
+    assert _callers(chernoff, "_level") == {"iterate_tree", "apply_S_batch", "branch_set"}
+    # the sample loop works out from its rows whether they share one start
+    tree = ast.parse(inspect.getsource(chernoff._chain))
+    loop = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "run")
+    assert "shared" not in {a.arg for a in loop.args.args + loop.args.kwonlyargs}
+
+
+def test_cli_runs_every_row_in_one_pool():
+    assert _callers(cli, "ThreadPoolExecutor") == {"_rows"}
+    assert _callers(cli, "_rows") == {"run_convergence", "_cmd_chernoff_run"}
+
+
+def test_cli_checks_every_json_object_in_one_function():
+    # config, ode, generator and drift objects; oracle fd checks its generator
+    # before it reads the chart there
+    assert _callers(cli, "_check_keys") == {"_resolve", "_ode_settings", "build_generator",
+                                            "_cmd_oracle_fd"}
+
+
 def test_stencil_apply_is_the_only_gatherer():
     # every interpolation passes the stencil's live columns, so none gathers a dead one
     callers = set()
@@ -104,6 +129,13 @@ def test_only_fields_reads_the_drift_policy():
         if any(isinstance(n, ast.Attribute) and n.attr == "drift_policy" for n in ast.walk(tree)):
             readers.add(info.name)
     assert readers == {"fields"}
+
+
+def test_drift_policy_takes_two_values():
+    # D + B is "derived" with a field: fields spells no other policy
+    strings = {n.value for n in ast.walk(ast.parse(inspect.getsource(fields)))
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert {s for s in strings if s.startswith(("explicit", "derived"))} == {"explicit", "derived"}
 
 
 def test_cli_names_no_heat_kernel_tag():
