@@ -35,12 +35,13 @@ strategies for S(t/n)^n f read the table at s = t/n: exact tree recursion
 (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
 ``sample_steps`` is the one sample loop, shared by ``iterate_mc`` and the
 random walks of ``walks`` (which read the ``GENERAL`` table at s = 1/n);
-``sample_endpoints`` runs it on fixed blocks of ``_SAMPLE_ROWS`` rows for
-``iterate_mc`` and ``walks.walk_endpoints``.  When every row starts at one
-point, the loop moves one row per distinct draw history while those are
-few.  The tree, too, is evaluated in chunks of at
-most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the sampler holds
-more than one block of points at a time, whatever the leaf or sample count.
+``sample_endpoints`` calls it once per block of ``_SAMPLE_ROWS`` rows for
+``iterate_mc`` and ``walks.walk_endpoints`` and holds the product tables
+of every block.  When every row starts at one point, the loop moves one row
+per distinct draw history while those are few.  The tree, too, is evaluated
+in chunks of at most ``_CHUNK_LEAVES`` leaves, so neither the tree nor the
+sampler holds more than one block of points at a time, whatever the leaf or
+sample count.
 Wherever a strategy evaluates the potential branch's weight,
 ``dt * |c| > 1`` raises ``PotentialStepError``.
 
@@ -317,13 +318,45 @@ def _products(H: np.ndarray, k: int, compose) -> np.ndarray:
     return P
 
 
-def _chain(
-    branches: Sequence[Branch], s: float
-) -> Callable[..., Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The sample loop of ``sample_steps`` for one branch table at step time s.
+def sample_steps(
+    branches: Sequence[Branch],
+    s: float,
+    coords: np.ndarray,
+    streams: np.ndarray,
+    steps: int,
+    mass: Optional[np.ndarray] = None,
+    tables: Optional[dict] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
 
-    The thresholds, the fold length and the product tables are made once and
-    shared by every row batch the returned loop runs.
+    Step m draws the word ``z = step_uniforms(streams, m)`` per row and takes
+    branch ``sum_j (T_j <= z)`` over the thresholds of ``_thresholds``; a
+    table with the signed branch needs ``mass``, each row's signed mass,
+    which takes M per step, negated where the draw is a negative weight.
+    The loop runs in blocks of k steps and yields once per block: the
+    block's draws and ``coords`` as they are before the block's moves (the
+    live array: copy what must be kept); the moves run when the caller asks
+    for the next block.
+
+    With a branch that is not a group shift, k = 1: each step yields its
+    branch indices, and ``move_rows`` moves the rows by them.  When every
+    row starts at one point, the rows of one draw history hold the same
+    coordinates: the loop numbers the histories (``np.unique`` of ``hist *
+    b + drawn``), moves one row per history and branch and scatters the
+    result back, as long as the histories times b stay within the rows; then
+    every row moves.  A flow endpoint does not depend on its batch, so the
+    endpoints keep their bits.
+
+    When every branch is a group shift, a path is a random walk on the
+    group, ``x h_{d_1} ... h_{d_n}``.  Then k is the largest integer with
+    ``b^k <= 4096`` for b branches (6 for b = 4, 12 for b = 2), a block
+    yields its draws folded into one index ``sum_i d_i b^(k-i)``, and it
+    moves all rows by one gather from a table of the ``b^k`` products and
+    one ``compose``.  The tables (one for the last ``steps mod k`` draws)
+    are built by repeated ``compose``, so endpoints differ from
+    ``move_rows`` step by step by rounding only.  They are kept in ``tables``
+    by their number of draws: the caller's dict (``sample_endpoints`` passes
+    one for all its blocks), else one of this call.
     """
     b = len(branches)
     thresholds = _thresholds(branches)
@@ -333,78 +366,36 @@ def _chain(
     if folded:
         compose = branches[0].compose
         H = np.array([br.shift(s) for br in branches])
-    tables = {}
+    tables = {} if tables is None else tables
     index_type = np.min_scalar_type(b**k - 1)  # narrow indices fold faster
-
-    def run(coords, streams, steps, mass=None):
-        # when every row starts at one point, the rows of one draw history hold
-        # the same coordinates: ``hist`` numbers the histories and one row of
-        # each moves, until they outnumber the rows over b
-        hist = None if folded or (coords != coords[:1]).any() else np.zeros(len(coords), np.intp)
-        for start in range(0, steps, k):
-            size = min(k, steps - start)
-            for step in range(start, start + size):
-                z = step_uniforms(streams, step)
-                if step == start:
-                    idx = np.zeros(z.shape, dtype=index_type)
-                else:
-                    idx *= b
-                if signed is not None:  # u M >= 1 draws the signed branch
-                    weight = signed(coords, s)
-                    scale = 1.0 + np.abs(weight)
-                    z = (z >> np.uint64(11)) * 2.0**-53 * scale
-                    mass *= np.where((z >= 1.0) & (weight < 0.0), -scale, scale)
-                for T in thresholds:
-                    idx += T <= z
-            yield idx, coords
-            if folded:
-                if size not in tables:
-                    tables[size] = _products(H, size, compose)
-                coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
-            elif hist is None:
-                coords[...] = move_rows(branches, coords, idx, s)
+    hist = None if folded or (coords != coords[:1]).any() else np.zeros(len(coords), np.intp)
+    for start in range(0, steps, k):
+        size = min(k, steps - start)
+        for step in range(start, start + size):
+            z = step_uniforms(streams, step)
+            if step == start:
+                idx = np.zeros(z.shape, dtype=index_type)
             else:
-                keys, first, hist = np.unique(
-                    hist * b + idx, return_index=True, return_inverse=True
-                )
-                coords[...] = move_rows(branches, coords[first], keys % b, s)[hist]
-                if keys.size * b > coords.shape[0]:
-                    hist = None
-
-    return run
-
-
-def sample_steps(
-    branches: Sequence[Branch],
-    s: float,
-    coords: np.ndarray,
-    streams: np.ndarray,
-    steps: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
-
-    Step m draws the word ``z = step_uniforms(streams, m)`` per row and takes
-    branch ``sum_j (T_j <= z)`` over the thresholds of ``_thresholds`` (a
-    table with the signed branch runs in ``sample_endpoints``, which carries
-    each row's mass: M per step, negated where the draw is a negative
-    weight).  The loop runs in blocks of k steps and yields once per block:
-    the block's draws and ``coords`` as they are before the block's moves
-    (the live array: copy what must be kept); the moves run when the caller
-    asks for the next block.
-
-    With a branch that is not a group shift, k = 1: each step yields its
-    branch indices, and ``move_rows`` moves the rows by them.
-    When every branch is a group shift, a path is a random walk on the
-    group, ``x h_{d_1} ... h_{d_n}``.  Then k is the
-    largest integer with ``b^k <= 4096`` for b branches (6 for b = 4, 12 for
-    b = 2), a block yields its draws folded into one index
-    ``sum_i d_i b^(k-i)``, and it moves all rows by one gather from a table
-    of the ``b^k`` products and one ``compose``.  The tables (one for the
-    last ``steps mod k`` draws) are built once per call by repeated
-    ``compose``, so endpoints differ from ``move_rows`` step by step by
-    rounding only.
-    """
-    return _chain(branches, s)(coords, streams, steps)
+                idx *= b
+            if signed is not None:  # u M >= 1 draws the signed branch
+                weight = signed(coords, s)
+                scale = 1.0 + np.abs(weight)
+                z = (z >> np.uint64(11)) * 2.0**-53 * scale
+                mass *= np.where((z >= 1.0) & (weight < 0.0), -scale, scale)
+            for T in thresholds:
+                idx += T <= z
+        yield idx, coords
+        if folded:
+            if size not in tables:
+                tables[size] = _products(H, size, compose)
+            coords[...] = compose(coords, np.take(tables[size], idx, axis=0))
+        elif hist is None:
+            coords[...] = move_rows(branches, coords, idx, s)
+        else:
+            keys, first, hist = np.unique(hist * b + idx, return_index=True, return_inverse=True)
+            coords[...] = move_rows(branches, coords[first], keys % b, s)[hist]
+            if keys.size * b > coords.shape[0]:
+                hist = None
 
 
 # the endpoint sampler runs this many rows at a time
@@ -422,28 +413,25 @@ def sample_endpoints(
     """Endpoints of ``rows`` branch chains of ``steps`` draws at step time s from x.
 
     Row i draws from ``substream(seed, i)``.  The rows run in blocks of
-    ``_SAMPLE_ROWS``; each block yields ``(lo, coords, mass)``: its first
-    row index, its endpoints and their signed masses (all 1 for a table
-    without a signed branch).  Every row's draws and moves depend on its
-    index alone, so the blocks reproduce one whole-batch run bit for bit, in
-    memory that does not grow with ``rows``.  The product tables of
-    ``sample_steps`` are built once per call.
-
-    Every row of a block starts at x, so rows that have drawn the same
-    branches so far hold the same coordinates.  Unless the table folds, the
-    loop numbers these draw histories (``np.unique`` of ``hist * b +
-    drawn``), moves one row per history and branch and scatters the result
-    back, as long as the histories times b stay within the block's rows;
-    then every row moves.  A flow endpoint does not depend on its batch, so
-    the endpoints keep their bits.
+    ``_SAMPLE_ROWS``, one ``sample_steps`` call each; each block yields
+    ``(lo, coords, mass)``: its first row index, its endpoints and their
+    signed masses (all 1 for a table without a signed branch).  Every row's
+    draws and moves depend on its index alone, so the blocks reproduce one
+    whole-batch run bit for bit, in memory that does not grow with ``rows``.
+    The product tables are held here for every block, so each is built once
+    per call.
     """
-    run = _chain(branches, s)
+    tables: dict = {}
     # no rows still run one empty block, which checks the seed
     for lo in range(0, max(rows, 1), _SAMPLE_ROWS):
         hi = min(lo + _SAMPLE_ROWS, rows)
         coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy()
         mass = np.ones(hi - lo)
-        for _ in run(coords, substream(seed, np.arange(lo, hi)), steps, mass):
+        # the streams die with the loop: held over the yield, they raised the
+        # peak RSS of 5e5 H2 paths by 1.3 MB
+        for _ in sample_steps(
+            branches, s, coords, substream(seed, np.arange(lo, hi)), steps, mass, tables
+        ):
             pass
         yield lo, coords, mass
 

@@ -191,6 +191,13 @@ def build_generator(manifold: mf.Manifold, gen: dict) -> fd.GeneratorSpec:
 _ODE_SCHEMA = {k: _VALUE_TYPES[type(v)] for k, v in asdict(DEFAULT_ODE).items()}
 
 
+def _check_feller(spec: fd.GeneratorSpec, coords: np.ndarray):
+    """``spec.validate`` at the evaluation points when ``feller`` flags a
+    potential: c > 0 at one of them is refused before any row."""
+    if spec.potential is not None and spec.feller:
+        spec.validate(coords)
+
+
 def _ode_settings(cfg: ExperimentConfig) -> OdeSettings:
     """The RK4 settings of the ``ode`` object; another key or JSON type is refused."""
     o = cfg.ode or {}
@@ -247,6 +254,7 @@ class ChernoffRun:
                 raise ValueError(f"{cfg.strategy} strategy needs evaluation points (--x)")
             self.points = [self.manifold.point(c) for c in cfg.x]
             self.coords = np.stack([x.coords for x in self.points])
+        _check_feller(self.spec, self.coords)
 
     def evaluate(self, n: int):
         """S(t/n)^n f at ``coords``, and the standard errors (None unless mc)."""
@@ -454,11 +462,15 @@ def _reference_cdf(name: Optional[str]):
     kind, _, arg = name.partition(":")
     if kind == "normal":
         mean, sd = (0.0, 1.0) if not arg else tuple(float(v) for v in arg.split(","))
+        if not (math.isfinite(mean) and 0.0 < sd < math.inf):
+            raise ValueError(f"reference {name!r} needs a finite mean and a finite sd > 0")
         from scipy.special import ndtr
 
         return lambda s: ndtr((np.asarray(s) - mean) / sd)
     if kind == "pointmass":
         v = float(arg) if arg else 0.0
+        if not math.isfinite(v):
+            raise ValueError(f"reference {name!r} needs a finite point")
         return lambda s: (np.asarray(s) >= v).astype(float)
     raise ValueError(f"unknown reference {name!r}")
 
@@ -488,9 +500,11 @@ def _cmd_oracle_fd(args) -> int:
     manifold = mf.manifold_from_string(args.manifold or gen.get("manifold", "circle"))
     spec = build_generator(manifold, gen)
     f0 = GridFunction.from_function(manifold, args.nodes, compile_scalar(args.f0, manifold))
+    _check_feller(spec, f0.node_coords())
     sol = rf.fd_solve(spec, f0, args.t, rf.FdSolverSettings(steps=args.steps))
+    # the step count in --oracle's spelling: the header reproduces the table
     cfg = ExperimentConfig(manifold=manifold.name, generator=gen, t=args.t,
-                           grid_nodes=args.nodes, f=args.f0)
+                           grid_nodes=args.nodes, f=args.f0, oracle=f"fd:{args.steps}")
     rows = [
         (";".join(f"{c:.10g}" for c in node), f"{v:.12g}")
         for node, v in zip(f0.node_coords(), sol.values.ravel())

@@ -190,7 +190,7 @@ def frame_field(manifold: Manifold, k: int) -> VectorField:
     ``frame_batch`` at the identity), and so is its divergence, whose value
     at the identity sets ``divergence_free``.
     """
-    if not manifold.parallelizable:
+    if manifold.identity is None:
         raise VariantIncompatibleError(f"{manifold.name} has no global frame")
     if not 1 <= k <= manifold.dim:
         raise ValueError(f"frame index {k} out of range 1..{manifold.dim}")

@@ -100,7 +100,8 @@ class Manifold:
     the elements reached from the identity along the geodesic with initial
     velocity ``v`` and along the k-th frame field.  A frame geodesic or a
     frame-field flow from any point is then one ``compose``.  The frame
-    components are affine in the chart (``y e_k`` on H2, else constant).
+    components are affine in the chart (``y e_k`` on H2, else constant).  A
+    chart has a global frame exactly when it sets ``identity``.
 
     A chart with a canonical grid names the kind of each axis in
     ``grid_axes``: ``"periodic"`` (n equispaced angles) or ``"polar"`` (n
@@ -114,9 +115,8 @@ class Manifold:
     dim: int = 0          # intrinsic dimension
     chart_dim: int = 0    # stored coordinate length (3 for Sphere2)
     coord_names: tuple = ()  # the stored coordinates' names in expressions
-    parallelizable: bool = True
     injectivity_radius: float = np.inf
-    identity = None       # group identity in the chart; None: no group structure
+    identity = None       # group identity in the chart; None: no group and no global frame
     uniform_volume = False  # sqrt(det g) constant in the chart: constant fields are divergence-free
     grid_axes: tuple = ()   # kinds of the canonical grid's axes; () for no grid
     grid_orders: tuple = ()  # interpolation orders of the grid
@@ -165,11 +165,6 @@ class Manifold:
 
     def christoffel(self, x: Point) -> np.ndarray:
         raise NotImplementedError
-
-    def frame(self, x: Point) -> list[TangentVector]:
-        """Orthonormal global frame at x (parallelizable built-ins only)."""
-        comps = self.frame_batch(x.coords[None, :])
-        return [TangentVector(x, np.array(comps[k, 0])) for k in range(self.dim)]
 
     # -- batch geometry ---------------------------------------------------
 
@@ -483,7 +478,6 @@ class Sphere2(Manifold):
     dim = 2
     chart_dim = 3
     coord_names = ("x", "y", "z")
-    parallelizable = False
     injectivity_radius = np.pi
     grid_axes = ("polar", "periodic")  # latitude, longitude
     grid_orders = ("linear",)
@@ -679,6 +673,8 @@ def distance(m: Manifold, x: Point, y: Point) -> float:
 
 
 def frame_at(m: Manifold, x: Point) -> list[TangentVector]:
-    """Orthonormal parallelizing frame e_1..e_d at x."""
+    """Orthonormal parallelizing frame e_1..e_d at x; NotParallelizableError
+    on a chart without one."""
     m._check_point(x)
-    return m.frame(x)
+    comps = m.frame_batch(x.coords[None, :])
+    return [TangentVector(x, np.array(comps[k, 0])) for k in range(m.dim)]

@@ -84,11 +84,6 @@ def _circle_heat_general() -> fd.GeneratorSpec:
     return fd.GeneratorSpec([fd.frame_field(circ, 1)], drift_policy="explicit")
 
 
-def _circle_heat_geodesic_spec() -> fd.GeneratorSpec:
-    circ = mf.circle()
-    return fd.GeneratorSpec([fd.frame_field(circ, 1)], drift_policy="derived")
-
-
 def _euclid_quadratic_spec() -> fd.GeneratorSpec:
     e1 = mf.euclidean(1)
     return fd.GeneratorSpec([fd.constant_field(e1, [1.0])], drift_policy="explicit")
@@ -122,7 +117,7 @@ def _c01():
 
 
 def _c02():
-    spec = _circle_heat_geodesic_spec()
+    spec = _circle_heat_general()
     circ = mf.circle()
     g0 = GridFunction.from_function(circ, 512, _cos, interp="cubic")
     theta = g0.node_coords()[:, 0]

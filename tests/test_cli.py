@@ -47,6 +47,10 @@ def test_oracle_fd_matches_library(tmp_path, heat_gen):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "# schema=1"
+    # the header records the step count in --oracle's spelling, and no other key
+    header = json.loads(lines[1][len("# config="):])
+    assert header["oracle"] == "fd:100"
+    assert header.keys() == ExperimentConfig().resolved().keys() - {"out"}
     assert lines[2] == "node,value"
     first = lines[3].split(",")
     assert float(first[0]) == 0.0
@@ -557,6 +561,40 @@ def test_sphere_grid_header_records_the_interpolation_that_ran(tmp_path, oracle)
     assert tables["cubic"] == tables["linear"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "run", "--strategy", "tree", "--n", "4", "--x", "0.3"],
+    ["chernoff", "run", "--strategy", "mc", "--n", "4", "--x", "0.3", "--samples", "10",
+     "--oracle", "expr:cos(theta)"],
+    ["chernoff", "run", "--strategy", "grid", "--grid-nodes", "32", "--n", "4"],
+    ["oracle", "fd", "--f0", "cos(theta)", "--nodes", "32", "--steps", "50"],
+], ids=["tree", "mc-oracle", "grid", "oracle-fd"])
+@pytest.mark.parametrize("feller", [True, False])
+def test_feller_flag_refuses_c_above_zero_before_any_row(tmp_path, capsys, argv, feller):
+    # c = 1 + sin(theta) > 0: S(t) is not contractive (the tree reads 1.369 > sup|cos|)
+    gen = _write_json(tmp_path / "gen.json", {"fields": ["frame:1"], "drift": "zero",
+                                               "potential": "1+sin(theta)", "feller": feller})
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--manifold", "circle", "--generator", gen, "--t", "0.5",
+                      "--out", str(out)])
+    if feller:
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.strip() == (
+            "error: potential flagged feller but c > 0 at a sampled point")
+    else:
+        assert rc == 0
+        if argv[2:4] == ["--strategy", "tree"]:
+            assert out.read_text().splitlines()[-1].split(",")[5] == "1.36896202751"
+
+
+def test_feller_flag_reads_c_at_the_evaluation_points(tmp_path):
+    # c = sin(theta) is positive elsewhere on the circle, but not at the --x point
+    gen = _write_json(tmp_path / "gen.json", {"fields": ["frame:1"], "drift": "zero",
+                                               "potential": "sin(theta)"})
+    assert main(["chernoff", "run", "--manifold", "circle", "--generator", gen,
+                 "--strategy", "tree", "--n", "2", "--x", "-0.3", "--t", "0.5",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_oracle_fd_manifold_flag_beats_generator_file(tmp_path):
     gen = _write_json(tmp_path / "gen.json",
                       {"manifold": "circle", "fields": ["frame:1", "frame:2"], "drift": "zero"})
@@ -652,6 +690,15 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
     (["chernoff", "run", "--config",
       {"generator": {"fields": ["frame:1"], "drift": {"policy": "derived+", "field": "zero"}}}], 2,
      "error: unknown drift policy 'derived+'"),
+] + [
+    # a reference distribution needs a finite mean and sd > 0, or a finite point
+    (["walk", "stats", "--manifold", "circle", "--n", "4", "--samples", "10",
+      "--reference", ref], 2, f"error: reference {ref!r} needs a finite {what}")
+    for ref, what in [("normal:0,-1", "mean and a finite sd > 0"),
+                      ("normal:0,0", "mean and a finite sd > 0"),
+                      ("normal:0,inf", "mean and a finite sd > 0"),
+                      ("normal:nan,1", "mean and a finite sd > 0"),
+                      ("pointmass:nan", "point")]
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a JSON file with that content (a --config or a --generator)

@@ -1,12 +1,14 @@
 """Chart knowledge stays in the charts: the grid, field and oracle modules
 name no chart class in their code (docstrings and comments aside), except
-``rotational_field``'s input check, which names ``Sphere2``.  Rows move in
-one place: ``chernoff.move_rows``, beside the two folded paths, and one level
-of S(s) is expanded in one place: ``chernoff._level``.  Grid values are
-gathered in one place: ``Stencil.apply``, which passes the live columns.
-The drift policy is read in ``fields`` alone and takes two values, an
-oracle's chart is read in ``reference``, the CLI's rows run in one pool and
-its JSON is checked by one function."""
+``rotational_field``'s input check, which names ``Sphere2``, and a chart's
+global frame is declared by its group.  Rows move in one place:
+``chernoff.move_rows``, beside the two folded paths; one level of S(s) is
+expanded in one place: ``chernoff._level``, and the branch chain runs in one
+place: ``chernoff.sample_steps``.  Grid values are gathered in one place:
+``Stencil.apply``, which passes the live columns.  The drift policy is read
+in ``fields`` alone and takes two values, an oracle's chart is read in
+``reference``, the CLI's rows run in one pool and its JSON is checked by one
+function."""
 
 import ast
 import dataclasses
@@ -72,25 +74,34 @@ def _callers(module, name) -> set:
 
 def test_move_rows_is_the_only_mover():
     # a flow moves rows only in move_rows; a group product also in the folded
-    # paths of the sample loop (_chain) and the tree, and in their product tables
+    # paths of the sample loop and the tree, and in their product tables
     assert _callers(chernoff, "flow_batch") == {"move_rows"}
-    assert _callers(chernoff, "compose") == {"move_rows", "_chain", "iterate_tree", "_products"}
+    assert _callers(chernoff, "compose") == {"move_rows", "sample_steps", "iterate_tree", "_products"}
     assert _callers(walks, "flow_batch") == _callers(walks, "compose") == set()
     # a branch is data: no move closure, and no option picks another path
     assert "move" not in {f.name for f in dataclasses.fields(chernoff.Branch)}
-    assert "compose" not in inspect.signature(chernoff.sample_steps).parameters
-    assert "compose" not in inspect.signature(chernoff._chain).parameters
 
 
 def test_level_is_the_only_level_expansion():
     # the tree, apply_S_batch and branch_set expand a level by _level; the
     # sample loop and the grid move their rows directly
-    assert _callers(chernoff, "move_rows") == {"_level", "_chain", "iterate_grid"}
+    assert _callers(chernoff, "move_rows") == {"_level", "sample_steps", "iterate_grid"}
     assert _callers(chernoff, "_level") == {"iterate_tree", "apply_S_batch", "branch_set"}
-    # the sample loop works out from its rows whether they share one start
-    tree = ast.parse(inspect.getsource(chernoff._chain))
-    loop = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "run")
-    assert "shared" not in {a.arg for a in loop.args.args + loop.args.kwonlyargs}
+
+
+def test_sample_steps_is_the_sample_loop():
+    # no layer builds the loop for it, and it works out from its rows whether
+    # they share one start; no option picks another path
+    assert not hasattr(chernoff, "_chain")
+    assert {"compose", "shared"}.isdisjoint(inspect.signature(chernoff.sample_steps).parameters)
+    assert _callers(chernoff, "sample_steps") == {"sample_endpoints"}
+
+
+def test_a_chart_declares_its_frame_once():
+    # a global frame exists exactly when the chart has a group (``identity``),
+    # and frame_batch is the one spelling of the frame
+    assert not hasattr(manifolds.Manifold, "parallelizable")
+    assert not hasattr(manifolds.Manifold, "frame")
 
 
 def test_cli_runs_every_row_in_one_pool():
