@@ -460,19 +460,27 @@ def _reference_cdf(name: Optional[str]):
     if not name or name == "none":
         return None
     kind, _, arg = name.partition(":")
+    forms = {"normal": ("normal:<mean>,<sd>", (0.0, 1.0)), "pointmass": ("pointmass:<v>", (0.0,))}
+    if kind not in forms:
+        raise ValueError(f"unknown reference {name!r}")
+    form, default = forms[kind]
+    try:
+        values = tuple(float(v) for v in arg.split(",")) if arg else default
+    except ValueError:
+        values = ()
+    if len(values) != len(default):
+        raise ValueError(f"reference {name!r} is not of the form {form}")
     if kind == "normal":
-        mean, sd = (0.0, 1.0) if not arg else tuple(float(v) for v in arg.split(","))
+        mean, sd = values
         if not (math.isfinite(mean) and 0.0 < sd < math.inf):
             raise ValueError(f"reference {name!r} needs a finite mean and a finite sd > 0")
         from scipy.special import ndtr
 
         return lambda s: ndtr((np.asarray(s) - mean) / sd)
-    if kind == "pointmass":
-        v = float(arg) if arg else 0.0
-        if not math.isfinite(v):
-            raise ValueError(f"reference {name!r} needs a finite point")
-        return lambda s: (np.asarray(s) >= v).astype(float)
-    raise ValueError(f"unknown reference {name!r}")
+    (v,) = values
+    if not math.isfinite(v):
+        raise ValueError(f"reference {name!r} needs a finite point")
+    return lambda s: (np.asarray(s) >= v).astype(float)
 
 
 def _cmd_walk_stats(args) -> int:

@@ -3,7 +3,7 @@
 One engine backs the flow maps: fixed-step RK4 over a batch of starts, with
 step doubling.  ``flow_batch`` is the vectorized hot path used by the Chernoff
 branches and the walk samplers.  It takes one time for the batch or one time
-per row, and each row converges on its own: every row starts at 2 steps, and a
+per row, and each row converges on its own: every row starts at 1 step, and a
 row leaves the doubling loop, keeping its own fine result, at the first pass
 whose Richardson estimate meets ``tol * max(1, |t_i|)`` and has fallen at the
 fourth-order rate from the doubling before (see ``OdeSettings``).  A row's
@@ -41,7 +41,7 @@ _DEFAULT_MAX_STEPS = 10**6
 class OdeSettings:
     """Configuration of the step-doubling RK4 engine.
 
-    Every row starts at 2 steps and doubles its step count.  Each doubling
+    Every row starts at 1 step and doubles its step count.  Each doubling
     compares a coarse pass with the fine pass of twice its steps, and a row
     keeps that fine pass once all three hold:
 
@@ -50,8 +50,8 @@ class OdeSettings:
     * the estimate ``prev`` of the doubling before is at most
       ``max(tol_i, 32 * est)``.  For a fourth-order method the estimate falls
       about 16x per doubling; passes not yet in that regime can understate
-      their error.  The first doubling has no ``prev``, so the smallest pass
-      kept is 8 steps;
+      their error.  The first doubling (1 to 2 steps) has no ``prev``, so the
+      smallest pass kept is 4 steps;
     * the fine pass is inside the chart (``Manifold.in_chart``: finite, and
       on H2 ``y > 0``).
 
@@ -63,9 +63,9 @@ class OdeSettings:
 
     ``tol`` bounds the estimate of the pass a row keeps, not that pass's true
     error, which can be larger: over 16 (field, t) cases with 400 starts each
-    on the circle, H2 and R^1 the worst was 2.36 ``tol_i`` (``1+x1^2`` on R^1
-    at t = 1), then 2.13 (H2 ``0.5*x,-y^3``) and 2.12 (R^1 ``-x1^3``); see
-    ``BENCH_11.json``.  ``tol`` must be ``> 0`` and finite; NaN and inf are
+    on the circle, H2 and R^1 the worst was 2.23 ``tol_i`` (``1+x1^2`` on R^1
+    at t = 1), then 2.13 (H2 ``0.5*x,-y^3``) and 2.06 (R^1 ``-x1^3``); see
+    ``BENCH_26.json``.  ``tol`` must be ``> 0`` and finite; NaN and inf are
     refused.
     """
 
@@ -148,7 +148,7 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
         if not m.in_chart(out).all():
             raise StepLimitExceededError(f"{m.name}: integral curve left the chart or diverged")
         return m.wrap(out), moving.astype(np.int64), err
-    steps = 2
+    steps = 1
     out = coords.copy()
     taken = np.zeros(coords.shape[0], dtype=np.int64)
     rows = np.flatnonzero(moving)

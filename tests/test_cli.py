@@ -699,6 +699,14 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
                       ("normal:0,inf", "mean and a finite sd > 0"),
                       ("normal:nan,1", "mean and a finite sd > 0"),
                       ("pointmass:nan", "point")]
+] + [
+    # a reference of the wrong shape is refused with its form
+    (["walk", "stats", "--manifold", "circle", "--n", "4", "--samples", "10",
+      "--reference", ref], 2, f"error: reference {ref!r} is not of the form {form}")
+    for ref, form in [("normal:0", "normal:<mean>,<sd>"),
+                      ("normal:0,1,2", "normal:<mean>,<sd>"),
+                      ("normal:0,one", "normal:<mean>,<sd>"),
+                      ("pointmass:1,2", "pointmass:<v>")]
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a JSON file with that content (a --config or a --generator)

@@ -181,7 +181,7 @@ def pass_steps(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("max_steps, passes", [(48, [2, 4, 8, 16, 32]), (20, [2, 4, 8, 16])])
+@pytest.mark.parametrize("max_steps, passes", [(48, [1, 2, 4, 8, 16, 32]), (20, [1, 2, 4, 8, 16])])
 def test_max_steps_is_never_exceeded(max_steps, passes, pass_steps):
     # x' = x^2 from 0.5 needs a 64-step fine pass for tol 1e-9 at t = 1
     e1 = fl.euclidean(1)
@@ -192,13 +192,17 @@ def test_max_steps_is_never_exceeded(max_steps, passes, pass_steps):
     pass_steps.clear()
     res = fl.integral_curve(A, e1.point([0.5]), 1.0, OdeSettings(max_steps=64))
     assert res.steps_taken == 64 and res.est_error <= 1e-9
-    assert pass_steps == [2, 4, 8, 16, 32, 64]
+    assert pass_steps == [1, 2, 4, 8, 16, 32, 64]
 
 
 def test_max_steps_needs_a_coarse_and_a_fine_pass():
     with pytest.raises(ValueError):
         OdeSettings(max_steps=3)
-    OdeSettings(max_steps=4)
+    # passes of 1, 2 and 4 steps: a row can be kept at the limit
+    circ = fl.circle()
+    A = fl.field_from_string(circ, "custom:1+0.3*sin(theta)")
+    res = fl.integral_curve(A, circ.point([1.0]), 0.25, OdeSettings(max_steps=4))
+    assert res.steps_taken == 4
     assert main(["chernoff", "run", "--ode-max-steps", "3"]) == 2
 
 
@@ -213,6 +217,38 @@ def test_a_row_is_kept_only_once_its_estimate_falls_at_fourth_order():
     ref = circ.wrap(_rk4_fixed(A, start, 1.0, 16384))[0, 0]
     assert res.steps_taken >= 16
     assert abs(res.endpoint.coords[0] - ref) <= DEFAULT_ODE.tol
+
+
+@pytest.mark.parametrize("case", ["circle-rk4", "h2-rk4", "sphere-rk4"])
+def test_each_kept_row_is_one_fixed_pass_of_its_step_count(case, rng):
+    # whatever pass a row is kept at, its endpoint is the bits of a lone
+    # fixed-step pass of that many steps
+    A = _per_row_cases()[case]
+    m = A.manifold
+    starts = m.random_points(40, rng)
+    times = rng.uniform(-1.0, 1.0, 40)
+    out, steps, _ = _integrate(A, starts, times, DEFAULT_ODE)
+    assert len(set(steps.tolist())) > 1
+    for i, (s, t, n) in enumerate(zip(starts, times, steps)):
+        alone = m.wrap(_rk4_fixed(A, s[None, :], np.array([t]), int(n)))
+        assert out[i].tobytes() == alone[0].tobytes(), i
+
+
+def test_walk_rk4_rows_are_kept_at_four_steps():
+    # once a row's 1-to-2-step estimate shows the fourth-order fall, its 4-step
+    # pass can be kept: most rows of the walk-rk4 field, and every row of its
+    # derived drift, which is off by about 1e-13 there
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                            drift_policy="derived")
+    starts = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, (400, 1))
+    A = spec.fields[0]
+    out, steps, _ = _integrate(A, starts, 0.25, DEFAULT_ODE)
+    assert np.mean(steps == 4) >= 0.9
+    gap = np.abs(out - circ.wrap(_rk4_fixed(A, starts, 0.25, 16384)))
+    assert np.minimum(gap, 2.0 * np.pi - gap).max() <= DEFAULT_ODE.tol
+    _, steps, _ = _integrate(spec.drift_field(), starts, 0.0625, DEFAULT_ODE)
+    assert (steps == 4).all()
 
 
 def test_h2_flow_within_three_tol_of_its_closed_form():
