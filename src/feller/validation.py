@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import fields as fd
 from . import flows as fw
@@ -272,6 +271,8 @@ _KS_N_SAMPLES = 50_000
 
 
 def _heat_walk_ks(n: int, seed: int) -> float:
+    from scipy.special import ndtr  # 09a and 09b alone load scipy.special
+
     e1 = mf.euclidean(1)
     spec = _euclid_quadratic_spec()
     pts = wk.walk_endpoints(spec, e1.point([0.0]), 1.0, n, _KS_N_SAMPLES, seed=seed)

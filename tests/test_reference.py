@@ -147,6 +147,52 @@ def test_h2_kernel_decreasing():
     assert np.all(vals > 0.0)
 
 
+def mckean_by_quad(rho: float, t: float) -> float:
+    """p_t(rho) by ``scipy.integrate.quad`` in u, s = rho + u^2, with no cancellation:
+    e^{-s^2/4t} = e^{-rho^2/4t} e^{-(s^2 - rho^2)/4t}, and
+    cosh s - cosh rho = u^2 sinh(rho + u^2/2) sinh(u^2/2)/(u^2/2)."""
+    from scipy import integrate
+
+    if rho * rho / (4.0 * t) > 600.0:
+        return 0.0
+
+    def integrand(u):
+        h = 0.5 * u * u
+        s = rho + u * u
+        sinhc = math.sinh(h) / h if h > 0.0 else 1.0
+        return 2.0 * s * math.exp(-(s * s - rho * rho) / (4.0 * t)) / math.sqrt(
+            math.sinh(rho + h) * sinhc
+        )
+
+    u_max = math.sqrt(math.sqrt(rho * rho + 240.0 * t) - rho)  # the Gaussian at e^-60
+    knee = [math.sqrt(rho)] if 0.0 < math.sqrt(rho) < u_max else None
+    val, _ = integrate.quad(integrand, 0.0, u_max, epsabs=0.0, epsrel=2e-14, limit=500,
+                            points=knee)
+    pref = math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5
+    return pref * math.exp(-rho * rho / (4.0 * t)) * val
+
+
+@pytest.mark.parametrize("t", [0.02, 0.05, 0.25, 1.0, 4.0])
+def test_h2_kernel_matches_a_cancellation_free_quadrature(t):
+    # cosh s - cosh rho cancels near s = rho: an integrand written with it loses
+    # up to 5e-7 on this grid (t = 0.05, rho = 3), so the reference avoids it
+    rho = np.array([0.0, 1e-13, 1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 5.0, 8.0])
+    got = h2_heat_kernel(rho, t)
+    want = np.array([mckean_by_quad(r, t) for r in rho])
+    assert np.all((want == 0.0) == (rho * rho / (4.0 * t) > 600.0))
+    np.testing.assert_array_equal(got[want == 0.0], 0.0)
+    live = want > 0.0
+    assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 1e-12
+
+
+def test_h2_kernel_raises_when_its_two_rules_disagree(monkeypatch):
+    import feller.reference as rf
+
+    monkeypatch.setattr(rf, "_H2_NODES", 4)
+    with pytest.raises(TruncationBudgetError, match="4- and 8-node rules disagree"):
+        h2_heat_kernel(np.array([0.0, 0.5, 3.0]), 0.25)
+
+
 def test_h2_semigroup_preserves_constants():
     k = HeatKernelId.from_string("hyperbolic-h2")
     one = lambda c: np.ones(np.atleast_2d(c).shape[0])
