@@ -20,20 +20,26 @@ def using_numba() -> bool:
 # nonzero weight in some row; the kernel reads only those, in increasing
 # order.  A skipped term is values[..] * (+-0), so the sum differs only where
 # it would be a signed zero, or where a zero-weight neighbour is inf or nan
-# (which then no longer reaches the result).
+# (which then no longer reaches the result).  Each term is scaled and summed
+# in place in the array its gather made: one new array per column read, and
+# the products and their order of summation are those of the plain sum.
 
 
 def gather_weighted(values, idx, w, cols=None):
     """Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k], over the
-    columns ``cols`` (every column when None) in the order given."""
+    columns ``cols`` (every column when None) in the order given; ``values``
+    and ``w`` are float arrays, and none of the inputs is written."""
     if cols is None:
         cols = range(idx.shape[1])
     if len(cols) == 0:
         return np.zeros(idx.shape[0], dtype=np.result_type(values, w))
     k0, *rest = cols
-    acc = values[idx[:, k0]] * w[:, k0]
+    acc = values[idx[:, k0]]
+    acc *= w[:, k0]
     for k in rest:
-        acc = acc + values[idx[:, k]] * w[:, k]
+        term = values[idx[:, k]]
+        term *= w[:, k]
+        acc += term
     return acc
 
 

@@ -606,9 +606,17 @@ def iterate_grid(
     values = f0.values.ravel().copy()
     for _ in range(n):
         flat = f0.flat_values(values)
-        new = weights[0] * stencils[0].apply(flat)
+        # each branch's gather is scaled in place: the products and their
+        # order of summation are those of sum_j w_j * gather_j
+        new = stencils[0].apply(flat)
+        new *= weights[0]
         for w, st in zip(weights[1:], stencils[1:]):
-            new += w * (values if st is None else st.apply(flat))
+            if st is None:
+                new += w * values
+            else:
+                term = st.apply(flat)
+                term *= w
+                new += term
         values = new
     return f0.with_values(values)
 

@@ -25,7 +25,8 @@ the ``--generator`` file (it replaces the ``generator`` key) and the
 ``max_steps``).  The resolved configuration is recorded in the output header
 (CSV comment lines, schema=1), so a run is reproducible from its own header.
 ``chernoff run`` builds its problem and evaluates its oracle once, before any
-row, and runs every row in one pool of at most ``CHERNOFF_THREADS`` workers.
+row, and runs every row in one pool of at most ``CHERNOFF_THREADS`` workers,
+longest row (largest n) first; rows and failures are reported in schedule order.
 With ``--oracle`` a failed row is listed in the summary and a run whose every
 row fails exits 2; without, the first failed row exits 2 and writes no table.
 """
@@ -59,10 +60,15 @@ STRATEGIES = ("tree", "grid", "mc")
 
 
 def _threads() -> int:
+    """The row pool's width: ``CHERNOFF_THREADS`` (at least 1), else
+    ``min(4, cpu_count)``.  ValueError when the variable is set to no integer."""
     raw = os.environ.get("CHERNOFF_THREADS", "").strip()
-    if raw:
+    if not raw:
+        return min(4, os.cpu_count() or 1)
+    try:
         return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"CHERNOFF_THREADS must be an integer, not {raw!r}") from None
 
 
 # -- config ----------------------------------------------------------------------
@@ -292,14 +298,23 @@ def _oracle_values(run: ChernoffRun) -> np.ndarray:
     raise OracleUnavailableError(f"unknown oracle {cfg.oracle!r}")
 
 
-def _rows(schedule, one_row):
-    """``one_row(n)`` for each n of the schedule in a pool of ``_threads()``
-    workers: the results in schedule order, and ``(n, exception)`` for each
-    row that raised a FellerError or ValueError."""
+def _rows(schedule, one_row, workers: int):
+    """``one_row(n)`` for each n of the schedule in a pool of ``workers``
+    threads: the results in schedule order, and ``(n, exception)`` for each
+    row that raised a FellerError or ValueError.
+
+    The rows start longest first, in decreasing n, equal n in schedule
+    order (Graham's LPT rule): a row's work grows with n for every strategy
+    (n sweeps, n steps or b^n leaves), and the longest row started last
+    would run alone while the other workers idle.
+    """
+    schedule = [int(n) for n in schedule]
+    futures = [None] * len(schedule)
     results, failures = [], []
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        futures = [(int(n), pool.submit(one_row, int(n))) for n in schedule]
-        for n, fut in futures:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in sorted(range(len(schedule)), key=lambda i: -schedule[i]):
+            futures[i] = pool.submit(one_row, schedule[i])
+        for n, fut in zip(schedule, futures):
             try:
                 results.append(fut.result())
             except (FellerError, ValueError) as exc:
@@ -322,6 +337,7 @@ def run_convergence(cfg: ExperimentConfig):
     built once, before any row; each row is reduced to its ``ConvergenceRow``
     in its worker, and a row that fails records its error message instead.
     """
+    workers = _threads()  # a bad CHERNOFF_THREADS is refused before any work
     run = ChernoffRun(cfg)
     ref = _oracle_values(run)
 
@@ -332,7 +348,7 @@ def run_convergence(cfg: ExperimentConfig):
         se = 0.0 if stderr is None else float(stderr.max())
         return ConvergenceRow(n, err, se, time.perf_counter() - t0)
 
-    rows, failed = _rows(cfg.n_schedule, one_row)
+    rows, failed = _rows(cfg.n_schedule, one_row, workers)
     failures = [{"n": n, "error": str(exc)} for n, exc in failed]
     rows.sort(key=lambda r: r.n)
     summary = {"schema": SCHEMA, "config": cfg.resolved(), "failures": failures}
@@ -363,6 +379,7 @@ def _cmd_chernoff_run(args) -> int:
         print(json.dumps({k: v for k, v in summary.items() if k != "config"}), file=sys.stderr)
         return 0
 
+    workers = _threads()  # a bad CHERNOFF_THREADS is refused before any work
     run = ChernoffRun(cfg)
     # points are labelled as configured: manifold.point wraps circle angles
     labels = [
@@ -378,7 +395,7 @@ def _cmd_chernoff_run(args) -> int:
             for label, v, e in zip(labels, values, errs)
         ]
 
-    rows, failed = _rows(cfg.n_schedule, one_row)
+    rows, failed = _rows(cfg.n_schedule, one_row, workers)
     if failed:  # the first failure in schedule order; no table
         raise failed[0][1]
     _write_csv(

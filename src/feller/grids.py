@@ -24,7 +24,6 @@ heat-geodesic cubic sweep on torus2 gathers 4 of its 16 columns.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +45,7 @@ def _axis_nodes(kind: str, n: int) -> np.ndarray:
 
 
 def _axis_stencil(theta: np.ndarray, n: int, order: str):
-    """Per-axis periodic stencil: k node-index and k weight arrays of shape (m,)."""
+    """Per-axis periodic stencil: node indices and weights, each of shape (k, m)."""
     h = TWO_PI / n
     s = np.mod(theta, TWO_PI) / h
     # snap queries that sit on a node (within 1e-9 cells) so that zero
@@ -55,21 +54,27 @@ def _axis_stencil(theta: np.ndarray, n: int, order: str):
     s = np.where(np.abs(s - near) < 1e-9, near, s)
     i0 = np.floor(s).astype(np.int64)
     frac = s - i0
+    # each row written into the (k, m) results: no temporary beyond one row
     if order == "linear":
-        return [np.mod(i0, n), np.mod(i0 + 1, n)], [1.0 - frac, frac]
-    # 4-point Lagrange basis on nodes {-1, 0, 1, 2} evaluated at frac in [0,1)
-    s = frac
-    return [np.mod(i0 + k, n) for k in (-1, 0, 1, 2)], [
-        -s * (s - 1.0) * (s - 2.0) / 6.0,
-        (s * s - 1.0) * (s - 2.0) / 2.0,
-        -s * (s + 1.0) * (s - 2.0) / 2.0,
-        s * (s * s - 1.0) / 6.0,
-    ]
+        idx = np.add.outer(np.arange(2), i0)
+        w = np.empty(idx.shape)
+        w[0] = 1.0 - frac
+        w[1] = frac
+    else:
+        # 4-point Lagrange basis on nodes {-1, 0, 1, 2} evaluated at frac in [0,1)
+        idx = np.add.outer(np.arange(-1, 3), i0)
+        w = np.empty(idx.shape)
+        s = frac
+        w[0] = -s * (s - 1.0) * (s - 2.0) / 6.0
+        w[1] = (s * s - 1.0) * (s - 2.0) / 2.0
+        w[2] = -s * (s + 1.0) * (s - 2.0) / 2.0
+        w[3] = s * (s * s - 1.0) / 6.0
+    return np.mod(idx, n, out=idx), w
 
 
 def _polar_stencil(lat: np.ndarray, n: int):
-    """Linear stencil in latitude over the padded rows: 0 = south pole,
-    1..n = data, n+1 = north pole."""
+    """Linear stencil in latitude over the padded rows (0 = south pole,
+    1..n = data, n+1 = north pole): row indices and weights of shape (2, m)."""
     nodes = _axis_nodes(_POLAR, n)
     # snap latitudes on a node (within 1e-9 cells) as _axis_stencil does; NaN stays NaN
     s = (lat + 0.5 * np.pi) * (n / np.pi) - 0.5
@@ -79,7 +84,7 @@ def _polar_stencil(lat: np.ndarray, n: int):
     r1 = np.clip(np.searchsorted(pad, lat, side="right"), 1, n + 1)
     r0 = r1 - 1
     frac = (lat - pad[r0]) / (pad[r1] - pad[r0])
-    return [r0, r1], [1.0 - frac, frac]
+    return np.stack([r0, r1]), np.stack([1.0 - frac, frac])
 
 
 @dataclass(frozen=True)
@@ -152,19 +157,18 @@ class GridFunction:
     def build_stencil(self, coords: np.ndarray) -> Stencil:
         """Precompute the gather stencil for query points (hot-path reuse)."""
         coords = np.atleast_2d(coords)
-        # tensor product over the axes, one node per axis in each column
-        # (the last axis varies fastest), written in place: no temporary
-        # larger than one row of the result
-        cols = list(itertools.product(*(zip(ia, wa) for ia, wa in self._axis_stencils(coords))))
-        idx = np.empty((len(cols), coords.shape[0]), dtype=np.int64)
-        w = np.empty(idx.shape)
-        for j, ((i0, w0), *rest) in enumerate(cols):
-            idx[j], w[j] = i0, w0
-            for n, p, (ia, wa) in zip(self.values.shape[1:], self._pads[1:], rest):
-                idx[j] *= n + 2 * p  # the padded length of the axis
-                idx[j] += ia
-                w[j] *= wa
-        live = tuple(j for j in range(len(w)) if w[j].any())  # one contiguous row per column
+        # tensor product over the axes, one node per axis in each column (the
+        # last axis varies fastest): each axis's (k, m) stencil is broadcast
+        # against the product so far, straight into the (K, m) result
+        (idx, w), *rest = self._axis_stencils(coords)
+        for n, p, (ia, wa) in zip(self.values.shape[1:], self._pads[1:], rest):
+            shape = (len(idx), len(ia), coords.shape[0])
+            # the padded length of the axis scales the flat index so far
+            idx = np.multiply(idx[:, None], n + 2 * p, out=np.empty(shape, dtype=np.int64))
+            idx += ia
+            w = np.multiply(w[:, None], wa, out=np.empty(shape))
+            idx, w = idx.reshape(-1, shape[2]), w.reshape(-1, shape[2])
+        live = tuple(np.flatnonzero(w.any(axis=1)).tolist())  # one contiguous row per column
         return Stencil(idx.T, w.T, live)
 
     def _axis_stencils(self, coords: np.ndarray) -> list:

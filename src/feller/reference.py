@@ -196,23 +196,27 @@ def _mckean_integral(rho: np.ndarray, t: float, n: int) -> np.ndarray:
     At rho = 0 the rule runs in s, where cosh s - 1 = 2 sinh^2(s/2).  Otherwise
     it runs in w with s = rho cosh w: there cosh s - cosh rho =
     2 sinh((s + rho)/2) sinh(rho sinh^2(w/2)) has no cancellation, and the
-    integrand times ds/dw = rho sinh w is smooth at w = 0.
+    integrand times ds/dw = rho sinh w is smooth at w = 0.  Where s + rho >
+    1420 (live distances reach that once t > 200), sinh((s + rho)/2)
+    overflows to inf and the node adds 0 in place of a term below e^-355
+    times the rest of its integrand: the overflow is expected and silenced.
     """
     x, w = _legendre01(n)
     reach = math.sqrt(4.0 * t * _H2_TAIL)  # sqrt(s^2 - rho^2) at the truncation
     out = np.empty_like(rho)
     zero = rho < 1e-12
-    s = reach * x
-    f0 = s * np.exp(-s * s / (4.0 * t)) / (math.sqrt(2.0) * np.sinh(0.5 * s))
-    out[zero] = reach * float(f0 @ w)
-    r = rho[~zero, None]
-    top = np.arcsinh(reach / r)  # the w where s^2 - rho^2 = rho^2 sinh^2 w reaches reach^2
-    ws = top * x
-    s, lift = r * np.cosh(ws), r * np.sinh(ws)  # lift = ds/dw = sqrt(s^2 - rho^2)
-    half = np.sinh(0.5 * ws)
-    den = np.sqrt(2.0 * np.sinh(0.5 * (s + r)) * np.sinh(r * half * half))
-    # the Gaussian as e^{-rho^2/4t} e^{-(s^2 - rho^2)/4t}, its first factor out of the sum
-    f = s * np.exp(-lift * lift / (4.0 * t)) * lift / den
+    with np.errstate(over="ignore"):
+        s = reach * x
+        f0 = s * np.exp(-s * s / (4.0 * t)) / (math.sqrt(2.0) * np.sinh(0.5 * s))
+        out[zero] = reach * float(f0 @ w)
+        r = rho[~zero, None]
+        top = np.arcsinh(reach / r)  # the w where s^2 - rho^2 = rho^2 sinh^2 w reaches reach^2
+        ws = top * x
+        s, lift = r * np.cosh(ws), r * np.sinh(ws)  # lift = ds/dw = sqrt(s^2 - rho^2)
+        half = np.sinh(0.5 * ws)
+        den = np.sqrt(2.0 * np.sinh(0.5 * (s + r)) * np.sinh(r * half * half))
+        # the Gaussian as e^{-rho^2/4t} e^{-(s^2 - rho^2)/4t}, its first factor out of the sum
+        f = s * np.exp(-lift * lift / (4.0 * t)) * lift / den
     out[~zero] = np.exp(-rho[~zero] ** 2 / (4.0 * t)) * top[:, 0] * (f @ w)
     return out
 

@@ -193,6 +193,68 @@ def test_pooled_rows_without_oracle_write_the_serial_table(tmp_path, monkeypatch
     assert len(tables[0].decode().splitlines()) == 3 + 3 * 2  # header, columns, 3 n x 2 points
 
 
+def test_rows_start_longest_first_and_come_back_in_schedule_order():
+    # the pool starts rows in decreasing n, equal n in schedule order; results
+    # and failures come back in schedule order whatever order the rows ran in
+    from feller.cli import _rows
+
+    started = []
+
+    def one_row(n):
+        call = len(started)
+        started.append(n)
+        if n == 64:
+            raise ValueError(f"row {n}, call {call}")
+        return n, call
+
+    rows, failed = _rows([32, 128, 64, 32, 64, 8], one_row, 1)
+    assert started == [128, 64, 64, 32, 32, 8]
+    assert rows == [(32, 3), (128, 0), (32, 4), (8, 5)]
+    assert [(n, str(exc)) for n, exc in failed] == [(64, "row 64, call 1"), (64, "row 64, call 2")]
+
+
+def test_longest_first_rows_write_the_schedule_order_table(tmp_path, monkeypatch, heat_gen):
+    # one worker runs the rows of 32,128,64,32 as 128, 64, 32, 32, and the
+    # table is still the schedule-order concatenation of one-row tables
+    from feller.cli import ChernoffRun
+
+    started, evaluate = [], ChernoffRun.evaluate
+    monkeypatch.setattr(ChernoffRun, "evaluate",
+                        lambda run, n: started.append(n) or evaluate(run, n))
+    monkeypatch.setenv("CHERNOFF_THREADS", "1")
+
+    def data_lines(n):
+        out = tmp_path / f"table-{n}.csv"
+        assert main(["chernoff", "run", "--manifold", "circle", "--generator", heat_gen,
+                     "--strategy", "grid", "--grid-nodes", "16", "--t", "0.5", "--n", n,
+                     "--f", "cos(theta)", "--out", str(out)]) == 0
+        return [line for line in out.read_bytes().splitlines() if not line.startswith(b"#")][1:]
+
+    table = data_lines("32,128,64,32")
+    assert started == [128, 64, 32, 32]
+    assert table == [line for n in ("32", "128", "64", "32") for line in data_lines(n)]
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "expr:0"]])
+def test_a_thread_count_that_is_no_integer_is_refused(tmp_path, monkeypatch, capsys, heat_gen,
+                                                     oracle):
+    # refused before the problem or its oracle is built
+    from feller.cli import ChernoffRun
+
+    def never(*_):
+        raise AssertionError("the run was built")
+
+    monkeypatch.setattr(ChernoffRun, "__init__", never)
+    monkeypatch.setenv("CHERNOFF_THREADS", "abc")
+    out = tmp_path / "table.csv"
+    rc = main(["chernoff", "run", "--manifold", "circle", "--generator", heat_gen,
+               "--strategy", "grid", "--grid-nodes", "16", "--t", "0.5", "--n", "4,8",
+               "--f", "cos(theta)", "--out", str(out)] + oracle)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: CHERNOFF_THREADS must be an integer, not 'abc'\n"
+    assert not out.exists()
+
+
 def test_failed_row_without_oracle_exits_2_before_the_table(tmp_path, capsys):
     # 3^15 and 3^16 leaves exceed the tree budget: the first failure in
     # schedule order is reported, and no table is written

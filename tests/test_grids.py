@@ -5,7 +5,7 @@ import feller as fl
 from feller._kernels import gather_weighted
 from feller.chernoff import ChernoffVariant, branch_moves, move_rows
 from feller.errors import ResolutionTooCoarseError, VariantIncompatibleError
-from feller.grids import GridFunction, _axis_stencil
+from feller.grids import GridFunction, _axis_stencil, _polar_stencil
 from feller.manifolds import TWO_PI
 
 CASES = [
@@ -54,6 +54,24 @@ def test_torus_stencil_column_order(interp, rng):
         for b in range(k):
             np.testing.assert_array_equal(st.w[:, k * a + b], w1[a] * w2[b])
             np.testing.assert_array_equal(st.idx[:, k * a + b], i1[a] * n2 + i2[b])
+
+
+def test_sphere_stencil_column_order(rng):
+    # polar latitude x periodic longitude: the row index runs over the pole-
+    # padded rows 0..n1+1, and a row of the padded values holds n2 nodes
+    n1, n2 = 16, 32
+    m = fl.manifold_from_string("sphere2")
+    q = np.vstack([_queries("sphere2", rng), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    g, st = _stencil("sphere2", (n1, n2), "linear", q)
+    lat, lon = m.grid_angles(q)
+    i1, w1 = _polar_stencil(lat, n1)
+    i2, w2 = _axis_stencil(lon, n2, "linear")
+    assert i1.min() == 0 and i1.max() == n1 + 1
+    for a in range(2):
+        for b in range(2):
+            np.testing.assert_array_equal(st.w[:, 2 * a + b], w1[a] * w2[b])
+            np.testing.assert_array_equal(st.idx[:, 2 * a + b], i1[a] * n2 + i2[b])
+    assert st.idx.max() < len(g.flat_values()) == (n1 + 2) * n2
 
 
 @pytest.mark.parametrize("name, shape, error, match", [

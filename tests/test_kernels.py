@@ -92,3 +92,18 @@ def test_a_stencil_without_live_columns_gives_zeros(rng):
     assert live == ()
     out = K.gather_weighted(np.full(50, np.nan), idx, w, live)
     assert out.shape == (300,) and out.dtype == float and not out.any()
+
+
+@pytest.mark.parametrize("cols", [(1, 4, 5, 9), (15, 2, 7), (0,)])
+def test_gather_leaves_its_inputs_and_sums_the_columns_in_the_given_order(rng, cols):
+    # the kernel accumulates in place, in arrays of its own: read-only inputs
+    # are accepted, and the result is the plain left-to-right sum bit for bit
+    idx, w, _ = _stencil_with_dead_columns(rng, [3, 4])
+    values = rng.normal(size=50)
+    for a in (values, idx, w):
+        a.setflags(write=False)
+    want = values[idx[:, cols[0]]] * w[:, cols[0]]
+    for k in cols[1:]:
+        want = want + values[idx[:, k]] * w[:, k]
+    got = K.gather_weighted(values, idx, w, cols)
+    assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,18 @@ def test_h2_kernel_matches_a_cancellation_free_quadrature(t):
     np.testing.assert_array_equal(got[want == 0.0], 0.0)
     live = want > 0.0
     assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [500.0, 1000.0])
+def test_h2_kernel_at_large_time_overflows_silently(t):
+    # far nodes overflow sinh((s + rho)/2) to inf and add 0: no warning
+    rho = np.linspace(0.0, math.sqrt(2400.0 * t), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = h2_heat_kernel(rho, t)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0) and np.all(np.diff(got) <= 0.0)
+    want = np.array([mckean_by_quad(r, t) for r in rho[:2]])
+    assert np.max(np.abs(got[:2] - want) / want) <= 1e-12
 
 
 def test_h2_kernel_raises_when_its_two_rules_disagree(monkeypatch):
