@@ -20,27 +20,37 @@ def using_numba() -> bool:
 # nonzero weight in some row; the kernel reads only those, in increasing
 # order.  A skipped term is values[..] * (+-0), so the sum differs only where
 # it would be a signed zero, or where a zero-weight neighbour is inf or nan
-# (which then no longer reaches the result).  Each term is scaled and summed
-# in place in the array its gather made: one new array per column read, and
-# the products and their order of summation are those of the plain sum.
+# (which then no longer reaches the result).  The first column is gathered
+# into the result itself and every later one into one scratch array, each
+# scaled and summed in place, so the products and their order of summation
+# are those of the plain sum.  With ``out`` from the caller, the call makes
+# no array of its own beyond that scratch.  ``np.take(mode="wrap")`` writes
+# straight into its output (``mode="raise"`` would buffer it); it is exact
+# because ``grids`` checks once per stencil that every index is in range.
 
 
-def gather_weighted(values, idx, w, cols=None):
+def gather_weighted(values, idx, w, cols=None, out=None):
     """Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k], over the
     columns ``cols`` (every column when None) in the order given; ``values``
-    and ``w`` are float arrays, and none of the inputs is written."""
+    and ``w`` are float arrays, and none of the inputs is written.  The result
+    is written into ``out`` when given (shape ``(m,)``, the dtype of
+    ``values``) and returned."""
     if cols is None:
         cols = range(idx.shape[1])
+    if out is None:
+        out = np.empty(idx.shape[0], dtype=np.result_type(values, w))
     if len(cols) == 0:
-        return np.zeros(idx.shape[0], dtype=np.result_type(values, w))
+        out[...] = 0.0
+        return out
     k0, *rest = cols
-    acc = values[idx[:, k0]]
-    acc *= w[:, k0]
+    np.take(values, idx[:, k0], mode="wrap", out=out)
+    out *= w[:, k0]
+    term = np.empty_like(out) if rest else None
     for k in rest:
-        term = values[idx[:, k]]
+        np.take(values, idx[:, k], mode="wrap", out=term)
         term *= w[:, k]
-        acc += term
-    return acc
+        out += term
+    return out
 
 
 # -- counter-based random words ----------------------------------------------

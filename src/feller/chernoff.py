@@ -580,6 +580,12 @@ def iterate_grid(
     are autonomous), one ``move_rows`` call per branch, so each sweep is a
     handful of stencil gathers:
     cost O(n * nodes * branches).  The potential's identity is a diagonal.
+    The sweeps write into four node-length buffers of this call:
+    ``flat_values`` fills the padded values, the first
+    branch's gather writes the next values, and every later branch's gather
+    or diagonal term goes into one term buffer and is summed into them; then
+    the next and the current values swap.  Beyond these, a sweep allocates
+    only the gather kernel's scratch column.
     """
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
@@ -589,35 +595,40 @@ def iterate_grid(
     nodes = f0.node_coords()
     weights = [br.weight_at(nodes, dt) for br in branches]
     stencils = []
-    max_disp = 0.0
+    max_disp, cell = 0.0, f0.cell_size()
     # one branch at a time: moving every branch's nodes in one call holds b
     # targets and their flow temporaries at once
     for j, br in enumerate(branches):
         target = move_rows(branches, nodes, j, dt)
-        if f0.interp == "linear":  # only the warning below reads the displacement
+        # only the warning below reads the displacement, and after a move of
+        # one cell it cannot fire
+        if f0.interp == "linear" and max_disp < cell:
             max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
         stencils.append(f0.build_stencil(target) if br.signed is None else None)
-    if 0.0 < max_disp < f0.cell_size():
+    if 0.0 < max_disp < cell:
         warnings.warn(
             "branch displacement below one grid cell with linear interpolation; "
             "results may be dominated by interpolation error",
             stacklevel=2,
         )
+    # this call's own buffers: CLI rows run in threads
+    flat = np.empty(f0.padded_size)
     values = f0.values.ravel().copy()
+    new, term = np.empty_like(values), np.empty_like(values)
     for _ in range(n):
-        flat = f0.flat_values(values)
+        f0.flat_values(values, out=flat)
         # each branch's gather is scaled in place: the products and their
         # order of summation are those of sum_j w_j * gather_j
-        new = stencils[0].apply(flat)
+        stencils[0].apply(flat, out=new)
         new *= weights[0]
         for w, st in zip(weights[1:], stencils[1:]):
             if st is None:
-                new += w * values
+                np.multiply(w, values, out=term)
             else:
-                term = st.apply(flat)
+                st.apply(flat, out=term)
                 term *= w
-                new += term
-        values = new
+            new += term
+        values, new = new, values
     return f0.with_values(values)
 
 

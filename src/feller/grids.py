@@ -20,6 +20,13 @@ some row, and the kernel gathers only those.  A query that sits on a node of
 an axis (a shift along one axis of torus2, an identity move) has the weights
 (1, 0) or (0, 1, 0, 0) on that axis, so whole tensor columns are dead: a
 heat-geodesic cubic sweep on torus2 gathers 4 of its 16 columns.
+
+A sweep writes into arrays its caller owns: ``flat_values(values, out)``
+fills a buffer of ``padded_size`` floats with the values and the pole rows,
+and ``Stencil.apply(flat, out)`` gathers into an array of one entry per
+query.  The kernel reads with ``np.take(mode="wrap")``, which writes straight
+into its output; ``build_stencil`` checks once that every index lies in
+``[0, padded_size)``, so no index wraps.
 """
 
 from __future__ import annotations
@@ -93,8 +100,9 @@ class Stencil:
     w: np.ndarray        # (m, k) weights, column-major
     cols: tuple          # the live columns, in order: those with a nonzero weight in some row
 
-    def apply(self, flat_values: np.ndarray) -> np.ndarray:
-        return gather_weighted(flat_values, self.idx, self.w, self.cols)
+    def apply(self, flat_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The gather over the live columns, written into ``out`` when given."""
+        return gather_weighted(flat_values, self.idx, self.w, self.cols, out)
 
 
 class GridFunction:
@@ -122,6 +130,8 @@ class GridFunction:
         self.interp = interp
         # per axis, the rows of padding at each end: a pole row on a polar axis
         self._pads = tuple(int(kind == _POLAR) for kind in manifold.grid_axes)
+        self._padded_shape = tuple(n + 2 * p for n, p in zip(values.shape, self._pads))
+        self.padded_size = int(np.prod(self._padded_shape))
 
     # -- constructors -----------------------------------------------------
 
@@ -168,6 +178,10 @@ class GridFunction:
             idx += ia
             w = np.multiply(w[:, None], wa, out=np.empty(shape))
             idx, w = idx.reshape(-1, shape[2]), w.reshape(-1, shape[2])
+        # the gather's np.take(mode="wrap") is exact only on indices in range;
+        # the per-axis stencils are built so (np.mod, np.clip), even on nan rows
+        if idx.size and (idx.min() < 0 or idx.max() >= self.padded_size):
+            raise IndexError(f"stencil index outside the {self.padded_size} padded values")
         live = tuple(np.flatnonzero(w.any(axis=1)).tolist())  # one contiguous row per column
         return Stencil(idx.T, w.T, live)
 
@@ -179,18 +193,26 @@ class GridFunction:
             for kind, a, n in zip(kinds, self.manifold.grid_angles(coords), shape)
         ]
 
-    def flat_values(self, values: np.ndarray | None = None) -> np.ndarray:
+    def flat_values(
+        self, values: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Values raveled for stencil application, each polar axis padded at
-        both ends by the mean of its first and last row."""
+        both ends by the mean of its first and last row: written into ``out``
+        (``padded_size`` floats) when given, else into a new array, or
+        returned as a view of the values on a chart without padding."""
         v = self.values if values is None else values.reshape(self.values.shape)
-        if not any(self._pads):
-            return np.ascontiguousarray(v.ravel())
-        out = np.pad(v, [(p, p) for p in self._pads])
+        if out is None:
+            if not any(self._pads):
+                return np.ascontiguousarray(v.ravel())
+            out = np.empty(self.padded_size)
+        padded = out.reshape(self._padded_shape)
+        # the interior, then every pole row: no entry is left unwritten
+        padded[tuple(slice(p, n + p) for n, p in zip(v.shape, self._pads))] = v
         for a in np.flatnonzero(self._pads):
             ends = (slice(None),) * a
-            out[ends + (0,)] = v[ends + (0,)].mean()
-            out[ends + (-1,)] = v[ends + (-1,)].mean()
-        return out.ravel()
+            padded[ends + (0,)] = v[ends + (0,)].mean()
+            padded[ends + (-1,)] = v[ends + (-1,)].mean()
+        return out
 
     def interpolate(self, coords: np.ndarray) -> np.ndarray:
         return self.build_stencil(coords).apply(self.flat_values())

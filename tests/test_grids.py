@@ -1,7 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 import feller as fl
+from feller import grids
 from feller._kernels import gather_weighted
 from feller.chernoff import ChernoffVariant, branch_moves, move_rows
 from feller.errors import ResolutionTooCoarseError, VariantIncompatibleError
@@ -160,3 +164,166 @@ def test_a_general_rk4_stencil_on_the_circle_keeps_every_column():
     stencils = _branch_stencils(spec, ChernoffVariant.GENERAL, 40, 1.0 / 32)
     assert len(stencils) == 3  # the derived drift and +-A_1
     assert all(st.cols == (0, 1, 2, 3) for st in stencils)
+
+
+# -- sweeps into buffers the sweep owns ------------------------------------------
+
+
+def _flat_by_pad(g, values):
+    """Padded flat values as np.pad builds them: zeros around, then the pole rows."""
+    v = values.reshape(g.values.shape)
+    pads = [int(kind == "polar") for kind in g.manifold.grid_axes]
+    out = np.pad(v, [(p, p) for p in pads])
+    for a in np.flatnonzero(pads):
+        ends = (slice(None),) * a
+        out[ends + (0,)] = v[ends + (0,)].mean()
+        out[ends + (-1,)] = v[ends + (-1,)].mean()
+    return out.ravel()
+
+
+def _gather_by_index(values, st):
+    """A stencil's gather as fancy-indexed columns, each a new array."""
+    k0, *rest = st.cols
+    acc = values[st.idx[:, k0]]
+    acc *= st.w[:, k0]
+    for k in rest:
+        term = values[st.idx[:, k]]
+        term *= st.w[:, k]
+        acc += term
+    return acc
+
+
+def _reference_sweeps(spec, variant, t, n, f0):
+    """The sweep loop of iterate_grid before its buffers: a new padded array,
+    a new value array and new branch terms in every sweep."""
+    dt = t / n
+    branches = branch_moves(spec, variant)
+    nodes = f0.node_coords()
+    weights = [br.weight_at(nodes, dt) for br in branches]
+    stencils = [f0.build_stencil(move_rows(branches, nodes, j, dt)) if br.signed is None else None
+                for j, br in enumerate(branches)]
+    values = f0.values.ravel().copy()
+    for _ in range(n):
+        flat = _flat_by_pad(f0, values)
+        new = _gather_by_index(flat, stencils[0])
+        new *= weights[0]
+        for w, st in zip(weights[1:], stencils[1:]):
+            if st is None:
+                new += w * values
+            else:
+                term = _gather_by_index(flat, st)
+                term *= w
+                new += term
+        values = new
+    return values
+
+
+def _sweep_case(name):
+    """Per grid: the generator, variant, time, initial grid and the number of signed branches."""
+    GV, HV = ChernoffVariant.GENERAL, ChernoffVariant.HEAT_GEODESIC
+    if name == "circle":  # RK4 flows of the field and its derived drift
+        circ = fl.circle()
+        spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                                drift_policy="derived")
+        f0 = GridFunction.from_function(circ, 64, lambda c: np.cos(c[:, 0]), "cubic")
+        return spec, GV, 1.0, f0, 0
+    if name == "torus2":
+        t2 = fl.torus2()
+        spec = fl.GeneratorSpec([fl.frame_field(t2, 1), fl.frame_field(t2, 2)])
+        f0 = GridFunction.from_function(t2, (24, 32), lambda c: np.cos(c[:, 0]) * np.sin(c[:, 1]),
+                                        "cubic")
+        return spec, HV, 0.5, f0, 0
+    s2 = fl.sphere2()
+    spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)],
+                            drift_policy="derived", potential="-1-x^2")
+    f0 = GridFunction.from_function(s2, (16, 32), lambda c: c[:, 2] + c[:, 0] * c[:, 1], "linear")
+    return spec, GV, 0.5, f0, 1
+
+
+@pytest.mark.parametrize("name", ["circle", "torus2", "sphere2"])
+def test_iterate_grid_equals_the_allocating_sweeps_bit_for_bit(name):
+    spec, variant, t, f0, signed = _sweep_case(name)
+    assert sum(br.signed is not None for br in branch_moves(spec, variant)) == signed
+    n, before = 6, f0.values.tobytes()
+    got = fl.iterate_grid(spec, variant, t, n, f0)
+    assert got.values.tobytes() == _reference_sweeps(spec, variant, t, n, f0).tobytes()
+    assert f0.values.tobytes() == before
+
+
+@pytest.mark.parametrize("name, shape", GRID_CHARTS)
+def test_flat_values_into_a_buffer_equals_the_new_array(name, shape, rng):
+    g = GridFunction(fl.manifold_from_string(name), rng.normal(size=shape))
+    v = rng.normal(size=g.values.size)
+    buf = np.full(g.padded_size, np.nan)
+    assert g.flat_values(v, out=buf) is buf
+    assert buf.tobytes() == g.flat_values(v).tobytes() == _flat_by_pad(g, v).tobytes()
+    assert g.flat_values(out=buf).tobytes() == _flat_by_pad(g, g.values).tobytes()
+
+
+def test_the_sweeps_peak_memory_does_not_grow_with_n():
+    spec, variant, t, f0, _ = _sweep_case("sphere2")
+    node_bytes = f0.values.nbytes
+    peaks = {}
+    for n in (2, 64, 2):  # the first call warms every cache
+        tracemalloc.start()
+        try:
+            fl.iterate_grid(spec, variant, t, n, f0)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] - peaks[2] < node_bytes
+
+
+def _edge_queries(m):
+    """Queries on the seams of the grid angles, at the poles, and nan and inf rows."""
+    if m.name == "sphere2":
+        eps = 1e-300
+        rows = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [1, -eps, 0], [-1, eps, 0], [-1, -eps, 0],
+                [eps, 0, 1], [0, -eps, -1]]
+    else:
+        seams = [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0), -1e-300, np.pi, 1e6]
+        rows = [[a] * m.dim for a in seams]
+    bad = [[np.nan] * m.chart_dim, [np.inf] * m.chart_dim, [-np.inf] * m.chart_dim]
+    return np.array(rows + bad, dtype=float)
+
+
+@pytest.mark.parametrize("name, shape, interp", CASES)
+def test_stencil_indices_stay_in_range_on_seams_poles_and_bad_rows(name, shape, interp):
+    g = GridFunction(fl.manifold_from_string(name), np.zeros(shape), interp)
+    with np.errstate(invalid="ignore"):
+        st = g.build_stencil(_edge_queries(g.manifold))
+    assert 0 <= st.idx.min() and st.idx.max() < g.padded_size
+
+
+def test_a_stencil_index_out_of_range_is_refused(monkeypatch):
+    g = GridFunction(fl.circle(), np.zeros(16), "linear")
+    q = np.array([[0.3], [1.0]])
+    idx, w = _axis_stencil(q[:, 0], 16, "linear")
+    idx[1, 1] = 16  # one past the last node
+    monkeypatch.setattr(grids, "_axis_stencil", lambda *a: (idx, w))
+    with pytest.raises(IndexError, match="outside the 16 padded values"):
+        g.build_stencil(q)
+
+
+@pytest.mark.parametrize("a, warns, distances", [(0.1, True, 3), (1.0, False, 2)])
+def test_the_linear_grid_warns_of_moves_below_one_cell(monkeypatch, a, warns, distances):
+    # GENERAL on the circle: a drift that stays put, then +-a sqrt(2 dt), 0.05
+    # or 0.5 against a cell of 0.157; once a branch moves a cell, no later
+    # branch's displacement is measured
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.constant_field(circ, [a])], drift_policy="derived")
+    f0 = GridFunction.from_function(circ, 40, lambda c: np.cos(c[:, 0]), "linear")
+    calls = []
+    real = circ.distance_batch
+    monkeypatch.setattr(circ, "distance_batch", lambda x, y: calls.append(1) or real(x, y))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fl.iterate_grid(spec, ChernoffVariant.GENERAL, 1.0, 8, f0)
+    moved = [w for w in caught if "below one grid cell" in str(w.message)]
+    assert bool(moved) == warns and len(calls) == distances
+    cubic = GridFunction.from_function(circ, 40, lambda c: np.cos(c[:, 0]), "cubic")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fl.iterate_grid(spec, ChernoffVariant.GENERAL, 1.0, 8, cubic)
+    assert not [w for w in caught if "below one grid cell" in str(w.message)]
+    assert len(calls) == distances  # a cubic grid measures nothing

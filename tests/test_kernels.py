@@ -107,3 +107,16 @@ def test_gather_leaves_its_inputs_and_sums_the_columns_in_the_given_order(rng, c
         want = want + values[idx[:, k]] * w[:, k]
     got = K.gather_weighted(values, idx, w, cols)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cols", [(1, 4, 5, 9), (15, 2, 7), (0,), ()])
+def test_gather_into_a_buffer_returns_it_with_the_bits_of_a_new_array(rng, cols):
+    idx, w, _ = _stencil_with_dead_columns(rng, [3, 4])
+    values = rng.normal(size=50)
+    inputs = [values, idx, w]
+    saved = [a.tobytes() for a in inputs]
+    buf = np.full(idx.shape[0], np.nan)
+    got = K.gather_weighted(values, idx, w, cols, out=buf)
+    assert got is buf
+    assert buf.tobytes() == K.gather_weighted(values, idx, w, cols).tobytes()
+    assert [a.tobytes() for a in inputs] == saved

@@ -5,7 +5,8 @@ global frame is declared by its group.  Rows move in one place:
 ``chernoff.move_rows``, beside the two folded paths; one level of S(s) is
 expanded in one place: ``chernoff._level``, and the branch chain runs in one
 place: ``chernoff.sample_steps``.  Grid values are gathered in one place:
-``Stencil.apply``, which passes the live columns.  The drift policy is read
+``Stencil.apply``, which passes the live columns, and a sweep pads its values
+once and applies each stencil once.  The drift policy is read
 in ``fields`` alone and takes two values, an oracle's chart is read in
 ``reference``, the CLI's rows run in one pool and its JSON is checked by one
 function."""
@@ -99,7 +100,7 @@ def test_sample_steps_is_the_sample_loop():
 
 def test_a_chart_declares_its_frame_once():
     # a global frame exists exactly when the chart has a group (``identity``),
-    # and frame_batch is the one spelling of the frame
+    # and frame_batch, or one field of it in frame_component, spells the frame
     assert not hasattr(manifolds.Manifold, "parallelizable")
     assert not hasattr(manifolds.Manifold, "frame")
 
@@ -130,6 +131,34 @@ def test_stencil_apply_is_the_only_gatherer():
     assert callers == {"grids.Stencil.apply"}
     dead = grids.Stencil(np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2)), ())
     assert not dead.apply(np.array([np.nan])).any()  # apply reads no dead column
+
+
+def test_a_grid_sweep_pads_once_and_applies_each_stencil_once(monkeypatch):
+    # the benchmark's traced node-sweeps and gathers count exactly these calls:
+    # n flat_values calls of one node array each, n applies of every stencil
+    s2 = manifolds.sphere2()
+    spec = fields.GeneratorSpec([fields.rotational_field(s2, k) for k in (1, 2, 3)],
+                                drift_policy="derived")
+    f0 = grids.GridFunction.from_function(s2, (12, 24), lambda c: c[:, 2], "linear")
+    flats, applies, gathers = [], {}, []
+    flat_values, apply, gather = (grids.GridFunction.flat_values, grids.Stencil.apply,
+                                  grids.gather_weighted)
+
+    def counted_flat(self, values=None, out=None):
+        flats.append(np.size(values))
+        return flat_values(self, values, out)
+
+    def counted_apply(self, flat, out=None):
+        applies[id(self)] = applies.get(id(self), 0) + 1
+        return apply(self, flat, out)
+
+    monkeypatch.setattr(grids.GridFunction, "flat_values", counted_flat)
+    monkeypatch.setattr(grids.Stencil, "apply", counted_apply)
+    monkeypatch.setattr(grids, "gather_weighted", lambda *a: gathers.append(1) or gather(*a))
+    n = 5
+    chernoff.iterate_grid(spec, chernoff.ChernoffVariant.GENERAL, 0.5, n, f0)
+    assert flats == [f0.values.size] * n
+    assert list(applies.values()) == [n] * 7 and len(gathers) == 7 * n
 
 
 def test_only_fields_reads_the_drift_policy():
