@@ -52,13 +52,20 @@ element ``h_b(s)``, the frame geodesic from the identity: it carries
 ``shift(s) -> h_b(s)`` and its manifold's ``compose``.
 
 Draws are integer: one splitmix64 word per row and step against the
-thresholds of ``_thresholds``.  With the signed branch a row draws with
-probability |weight| / M, M = 1 + |s c(x)|, and carries a signed mass (Del
-Moral, *Feynman-Kac Formulae*, 2004, ch. 2).  A heat-geodesic MC path folds k
+thresholds of ``_thresholds``, or, for a table of 2^m branches of weight
+exactly 2^-m and no signed branch (the heat-geodesic tables on the circle,
+torus2, H2 and R^d for d = 1, 2 and 4, and the driftless tables for r = 1,
+2 and 4), one shift ``z >> (64 - m)``, which draws the same index
+(``_draw_shift``).  With the signed branch a row draws with probability
+|weight| / M, M = 1 + |s c(x)|, and carries a signed mass (Del Moral,
+*Feynman-Kac Formulae*, 2004, ch. 2).  A heat-geodesic MC path folds k
 draws into one gather from a table of group products (``sample_steps``), and
-a heat-geodesic tree chunk folds its last levels into one ``compose`` with
-such a table (``iterate_tree``); both move by rounding only.  A table folds
-whenever every branch is a group shift.
+a heat-geodesic tree chunk folds its last levels into one broadcast
+``compose`` of its nodes against such a table (``iterate_tree``); both move
+by rounding only.  A table folds whenever every branch is a group shift.
+``compose`` returns column-major rows, and the sampler's blocks are
+column-major too, so each coordinate is read and written as one contiguous
+column.
 """
 
 from __future__ import annotations
@@ -297,6 +304,21 @@ def _thresholds(branches: Sequence[Branch]) -> list:
     return out
 
 
+def _draw_shift(branches: Sequence[Branch]):
+    """``64 - m`` when the table is b = 2^m >= 2 branches of weight exactly 1/b
+    (so none is the signed branch, of weight 0); else None.
+
+    Then ``T_j = j 2^(64-m)``, so ``T_j <= z`` exactly when ``j <= z >> (64 - m)``:
+    the word z draws branch ``z >> (64 - m)``, its top m bits, the index
+    ``sum_j (T_j <= z)`` without a pass per threshold (Knuth and Yao, 1976).
+    """
+    b = len(branches)
+    m = b.bit_length() - 1
+    if b < 2 or b != 1 << m or any(br.weight != Fraction(1, b) for br in branches):
+        return None
+    return np.uint64(64 - m)
+
+
 def _block_len(b: int) -> int:
     """The largest k with ``b^k <= _TABLE_ROWS`` for ``b >= 2`` branches: the
     draws folded into one index."""
@@ -314,7 +336,7 @@ def _products(H: np.ndarray, k: int, compose) -> np.ndarray:
     """
     P = H
     for _ in range(k - 1):
-        P = compose(np.repeat(P, len(H), axis=0), np.tile(H, (len(P), 1)))
+        P = compose(P[:, None, :], H[None, :, :]).reshape(-1, H.shape[1])
     return P
 
 
@@ -330,7 +352,10 @@ def sample_steps(
     """The branch chain: ``steps`` draws moving the rows of ``coords`` in place.
 
     Step m draws the word ``z = step_uniforms(streams, m)`` per row and takes
-    branch ``sum_j (T_j <= z)`` over the thresholds of ``_thresholds``; a
+    branch ``sum_j (T_j <= z)`` over the thresholds of ``_thresholds``, or,
+    for a table of ``2^m`` equal weights without the signed branch (the
+    heat-geodesic tables, and the driftless ones for r = 1, 2 and 4), the
+    same index as one shift, ``z >> (64 - m)`` (``_draw_shift``); a
     table with the signed branch needs ``mass``, each row's signed mass,
     which takes M per step, negated where the draw is a negative weight.
     The loop runs in blocks of k steps and yields once per block: the
@@ -359,7 +384,7 @@ def sample_steps(
     one for all its blocks), else one of this call.
     """
     b = len(branches)
-    thresholds = _thresholds(branches)
+    thresholds, shift = _thresholds(branches), _draw_shift(branches)
     signed = branches[-1].signed
     folded = all(br.shift is not None for br in branches)
     k = _block_len(b) if folded else 1
@@ -382,8 +407,12 @@ def sample_steps(
                 scale = 1.0 + np.abs(weight)
                 z = (z >> np.uint64(11)) * 2.0**-53 * scale
                 mass *= np.where((z >= 1.0) & (weight < 0.0), -scale, scale)
-            for T in thresholds:
-                idx += T <= z
+            if shift is not None:  # z is this step's own array: shift it in place
+                z >>= shift
+                idx += z.astype(index_type)
+            else:
+                for T in thresholds:
+                    idx += T <= z
         yield idx, coords
         if folded:
             if size not in tables:
@@ -418,6 +447,7 @@ def sample_endpoints(
     signed masses (all 1 for a table without a signed branch).  Every row's
     draws and moves depend on its index alone, so the blocks reproduce one
     whole-batch run bit for bit, in memory that does not grow with ``rows``.
+    A block's endpoints are column-major (F-contiguous).
     The product tables are held here for every block, so each is built once
     per call.
     """
@@ -425,7 +455,9 @@ def sample_endpoints(
     # no rows still run one empty block, which checks the seed
     for lo in range(0, max(rows, 1), _SAMPLE_ROWS):
         hi = min(lo + _SAMPLE_ROWS, rows)
-        coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy()
+        # column-major, as ``compose`` returns its rows: each coordinate is
+        # one contiguous column
+        coords = np.broadcast_to(x.coords, (hi - lo, x.coords.shape[0])).copy(order="F")
         mass = np.ones(hi - lo)
         # the streams die with the loop: held over the yield, they raised the
         # peak RSS of 5e5 H2 paths by 1.3 MB
@@ -519,15 +551,16 @@ def iterate_tree(
 
     When every branch is a group shift (the ``HEAT_GEODESIC`` tables), a
     chunk's ``depth`` levels are folded as in ``sample_steps``: its leaves
-    are one ``compose`` of each node with the ``b^depth`` products of
-    ``_products``, weighted by the products of the branch weights, and the
-    chunk sums as ``fw @ (f(leaves).reshape(nodes, b^depth) @ wP)``.  Its
-    value differs from a whole-tree expansion by rounding only.  Otherwise
-    each chunk expands level by level, one ``_level`` each: a tree of at
-    most ``_CHUNK_LEAVES`` leaves is one chunk, summed by one dot product in
-    the order of a whole-tree expansion, and a larger tree's sum differs
-    from that by rounding only.  Deterministic and bit-reproducible for
-    fixed ode settings.
+    are one broadcast ``compose`` of its nodes against the ``b^depth``
+    products of ``_products``, node-major, weighted by the products of the
+    branch weights, and the chunk sums as
+    ``fw @ (f(leaves).reshape(nodes, b^depth) @ wP)``.  Its value differs
+    from a whole-tree expansion by rounding only.  Otherwise each chunk
+    expands level by level, one ``_level`` each: a tree of at most
+    ``_CHUNK_LEAVES`` leaves is one chunk, summed by one dot product in the
+    order of a whole-tree expansion, and a larger tree's sum differs from
+    that by rounding only.  Deterministic and bit-reproducible for fixed ode
+    settings.
     """
     spec.manifold._check_point(x)
     check_steps(t, n)
@@ -549,14 +582,16 @@ def iterate_tree(
         compose = branches[0].compose
         leaves = b**depth
         H = np.array([br.shift(dt) for br in branches])
-        P = np.tile(_products(H, depth, compose), (min(per_chunk, len(frontier)), 1))
+        P = _products(H, depth, compose)
         W = np.array([[float(br.weight)] for br in branches])
         wP = _products(W, depth, np.multiply)[:, 0]
     total = 0.0
     for lo in range(0, frontier.shape[0], per_chunk):
         nodes, wts = frontier[lo : lo + per_chunk], fw[lo : lo + per_chunk]
         if folded:
-            pts = compose(np.repeat(nodes, leaves, axis=0), P[: len(nodes) * leaves])
+            # node-major leaves, node i's in rows i * leaves .. (i + 1) * leaves:
+            # one broadcast compose, column-major
+            pts = compose(nodes[:, None, :], P[None, :, :]).reshape(-1, nodes.shape[1])
             vals = np.asarray(f(pts), dtype=float).reshape(len(nodes), leaves)
             total += float(wts @ (vals @ wP))
         else:
@@ -580,8 +615,9 @@ def iterate_grid(
     are autonomous), one ``move_rows`` call per branch, so each sweep is a
     handful of stencil gathers:
     cost O(n * nodes * branches).  The potential's identity is a diagonal.
-    The sweeps write into four node-length buffers of this call:
-    ``flat_values`` fills the padded values, the first
+    The sweeps write into the node-length buffers of this call:
+    ``flat_values`` fills the padded values (on a chart without padding it
+    is a view of the current values), the first
     branch's gather writes the next values, and every later branch's gather
     or diagonal term goes into one term buffer and is summed into them; then
     the next and the current values swap.  Beyond these, a sweep allocates
@@ -611,12 +647,15 @@ def iterate_grid(
             "results may be dominated by interpolation error",
             stacklevel=2,
         )
-    # this call's own buffers: CLI rows run in threads
-    flat = np.empty(f0.padded_size)
+    # this call's own buffers: CLI rows run in threads.  A chart without
+    # padding gathers from a view of the values, so only a padded one owns a
+    # padded buffer; allocated after the values, it raised grid-sphere's peak
+    # RSS by 1 MB
+    pad = np.empty(f0.padded_size) if f0.padded_size > f0.values.size else None
     values = f0.values.ravel().copy()
     new, term = np.empty_like(values), np.empty_like(values)
     for _ in range(n):
-        f0.flat_values(values, out=flat)
+        flat = f0.flat_values(values, out=pad)
         # each branch's gather is scaled in place: the products and their
         # order of summation are those of sum_j w_j * gather_j
         stencils[0].apply(flat, out=new)

@@ -50,6 +50,14 @@ def wrap_angle(a):
     return out
 
 
+def _column_rows(coords, h) -> np.ndarray:
+    """An empty float array of the broadcast shape of ``coords`` and ``h``,
+    coordinate axis first in memory: each coordinate is one contiguous column
+    (a 2-D result is F-contiguous)."""
+    shape = np.broadcast_shapes(np.shape(coords), np.shape(h))
+    return np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
+
+
 def wrap_signed(a):
     """Reduce angle differences to (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(a), TWO_PI)
@@ -96,7 +104,8 @@ class Manifold:
     (R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group).
     It sets ``identity`` and implements ``compose(coords, h)``,
     right-multiplication of each row by the group element ``h`` (one element,
-    or one per row), and ``geodesic_shift(v, t)`` and ``frame_shift(k, t)``,
+    or one per row; rows and elements broadcast), returned column-major, and
+    ``geodesic_shift(v, t)`` and ``frame_shift(k, t)``,
     the elements reached from the identity along the geodesic with initial
     velocity ``v`` and along the k-th frame field.  A frame geodesic or a
     frame-field flow from any point is then one ``compose``.  The frame
@@ -261,7 +270,9 @@ class Euclidean(Manifold):
         return self.wrap(xs + (t[..., None] if t.ndim else t) * vs)
 
     def compose(self, coords, h):
-        return self.wrap(coords + h)
+        # the rows broadcast against the elements (nodes (N, 1, d) with
+        # products (1, L, d) give (N, L, d)) and come back column-major
+        return self.wrap(np.add(coords, h, out=_column_rows(coords, h)))
 
     def geodesic_shift(self, v, t):
         return t * np.asarray(v)
@@ -374,13 +385,16 @@ class HyperbolicHalfPlane(Manifold):
 
     def compose(self, coords, h):
         # (x, y) * (a, b) = (x + y a, y b): left-multiplication by (x, y) is
-        # the isometry z -> x + y z, which takes (0, 1) to (x, y)
+        # the isometry z -> x + y z, which takes (0, 1) to (x, y).  The rows
+        # broadcast against the elements (nodes (N, 1, 2) with products
+        # (1, L, 2) give (N, L, 2)) and come back column-major, so x and y are
+        # contiguous columns, written in place: no temporaries
         h = np.asarray(h)
-        out = np.empty_like(coords)
-        x, y = out[:, 0], out[:, 1]  # written in place: no temporaries
-        np.multiply(coords[:, 1], h[..., 0], out=x)
-        np.add(coords[:, 0], x, out=x)
-        np.multiply(coords[:, 1], h[..., 1], out=y)
+        out = _column_rows(coords, h)
+        x, y = out[..., 0], out[..., 1]
+        np.multiply(coords[..., 1], h[..., 0], out=x)
+        np.add(coords[..., 0], x, out=x)
+        np.multiply(coords[..., 1], h[..., 1], out=y)
         return out
 
     def geodesic_shift(self, v, t):

@@ -191,6 +191,15 @@ def test_product_tables_built_once_per_call(monkeypatch):
     assert sorted(built) == [2, 6]
 
 
+@pytest.mark.parametrize("case", [h2_heat, circle_general, sphere_derived])
+def test_sample_endpoints_yields_column_major_blocks(case):
+    spec, variant, _, x = case()
+    branches = branch_moves(spec, variant)
+    blocks = list(chernoff.sample_endpoints(branches, 0.05, x, B + 3, 19, 3))
+    assert [coords.shape[0] for _, coords, _ in blocks] == [B, 3]
+    assert all(coords.flags.f_contiguous for _, coords, _ in blocks)
+
+
 # -- the tree ---------------------------------------------------------------------
 
 
@@ -255,6 +264,49 @@ def test_folded_tree_agrees_with_breadth_first(name, n, chunks):
     want = breadth_first_tree(spec, variant, 0.5, n, f, x)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
     assert fl.iterate_tree(spec, variant, 0.5, n, f, x).hex() == got.hex()
+
+
+def repeat_tile_tree(spec, variant, t, n, f, x):
+    """The folded tree with each chunk's nodes repeated and its product table
+    tiled, the formulation the broadcast compose replaced."""
+    dt = t / n
+    branches = branch_moves(spec, variant)
+    b = len(branches)
+    depth = min(n, chernoff._block_len(b))
+    frontier, fw = x.coords[None, :].copy(), np.ones(1)
+    for _ in range(n - depth):
+        frontier, fw = chernoff._level(branches, frontier, fw, dt)
+    per_chunk = max(chernoff._CHUNK_LEAVES // b**depth, 1)
+    compose, leaves = branches[0].compose, b**depth
+
+    def products(H, op):
+        P = H
+        for _ in range(depth - 1):
+            P = op(np.repeat(P, len(H), axis=0), np.tile(H, (len(P), 1)))
+        return P
+
+    P = np.tile(products(np.array([br.shift(dt) for br in branches]), compose),
+                (min(per_chunk, len(frontier)), 1))
+    wP = products(np.array([[float(br.weight)] for br in branches]), np.multiply)[:, 0]
+    total = 0.0
+    for lo in range(0, frontier.shape[0], per_chunk):
+        nodes, wts = frontier[lo : lo + per_chunk], fw[lo : lo + per_chunk]
+        pts = compose(np.repeat(nodes, leaves, axis=0), P[: len(nodes) * leaves])
+        vals = np.asarray(f(pts), dtype=float).reshape(len(nodes), leaves)
+        total += float(wts @ (vals @ wP))
+    return total
+
+
+@pytest.mark.parametrize("name, n", [
+    ("circle", 10), ("circle", 18), ("torus2", 8), ("torus2", 9),
+    ("euclidean:2", 7), ("euclidean:2", 9), ("hyperbolic-h2", 8), ("hyperbolic-h2", 10),
+])
+def test_folded_tree_equals_the_repeat_tile_tree(name, n):
+    # one broadcast compose per chunk gives the leaves of the repeated nodes
+    # and the tiled table, in the same node-major order: the same bits
+    spec, variant, f, x = heat_geodesic(name)
+    got = fl.iterate_tree(spec, variant, 0.5, n, f, x)
+    assert got.hex() == repeat_tile_tree(spec, variant, 0.5, n, f, x).hex()
 
 
 def test_tree_chunks_of_rk4_rows(monkeypatch):

@@ -587,6 +587,91 @@ def test_one_word_per_row_and_step(monkeypatch):
     assert calls == [50] * 21
 
 
+# -- the shift draw ----------------------------------------------------------------------------
+
+
+def _equal_weight_table(b):
+    """The heat-geodesic table of R^(b/2): b = 2, 4 or 8 branches of weight 1/b."""
+    m = fl.euclidean(b // 2)
+    spec = fl.GeneratorSpec([fl.frame_field(m, k + 1) for k in range(m.dim)])
+    return m, branch_moves(spec, CV.HEAT_GEODESIC)
+
+
+def _loop_draws(branches, words):
+    """The threshold loop: branch sum_j (T_j <= z) per word z."""
+    return sum((T <= words).astype(np.int64) for T in chernoff._thresholds(branches))
+
+
+def _first_draws(monkeypatch, branches, words, dim):
+    """The branch indices sample_steps draws from ``words`` in one step."""
+    # sample_steps may shift its words in place: each call gets a copy
+    monkeypatch.setattr(chernoff, "step_uniforms", lambda streams, step: words.copy())
+    rows = words.size
+    steps = sample_steps(branches, 0.1, np.zeros((rows, dim)), np.zeros(rows, np.uint64), 1)
+    return next(steps)[0].copy()
+
+
+@pytest.mark.parametrize("b", [2, 4, 8])
+def test_shift_draw_equals_the_threshold_loop(monkeypatch, b):
+    # T_j = j 2^(64-m) for b = 2^m equal weights, so the top m bits of a word
+    # are its branch: at 0, 2^64 - 1, on and beside every threshold, and at
+    # random words
+    m, branches = _equal_weight_table(b)
+    bits = b.bit_length() - 1
+    assert chernoff._draw_shift(branches) == 64 - bits
+    T = [int(t) for t in chernoff._thresholds(branches)]
+    assert T == [j << (64 - bits) for j in range(1, b)]
+    edges = [0, 2**64 - 1] + [t + e for t in T for e in (-1, 0, 1)]
+    rng = np.random.default_rng(b)
+    words = np.concatenate([np.array(edges, dtype=np.uint64),
+                            rng.integers(0, 2**64, 10**5, dtype=np.uint64)])
+    want = _loop_draws(branches, words)
+    assert want[: len(edges)].tolist() == [z >> (64 - bits) for z in edges]
+    np.testing.assert_array_equal(_first_draws(monkeypatch, branches, words, m.dim), want)
+
+
+def test_unequal_and_signed_tables_keep_the_threshold_loop(monkeypatch):
+    circ, s2 = fl.circle(), fl.sphere2()
+    general = branch_moves(fl.GeneratorSpec([fl.frame_field(circ, 1)]), CV.GENERAL)
+    rotations = branch_moves(
+        fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)], drift_policy="derived"),
+        CV.GENERAL,
+    )
+    signed = branch_moves(fl.GeneratorSpec([fl.frame_field(circ, 1)], potential="-1-sin(theta)^2"),
+                          CV.GENERAL)
+    assert [br.weight for br in general] == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    assert [br.weight for br in rotations] == [Fraction(1, 2)] + [Fraction(1, 12)] * 6
+    # four branches, a power of two, but of unequal weights and the last signed
+    assert len(signed) == 4 and signed[-1].signed is not None
+    for table in (general, rotations, signed):
+        assert chernoff._draw_shift(table) is None
+    words = np.random.default_rng(7).integers(0, 2**64, 1000, dtype=np.uint64)
+    for table, m in ((general, circ), (rotations, s2)):
+        got = _first_draws(monkeypatch, table, words, m.chart_dim)
+        np.testing.assert_array_equal(got, _loop_draws(table, words))
+
+
+@pytest.mark.parametrize("name", ["circle", "torus2", "hyperbolic-h2", "euclidean:4"])
+def test_heat_geodesic_branch_frequencies_match_the_weights(name):
+    # one folded block of k draws per row from the MC substreams: the count of
+    # each branch at each of the k positions against the exact weights 1/b
+    from scipy.stats import chi2
+
+    m = fl.manifold_from_string(name)
+    spec = fl.GeneratorSpec([fl.frame_field(m, k + 1) for k in range(m.dim)])
+    branches = branch_moves(spec, CV.HEAT_GEODESIC)
+    b, rows = len(branches), 20_000
+    k = chernoff._block_len(b)
+    assert chernoff._draw_shift(branches) is not None
+    coords = np.tile(m.identity, (rows, 1))
+    (idx, _), = list(sample_steps(branches, 0.1, coords, substream(21, np.arange(rows)), k))
+    digits = np.stack([idx.astype(np.int64) // b ** (k - 1 - i) % b for i in range(k)])
+    counts = np.stack([np.bincount(d, minlength=b) for d in digits])
+    expected = rows * float(branches[0].weight)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, k * (b - 1)) > 1e-3
+
+
 # -- strategy agreement ----------------------------------------------------------------------
 
 

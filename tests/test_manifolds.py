@@ -389,6 +389,47 @@ def test_sphere_rotational_frame_identity(rng):
     np.testing.assert_allclose(outer, np.broadcast_to(np.eye(2), outer.shape), atol=1e-10)
 
 
+# -- group products -------------------------------------------------------------------
+
+GROUP_CHARTS = ["euclidean:1", "euclidean:2", "circle", "torus2", "hyperbolic-h2"]
+
+
+def _row_major_compose(m, coords, h):
+    """The group product by its formula on row-major rows: (x + y a, y b) on
+    H2, the wrapped sum on the flat charts."""
+    if m.name == "hyperbolic-h2":
+        return np.stack([coords[:, 0] + coords[:, 1] * h[..., 0], coords[:, 1] * h[..., 1]], axis=-1)
+    return m.wrap(coords + h)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", GROUP_CHARTS)
+def test_compose_returns_column_major_rows(name, order):
+    # one element or one per row, from C or F rows: the bits of the formula,
+    # in rows whose every coordinate is one contiguous column
+    m = fl.manifold_from_string(name)
+    rng = np.random.default_rng(3)
+    coords, hs = (np.asarray(m.random_points(500, rng), order=order) for _ in range(2))
+    for h in (hs, hs[7]):
+        got = m.compose(coords, h)
+        assert got.shape == coords.shape and got.flags.f_contiguous
+        np.testing.assert_array_equal(got, _row_major_compose(m, coords, h))
+
+
+@pytest.mark.parametrize("name", GROUP_CHARTS)
+def test_compose_broadcasts_rows_against_elements(name):
+    # nodes (k, 1, d) against elements (1, L, d): the node-major products of
+    # the repeated nodes and the tiled elements, with leaves a view of them
+    m = fl.manifold_from_string(name)
+    rng = np.random.default_rng(4)
+    a, b = m.random_points(5, rng), m.random_points(7, rng)
+    got = m.compose(a[:, None], b[None])
+    assert got.shape == (5, 7, m.dim)
+    leaves = got.reshape(-1, m.dim)
+    assert np.shares_memory(leaves, got) and leaves.flags.f_contiguous
+    np.testing.assert_array_equal(leaves, m.compose(np.repeat(a, 7, 0), np.tile(b, (5, 1))))
+
+
 # -- validation and wrapping -----------------------------------------------------------
 
 

@@ -6,10 +6,12 @@ global frame is declared by its group.  Rows move in one place:
 expanded in one place: ``chernoff._level``, and the branch chain runs in one
 place: ``chernoff.sample_steps``.  Grid values are gathered in one place:
 ``Stencil.apply``, which passes the live columns, and a sweep pads its values
-once and applies each stencil once.  The drift policy is read
-in ``fields`` alone and takes two values, an oracle's chart is read in
-``reference``, the CLI's rows run in one pool and its JSON is checked by one
-function."""
+once (a chart without padding reads a view of them) and applies each
+stencil once.  Words become branch indices in ``sample_steps`` alone, and a
+folded tree chunk broadcasts its nodes against the product table.  The
+drift policy is read in ``fields`` alone and takes two values, an oracle's
+chart is read in ``reference``, the CLI's rows run in one pool and its JSON
+is checked by one function."""
 
 import ast
 import dataclasses
@@ -81,6 +83,28 @@ def test_move_rows_is_the_only_mover():
     assert _callers(walks, "flow_batch") == _callers(walks, "compose") == set()
     # a branch is data: no move closure, and no option picks another path
     assert "move" not in {f.name for f in dataclasses.fields(chernoff.Branch)}
+
+
+def _definition(module, name):
+    """The top-level definition ``name`` of ``module``, parsed."""
+    tree = ast.parse(inspect.getsource(module))
+    return next(top for top in tree.body if getattr(top, "name", None) == name)
+
+
+def test_the_tree_folds_by_broadcasting():
+    # a folded chunk is one broadcast compose of its nodes against the
+    # product table: no node is repeated and no table tiled
+    assert {"repeat", "tile"}.isdisjoint(_called_names(_definition(chernoff, "iterate_tree")))
+
+
+def test_words_become_branch_indices_only_in_the_sample_loop():
+    # the words, the thresholds and the shift draw are read in sample_steps alone
+    callers = set()
+    for info in pkgutil.iter_modules(feller.__path__):
+        module = importlib.import_module(f"feller.{info.name}")
+        callers |= {f"{info.name}.{c}" for c in _callers(module, "step_uniforms")}
+    assert callers == {"chernoff.sample_steps"}
+    assert _callers(chernoff, "_thresholds") == _callers(chernoff, "_draw_shift") == {"sample_steps"}
 
 
 def test_level_is_the_only_level_expansion():
@@ -159,6 +183,29 @@ def test_a_grid_sweep_pads_once_and_applies_each_stencil_once(monkeypatch):
     chernoff.iterate_grid(spec, chernoff.ChernoffVariant.GENERAL, 0.5, n, f0)
     assert flats == [f0.values.size] * n
     assert list(applies.values()) == [n] * 7 and len(gathers) == 7 * n
+
+
+@pytest.mark.parametrize("chart, shape, padded", [
+    (manifolds.torus2, (8, 10), False), (manifolds.sphere2, (8, 16), True),
+])
+def test_an_unpadded_sweep_gathers_from_a_view_of_its_values(monkeypatch, chart, shape, padded):
+    # flat_values once per sweep; a chart without padding returns a view of
+    # the values, so only a padded one is given a buffer to fill
+    m = chart()
+    frame = (fields.rotational_field(m, k) for k in (1, 2, 3)) if padded else (
+        fields.frame_field(m, k) for k in (1, 2))
+    spec = fields.GeneratorSpec(list(frame), drift_policy="derived")
+    f0 = grids.GridFunction.from_function(m, shape, lambda c: c[:, 0], "linear")
+    flat_values, calls = grids.GridFunction.flat_values, []
+
+    def recorded(self, values=None, out=None):
+        flat = flat_values(self, values, out)
+        calls.append((out is not None, np.shares_memory(flat, values)))
+        return flat
+
+    monkeypatch.setattr(grids.GridFunction, "flat_values", recorded)
+    chernoff.iterate_grid(spec, chernoff.ChernoffVariant.GENERAL, 0.5, 3, f0)
+    assert calls == [(padded, not padded)] * 3
 
 
 def test_only_fields_reads_the_drift_policy():
