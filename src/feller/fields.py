@@ -151,6 +151,8 @@ def divergence_batch(
     jb = m.tangent_coords(coords, jacobian)  # J B
     # the trace of (J B)^T B, which is that of B^T J B
     div = np.trace(m.tangent_coords(coords, jb.transpose(0, 2, 1)), axis1=1, axis2=2)
+    if m.uniform_volume:  # d log sqrt|g| is zero
+        return div
     dlog = m.dlog_sqrt_det_batch(coords)
     if np.any(dlog):
         a = A.comps(coords) if comps is None else comps

@@ -6,18 +6,22 @@ branches and the walk samplers.  It takes one time for the batch or one time
 per row, and each row converges on its own: every row starts at 1 step, and a
 row leaves the doubling loop, keeping its own fine result, at the first pass
 whose Richardson estimate meets ``tol * max(1, |t_i|)`` and has fallen at the
-fourth-order rate from the doubling before (see ``OdeSettings``).  A row's
-endpoint is therefore the same in any batch, and the same as alone.  Passes of
-fewer than 16 steps may leave the chart (``Manifold.in_chart``) or overflow;
-such a row is just not kept there.  ``integral_curve`` runs the same engine on
-a single start and reports that row's step count (the fine pass it kept) and
-its Richardson estimate.
+fourth-order rate from the doubling before (see ``OdeSettings``).  The first
+passes, of 1, 2 and 4 steps, run as one stacked batch that evaluates the slope
+at the start once (``_rk4_passes``), over blocks of rows small enough that the
+field's temporaries stay small; the rows not kept at 4 steps then double one
+pass at a time.  A row's endpoint is therefore the same in any batch, and
+the same as alone.  Passes of fewer than 16 steps may leave the chart
+(``Manifold.in_chart``) or overflow; such a row is just not kept there.
+``integral_curve`` runs the same engine on a single start and reports that
+row's step count (the fine pass it kept) and its Richardson estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
 built-ins, sphere rotations, the zero field) short-circuit the engine, which
 keeps the quadratic-exactness checks exact to rounding; they too take one time
 per row.  Times may be negative: a flow for ``-t`` gives the bits of the
-negated field's flow for ``t``, so one call can move rows both ways.
+negated field's flow for ``t``, so one call can move rows both ways.  A time
+that is NaN or infinite is refused with ``ValueError`` before any pass.
 """
 
 from __future__ import annotations
@@ -55,11 +59,15 @@ class OdeSettings:
     * the fine pass is inside the chart (``Manifold.in_chart``: finite, and
       on H2 ``y > 0``).
 
-    A pass of fewer than 16 steps may leave the chart or overflow without
-    raising; from 16 steps on, such a pass raises ``StepLimitExceededError``.
-    No pass runs more than ``max_steps`` steps; a row not kept when the next
-    doubling would exceed it raises ``StepLimitExceededError``.  ``max_steps``
-    must be an integer (not a bool) of at least 4.
+    The passes of 1, 2 and 4 steps therefore always run.  They run as one
+    stacked batch, the longest first, that evaluates the slope at the start
+    once: a block of rows kept at 4 steps calls its field 16 times rather
+    than 28, with the bits of three separate passes.  A pass of fewer than 16
+    steps may leave the chart or overflow without raising; from 16 steps on,
+    such a pass raises ``StepLimitExceededError``.  No pass runs more than
+    ``max_steps`` steps; a row not kept when the next doubling would exceed it
+    raises ``StepLimitExceededError``.  ``max_steps`` must be an integer (not
+    a bool) of at least 4.
 
     ``tol`` bounds the estimate of the pass a row keeps, not that pass's true
     error, which can be larger: over 16 (field, t) cases with 400 starts each
@@ -91,23 +99,70 @@ class FlowResult:
     est_error: float
 
 
-def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
-    """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row.
+# A stacked batch runs over blocks of rows whose stacked state holds at most
+# this many coordinates (32 KB of float64).  With larger blocks the field's
+# temporaries grew the heap afresh on every RHS call: a walk-rk4 job, whose
+# batches reach 5,100 rows, took a median 34,593 minor page faults unblocked,
+# 25,325 in blocks of 8,192 and 594 in blocks of 4,096, and ran fastest at
+# this size in spite of more RHS calls (BENCH_31.json, "in_process").
+_BLOCK_COORDS = 4096
+
+
+def _rk4_passes(A: VectorField, coords: np.ndarray, t, counts) -> list:
+    """One RK4 pass of each step count in ``counts`` from the rows of ``coords``.
+
+    The pass of ``s`` steps moves each row by ``s`` steps of size ``t / s``; ``t``
+    is a scalar or one per row.  The passes run as one stacked batch, longest
+    first, so the rows still stepping are always a prefix of the stack, and the
+    slope at the start, the same for every pass, is evaluated once.  A batch
+    of more than ``_BLOCK_COORDS`` stacked coordinates runs in blocks of rows.
+    Returns the ``(n, d)`` endpoints of each pass, in the order of ``counts``;
+    each row's arithmetic, and so its bits, is that of the pass run alone.
 
     Stage states and steps go through ``Manifold.project`` (on sphere2 the
     renormalisation), so the components callback sees admissible points only.
     """
+    n, d = coords.shape
+    steps = sorted(counts, reverse=True)
+    t = np.broadcast_to(np.reshape(t, (-1, 1)), (n, 1))
+    blocks = max(1, -(-n * len(steps) * d // _BLOCK_COORDS))
+    if blocks == 1:
+        out = _rk4_stack(A, coords, t, steps)
+    else:
+        out = np.empty((len(steps), n, d))
+        size = -(-n // blocks)
+        for i in range(0, n, size):
+            out[:, i : i + size] = _rk4_stack(A, coords[i : i + size], t[i : i + size], steps)
+    return [out[steps.index(s)] for s in counts]
+
+
+def _rk4_stack(A: VectorField, coords: np.ndarray, t: np.ndarray, steps: list) -> np.ndarray:
+    """The passes of ``steps`` (descending) from ``coords``, one time per row in
+    the column ``t``, as one stacked batch: shape ``(len(steps), n, d)``."""
     project = A.manifold.project
     rhs = lambda c: A.comps(project(c))
-    h = np.reshape(t, (-1, 1)) / steps
-    c = coords.astype(float).copy()
-    for _ in range(steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        c = project(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return c
+    n = coords.shape[0]
+    h = np.concatenate([t / s for s in steps])
+    half, sixth = 0.5 * h, h / 6.0
+    c = np.tile(np.asarray(coords, dtype=float), (len(steps), 1))
+    k_start = rhs(c[:n])
+    live = len(steps)  # passes still stepping: the first ``live`` of the stack
+    for j in range(steps[0]):
+        while steps[live - 1] <= j:
+            live -= 1
+        m = live * n
+        x = c[:m]
+        k1 = np.tile(k_start, (live, 1)) if j == 0 else rhs(x)
+        k2 = rhs(x + half[:m] * k1)
+        k3 = rhs(x + half[:m] * k2)
+        k4 = rhs(x + h[:m] * k3)
+        c[:m] = project(x + sixth[:m] * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return c.reshape(len(steps), n, c.shape[1])
+
+
+def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
+    """``steps`` RK4 steps of size ``t / steps`` from each row; ``t`` a scalar or one per row."""
+    return _rk4_passes(A, coords, t, (steps,))[0]
 
 
 # Passes shorter than this may leave the chart or blow up without raising: the
@@ -115,27 +170,31 @@ def _rk4_fixed(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
 _CHECKED_STEPS = 16
 
 
-def _rk4_pass(A: VectorField, coords: np.ndarray, t, steps: int) -> np.ndarray:
+def _checked_passes(A: VectorField, coords: np.ndarray, t, counts) -> list:
     m = A.manifold
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = _rk4_fixed(A, coords, t, steps)
-    if steps >= _CHECKED_STEPS and not m.in_chart(c).all():
-        raise StepLimitExceededError(f"{m.name}: integral curve left the chart or diverged")
-    return c
+        passes = _rk4_passes(A, coords, t, counts)
+    for steps, c in zip(counts, passes):
+        if steps >= _CHECKED_STEPS and not m.in_chart(c).all():
+            raise StepLimitExceededError(f"{m.name}: integral curve left the chart or diverged")
+    return passes
 
 
 def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     """(endpoints, RK4 steps per row, Richardson error estimate per row) of the flow of A.
 
-    ``t`` is one time for the batch or one per row; rows with ``t_i = 0`` stay
-    put and report 0 steps, and a zero field returns its rows untouched (no
-    ``wrap``).  An exact flow reports one step per moving row; otherwise each
-    row doubles its RK4 step count until its own fine pass is kept (see
-    ``OdeSettings`` for the rule).
+    ``t`` is one time for the batch or one per row, finite; rows with
+    ``t_i = 0`` stay put and report 0 steps, and a zero field returns its rows
+    untouched (no ``wrap``).  An exact flow reports one step per moving row;
+    otherwise each row doubles its RK4 step count until its own fine pass is
+    kept (see ``OdeSettings`` for the rule).  The passes of 1, 2 and 4 steps
+    run as one stacked batch; each later doubling runs the rows still left.
     """
     m = A.manifold
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     times = np.broadcast_to(np.asarray(t, dtype=float), coords.shape[:1])
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
     moving = times != 0.0
     err = np.zeros(coords.shape[0])
     if A.is_zero or not moving.any():
@@ -155,9 +214,10 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     start, t_rows = coords[rows], times[rows]
     tol = ode.tol * np.maximum(1.0, np.abs(t_rows))
     prev = np.full(rows.size, np.inf)  # the estimate of the doubling before
-    coarse = _rk4_pass(A, start, t_rows, steps)
+    # max_steps >= 4, so the first two doublings always run
+    coarse, *first = _checked_passes(A, start, t_rows, (1, 2, 4))
     while True:
-        fine = _rk4_pass(A, start, t_rows, 2 * steps)
+        fine = first.pop(0) if first else _checked_passes(A, start, t_rows, (2 * steps,))[0]
         with np.errstate(invalid="ignore"):
             est = np.max(np.abs(fine - coarse), axis=1) / 15.0
         # keep a row once its estimate meets tol and has fallen at the fourth-order
@@ -176,6 +236,7 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
         left = ~done
         rows, start, t_rows, tol = rows[left], start[left], t_rows[left], tol[left]
         coarse, prev = fine[left], est[left]
+        first = [f[left] for f in first]
         steps *= 2
 
 

@@ -49,6 +49,23 @@ def test_a_sphere_derived_drift_evaluates_each_component_once(monkeypatch, rng):
     assert drift.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name, exprs", [
+    ("circle", ["1+0.3*sin(theta)"]),
+    ("torus2", ["sin(theta2)", "cos(theta1)*sin(theta2)"]),
+    ("euclidean:2", ["x1*x2", "sin(x1)"]),
+])
+def test_a_uniform_volume_divergence_skips_the_volume_term(monkeypatch, rng, name, exprs):
+    # d log sqrt|g| is zero on these charts: the divergence is the trace alone,
+    # with the bits it had when the zero term was built and scanned
+    m = fl.manifold_from_string(name)
+    A = fl.expression_field(m, exprs)
+    q = m.random_points(50, rng)
+    want = np.trace(A.jacobian_batch(q), axis1=1, axis2=2)
+    monkeypatch.setattr(type(m), "dlog_sqrt_det_batch",
+                        lambda self, xs: pytest.fail("dlog_sqrt_det_batch"))
+    assert divergence_batch(A, q).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_an_h2_frame_field_builds_only_its_own_component(monkeypatch, rng, k):
     h2 = fl.hyperbolic_h2()

@@ -170,14 +170,16 @@ def test_analytic_flows_match_integrator(rng):
 
 @pytest.fixture
 def pass_steps(monkeypatch):
-    """The step count of every RK4 pass run while the test runs."""
+    """The step count of every RK4 pass run while the test runs, each count of a
+    stacked batch in the order the batch was asked for."""
     seen = []
+    run = flows._rk4_passes
 
-    def recording(A, coords, t, steps):
-        seen.append(steps)
-        return _rk4_fixed(A, coords, t, steps)
+    def recording(A, coords, t, counts):
+        seen.extend(counts)
+        return run(A, coords, t, counts)
 
-    monkeypatch.setattr(flows, "_rk4_fixed", recording)
+    monkeypatch.setattr(flows, "_rk4_passes", recording)
     return seen
 
 
@@ -374,6 +376,137 @@ def test_negative_times_flow_the_negated_field(case, rng):
     back = sign < 0.0
     assert paired[back].tobytes() == flow_batch(A, starts[back], -tau).tobytes()
     assert paired[~back].tobytes() == flow_batch(A, starts[~back], tau).tobytes()
+
+
+def _doubling_reference(A, start, t, ode):
+    """(endpoint, steps, estimate) of one row by the doubling loop with every
+    pass its own run of RK4 steps from the start: the reference for the
+    stacked first passes."""
+    m = A.manifold
+    rhs = lambda c: A.comps(m.project(c))
+
+    def fixed(steps):
+        h = np.reshape(t, (-1, 1)) / steps
+        c = start[None, :].astype(float).copy()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(steps):
+                k1 = rhs(c)
+                k2 = rhs(c + 0.5 * h * k1)
+                k3 = rhs(c + 0.5 * h * k2)
+                k4 = rhs(c + h * k3)
+                c = m.project(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if steps >= 16 and not m.in_chart(c).all():
+            raise StepLimitExceededError("left the chart")
+        return c
+
+    if t == 0.0:
+        return m.wrap(start[None, :].copy())[0], 0, 0.0
+    tol = ode.tol * max(1.0, abs(t))
+    steps, prev, coarse = 1, math.inf, fixed(1)
+    while True:
+        fine = fixed(2 * steps)
+        with np.errstate(invalid="ignore"):
+            est = float(np.max(np.abs(fine - coarse)) / 15.0)
+        if est <= tol and prev <= max(tol, 32.0 * est) and m.in_chart(fine).all():
+            return m.wrap(fine)[0], 2 * steps, est
+        if 4 * steps > ode.max_steps:
+            raise StepLimitExceededError("exceed max_steps")
+        coarse, prev, steps = fine, est, 2 * steps
+
+
+def _stacked_cases():
+    rng = np.random.default_rng(7)
+    per_row = _per_row_cases()
+    cases = {}
+    for name in ("circle-rk4", "h2-rk4", "sphere-rk4"):
+        A = per_row[name]
+        times = rng.uniform(-1.0, 1.0, 24)
+        times[::5] = 0.0
+        cases[name] = (A, A.manifold.random_points(24, rng), times)
+    circ, h2 = fl.circle(), fl.hyperbolic_h2()
+    # kept at 4 steps: every row, either way
+    cases["circle-gentle"] = (fl.field_from_string(circ, "custom:1+0.3*sin(theta)"),
+                              circ.random_points(16, rng), np.tile([0.0625, -0.0625], 8))
+    # the 1-step pass of the first two rows, and the 2-step pass of the second,
+    # end below y = 0
+    cases["h2-leaves"] = (fl.field_from_string(h2, "custom:0.2*x,-y^2"),
+                          np.array([[0.3, 2.0], [-0.1, 4.0], [0.5, 1.0]]),
+                          np.array([1.0, 1.0, -0.2]))
+    # the 2-step pass of the first two rows overflows to inf, and the second
+    # row's 4-step pass ends at NaN
+    cases["h2-overflows"] = (fl.field_from_string(h2, "custom:0,-2*y^3"),
+                             np.array([[0.3, 2.0], [0.0, 4.0], [0.1, 0.7]]),
+                             np.array([1.0, 0.3, 0.5]))
+    return cases
+
+
+@pytest.mark.parametrize("block", [flows._BLOCK_COORDS, 7])
+@pytest.mark.parametrize("max_steps", [DEFAULT_ODE.max_steps, 4])
+@pytest.mark.parametrize("case", list(_stacked_cases()))
+def test_stacked_passes_give_the_bits_of_the_sequential_loop(case, max_steps, block,
+                                                            monkeypatch):
+    # endpoints, step counts and estimates of every row, in a batch and alone,
+    # are those of the loop that runs the 1-, 2- and 4-step passes one by one;
+    # at a block of 7 coordinates a batch runs in blocks of 1 to 3 rows
+    monkeypatch.setattr(flows, "_BLOCK_COORDS", block)
+    A, starts, times = _stacked_cases()[case]
+    ode = OdeSettings(max_steps=max_steps)
+    want = []
+    for s, t in zip(starts, times):
+        try:
+            want.append(_doubling_reference(A, s, t, ode))
+        except StepLimitExceededError:
+            want.append(None)
+    if max_steps == 4 and case == "circle-gentle":
+        assert all(w is not None for w in want)
+    batches = [(starts[i : i + 1], times[i : i + 1], want[i : i + 1]) for i in range(len(want))]
+    for rows, ts, ws in batches + [(starts, times, want)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if any(w is None for w in ws):
+                with pytest.raises(StepLimitExceededError):
+                    _integrate(A, rows, ts, ode)
+                continue
+            out, steps, est = _integrate(A, rows, ts, ode)
+        for i, (end, n, e) in enumerate(ws):
+            assert (out[i].tobytes(), steps[i], est[i]) == (end.tobytes(), n, e), (case, i)
+
+
+def test_a_batch_kept_at_four_steps_calls_its_field_16_times_a_block(monkeypatch):
+    # one shared slope at the start, then 3 + 4 + 4 + 4 stages (3R, 2R, R and R
+    # rows): 26 row-stages per row where three separate passes took 28 calls
+    # and 28 row-stages
+    circ = fl.circle()
+    calls = []
+
+    def comps(c):
+        calls.append(c.shape[0])
+        return 1.0 + 0.3 * np.sin(c)
+
+    A = VectorField(circ, comps)
+    starts = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)[:, None]
+    _, steps, _ = _integrate(A, starts, 0.0625, DEFAULT_ODE)
+    assert (steps == 4).all()
+    assert len(calls) == 16 and sum(calls) == 26 * 50
+    # 150 stacked coordinates in blocks of at most 75: two blocks of 25 rows
+    monkeypatch.setattr(flows, "_BLOCK_COORDS", 75)
+    calls.clear()
+    _integrate(A, starts, 0.0625, DEFAULT_ODE)
+    assert calls == [25, 75, 75, 75, 50, 50, 50, 50, 25, 25, 25, 25, 25, 25, 25, 25] * 2
+
+
+@pytest.mark.parametrize("case", ["circle-rk4", "h2-frame2", "sphere-rotational1", "zero"])
+def test_flow_batch_refuses_a_time_that_is_not_finite(case, pass_steps):
+    # an RK4 field ran every doubling up to 16 steps on NaN, and like an exact
+    # flow then reported that the curve had left the chart
+    A = _per_row_cases()[case]
+    starts = A.manifold.random_points(3, np.random.default_rng(1))
+    for t in (math.nan, math.inf, -math.inf, np.array([0.5, math.nan, 0.2])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be finite"):
+                flow_batch(A, starts, t)
+    assert pass_steps == []
 
 
 # -- monotone-distance horizon -------------------------------------------------------
