@@ -15,18 +15,20 @@ def using_numba() -> bool:
 #
 # Every grid interpolation in the package reduces to a gather-dot with a
 # precomputed stencil: out[i] = sum_k values[idx[i, k]] * w[i, k].  Stencils
-# from ``grids`` are column-major, so every ``idx[:, k]`` and ``w[:, k]`` read
-# below is contiguous.  A stencil also names its live columns, those with a
-# nonzero weight in some row; the kernel reads only those, in increasing
-# order.  A skipped term is values[..] * (+-0), so the sum differs only where
-# it would be a signed zero, or where a zero-weight neighbour is inf or nan
-# (which then no longer reaches the result).  The first column is gathered
-# into the result itself and every later one into one scratch array, each
-# scaled and summed in place, so the products and their order of summation
-# are those of the plain sum.  With ``out`` from the caller, the call makes
+# from ``grids`` are column-major, so every ``idx[:, k]`` read below is
+# contiguous, and so is every ``w[:, k]`` but in a translated stencil, whose
+# weights are one row broadcast down the rows: there each ``w[:, k]`` has
+# stride 0, one weight for every row.  A stencil also names its live
+# columns, those with a nonzero weight in some row; the kernel reads only
+# those, in increasing order.  A skipped term is values[..] * (+-0), so the
+# sum differs only where it would be a signed zero, or where a zero-weight
+# neighbour is inf or nan (which then no longer reaches the result).  The
+# first column is gathered into the result itself and every later one into
+# one scratch array, each scaled and summed in place, so the products and
+# their order of summation are those of the plain sum.  With ``out`` from the caller, the call makes
 # no array of its own beyond that scratch.  ``np.take(mode="wrap")`` writes
 # straight into its output (``mode="raise"`` would buffer it); it is exact
-# because ``grids`` checks once per stencil that every index is in range.
+# because ``grids`` builds or checks every index in range once per stencil.
 
 
 def gather_weighted(values, idx, w, cols=None, out=None):

@@ -615,6 +615,13 @@ def iterate_grid(
     are autonomous), one ``move_rows`` call per branch, so each sweep is a
     handful of stencil gathers:
     cost O(n * nodes * branches).  The potential's identity is a diagonal.
+    A group shift on a chart with a group (``identity``) whose grid axes are
+    all periodic translates the grid angles, so it moves one row, the
+    identity, which is node 0, and takes ``shift_stencil`` of it: one row
+    of weights for every node, and no per-node stencil build.  The linear
+    grid's displacement warning reads that row's distance.  Flows, and every
+    branch on a grid with a polar axis, move every node and take
+    ``build_stencil`` of the targets.
     The sweeps write into the node-length buffers of this call:
     ``flat_values`` fills the padded values (on a chart without padding it
     is a view of the current values), the first
@@ -627,20 +634,30 @@ def iterate_grid(
         raise VariantIncompatibleError("grid and generator live on different manifolds")
     check_steps(t, n)
     dt = t / n
+    m = spec.manifold
     branches = branch_moves(spec, variant, ode)
     nodes = f0.node_coords()
     weights = [br.weight_at(nodes, dt) for br in branches]
+    # on a group chart whose grid axes are all periodic, node 0 is the
+    # identity and a shift translates the grid angles: every node moves as
+    # node 0 does
+    translates = m.identity is not None and f0.periodic
     stencils = []
     max_disp, cell = 0.0, f0.cell_size()
     # one branch at a time: moving every branch's nodes in one call holds b
     # targets and their flow temporaries at once
     for j, br in enumerate(branches):
-        target = move_rows(branches, nodes, j, dt)
+        one_row = translates and br.shift is not None
+        rows = m.identity[None, :] if one_row else nodes
+        target = move_rows(branches, rows, j, dt)
         # only the warning below reads the displacement, and after a move of
         # one cell it cannot fire
         if f0.interp == "linear" and max_disp < cell:
-            max_disp = max(max_disp, float(spec.manifold.distance_batch(nodes, target).max()))
-        stencils.append(f0.build_stencil(target) if br.signed is None else None)
+            max_disp = max(max_disp, float(m.distance_batch(rows, target).max()))
+        if br.signed is not None:
+            stencils.append(None)
+        else:
+            stencils.append(f0.shift_stencil(target) if one_row else f0.build_stencil(target))
     if 0.0 < max_disp < cell:
         warnings.warn(
             "branch displacement below one grid cell with linear interpolation; "

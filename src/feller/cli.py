@@ -353,7 +353,8 @@ def run_convergence(cfg: ExperimentConfig):
     rows.sort(key=lambda r: r.n)
     summary = {"schema": SCHEMA, "config": cfg.resolved(), "failures": failures}
     errs = np.array([r.error_sup for r in rows])
-    if len(rows) >= 2 and np.all(errs > 1e-10):
+    # a line through rows of one n is not determined: no slope
+    if len({r.n for r in rows}) >= 2 and np.all(errs > 1e-10):
         slope = float(np.polyfit(np.log([r.n for r in rows]), np.log(errs), 1)[0])
         summary["slope"] = slope
     else:

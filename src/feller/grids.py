@@ -12,21 +12,30 @@ per-axis stencils over the padded values, applied by the hot gather kernel
 in ``_kernels``.
 
 A stencil's index and weight arrays have shape ``(m, k)`` (one row per query
-point, one column per interpolation node) and are column-major: they are
-built as ``(k, m)`` arrays and stored as their transposed views, so the
-per-column reads of the gather kernel are contiguous and no copy is made.
-The stencil also records its live columns, those with a nonzero weight in
-some row, and the kernel gathers only those.  A query that sits on a node of
-an axis (a shift along one axis of torus2, an identity move) has the weights
-(1, 0) or (0, 1, 0, 0) on that axis, so whole tensor columns are dead: a
-heat-geodesic cubic sweep on torus2 gathers 4 of its 16 columns.
+point, one column per interpolation node).  ``build_stencil`` makes both
+column-major: they are built as ``(k, m)`` arrays and stored as their
+transposed views, so the per-column reads of the gather kernel are
+contiguous and no copy is made.  ``shift_stencil`` serves a translation of
+the grid angles on a grid whose axes are all periodic (a group shift on the
+circle or torus2): every moved node's stencil is node 0's, offset by the
+node's index, so it builds the per-axis stencils of one point, the index by
+integer broadcasting, and one row of K weights broadcast read-only down the
+rows, each weight column of stride 0.
+
+A stencil also records its live columns, those with a nonzero weight in
+some row (in a translated stencil, in its one row), and the kernel gathers
+only those.  A query that sits on a node of an axis (a shift along one axis
+of torus2, an identity move) has the weights (1, 0) or (0, 1, 0, 0) on that
+axis, so whole tensor columns are dead: a heat-geodesic cubic sweep on
+torus2 gathers 4 of its 16 columns.
 
 A sweep writes into arrays its caller owns: ``flat_values(values, out)``
 fills a buffer of ``padded_size`` floats with the values and the pole rows,
 and ``Stencil.apply(flat, out)`` gathers into an array of one entry per
 query.  The kernel reads with ``np.take(mode="wrap")``, which writes straight
 into its output; ``build_stencil`` checks once that every index lies in
-``[0, padded_size)``, so no index wraps.
+``[0, padded_size)``, and ``shift_stencil`` reduces each index modulo its
+axis, so no index wraps.
 """
 
 from __future__ import annotations
@@ -94,10 +103,19 @@ def _polar_stencil(lat: np.ndarray, n: int):
     return np.stack([r0, r1]), np.stack([1.0 - frac, frac])
 
 
+def _tensor_weights(ws: list) -> np.ndarray:
+    """The (K, m) tensor product of per-axis (k, m) weights, the last axis fastest."""
+    w = ws[0]
+    for wa in ws[1:]:
+        shape = (len(w), len(wa), w.shape[1])
+        w = np.multiply(w[:, None], wa, out=np.empty(shape)).reshape(-1, shape[2])
+    return w
+
+
 @dataclass(frozen=True)
 class Stencil:
     idx: np.ndarray      # (m, k) flat indices, column-major
-    w: np.ndarray        # (m, k) weights, column-major
+    w: np.ndarray        # (m, k) weights, column-major, or one row broadcast (stride-0 columns)
     cols: tuple          # the live columns, in order: those with a nonzero weight in some row
 
     def apply(self, flat_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -130,6 +148,7 @@ class GridFunction:
         self.interp = interp
         # per axis, the rows of padding at each end: a pole row on a polar axis
         self._pads = tuple(int(kind == _POLAR) for kind in manifold.grid_axes)
+        self.periodic = not any(self._pads)  # every axis periodic: shift_stencil applies
         self._padded_shape = tuple(n + 2 * p for n, p in zip(values.shape, self._pads))
         self.padded_size = int(np.prod(self._padded_shape))
 
@@ -170,20 +189,50 @@ class GridFunction:
         # tensor product over the axes, one node per axis in each column (the
         # last axis varies fastest): each axis's (k, m) stencil is broadcast
         # against the product so far, straight into the (K, m) result
-        (idx, w), *rest = self._axis_stencils(coords)
-        for n, p, (ia, wa) in zip(self.values.shape[1:], self._pads[1:], rest):
+        axes = self._axis_stencils(coords)
+        idx = axes[0][0]
+        for n, p, (ia, _) in zip(self.values.shape[1:], self._pads[1:], axes[1:]):
             shape = (len(idx), len(ia), coords.shape[0])
             # the padded length of the axis scales the flat index so far
             idx = np.multiply(idx[:, None], n + 2 * p, out=np.empty(shape, dtype=np.int64))
             idx += ia
-            w = np.multiply(w[:, None], wa, out=np.empty(shape))
-            idx, w = idx.reshape(-1, shape[2]), w.reshape(-1, shape[2])
+            idx = idx.reshape(-1, shape[2])
+        w = _tensor_weights([wa for _, wa in axes])
         # the gather's np.take(mode="wrap") is exact only on indices in range;
         # the per-axis stencils are built so (np.mod, np.clip), even on nan rows
         if idx.size and (idx.min() < 0 or idx.max() >= self.padded_size):
             raise IndexError(f"stencil index outside the {self.padded_size} padded values")
         live = tuple(np.flatnonzero(w.any(axis=1)).tolist())  # one contiguous row per column
         return Stencil(idx.T, w.T, live)
+
+    def shift_stencil(self, point: np.ndarray) -> Stencil:
+        """The stencil of every node moved by the translation of the grid
+        angles that takes node 0 to ``point``, on a grid whose axes are all
+        periodic.
+
+        Node i's stencil is node 0's with every node index offset by i on
+        each axis, so one row of stencil serves them all: the per-axis
+        stencils are built for ``point`` alone, the ``(m, K)`` index is the
+        integer sum ``(i_a + o_a) mod n_a`` in ``build_stencil``'s column
+        order, and the weights are that one row of K floats broadcast
+        read-only down the rows (each column has stride 0).
+        """
+        if not self.periodic:
+            raise VariantIncompatibleError(f"{self.manifold.name}: a grid axis is not periodic")
+        axes = self._axis_stencils(np.atleast_2d(point))
+        # (K, N so far), the nodes in node_coords' order: the last axis varies
+        # fastest over both the columns and the nodes
+        idx = np.zeros((1, 1), dtype=np.int64)
+        for n, (ia, _) in zip(self.values.shape, axes):
+            along = np.add.outer(ia[:, 0], np.arange(n))  # (k, n) node indices on this axis
+            np.mod(along, n, out=along)
+            shape = (len(idx), len(along), idx.shape[1], n)
+            idx = np.multiply(idx[:, None, :, None], n, out=np.empty(shape, dtype=np.int64))
+            idx += along[None, :, None, :]
+            idx = idx.reshape(shape[0] * shape[1], -1)
+        w = _tensor_weights([wa for _, wa in axes])[:, 0]
+        live = tuple(np.flatnonzero(w).tolist())
+        return Stencil(idx.T, np.broadcast_to(w, idx.T.shape), live)
 
     def _axis_stencils(self, coords: np.ndarray) -> list:
         """Per grid axis, the stencil of the query points over the padded values."""

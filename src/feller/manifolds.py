@@ -117,7 +117,10 @@ class Manifold:
     cell-centred latitudes between the two poles), the interpolation orders
     it supports in ``grid_orders``, the first the fallback, and maps its
     coordinates to the per-axis angles and back (``grid_angles``,
-    ``grid_point``).  A chart with ``uniform_volume`` has constant density.
+    ``grid_point``).  On a chart with a group whose grid axes are all
+    periodic (the circle, torus2), node 0, at grid angle 0 on every axis, is
+    the identity, and right-multiplication translates the grid angles.  A
+    chart with ``uniform_volume`` has constant density.
     """
 
     name: str = "abstract"

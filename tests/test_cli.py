@@ -88,6 +88,21 @@ def test_chernoff_run_convergence(tmp_path, heat_gen, capsys):
     assert errs == sorted(errs, reverse=True)
 
 
+@pytest.mark.parametrize("schedule, has_slope", [("4,4", False), ("4,4,8", True)])
+def test_a_slope_needs_two_distinct_n(tmp_path, heat_gen, capsys, recwarn, schedule, has_slope):
+    rc = main([
+        "chernoff", "run", "--manifold", "circle", "--generator", heat_gen,
+        "--variant", "heat-geodesic", "--t", "1.0", "--n", schedule,
+        "--strategy", "grid", "--grid-nodes", "64", "--f", "cos(theta)",
+        "--oracle", f"expr:{math.exp(-0.5)}*cos(theta)", "--out", str(tmp_path / "c.csv"),
+    ])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (summary["slope"] is not None) == has_slope
+    assert summary.get("exact") is (None if has_slope else False)
+    assert not [w for w in recwarn if issubclass(w.category, np.exceptions.RankWarning)]
+
+
 def test_run_convergence_exact_flag(quad_gen):
     cfg = ExperimentConfig(
         manifold="euclidean:1",

@@ -142,7 +142,7 @@ def test_sphere_pole_rows_are_the_means_of_the_edge_rows(rng):
 
 
 def _branch_stencils(spec, variant, shape, dt):
-    """The grid stencil of every moving branch of the step table, as iterate_grid builds it."""
+    """The stencil of every moved node, per branch of the step table."""
     g = GridFunction(spec.manifold, np.zeros(shape), "cubic")
     nodes, branches = g.node_coords(), branch_moves(spec, variant)
     return [g.build_stencil(move_rows(branches, nodes, j, dt)) for j in range(len(branches))]
@@ -164,6 +164,66 @@ def test_a_general_rk4_stencil_on_the_circle_keeps_every_column():
     stencils = _branch_stencils(spec, ChernoffVariant.GENERAL, 40, 1.0 / 32)
     assert len(stencils) == 3  # the derived drift and +-A_1
     assert all(st.cols == (0, 1, 2, 3) for st in stencils)
+
+
+# -- translated stencils of group shifts -----------------------------------------
+
+
+def _shifts(m, shape, n):
+    """Group elements: the heat-geodesic shifts +-sqrt(d/n) e_k, one off every
+    axis of the grid, and one that lands on a node, (3, -5) cells."""
+    cells = TWO_PI / np.array(shape, dtype=float).reshape(-1)
+    hs = [m.geodesic_shift(sign * np.sqrt(m.dim) * e, np.sqrt(1.0 / n))
+          for e in np.eye(m.dim) for sign in (1.0, -1.0)]
+    return hs + [np.array([0.37, -1.91][: m.dim]), np.array([3.0, -5.0][: m.dim]) * cells]
+
+
+@pytest.mark.parametrize("name, shape", GRID_CHARTS)
+def test_a_periodic_group_grid_has_node_0_at_the_identity_and_shifts_by_translation(
+        name, shape, rng):
+    # the facts iterate_grid's translated stencils rest on, for every chart
+    # with a group whose grid axes are all periodic
+    m = fl.manifold_from_string(name)
+    g = GridFunction(m, np.zeros(shape))
+    if m.identity is None or not g.periodic:
+        return
+    np.testing.assert_array_equal(g.node_coords()[0], m.identity)
+    x, h = g.node_coords(), m.random_points(1, rng)[0]
+    moved = np.array(m.grid_angles(m.compose(x, h)))
+    offset = np.array(m.grid_angles(x)) + np.array(m.grid_angles(h[None, :]))
+    np.testing.assert_allclose(np.mod(moved - offset + np.pi, TWO_PI), np.pi, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, shape, interp", [c for c in CASES if c[0] != "sphere2"])
+@pytest.mark.parametrize("n", [1, 7, 64, 128])
+def test_shift_stencil_is_the_stencil_of_every_moved_node(name, shape, interp, n):
+    m = fl.manifold_from_string(name)
+    g = GridFunction(m, np.zeros(shape), interp)
+    nodes = g.node_coords()
+    for h in _shifts(m, shape, n):
+        per_node = g.build_stencil(m.compose(nodes, h))
+        st = g.shift_stencil(m.compose(m.identity, h))
+        np.testing.assert_array_equal(st.idx, per_node.idx)
+        assert st.cols == per_node.cols
+        # one row of weights, read-only, broadcast down the rows: node 0's bits
+        assert st.w.shape == per_node.w.shape and st.w.strides[0] == 0
+        assert not st.w.flags.writeable
+        assert st.w[0].tobytes() == per_node.w[0].tobytes()
+        np.testing.assert_allclose(st.w, per_node.w, rtol=0.0, atol=1e-13)
+        assert abs(st.w[0].sum() - 1.0) <= 1e-15
+
+
+def test_a_shift_on_a_node_gathers_one_column():
+    t2 = fl.torus2()
+    g = GridFunction(t2, np.zeros((24, 32)), "cubic")
+    st = g.shift_stencil(t2.compose(t2.identity, np.array([3.0, -5.0]) * TWO_PI / (24, 32)))
+    assert st.cols == (5,) and st.w[0, 5] == 1.0  # the snapped node on both axes
+
+
+def test_shift_stencil_refuses_a_polar_axis():
+    s2 = fl.sphere2()
+    with pytest.raises(VariantIncompatibleError, match="not periodic"):
+        GridFunction(s2, np.zeros((16, 32))).shift_stencil(np.array([[1.0, 0.0, 0.0]]))
 
 
 # -- sweeps into buffers the sweep owns ------------------------------------------
@@ -193,14 +253,25 @@ def _gather_by_index(values, st):
     return acc
 
 
-def _reference_sweeps(spec, variant, t, n, f0):
+def _sweep_stencil(f0, branches, nodes, j, dt, per_node=False):
+    """Branch j's stencil as iterate_grid takes it: a shift on a periodic
+    group grid moves the identity (node 0) alone and translates its stencil,
+    every other branch builds the stencil of all its moved nodes; with
+    ``per_node``, every branch builds it so."""
+    m = f0.manifold
+    if not per_node and branches[j].shift is not None and m.identity is not None and f0.periodic:
+        return f0.shift_stencil(move_rows(branches, m.identity[None, :], j, dt))
+    return f0.build_stencil(move_rows(branches, nodes, j, dt))
+
+
+def _reference_sweeps(spec, variant, t, n, f0, per_node=False):
     """The sweep loop of iterate_grid before its buffers: a new padded array,
     a new value array and new branch terms in every sweep."""
     dt = t / n
     branches = branch_moves(spec, variant)
     nodes = f0.node_coords()
     weights = [br.weight_at(nodes, dt) for br in branches]
-    stencils = [f0.build_stencil(move_rows(branches, nodes, j, dt)) if br.signed is None else None
+    stencils = [_sweep_stencil(f0, branches, nodes, j, dt, per_node) if br.signed is None else None
                 for j, br in enumerate(branches)]
     values = f0.values.ravel().copy()
     for _ in range(n):
@@ -248,6 +319,17 @@ def test_iterate_grid_equals_the_allocating_sweeps_bit_for_bit(name):
     got = fl.iterate_grid(spec, variant, t, n, f0)
     assert got.values.tobytes() == _reference_sweeps(spec, variant, t, n, f0).tobytes()
     assert f0.values.tobytes() == before
+
+
+@pytest.mark.parametrize("name, shape", [("circle", 48), ("torus2", (24, 32))])
+def test_translated_shift_stencils_stay_within_rounding_of_per_node_stencils(name, shape):
+    m = fl.manifold_from_string(name)
+    spec = fl.GeneratorSpec([fl.frame_field(m, k + 1) for k in range(m.dim)])
+    f0 = GridFunction.from_function(m, shape, lambda c: np.cos(c[:, 0]) * np.sin(c[:, -1] + 0.3),
+                                    "cubic")
+    got = fl.iterate_grid(spec, ChernoffVariant.HEAT_GEODESIC, 0.5, 32, f0)
+    per_node = _reference_sweeps(spec, ChernoffVariant.HEAT_GEODESIC, 0.5, 32, f0, per_node=True)
+    np.testing.assert_allclose(got.values.ravel(), per_node, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name, shape", GRID_CHARTS)

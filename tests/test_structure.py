@@ -7,7 +7,9 @@ expanded in one place: ``chernoff._level``, and the branch chain runs in one
 place: ``chernoff.sample_steps``.  Grid values are gathered in one place:
 ``Stencil.apply``, which passes the live columns, and a sweep pads its values
 once (a chart without padding reads a view of them) and applies each
-stencil once.  Words become branch indices in ``sample_steps`` alone, and a
+stencil once.  A group shift on a grid of periodic axes moves one row and
+translates its stencil, with no per-node weights; every other branch builds
+the stencil of every node.  Words become branch indices in ``sample_steps`` alone, and a
 folded tree chunk broadcasts its nodes against the product table.  The
 drift policy is read in ``fields`` alone and takes two values, an oracle's
 chart is read in ``reference``, the CLI's rows run in one pool and its JSON
@@ -18,6 +20,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +233,84 @@ def test_cli_names_no_heat_kernel_tag():
     strings = [n.value for n in ast.walk(ast.parse(inspect.getsource(cli)))
                if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     assert [s for s in strings if any(tag in s for tag in tags)] == []
+
+
+def _grid_moves(monkeypatch, spec, variant, f0):
+    """iterate_grid's calls: the rows of each move_rows call, and the number of
+    build_stencil and shift_stencil calls."""
+    rows, built = [], {"build_stencil": 0, "shift_stencil": 0}
+    move_rows = chernoff.move_rows
+
+    def counted_move(branches, coords, idx, s):
+        rows.append(len(np.atleast_2d(coords)))
+        return move_rows(branches, coords, idx, s)
+
+    monkeypatch.setattr(chernoff, "move_rows", counted_move)
+    for name in built:
+        real = getattr(grids.GridFunction, name)
+
+        def counted(self, coords, _real=real, _name=name):
+            built[_name] += 1
+            return _real(self, coords)
+
+        monkeypatch.setattr(grids.GridFunction, name, counted)
+    chernoff.iterate_grid(spec, variant, 0.5, 3, f0)
+    return rows, built
+
+
+@pytest.mark.parametrize("chart, shape", [(manifolds.circle, 16), (manifolds.torus2, (8, 10))])
+def test_a_shift_on_a_periodic_group_grid_moves_one_row_and_builds_no_stencil(
+        monkeypatch, chart, shape):
+    m = chart()
+    spec = fields.GeneratorSpec([fields.frame_field(m, k + 1) for k in range(m.dim)])
+    f0 = grids.GridFunction.from_function(m, shape, lambda c: np.cos(c[:, 0]), "cubic")
+    rows, built = _grid_moves(monkeypatch, spec, chernoff.ChernoffVariant.HEAT_GEODESIC, f0)
+    assert rows == [1] * 2 * m.dim
+    assert built == {"build_stencil": 0, "shift_stencil": 2 * m.dim}
+
+
+@pytest.mark.parametrize("chart, shape, fields_of", [
+    (manifolds.sphere2, (8, 16), lambda m: [fields.rotational_field(m, k) for k in (1, 2, 3)]),
+    (manifolds.torus2, (8, 10), lambda m: [fields.frame_field(m, k) for k in (1, 2)]),
+    (manifolds.circle, 16, lambda m: [fields.field_from_string(m, "custom:1+0.3*sin(theta)")]),
+])
+def test_flow_branches_build_one_stencil_of_every_node_per_branch(
+        monkeypatch, chart, shape, fields_of):
+    # GENERAL flows, and every branch on sphere2, whose latitude is polar
+    m = chart()
+    spec = fields.GeneratorSpec(fields_of(m), drift_policy="derived")
+    f0 = grids.GridFunction.from_function(m, shape, lambda c: c[:, 0], "linear")
+    b = len(chernoff.branch_moves(spec, chernoff.ChernoffVariant.GENERAL))
+    rows, built = _grid_moves(monkeypatch, spec, chernoff.ChernoffVariant.GENERAL, f0)
+    assert rows == [f0.values.size] * b
+    assert built == {"build_stencil": b, "shift_stencil": 0}
+
+
+def test_the_translated_stencil_path_names_no_chart():
+    # it is chosen from the chart's group (identity), its grid (periodic) and
+    # the branch (shift), not from the chart's class or name
+    body = _definition(chernoff, "iterate_grid")
+    assert {"shift_stencil", "build_stencil"} <= _called_names(body)
+    assert _chart_classes_named(chernoff) == set()
+    strings = {n.value for n in ast.walk(body) if isinstance(n, ast.Constant)}
+    assert not {"circle", "torus2", "sphere2", "periodic"} & strings
+    assert {"identity", "periodic", "shift"} <= {n.attr for n in ast.walk(body)
+                                                if isinstance(n, ast.Attribute)}
+
+
+def test_a_torus_heat_geodesic_sweep_allocates_no_per_node_weights():
+    # 192 x 192 cubic torus2: 4 branches of 16 columns.  Each branch keeps a
+    # per-node index array; a per-node weight array of the same size would
+    # lift the peak by at least one more
+    t2 = manifolds.torus2()
+    spec = fields.GeneratorSpec([fields.frame_field(t2, 1), fields.frame_field(t2, 2)])
+    f0 = grids.GridFunction.from_function(t2, (192, 192), lambda c: np.cos(c[:, 0]), "cubic")
+    index_bytes = f0.values.size * 16 * 8
+    chernoff.iterate_grid(spec, chernoff.ChernoffVariant.HEAT_GEODESIC, 1.0, 2, f0)  # warm
+    tracemalloc.start()
+    try:
+        chernoff.iterate_grid(spec, chernoff.ChernoffVariant.HEAT_GEODESIC, 1.0, 2, f0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * index_bytes <= peak < 5 * index_bytes
