@@ -62,7 +62,10 @@ def gather_weighted(values, idx, w, cols=None, out=None):
 # index); the m-th word of a substream is finalize(stream + (m+1) * golden),
 # uniform on [0, 2^64).  Callers compare the raw words with integer
 # thresholds, so no word is ever rounded to a float.  Deterministic and
-# order-free, hence independent of any worker decomposition.
+# order-free, hence independent of any worker decomposition.  The finalizer
+# runs its eight passes in place over the whole array, with one scratch array
+# of the same size: a sampler step draws at most ``chernoff._SAMPLE_ROWS``
+# words (256 KiB).
 
 _WORD = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -71,25 +74,16 @@ _ROUNDS = (
     (np.uint64(27), np.uint64(0x94D049BB133111EB)),
     (np.uint64(31), None),
 )
-_CHUNK = 1 << 14  # words per pass: a chunk and its scratch stay in cache
 
 
 def _finalize(z):
-    """splitmix64's finalizer, in place on the contiguous uint64 array ``z``.
-
-    The eight passes run a chunk at a time, so they read and write cache,
-    not memory; one chunk-sized scratch buffer holds the shifted words.
-    """
-    flat = z.reshape(-1)
-    scratch = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
-    for lo in range(0, flat.size, _CHUNK):
-        w = flat[lo : lo + _CHUNK]
-        t = scratch[: w.size]
-        for shift, mix in _ROUNDS:
-            np.right_shift(w, shift, out=t)
-            np.bitwise_xor(w, t, out=w)
-            if mix is not None:
-                np.multiply(w, mix, out=w)
+    """splitmix64's finalizer, in place on the uint64 array ``z``."""
+    t = np.empty_like(z)
+    for shift, mix in _ROUNDS:
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        if mix is not None:
+            np.multiply(z, mix, out=z)
     return z
 
 

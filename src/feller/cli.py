@@ -25,7 +25,7 @@ the ``--generator`` file (it replaces the ``generator`` key) and the
 ``max_steps``).  The resolved configuration is recorded in the output header
 (CSV comment lines, schema=1), so a run is reproducible from its own header.
 ``chernoff run`` builds its problem and evaluates its oracle once, before any
-row, and runs every row in one pool of at most ``CHERNOFF_THREADS`` workers,
+row, and runs every row in one pool of ``min(4, cpu_count)`` workers,
 longest row (largest n) first; rows and failures are reported in schedule order.
 With ``--oracle`` a failed row is listed in the summary and a run whose every
 row fails exits 2; without, the first failed row exits 2 and writes no table.
@@ -60,15 +60,8 @@ STRATEGIES = ("tree", "grid", "mc")
 
 
 def _threads() -> int:
-    """The row pool's width: ``CHERNOFF_THREADS`` (at least 1), else
-    ``min(4, cpu_count)``.  ValueError when the variable is set to no integer."""
-    raw = os.environ.get("CHERNOFF_THREADS", "").strip()
-    if not raw:
-        return min(4, os.cpu_count() or 1)
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"CHERNOFF_THREADS must be an integer, not {raw!r}") from None
+    """The row pool's width: ``min(4, cpu_count)``."""
+    return min(4, os.cpu_count() or 1)
 
 
 # -- config ----------------------------------------------------------------------
@@ -282,7 +275,7 @@ def _oracle_values(run: ChernoffRun) -> np.ndarray:
     cfg = run.cfg
     if not cfg.oracle:
         raise OracleUnavailableError("no oracle configured (use --oracle)")
-    kind, _, arg = cfg.oracle.partition(":")
+    kind, colon, arg = cfg.oracle.partition(":")
     if kind == "expr":
         return np.asarray(compile_scalar(arg, run.manifold)(run.coords), dtype=float)
     if kind == "kernel":
@@ -291,15 +284,17 @@ def _oracle_values(run: ChernoffRun) -> np.ndarray:
             raise OracleUnavailableError(f"kernel {arg!r} is no oracle on {run.manifold.name}")
         return rf.exact_semigroup_batch(kid, run.f, cfg.t, run.coords)
     if kind == "fd":
-        steps = int(arg) if arg else max(100, int(math.ceil(cfg.t / 5e-3)))
+        if colon and not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"oracle {cfg.oracle!r} is not of the form fd[:<steps>]")
+        steps = int(arg) if colon else max(100, int(math.ceil(cfg.t / 5e-3)))
         f0 = GridFunction.from_function(run.manifold, cfg.grid_nodes, run.f, interp=cfg.interp)
         sol = rf.fd_solve(run.spec, f0, cfg.t, rf.FdSolverSettings(steps=steps))
         return sol.interpolate(run.coords)
     raise OracleUnavailableError(f"unknown oracle {cfg.oracle!r}")
 
 
-def _rows(schedule, one_row, workers: int):
-    """``one_row(n)`` for each n of the schedule in a pool of ``workers``
+def _rows(schedule, one_row):
+    """``one_row(n)`` for each n of the schedule in a pool of ``_threads()``
     threads: the results in schedule order, and ``(n, exception)`` for each
     row that raised a FellerError or ValueError.
 
@@ -311,7 +306,7 @@ def _rows(schedule, one_row, workers: int):
     schedule = [int(n) for n in schedule]
     futures = [None] * len(schedule)
     results, failures = [], []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
         for i in sorted(range(len(schedule)), key=lambda i: -schedule[i]):
             futures[i] = pool.submit(one_row, schedule[i])
         for n, fut in zip(schedule, futures):
@@ -337,7 +332,6 @@ def run_convergence(cfg: ExperimentConfig):
     built once, before any row; each row is reduced to its ``ConvergenceRow``
     in its worker, and a row that fails records its error message instead.
     """
-    workers = _threads()  # a bad CHERNOFF_THREADS is refused before any work
     run = ChernoffRun(cfg)
     ref = _oracle_values(run)
 
@@ -348,7 +342,7 @@ def run_convergence(cfg: ExperimentConfig):
         se = 0.0 if stderr is None else float(stderr.max())
         return ConvergenceRow(n, err, se, time.perf_counter() - t0)
 
-    rows, failed = _rows(cfg.n_schedule, one_row, workers)
+    rows, failed = _rows(cfg.n_schedule, one_row)
     failures = [{"n": n, "error": str(exc)} for n, exc in failed]
     rows.sort(key=lambda r: r.n)
     summary = {"schema": SCHEMA, "config": cfg.resolved(), "failures": failures}
@@ -380,7 +374,6 @@ def _cmd_chernoff_run(args) -> int:
         print(json.dumps({k: v for k, v in summary.items() if k != "config"}), file=sys.stderr)
         return 0
 
-    workers = _threads()  # a bad CHERNOFF_THREADS is refused before any work
     run = ChernoffRun(cfg)
     # points are labelled as configured: manifold.point wraps circle angles
     labels = [
@@ -396,7 +389,7 @@ def _cmd_chernoff_run(args) -> int:
             for label, v, e in zip(labels, values, errs)
         ]
 
-    rows, failed = _rows(cfg.n_schedule, one_row, workers)
+    rows, failed = _rows(cfg.n_schedule, one_row)
     if failed:  # the first failure in schedule order; no table
         raise failed[0][1]
     _write_csv(

@@ -56,9 +56,6 @@ class VectorField:
         Optional exact flow map ``(coords, t) -> coords``, with ``t`` a
         scalar or one time per row; integral curves fall back to the ODE
         integrator when absent.
-    comps_jacobian:
-        Optional map ``coords -> (comps, jacobian)`` that gives both from one
-        evaluation of the components; ``comps_and_jacobian`` uses it.
     divergence_free:
         Asserts that the covariant divergence is identically zero.  The
         built-in constructors set it where this holds exactly (rotations of
@@ -78,12 +75,10 @@ class VectorField:
         name: str = "field",
         is_zero: bool = False,
         divergence_free: bool = False,
-        comps_jacobian: Optional[Callable[[np.ndarray], tuple]] = None,
     ):
         self.manifold = manifold
         self._comps = comps
         self.jacobian = jacobian
-        self._comps_jacobian = comps_jacobian
         self.flow = flow
         self.name = name
         self.is_zero = is_zero
@@ -119,44 +114,26 @@ class VectorField:
             )
         return out
 
-    def comps_and_jacobian(self, coords: np.ndarray) -> tuple:
-        """``(comps(coords), jacobian_batch(coords))``, from one evaluation of
-        the components when the field has a joint map."""
-        coords = np.atleast_2d(coords)
-        if self._comps_jacobian is None:
-            return self.comps(coords), self.jacobian_batch(coords)
-        return self._comps_jacobian(coords)
 
-
-def divergence_batch(
-    A: VectorField,
-    coords: np.ndarray,
-    comps: Optional[np.ndarray] = None,
-    jacobian: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
     """Covariant divergence tr(B^T J B) + A . d log sqrt|g|.
 
     ``B`` is the tangent basis of ``Manifold.tangent_coords``: the identity on
     the intrinsic charts, and on the sphere an orthonormal pair spanning the
     tangent plane, where the volume gradient of the orthographic chart vanishes.
-    ``comps`` and ``jacobian``, when given, are ``A.comps(coords)`` and
-    ``A.jacobian_batch(coords)``, not evaluated again.
     """
     m = A.manifold
     coords = np.atleast_2d(coords)
     if A.divergence_free:
         return np.zeros(coords.shape[0])
-    if jacobian is None:
-        jacobian = A.jacobian_batch(coords)
-    jb = m.tangent_coords(coords, jacobian)  # J B
+    jb = m.tangent_coords(coords, A.jacobian_batch(coords))  # J B
     # the trace of (J B)^T B, which is that of B^T J B
     div = np.trace(m.tangent_coords(coords, jb.transpose(0, 2, 1)), axis1=1, axis2=2)
     if m.uniform_volume:  # d log sqrt|g| is zero
         return div
     dlog = m.dlog_sqrt_det_batch(coords)
     if np.any(dlog):
-        a = A.comps(coords) if comps is None else comps
-        div = div + np.einsum("ni,ni->n", a, dlog)
+        div = div + np.einsum("ni,ni->n", A.comps(coords), dlog)
     return div
 
 
@@ -215,7 +192,7 @@ def frame_field(manifold: Manifold, k: int) -> VectorField:
         raise VariantIncompatibleError(f"{manifold.name} has no global frame")
     if not 1 <= k <= manifold.dim:
         raise ValueError(f"frame index {k} out of range 1..{manifold.dim}")
-    comps = lambda c: manifold.frame_component(np.atleast_2d(c), k)
+    comps = lambda c: manifold.frame_batch(np.atleast_2d(c))[k - 1]
     e = manifold.identity
     jac = (comps(e + np.eye(manifold.chart_dim)) - comps(e)).T  # J[i, j] = d_j A^i
     field = VectorField(
@@ -296,9 +273,8 @@ def expression_field(manifold: Manifold, sources: Sequence[str]) -> VectorField:
                 out[:, i, j] = fn(c)
         return out
 
-    comps, jacobian, both = manifold.tangent_field(comps, jacobian)
-    return VectorField(manifold, comps, jacobian=jacobian, comps_jacobian=both,
-                       name="custom:" + ",".join(sources))
+    comps, jacobian = manifold.tangent_field(comps, jacobian)
+    return VectorField(manifold, comps, jacobian=jacobian, name="custom:" + ",".join(sources))
 
 
 def field_from_string(manifold: Manifold, spec: str) -> VectorField:
@@ -400,8 +376,7 @@ class GeneratorSpec:
         acc = np.zeros_like(coords)
         for f in self.fields:
             if not f.divergence_free:
-                a, jac = f.comps_and_jacobian(coords)
-                acc += 0.5 * divergence_batch(f, coords, a, jac)[:, None] * a
+                acc += 0.5 * divergence_batch(f, coords)[:, None] * f.comps(coords)
         return acc
 
     def drift_comps(self, coords: np.ndarray) -> np.ndarray:

@@ -132,8 +132,11 @@ class GridFunction:
             raise VariantIncompatibleError(
                 f"grid functions require a compact built-in, not {manifold.name}"
             )
-        if values.ndim != len(manifold.grid_axes):
-            raise ValueError(f"{manifold.name} grid values must be {manifold.dim}-D")
+        axes = len(manifold.grid_axes)
+        if values.ndim != axes:
+            counts = "1 node count" if axes == 1 else f"{axes} node counts"
+            raise ValueError(f"{manifold.name} grids take {counts} (one per axis), "
+                             f"got shape {values.shape}")
         if min(values.shape) < _MIN_NODES:
             raise ResolutionTooCoarseError(
                 f"need >= {_MIN_NODES} nodes per axis, got {values.shape}"

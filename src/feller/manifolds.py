@@ -199,10 +199,8 @@ class Manifold:
 
     def tangent_field(self, comps, jacobian):
         """Maps of a field's components and partials, projected onto the tangent
-        planes where the stored coordinates are ambient, and a map of both
-        from one evaluation of ``comps``; else the two maps unchanged and
-        None."""
-        return comps, jacobian, None
+        planes where the stored coordinates are ambient; else unchanged."""
+        return comps, jacobian
 
     def geodesic_batch(self, xs, vs, t):
         raise NotImplementedError
@@ -230,11 +228,6 @@ class Manifold:
     def frame_batch(self, xs) -> np.ndarray:
         """Frame components, shape (dim, n, chart_dim)."""
         raise NotParallelizableError(f"{self.name} admits no global smooth frame")
-
-    def frame_component(self, xs, k: int) -> np.ndarray:
-        """The k-th (1-based) frame field at the rows of ``xs``, shape (n, chart_dim):
-        ``frame_batch(xs)[k - 1]``."""
-        return self.frame_batch(xs)[k - 1]
 
     def dlog_sqrt_det_batch(self, xs):
         """Chart gradient of log(sqrt(det g)), shape like xs."""
@@ -468,12 +461,9 @@ class HyperbolicHalfPlane(Manifold):
         return r
 
     def frame_batch(self, xs):
-        return np.stack([self.frame_component(xs, k) for k in (1, 2)])
-
-    def frame_component(self, xs, k):
         # y d/dx and y d/dy: globally smooth orthonormal frame
-        out = np.zeros((xs.shape[0], 2))
-        out[:, k - 1] = xs[:, 1]
+        out = np.zeros((2, xs.shape[0], 2))
+        out[0, :, 0] = out[1, :, 1] = xs[:, 1]
         return out
 
     def dlog_sqrt_det_batch(self, xs):
@@ -563,16 +553,15 @@ class Sphere2(Manifold):
             a = comps(q)
             return a - np.einsum("ni,ni->n", a, q)[:, None] * q
 
-        def tangent_comps_jacobian(q):
+        def tangent_jacobian(q):
             q = np.atleast_2d(q)
             a, jac = comps(q), jacobian(q)
-            aq = np.einsum("ni,ni->n", a, q)
             row = np.einsum("nij,ni->nj", jac, q) + a
             out = jac - q[:, :, None] * row[:, None, :]
-            out -= aq[:, None, None] * np.eye(3)
-            return a - aq[:, None] * q, out
+            out -= np.einsum("ni,ni->n", a, q)[:, None, None] * np.eye(3)
+            return out
 
-        return tangent_comps, lambda q: tangent_comps_jacobian(q)[1], tangent_comps_jacobian
+        return tangent_comps, tangent_jacobian
 
     def geodesic_batch(self, xs, vs, t):
         xs = np.atleast_2d(xs)

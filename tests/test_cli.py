@@ -10,7 +10,9 @@ import pytest
 
 import feller as fl
 from feller import chernoff as ch
+from feller import cli
 from feller.cli import ExperimentConfig, build_generator, main, run_convergence, run_walk_study
+from feller.expressions import compile_scalar
 
 
 @pytest.fixture
@@ -196,8 +198,8 @@ def test_pooled_rows_without_oracle_write_the_serial_table(tmp_path, monkeypatch
     gen = _write_json(tmp_path / "gen.json", {"fields": ["custom:1+0.3*sin(theta)"],
                                               "drift": "derived"})
     tables = []
-    for threads in ("4", "1"):
-        monkeypatch.setenv("CHERNOFF_THREADS", threads)
+    for threads in (4, 1):
+        monkeypatch.setattr(cli, "_threads", lambda: threads)
         out = tmp_path / f"table-{threads}.csv"
         assert main(["chernoff", "run", "--manifold", "circle", "--generator", gen,
                      "--strategy", strategy, "--t", "0.5", "--n", "2,4,8", "--f", "cos(theta)",
@@ -208,11 +210,10 @@ def test_pooled_rows_without_oracle_write_the_serial_table(tmp_path, monkeypatch
     assert len(tables[0].decode().splitlines()) == 3 + 3 * 2  # header, columns, 3 n x 2 points
 
 
-def test_rows_start_longest_first_and_come_back_in_schedule_order():
+def test_rows_start_longest_first_and_come_back_in_schedule_order(monkeypatch):
     # the pool starts rows in decreasing n, equal n in schedule order; results
     # and failures come back in schedule order whatever order the rows ran in
-    from feller.cli import _rows
-
+    monkeypatch.setattr(cli, "_threads", lambda: 1)
     started = []
 
     def one_row(n):
@@ -222,7 +223,7 @@ def test_rows_start_longest_first_and_come_back_in_schedule_order():
             raise ValueError(f"row {n}, call {call}")
         return n, call
 
-    rows, failed = _rows([32, 128, 64, 32, 64, 8], one_row, 1)
+    rows, failed = cli._rows([32, 128, 64, 32, 64, 8], one_row)
     assert started == [128, 64, 64, 32, 32, 8]
     assert rows == [(32, 3), (128, 0), (32, 4), (8, 5)]
     assert [(n, str(exc)) for n, exc in failed] == [(64, "row 64, call 1"), (64, "row 64, call 2")]
@@ -236,7 +237,7 @@ def test_longest_first_rows_write_the_schedule_order_table(tmp_path, monkeypatch
     started, evaluate = [], ChernoffRun.evaluate
     monkeypatch.setattr(ChernoffRun, "evaluate",
                         lambda run, n: started.append(n) or evaluate(run, n))
-    monkeypatch.setenv("CHERNOFF_THREADS", "1")
+    monkeypatch.setattr(cli, "_threads", lambda: 1)
 
     def data_lines(n):
         out = tmp_path / f"table-{n}.csv"
@@ -248,26 +249,6 @@ def test_longest_first_rows_write_the_schedule_order_table(tmp_path, monkeypatch
     table = data_lines("32,128,64,32")
     assert started == [128, 64, 32, 32]
     assert table == [line for n in ("32", "128", "64", "32") for line in data_lines(n)]
-
-
-@pytest.mark.parametrize("oracle", [[], ["--oracle", "expr:0"]])
-def test_a_thread_count_that_is_no_integer_is_refused(tmp_path, monkeypatch, capsys, heat_gen,
-                                                     oracle):
-    # refused before the problem or its oracle is built
-    from feller.cli import ChernoffRun
-
-    def never(*_):
-        raise AssertionError("the run was built")
-
-    monkeypatch.setattr(ChernoffRun, "__init__", never)
-    monkeypatch.setenv("CHERNOFF_THREADS", "abc")
-    out = tmp_path / "table.csv"
-    rc = main(["chernoff", "run", "--manifold", "circle", "--generator", heat_gen,
-               "--strategy", "grid", "--grid-nodes", "16", "--t", "0.5", "--n", "4,8",
-               "--f", "cos(theta)", "--out", str(out)] + oracle)
-    assert rc == 2
-    assert capsys.readouterr().err == "error: CHERNOFF_THREADS must be an integer, not 'abc'\n"
-    assert not out.exists()
 
 
 def test_failed_row_without_oracle_exits_2_before_the_table(tmp_path, capsys):
@@ -784,6 +765,19 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
                       ("normal:0,1,2", "normal:<mean>,<sd>"),
                       ("normal:0,one", "normal:<mean>,<sd>"),
                       ("pointmass:1,2", "pointmass:<v>")]
+] + [
+    # an fd oracle's step count is digits, refused before any row
+    (["chernoff", "run", "--grid-nodes", "16", "--t", "0.5", "--n", "4", "--oracle", oracle], 2,
+     f"error: oracle {oracle!r} is not of the form fd[:<steps>]")
+    for oracle in ("fd:abc", "fd:", "fd:-3", "fd:1.5")
+] + [
+    # the default --grid-nodes 512 is one node count, for the run's grid or
+    # the fd oracle's: the message names the counts
+    (["chernoff", "run", "--manifold", "torus2", "--generator",
+      {"fields": ["frame:1", "frame:2"], "drift": "zero"}, "--f", "cos(theta1)", "--t", "0.5",
+      "--n", "4"] + strategy, 2,
+     "error: torus2 grids take 2 node counts (one per axis), got shape (512,)")
+    for strategy in ([], ["--strategy", "tree", "--x", "0.3,1.0", "--oracle", "fd"])
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a JSON file with that content (a --config or a --generator)
@@ -828,3 +822,30 @@ def test_a_kernel_oracle_must_cover_the_run_manifold(tmp_path, capsys, manifold,
     else:
         errs = [float(r.split(",")[1]) for r in out.read_text().splitlines()[3:]]
         assert len(errs) == 2 and max(errs) < 2e-2
+
+
+@pytest.mark.parametrize("oracle, steps", [("fd:200", 200), ("fd", 100)])
+def test_an_fd_oracle_is_the_crank_nicolson_solution_on_the_run_grid(tmp_path, heat_gen,
+                                                                    oracle, steps):
+    # a bare fd takes max(100, ceil(t / 5e-3)) steps: 100 at t = 0.5
+    gen = {"fields": ["frame:1"], "drift": "zero"}
+    rows, _ = run_convergence(ExperimentConfig(
+        generator=gen, variant="heat-geodesic", t=0.5, n_schedule=[4, 16], grid_nodes=[64],
+        oracle=oracle))
+    m = fl.circle()
+    spec = build_generator(m, gen)
+    f0 = fl.GridFunction.from_function(m, 64, compile_scalar("cos(theta)", m))
+    ref = fl.fd_solve(spec, f0, 0.5, fl.FdSolverSettings(steps=steps)).values
+    variant = ch.ChernoffVariant.from_string("heat-geodesic")
+    assert [r.n for r in rows] == [4, 16]
+    for r in rows:
+        want = np.abs(ch.iterate_grid(spec, variant, 0.5, r.n, f0).values - ref).max()
+        assert r.error_sup == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the command line runs the same rows, and its table holds their errors to 12 digits
+    out = tmp_path / "conv.csv"
+    assert main(["chernoff", "run", "--manifold", "circle", "--generator", heat_gen,
+                 "--variant", "heat-geodesic", "--strategy", "grid", "--grid-nodes", "64",
+                 "--t", "0.5", "--n", "4,16", "--f", "cos(theta)", "--oracle", oracle,
+                 "--out", str(out)]) == 0
+    table = [line.split(",")[:2] for line in out.read_text().splitlines()[3:]]
+    assert table == [[str(r.n), f"{r.error_sup:.12g}"] for r in rows]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -79,9 +80,11 @@ def test_sphere_stencil_column_order(rng):
 
 
 @pytest.mark.parametrize("name, shape, error, match", [
-    ("circle", (16, 16), ValueError, "circle grid values must be 1-D"),
-    ("torus2", (16,), ValueError, "torus2 grid values must be 2-D"),
-    ("sphere2", (16,), ValueError, "sphere2 grid values must be 2-D"),
+    ("circle", (16, 16), ValueError,
+     "circle grids take 1 node count (one per axis), got shape (16, 16)"),
+    ("torus2", (16,), ValueError, "torus2 grids take 2 node counts (one per axis), got shape (16,)"),
+    ("sphere2", (16,), ValueError,
+     "sphere2 grids take 2 node counts (one per axis), got shape (16,)"),
     ("euclidean:1", (16,), VariantIncompatibleError, "not euclidean:1"),
     ("hyperbolic-h2", (16, 16), VariantIncompatibleError, "not hyperbolic-h2"),
     ("circle", (7,), ResolutionTooCoarseError, "need >= 8 nodes"),
@@ -90,13 +93,13 @@ def test_sphere_stencil_column_order(rng):
 ])
 def test_grid_function_refusals(name, shape, error, match):
     m = fl.manifold_from_string(name)
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=re.escape(match)):
         GridFunction(m, np.zeros(shape))
 
     def never(_):
         raise AssertionError("fn evaluated on a refused grid")
 
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=re.escape(match)):
         GridFunction.from_function(m, shape, never)
 
 

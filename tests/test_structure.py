@@ -13,7 +13,8 @@ the stencil of every node.  Words become branch indices in ``sample_steps`` alon
 folded tree chunk broadcasts its nodes against the product table.  The
 drift policy is read in ``fields`` alone and takes two values, an oracle's
 chart is read in ``reference``, the CLI's rows run in one pool and its JSON
-is checked by one function."""
+is checked by one function.  A field has one map of its components and one
+of its partials, and no module reads the environment."""
 
 import ast
 import dataclasses
@@ -127,13 +128,34 @@ def test_sample_steps_is_the_sample_loop():
 
 def test_a_chart_declares_its_frame_once():
     # a global frame exists exactly when the chart has a group (``identity``),
-    # and frame_batch, or one field of it in frame_component, spells the frame
+    # and frame_batch alone spells the frame: a frame field reads one field of it
     assert not hasattr(manifolds.Manifold, "parallelizable")
     assert not hasattr(manifolds.Manifold, "frame")
+    assert not any(hasattr(getattr(manifolds, c), "frame_component") for c in CHART_CLASSES)
+
+
+def test_a_field_has_one_map_of_its_components_and_one_of_its_partials():
+    # no joint map: the divergence evaluates what it needs from the field
+    assert "comps_jacobian" not in inspect.signature(fields.VectorField.__init__).parameters
+    assert list(inspect.signature(fields.divergence_batch).parameters) == ["A", "coords"]
+
+
+def test_no_module_reads_the_environment():
+    # the package's behaviour is set by its arguments alone
+    env = {"environ", "environb", "getenv", "getenvb"}
+    readers = set()
+    for info in pkgutil.iter_modules(feller.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"feller.{info.name}")))
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr in env
+                    or isinstance(n, ast.ImportFrom) and env & {a.name for a in n.names}):
+                readers.add(info.name)
+    assert readers == set()
 
 
 def test_cli_runs_every_row_in_one_pool():
     assert _callers(cli, "ThreadPoolExecutor") == {"_rows"}
+    assert list(inspect.signature(cli._rows).parameters) == ["schedule", "one_row"]
     assert _callers(cli, "_rows") == {"run_convergence", "_cmd_chernoff_run"}
 
 
