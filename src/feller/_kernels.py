@@ -14,7 +14,7 @@ def using_numba() -> bool:
 # -- weighted gather ---------------------------------------------------------
 #
 # Every grid interpolation in the package reduces to a gather-dot with a
-# precomputed stencil: out[i] = sum_k values[idx[i, k]] * w[i, k].  Stencils
+# precomputed stencil: out[i] += sum_k values[idx[i, k]] * w[i, k].  Stencils
 # from ``grids`` are column-major, so every ``idx[:, k]`` read below is
 # contiguous, and so is every ``w[:, k]`` but in a translated stencil, whose
 # weights are one row broadcast down the rows: there each ``w[:, k]`` has
@@ -22,33 +22,27 @@ def using_numba() -> bool:
 # columns, those with a nonzero weight in some row; the kernel reads only
 # those, in increasing order.  A skipped term is values[..] * (+-0), so the
 # sum differs only where it would be a signed zero, or where a zero-weight
-# neighbour is inf or nan (which then no longer reaches the result).  The
-# first column is gathered into the result itself and every later one into
-# one scratch array, each scaled and summed in place, so the products and
-# their order of summation are those of the plain sum.  With ``out`` from the caller, the call makes
-# no array of its own beyond that scratch.  ``np.take(mode="wrap")`` writes
-# straight into its output (``mode="raise"`` would buffer it); it is exact
-# because ``grids`` builds or checks every index in range once per stencil.
+# neighbour is inf or nan (which then no longer reaches the result).  Each
+# column is gathered into one scratch array, scaled and added to the result
+# in place, so a sweep sums the gathers of all its stencils into one buffer,
+# and on a zeroed buffer the products and their order of summation are those
+# of the plain sum (0 + x = x).  ``np.take(mode="wrap")`` writes straight
+# into its output (``mode="raise"`` would buffer it); it is exact because
+# ``grids`` builds or checks every index in range once per stencil.
 
 
 def gather_weighted(values, idx, w, cols=None, out=None):
-    """Stencil application: out[i] = sum_k values[idx[i,k]] * w[i,k], over the
+    """Stencil application: out[i] += sum_k values[idx[i,k]] * w[i,k], over the
     columns ``cols`` (every column when None) in the order given; ``values``
-    and ``w`` are float arrays, and none of the inputs is written.  The result
-    is written into ``out`` when given (shape ``(m,)``, the dtype of
-    ``values``) and returned."""
+    and ``w`` are float arrays, and none of the inputs is written.  The sum is
+    added into ``out`` when given (shape ``(m,)``, the dtype of ``values``),
+    else into a new array of zeros, and returned."""
     if cols is None:
         cols = range(idx.shape[1])
     if out is None:
-        out = np.empty(idx.shape[0], dtype=np.result_type(values, w))
-    if len(cols) == 0:
-        out[...] = 0.0
-        return out
-    k0, *rest = cols
-    np.take(values, idx[:, k0], mode="wrap", out=out)
-    out *= w[:, k0]
-    term = np.empty_like(out) if rest else None
-    for k in rest:
+        out = np.zeros(idx.shape[0], dtype=np.result_type(values, w))
+    term = np.empty_like(out)
+    for k in cols:
         np.take(values, idx[:, k], mode="wrap", out=term)
         term *= w[:, k]
         out += term

@@ -611,24 +611,22 @@ def iterate_grid(
 ) -> GridFunction:
     """n semi-Lagrangian sweeps of S(t/n) applied to a grid function.
 
-    The branch displacement of every node is precomputed once (the fields
-    are autonomous), one ``move_rows`` call per branch, so each sweep is a
-    handful of stencil gathers:
-    cost O(n * nodes * branches).  The potential's identity is a diagonal.
+    On the grid S(t/n) is a sum of stencils, one per branch, each carrying
+    its branch weight (the potential's identity: ``s c(x)`` on each node's
+    own column).  The branch displacement of every node is precomputed once
+    (the fields are autonomous), one ``move_rows`` call per branch, so each
+    sweep is a handful of stencil gathers: cost O(n * nodes * branches).
     A group shift on a chart with a group (``identity``) whose grid axes are
     all periodic translates the grid angles, so it moves one row, the
     identity, which is node 0, and takes ``shift_stencil`` of it: one row
     of weights for every node, and no per-node stencil build.  The linear
-    grid's displacement warning reads that row's distance.  Flows, and every
-    branch on a grid with a polar axis, move every node and take
-    ``build_stencil`` of the targets.
-    The sweeps write into the node-length buffers of this call:
-    ``flat_values`` fills the padded values (on a chart without padding it
-    is a view of the current values), the first
-    branch's gather writes the next values, and every later branch's gather
-    or diagonal term goes into one term buffer and is summed into them; then
-    the next and the current values swap.  Beyond these, a sweep allocates
-    only the gather kernel's scratch column.
+    grid's displacement warning reads that row's distance.  Every other
+    branch moves every node and takes ``build_stencil`` of the targets.
+    A sweep fills the padded values (``flat_values``; on a chart without
+    padding, a view of the current values), zeroes the next values, adds
+    every stencil's gather into them in branch order and swaps the two.
+    Beyond these buffers of the call, a sweep allocates only the gather
+    kernel's scratch column.
     """
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
@@ -637,6 +635,7 @@ def iterate_grid(
     m = spec.manifold
     branches = branch_moves(spec, variant, ode)
     nodes = f0.node_coords()
+    # every weight before any move: the potential's check fires before any flow runs
     weights = [br.weight_at(nodes, dt) for br in branches]
     # on a group chart whose grid axes are all periodic, node 0 is the
     # identity and a shift translates the grid angles: every node moves as
@@ -646,7 +645,7 @@ def iterate_grid(
     max_disp, cell = 0.0, f0.cell_size()
     # one branch at a time: moving every branch's nodes in one call holds b
     # targets and their flow temporaries at once
-    for j, br in enumerate(branches):
+    for j, (br, w) in enumerate(zip(branches, weights)):
         one_row = translates and br.shift is not None
         rows = m.identity[None, :] if one_row else nodes
         target = move_rows(branches, rows, j, dt)
@@ -654,10 +653,7 @@ def iterate_grid(
         # one cell it cannot fire
         if f0.interp == "linear" and max_disp < cell:
             max_disp = max(max_disp, float(m.distance_batch(rows, target).max()))
-        if br.signed is not None:
-            stencils.append(None)
-        else:
-            stencils.append(f0.shift_stencil(target) if one_row else f0.build_stencil(target))
+        stencils.append(f0.shift_stencil(target, w) if one_row else f0.build_stencil(target, w))
     if 0.0 < max_disp < cell:
         warnings.warn(
             "branch displacement below one grid cell with linear interpolation; "
@@ -670,20 +666,12 @@ def iterate_grid(
     # RSS by 1 MB
     pad = np.empty(f0.padded_size) if f0.padded_size > f0.values.size else None
     values = f0.values.ravel().copy()
-    new, term = np.empty_like(values), np.empty_like(values)
+    new = np.empty_like(values)
     for _ in range(n):
         flat = f0.flat_values(values, out=pad)
-        # each branch's gather is scaled in place: the products and their
-        # order of summation are those of sum_j w_j * gather_j
-        stencils[0].apply(flat, out=new)
-        new *= weights[0]
-        for w, st in zip(weights[1:], stencils[1:]):
-            if st is None:
-                np.multiply(w, values, out=term)
-            else:
-                st.apply(flat, out=term)
-                term *= w
-            new += term
+        new.fill(0.0)
+        for st in stencils:
+            st.apply(flat, out=new)
         values, new = new, values
     return f0.with_values(values)
 

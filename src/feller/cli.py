@@ -105,6 +105,9 @@ _VALUE_TYPES = {list: (_is(list), "a list"), dict: (_is(dict), "an object"),
                 str: (_is(str), "a string"),
                 type(None): (_is(str, type(None)), "a string or null")}
 _CONFIG_SCHEMA = {k: _VALUE_TYPES[type(v)] for k, v in vars(ExperimentConfig()).items()}
+# the step and node counts, as --n and --grid-nodes parse them
+_CONFIG_SCHEMA["n_schedule"] = _CONFIG_SCHEMA["grid_nodes"] = (
+    lambda v: _is(list)(v) and v != [] and all(map(_is(int), v)), "a list of one or more integers")
 
 
 def _load_config(path: Optional[str]) -> dict:

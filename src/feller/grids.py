@@ -22,20 +22,22 @@ node's index, so it builds the per-axis stencils of one point, the index by
 integer broadcasting, and one row of K weights broadcast read-only down the
 rows, each weight column of stride 0.
 
-A stencil also records its live columns, those with a nonzero weight in
-some row (in a translated stencil, in its one row), and the kernel gathers
-only those.  A query that sits on a node of an axis (a shift along one axis
-of torus2, an identity move) has the weights (1, 0) or (0, 1, 0, 0) on that
+Both scale the interpolation weights by a ``weight`` (a float, or for
+``build_stencil`` one per query), so a stencil carries a branch weight.  A
+stencil also records its live columns, those with a nonzero weight in some
+row (in a translated stencil, in its one row), and the kernel gathers only
+those.  A query that sits on a node of an axis (a shift along one axis of
+torus2, an identity move) has the weights (1, 0) or (0, 1, 0, 0) on that
 axis, so whole tensor columns are dead: a heat-geodesic cubic sweep on
 torus2 gathers 4 of its 16 columns.
 
 A sweep writes into arrays its caller owns: ``flat_values(values, out)``
 fills a buffer of ``padded_size`` floats with the values and the pole rows,
-and ``Stencil.apply(flat, out)`` gathers into an array of one entry per
-query.  The kernel reads with ``np.take(mode="wrap")``, which writes straight
-into its output; ``build_stencil`` checks once that every index lies in
-``[0, padded_size)``, and ``shift_stencil`` reduces each index modulo its
-axis, so no index wraps.
+and ``Stencil.apply(flat, out)`` adds its gather into an array of one entry
+per query.  The kernel reads with ``np.take(mode="wrap")``, which writes
+straight into its output; ``build_stencil`` checks once that every index
+lies in ``[0, padded_size)``, and ``shift_stencil`` reduces each index
+modulo its axis, so no index wraps.
 """
 
 from __future__ import annotations
@@ -115,11 +117,11 @@ def _tensor_weights(ws: list) -> np.ndarray:
 @dataclass(frozen=True)
 class Stencil:
     idx: np.ndarray      # (m, k) flat indices, column-major
-    w: np.ndarray        # (m, k) weights, column-major, or one row broadcast (stride-0 columns)
+    w: np.ndarray        # (m, k) scaled weights, column-major, or one row broadcast (stride 0)
     cols: tuple          # the live columns, in order: those with a nonzero weight in some row
 
     def apply(self, flat_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The gather over the live columns, written into ``out`` when given."""
+        """The gather over the live columns, added into ``out`` when given."""
         return gather_weighted(flat_values, self.idx, self.w, self.cols, out)
 
 
@@ -186,8 +188,9 @@ class GridFunction:
 
     # -- interpolation -------------------------------------------------------
 
-    def build_stencil(self, coords: np.ndarray) -> Stencil:
-        """Precompute the gather stencil for query points (hot-path reuse)."""
+    def build_stencil(self, coords: np.ndarray, weight=1.0) -> Stencil:
+        """Precompute the gather stencil for query points (hot-path reuse),
+        its weights scaled by ``weight``: a float, or one value per query."""
         coords = np.atleast_2d(coords)
         # tensor product over the axes, one node per axis in each column (the
         # last axis varies fastest): each axis's (k, m) stencil is broadcast
@@ -201,6 +204,7 @@ class GridFunction:
             idx += ia
             idx = idx.reshape(-1, shape[2])
         w = _tensor_weights([wa for _, wa in axes])
+        w *= weight
         # the gather's np.take(mode="wrap") is exact only on indices in range;
         # the per-axis stencils are built so (np.mod, np.clip), even on nan rows
         if idx.size and (idx.min() < 0 or idx.max() >= self.padded_size):
@@ -208,7 +212,7 @@ class GridFunction:
         live = tuple(np.flatnonzero(w.any(axis=1)).tolist())  # one contiguous row per column
         return Stencil(idx.T, w.T, live)
 
-    def shift_stencil(self, point: np.ndarray) -> Stencil:
+    def shift_stencil(self, point: np.ndarray, weight: float = 1.0) -> Stencil:
         """The stencil of every node moved by the translation of the grid
         angles that takes node 0 to ``point``, on a grid whose axes are all
         periodic.
@@ -217,8 +221,9 @@ class GridFunction:
         each axis, so one row of stencil serves them all: the per-axis
         stencils are built for ``point`` alone, the ``(m, K)`` index is the
         integer sum ``(i_a + o_a) mod n_a`` in ``build_stencil``'s column
-        order, and the weights are that one row of K floats broadcast
-        read-only down the rows (each column has stride 0).
+        order, and the weights are that one row of K floats, times
+        ``weight``, broadcast read-only down the rows (each column has
+        stride 0).
         """
         if not self.periodic:
             raise VariantIncompatibleError(f"{self.manifold.name}: a grid axis is not periodic")
@@ -234,6 +239,7 @@ class GridFunction:
             idx += along[None, :, None, :]
             idx = idx.reshape(shape[0] * shape[1], -1)
         w = _tensor_weights([wa for _, wa in axes])[:, 0]
+        w *= weight
         live = tuple(np.flatnonzero(w).tolist())
         return Stencil(idx.T, np.broadcast_to(w, idx.T.shape), live)
 

@@ -500,7 +500,7 @@ class Sphere2(Manifold):
     def _validate(self, c):
         r = np.linalg.norm(c)
         if abs(r - 1.0) > 1e-12:
-            raise InvalidPointError(f"sphere2: |coords| = {r!r}, expected 1")
+            raise InvalidPointError(f"sphere2: |coords| = {float(r)!r}, expected 1")
         return c
 
     def _validate_tangent(self, x, v):

@@ -78,28 +78,22 @@ _CHARTS = {
 }
 
 
-def _as_callable(f):
-    if isinstance(f, GridFunction):
-        return lambda coords: f.interpolate(coords)
-    return f
-
-
 # -- Gauss-Hermite on R^d -------------------------------------------------------
 
 _GH_NODES = 64
 
 
-def _gauss_rd(f, t, x, d):
+def _gauss_rd(f, t, xs, d):
     if d > 3:
         raise OracleUnavailableError("gauss-rd oracle supports d <= 3")
     u, w = np.polynomial.hermite.hermgauss(_GH_NODES)
     scale = math.sqrt(2.0 * t)
     grids = np.meshgrid(*([u] * d), indexing="ij")
     wgrids = np.meshgrid(*([w] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
+    offsets = scale * np.stack([g.ravel() for g in grids], axis=-1)
     weight = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    pts = x[None, :] + scale * offsets
-    return float(weight @ np.asarray(f(pts)) / math.pi ** (d / 2.0))
+    norm = math.pi ** (d / 2.0)
+    return np.array([float(weight @ np.asarray(f(x[None, :] + offsets)) / norm) for x in xs])
 
 
 # -- wrapped Gaussian on S^1 ------------------------------------------------------
@@ -119,15 +113,19 @@ def _wrapped_gauss_kernel(delta: np.ndarray, t: float) -> np.ndarray:
     return norm * acc
 
 
-def _periodic_product(f, t, x, m, n):
+def _periodic_product(f, t, xs, m, n):
     """Product of wrapped Gaussians over the grid of n nodes per axis of the
-    periodic chart m, contracted one axis at a time."""
+    periodic chart m, contracted one axis at a time at each row of ``xs``."""
     nodes = GridFunction(m, np.empty((n,) * m.dim))
-    vals = np.asarray(f(nodes.node_coords()), dtype=float).reshape(nodes.values.shape)
+    sampled = np.asarray(f(nodes.node_coords()), dtype=float).reshape(nodes.values.shape)
     g = TWO_PI * np.arange(n) / n  # the node angles of each axis
-    for xa in x:
-        vals = _wrapped_gauss_kernel(xa - g, t) @ vals
-    return float(vals * (TWO_PI / n) ** m.dim)
+    out = np.empty(len(xs))
+    for j, x in enumerate(xs):
+        vals = sampled
+        for xa in x:
+            vals = _wrapped_gauss_kernel(xa - g, t) @ vals
+        out[j] = float(vals * (TWO_PI / n) ** m.dim)
+    return out
 
 
 # -- spherical-harmonic series on S^2 ---------------------------------------------
@@ -153,20 +151,24 @@ def _legendre_sum(c: np.ndarray, t: float, l_max: int) -> np.ndarray:
     return acc
 
 
-def _sphere_harmonics(f, t, x, l_max):
+def _sphere_harmonics(f, t, xs, l_max):
+    # polar quadrature around each row x of xs, in <x, y> and the azimuth
     n_c, n_phi = 256, 256
     c, w = np.polynomial.legendre.leggauss(n_c)
+    wk = w * _legendre_sum(c, t, l_max)
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    e1, e2 = sphere2().tangent_basis(x)[0].T  # orthonormal tangent pair at x
     s = np.sqrt(np.maximum(1.0 - c**2, 0.0))
-    y = (
-        c[:, None, None] * x[None, None, :]
-        + s[:, None, None]
-        * (np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2)
-    )
-    vals = np.asarray(f(y.reshape(-1, 3)), dtype=float).reshape(n_c, n_phi)
-    kern = _legendre_sum(c, t, l_max)
-    return float((w * kern) @ vals.mean(axis=1) * TWO_PI)
+    out = np.empty(len(xs))
+    for j, x in enumerate(xs):
+        e1, e2 = sphere2().tangent_basis(x)[0].T  # orthonormal tangent pair at x
+        y = (
+            c[:, None, None] * x[None, None, :]
+            + s[:, None, None]
+            * (np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2)
+        )
+        vals = np.asarray(f(y.reshape(-1, 3)), dtype=float).reshape(n_c, n_phi)
+        out[j] = float(wk @ vals.mean(axis=1) * TWO_PI)
+    return out
 
 
 # -- hyperbolic plane --------------------------------------------------------------
@@ -272,8 +274,12 @@ def _hyperbolic_h2(f, t, xs):
 
 
 def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
-    """(e^{t (1/2) Laplacian} f)(x) from the closed-form kernel, for finite t > 0."""
+    """(e^{t (1/2) Laplacian} f)(x) from the closed-form kernel, for finite t > 0;
+    raw coordinates ``x`` off the kernel's chart raise InvalidPointError."""
     coords = x.coords if isinstance(x, Point) else np.atleast_1d(np.asarray(x, dtype=float))
+    m = kernel.chart()
+    if not isinstance(x, Point) and coords.shape == (m.chart_dim,):
+        m.point(coords)  # a wrong count is left to the batch's ValueError
     return float(exact_semigroup_batch(kernel, f, t, coords[None, :])[0])
 
 
@@ -281,24 +287,23 @@ def exact_semigroup_batch(kernel: HeatKernelId, f, t: float, coords) -> np.ndarr
     """``exact_semigroup`` at every row of ``coords``; ValueError unless each
     row has the ``chart_dim`` coordinates of the kernel's chart.
 
-    The H2 kernel values depend on t alone, so one call computes them once
-    for all rows; the other oracles run row by row.
+    Each oracle does its row-independent work once per call: its rule, its
+    kernel values, and the samples of f on the circle and torus2 grids.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"exact_semigroup requires a finite t > 0, not {t!r}")
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    m, fn = kernel.chart(), _as_callable(f)
+    m = kernel.chart()
     if coords.ndim != 2 or coords.shape[1] != m.chart_dim:
         raise ValueError(f"{kernel.tag} takes points of {m.chart_dim} coordinates")
     if kernel.tag == "hyperbolic-h2":
-        return _hyperbolic_h2(fn, t, coords)
+        return _hyperbolic_h2(f, t, coords)
     if kernel.tag == "gauss-rd":
-        one = lambda x: _gauss_rd(fn, t, x, kernel.d)
-    elif kernel.tag == "sphere-harmonics":
-        one = lambda x: _sphere_harmonics(fn, t, x, kernel.l_max)
-    else:  # the circle's and the torus's products of wrapped Gaussians
-        one = lambda x: _periodic_product(fn, t, x, m, 4096 if m.dim == 1 else 512)
-    return np.array([one(x) for x in coords], dtype=float)
+        return _gauss_rd(f, t, coords, kernel.d)
+    if kernel.tag == "sphere-harmonics":
+        return _sphere_harmonics(f, t, coords, kernel.l_max)
+    # the circle's and the torus's products of wrapped Gaussians
+    return _periodic_product(f, t, coords, m, 4096 if m.dim == 1 else 512)
 
 
 # -- Crank-Nicolson finite differences ---------------------------------------------

@@ -778,6 +778,23 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
       "--n", "4"] + strategy, 2,
      "error: torus2 grids take 2 node counts (one per axis), got shape (512,)")
     for strategy in ([], ["--strategy", "tree", "--x", "0.3,1.0", "--oracle", "fd"])
+] + [
+    # the step and node counts of a --config are one or more integers (no
+    # bools), refused before any row runs
+    (argv + ["--config", {key: value}], 2,
+     f"error: config key {key!r} must be a list of one or more integers, not {json.dumps(value)}")
+    for argv in (["chernoff", "run"], ["walk", "sample", "--manifold", "circle"],
+                 ["walk", "stats", "--manifold", "circle", "--samples", "10"])
+    for key, value in [("n_schedule", []), ("n_schedule", [2.7]), ("n_schedule", [True]),
+                       ("grid_nodes", [64.9]), ("grid_nodes", [])]
+] + [
+    # raw coordinates off the oracle kernel's chart
+    (["oracle", "eval", "--kernel", kernel, "--f", "1", "--t", "0.5", f"--x={x}"], 2,
+     f"error: {why}")
+    for kernel, x, why in [("hyperbolic-h2", "0,-1", "hyperbolic-h2: y must be > 0"),
+                           ("hyperbolic-h2", "0,0", "hyperbolic-h2: y must be > 0"),
+                           ("sphere-harmonics", "0,0,2", "sphere2: |coords| = 2.0, expected 1"),
+                           ("wrapped-gauss-s1", "nan", "circle: non-finite coordinates")]
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a JSON file with that content (a --config or a --generator)

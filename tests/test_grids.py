@@ -223,6 +223,38 @@ def test_a_shift_on_a_node_gathers_one_column():
     assert st.cols == (5,) and st.w[0, 5] == 1.0  # the snapped node on both axes
 
 
+@pytest.mark.parametrize("name, shape, interp", CASES)
+def test_a_weighted_stencil_is_the_weight_times_the_unit_stencil(name, shape, interp, rng):
+    q = _queries(name, rng)
+    g, unit = _stencil(name, shape, interp, q)
+    per_row = rng.uniform(-1.0, 1.0, size=len(q))
+    for weight in (0.25, -1.0 / 3.0, per_row):
+        st = g.build_stencil(q, weight)
+        np.testing.assert_array_equal(st.idx, unit.idx)
+        assert st.cols == unit.cols and st.idx.flags.f_contiguous and st.w.flags.f_contiguous
+        want = unit.w * np.reshape(weight, (-1, 1))
+        assert np.all(np.abs(st.w - want) <= np.spacing(np.abs(want)))
+    assert g.build_stencil(q, 0.0).cols == ()
+    assert g.build_stencil(q, np.where(np.arange(len(q)) == 7, 0.5, 0.0)).cols == tuple(
+        k for k in unit.cols if unit.w[7, k] != 0.0)
+
+
+@pytest.mark.parametrize("name, shape, interp", [c for c in CASES if c[0] != "sphere2"])
+def test_a_weighted_shift_stencil_is_the_weight_times_the_unit_one(name, shape, interp):
+    m = fl.manifold_from_string(name)
+    g = GridFunction(m, np.zeros(shape), interp)
+    for h in _shifts(m, shape, 7):
+        p = m.compose(m.identity, h)
+        unit = g.shift_stencil(p)
+        for weight in (0.25, -1.0 / 3.0):
+            st = g.shift_stencil(p, weight)
+            np.testing.assert_array_equal(st.idx, unit.idx)
+            assert st.cols == unit.cols and st.w.strides[0] == 0
+            want = weight * unit.w[0]
+            assert np.all(np.abs(st.w[0] - want) <= np.spacing(np.abs(want)))
+        assert g.shift_stencil(p, 0.0).cols == ()
+
+
 def test_shift_stencil_refuses_a_polar_axis():
     s2 = fl.sphere2()
     with pytest.raises(VariantIncompatibleError, match="not periodic"):
@@ -244,50 +276,58 @@ def _flat_by_pad(g, values):
     return out.ravel()
 
 
-def _gather_by_index(values, st):
-    """A stencil's gather as fancy-indexed columns, each a new array."""
-    k0, *rest = st.cols
-    acc = values[st.idx[:, k0]]
-    acc *= st.w[:, k0]
-    for k in rest:
-        term = values[st.idx[:, k]]
-        term *= st.w[:, k]
-        acc += term
+def _gather_by_index(values, st, acc):
+    """``acc`` plus a stencil's gather, one fancy-indexed column at a time,
+    each term and each partial sum a new array."""
+    for k in st.cols:
+        acc = acc + values[st.idx[:, k]] * st.w[:, k]
     return acc
 
 
-def _sweep_stencil(f0, branches, nodes, j, dt, per_node=False):
-    """Branch j's stencil as iterate_grid takes it: a shift on a periodic
-    group grid moves the identity (node 0) alone and translates its stencil,
-    every other branch builds the stencil of all its moved nodes; with
-    ``per_node``, every branch builds it so."""
+def _sweep_stencil(f0, branches, nodes, j, dt, weight=1.0, per_node=False):
+    """Branch j's stencil as iterate_grid takes it, scaled by ``weight``: a
+    shift on a periodic group grid moves the identity (node 0) alone and
+    translates its stencil, every other branch builds the stencil of all its
+    moved nodes; with ``per_node``, every branch builds it so."""
     m = f0.manifold
     if not per_node and branches[j].shift is not None and m.identity is not None and f0.periodic:
-        return f0.shift_stencil(move_rows(branches, m.identity[None, :], j, dt))
-    return f0.build_stencil(move_rows(branches, nodes, j, dt))
+        return f0.shift_stencil(move_rows(branches, m.identity[None, :], j, dt), weight)
+    return f0.build_stencil(move_rows(branches, nodes, j, dt), weight)
 
 
 def _reference_sweeps(spec, variant, t, n, f0, per_node=False):
-    """The sweep loop of iterate_grid before its buffers: a new padded array,
-    a new value array and new branch terms in every sweep."""
+    """The sweep loop of iterate_grid before its buffers: a new padded array
+    and a new sum of every weighted stencil's gather in every sweep."""
     dt = t / n
     branches = branch_moves(spec, variant)
     nodes = f0.node_coords()
-    weights = [br.weight_at(nodes, dt) for br in branches]
-    stencils = [_sweep_stencil(f0, branches, nodes, j, dt, per_node) if br.signed is None else None
+    stencils = [_sweep_stencil(f0, branches, nodes, j, dt, br.weight_at(nodes, dt), per_node)
                 for j, br in enumerate(branches)]
     values = f0.values.ravel().copy()
     for _ in range(n):
         flat = _flat_by_pad(f0, values)
-        new = _gather_by_index(flat, stencils[0])
-        new *= weights[0]
-        for w, st in zip(weights[1:], stencils[1:]):
-            if st is None:
-                new += w * values
-            else:
-                term = _gather_by_index(flat, st)
-                term *= w
-                new += term
+        new = np.zeros_like(values)
+        for st in stencils:
+            new = _gather_by_index(flat, st, new)
+        values = new
+    return values
+
+
+def _per_branch_weight_sweeps(spec, variant, t, n, f0):
+    """The sweeps with each branch weight outside its unit stencil and the
+    potential's identity as a diagonal: sum_j w_j * gather_j."""
+    dt = t / n
+    branches = branch_moves(spec, variant)
+    nodes = f0.node_coords()
+    weights = [br.weight_at(nodes, dt) for br in branches]
+    stencils = [_sweep_stencil(f0, branches, nodes, j, dt) if br.signed is None else None
+                for j, br in enumerate(branches)]
+    values = f0.values.ravel().copy()
+    for _ in range(n):
+        flat = _flat_by_pad(f0, values)
+        new = np.zeros_like(values)
+        for w, st in zip(weights, stencils):
+            new = new + w * (values if st is None else _gather_by_index(flat, st, 0.0))
         values = new
     return values
 
@@ -322,6 +362,51 @@ def test_iterate_grid_equals_the_allocating_sweeps_bit_for_bit(name):
     got = fl.iterate_grid(spec, variant, t, n, f0)
     assert got.values.tobytes() == _reference_sweeps(spec, variant, t, n, f0).tobytes()
     assert f0.values.tobytes() == before
+
+
+@pytest.mark.parametrize("name", ["circle", "torus2", "sphere2"])
+def test_weighted_stencils_stay_within_rounding_of_the_per_branch_weights(name):
+    # a branch weight folded into its stencil moves each product by rounding
+    spec, variant, t, f0, _ = _sweep_case(name)
+    got = fl.iterate_grid(spec, variant, t, 6, f0)
+    per_branch = _per_branch_weight_sweeps(spec, variant, t, 6, f0)
+    np.testing.assert_allclose(got.values.ravel(), per_branch, rtol=0.0, atol=1e-14)
+
+
+def test_the_potential_is_one_more_weighted_stencil(monkeypatch):
+    # a circle run with c: every branch, the signed identity included, builds
+    # one stencil and applies it once per sweep, and the identity's stencil
+    # gathers each node alone, weighted by s c(x)
+    circ = fl.circle()
+    spec = fl.GeneratorSpec([fl.field_from_string(circ, "custom:1+0.3*sin(theta)")],
+                            drift_policy="derived", potential="-0.5-0.5*cos(theta)")
+    f0 = GridFunction.from_function(circ, 64, lambda c: np.cos(c[:, 0]) + 0.2, "cubic")
+    b = len(branch_moves(spec, ChernoffVariant.GENERAL))
+    built, applies = [], {}
+    build, apply = GridFunction.build_stencil, grids.Stencil.apply
+
+    def counted_build(self, coords, weight=1.0):
+        built.append(build(self, coords, weight))
+        return built[-1]
+
+    def counted_apply(self, flat, out=None):
+        applies[id(self)] = applies.get(id(self), 0) + 1
+        return apply(self, flat, out)
+
+    monkeypatch.setattr(GridFunction, "build_stencil", counted_build)
+    monkeypatch.setattr(grids.Stencil, "apply", counted_apply)
+    n = 5
+    got = fl.iterate_grid(spec, ChernoffVariant.GENERAL, 0.5, n, f0)
+    monkeypatch.undo()
+    assert b == 4 and len(built) == b
+    assert [applies[id(st)] for st in built] == [n] * b
+    identity = built[-1]
+    assert identity.cols == (1,)  # cubic: the node itself is column 1 of (-1, 0, 1, 2)
+    np.testing.assert_array_equal(identity.idx[:, 1], np.arange(64))
+    pot = (0.5 / n) * spec.potential_values(f0.node_coords())
+    np.testing.assert_array_equal(identity.w[:, 1], pot)
+    diagonal = _per_branch_weight_sweeps(spec, ChernoffVariant.GENERAL, 0.5, n, f0)
+    np.testing.assert_allclose(got.values.ravel(), diagonal, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name, shape", [("circle", 48), ("torus2", (24, 32))])

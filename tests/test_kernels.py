@@ -111,12 +111,34 @@ def test_gather_leaves_its_inputs_and_sums_the_columns_in_the_given_order(rng, c
 
 @pytest.mark.parametrize("cols", [(1, 4, 5, 9), (15, 2, 7), (0,), ()])
 def test_gather_into_a_buffer_returns_it_with_the_bits_of_a_new_array(rng, cols):
+    # a zeroed buffer gets the bits of a new array, a filled one the sum added to it
     idx, w, _ = _stencil_with_dead_columns(rng, [3, 4])
     values = rng.normal(size=50)
     inputs = [values, idx, w]
     saved = [a.tobytes() for a in inputs]
-    buf = np.full(idx.shape[0], np.nan)
+    buf = np.zeros(idx.shape[0])
     got = K.gather_weighted(values, idx, w, cols, out=buf)
     assert got is buf
     assert buf.tobytes() == K.gather_weighted(values, idx, w, cols).tobytes()
+    start = rng.normal(size=idx.shape[0])
+    want = start.copy()
+    for k in cols:
+        want = want + values[idx[:, k]] * w[:, k]
+    filled = start.copy()
+    assert K.gather_weighted(values, idx, w, cols, out=filled) is filled
+    assert filled.tobytes() == want.tobytes()
     assert [a.tobytes() for a in inputs] == saved
+
+
+def test_gathers_into_one_buffer_sum_every_stencil(rng):
+    # a sweep adds each stencil's gather into one buffer: the result is the
+    # running sum over the stencils' columns in turn
+    stencils = [_stencil_with_dead_columns(rng, dead) for dead in ([0, 3], [], [5, 6, 7])]
+    values = rng.normal(size=50)
+    out = np.zeros(300)
+    want = np.zeros(300)
+    for idx, w, live in stencils:
+        K.gather_weighted(values, idx, w, live, out)
+        for k in live:
+            want = want + values[idx[:, k]] * w[:, k]
+    assert out.tobytes() == want.tobytes()

@@ -214,10 +214,58 @@ def test_h2_semigroup_preserves_constants():
 
 
 def test_exact_semigroup_accepts_grid_input():
+    # a grid enters as its interpolant, a function of the coordinates
     k = HeatKernelId.from_string("wrapped-gauss-s1")
     grid = GridFunction.from_function(fl.circle(), 512, COS)
-    got = exact_semigroup(k, grid, 0.4, np.array([1.1]))
+    got = exact_semigroup(k, grid.interpolate, 0.4, np.array([1.1]))
     assert got == pytest.approx(math.exp(-0.2) * math.cos(1.1), abs=1e-8)
+
+
+@pytest.mark.parametrize("kernel, rows", [
+    ("wrapped-gauss-s1", [[0.3], [1.0], [5.9]]),
+    ("torus-product", [[0.3, 1.0], [2.0, -1.0], [6.0, 0.1]]),
+])
+def test_a_periodic_oracle_samples_f_once_per_call(kernel, rows):
+    # the grid samples of f serve every row; each row's value is the one it gets alone
+    k = HeatKernelId.from_string(kernel)
+    calls = []
+
+    def f(c):
+        calls.append(len(c))
+        return np.cos(c[:, 0]) * np.sin(c[:, -1] + 0.3)
+
+    got = exact_semigroup_batch(k, f, 0.4, np.array(rows))
+    assert len(calls) == 1
+    one_by_one = np.array([exact_semigroup(k, f, 0.4, np.array(x)) for x in rows])
+    assert len(calls) == 1 + len(rows)
+    assert got.tobytes() == one_by_one.tobytes()
+
+
+def test_the_sphere_oracle_builds_its_kernel_once_per_call(monkeypatch):
+    import feller.reference as rf
+
+    k = HeatKernelId.from_string("sphere-harmonics")
+    rows = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.8, -0.6]])
+    f = lambda c: c[:, 2] + c[:, 0] * c[:, 1]
+    one_by_one = np.array([exact_semigroup(k, f, 0.3, x) for x in rows])
+    legendre_sum, calls = rf._legendre_sum, []
+    monkeypatch.setattr(rf, "_legendre_sum", lambda *a: calls.append(1) or legendre_sum(*a))
+    got = exact_semigroup_batch(k, f, 0.3, rows)
+    assert len(calls) == 1
+    assert got.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("kernel, x, why", [
+    ("hyperbolic-h2", [0.0, -1.0], "y must be > 0"),
+    ("hyperbolic-h2", [0.0, 0.0], "y must be > 0"),
+    ("sphere-harmonics", [0.0, 0.0, 2.0], "expected 1"),
+    ("wrapped-gauss-s1", [math.nan], "non-finite coordinates"),
+])
+def test_exact_semigroup_refuses_raw_coordinates_off_the_chart(kernel, x, why):
+    from feller.errors import InvalidPointError
+
+    with pytest.raises(InvalidPointError, match=why):
+        exact_semigroup(HeatKernelId.from_string(kernel), COS, 0.5, np.array(x))
 
 
 def test_exact_semigroup_rejects_nonpositive_time():

@@ -6,11 +6,13 @@ global frame is declared by its group.  Rows move in one place:
 expanded in one place: ``chernoff._level``, and the branch chain runs in one
 place: ``chernoff.sample_steps``.  Grid values are gathered in one place:
 ``Stencil.apply``, which passes the live columns, and a sweep pads its values
-once (a chart without padding reads a view of them) and applies each
-stencil once.  A group shift on a grid of periodic axes moves one row and
-translates its stencil, with no per-node weights; every other branch builds
-the stencil of every node.  Words become branch indices in ``sample_steps`` alone, and a
-folded tree chunk broadcasts its nodes against the product table.  The
+once (a chart without padding reads a view of them) and adds each
+stencil's gather once into one buffer; every grid branch, the potential's
+identity included, is a stencil that carries its weight.  A group shift on
+a grid of periodic axes moves one row and translates its stencil, with no
+per-node weights; every other branch builds the stencil of every node.
+Words become branch indices in ``sample_steps`` alone, and a folded tree
+chunk broadcasts its nodes against the product table.  The
 drift policy is read in ``fields`` alone and takes two values, an oracle's
 chart is read in ``reference``, the CLI's rows run in one pool and its JSON
 is checked by one function.  A field has one map of its components and one
@@ -271,9 +273,9 @@ def _grid_moves(monkeypatch, spec, variant, f0):
     for name in built:
         real = getattr(grids.GridFunction, name)
 
-        def counted(self, coords, _real=real, _name=name):
+        def counted(self, coords, weight=1.0, _real=real, _name=name):
             built[_name] += 1
-            return _real(self, coords)
+            return _real(self, coords, weight)
 
         monkeypatch.setattr(grids.GridFunction, name, counted)
     chernoff.iterate_grid(spec, variant, 0.5, 3, f0)
@@ -318,6 +320,27 @@ def test_the_translated_stencil_path_names_no_chart():
     assert not {"circle", "torus2", "sphere2", "periodic"} & strings
     assert {"identity", "periodic", "shift"} <= {n.attr for n in ast.walk(body)
                                                 if isinstance(n, ast.Attribute)}
+
+
+def test_every_grid_branch_is_a_weighted_stencil():
+    # no diagonal path: every branch, the potential's identity included, is
+    # built or translated into a stencil that carries its weight, and a sweep
+    # zeroes one buffer and adds every stencil's gather into it
+    body = _definition(chernoff, "iterate_grid")
+    assert "signed" not in {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    loops = [n for n in ast.walk(body) if isinstance(n, ast.For)]
+    moves = next(loop for loop in loops if "move_rows" in _called_names(loop))
+    appends = [n for n in ast.walk(moves)
+               if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "append"]
+    assert len(appends) == 1
+    assert not [n for n in ast.walk(moves) if isinstance(n, ast.If) and "append" in _called_names(n)]
+    made = appends[0].args[0]
+    for call in [made.body, made.orelse] if isinstance(made, ast.IfExp) else [made]:
+        assert isinstance(call, ast.Call) and len(call.args) == 2
+        assert call.func.attr in {"build_stencil", "shift_stencil"}
+    sweep = next(loop for loop in loops if "flat_values" in _called_names(loop))
+    assert _called_names(sweep) == {"range", "flat_values", "fill", "apply"}
+    assert not [n for n in ast.walk(sweep) if isinstance(n, (ast.AugAssign, ast.BinOp))]
 
 
 def test_a_torus_heat_geodesic_sweep_allocates_no_per_node_weights():
