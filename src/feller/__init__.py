@@ -8,10 +8,8 @@ solver.
 """
 
 from .chernoff import (
-    BranchSet,
     ChernoffVariant,
-    apply_S,
-    branch_set,
+    apply_S_batch,
     consistency_defect,
     iterate_grid,
     iterate_mc,
@@ -23,8 +21,6 @@ from .fields import (
     apply_generator,
     check_dominance,
     constant_field,
-    covariant_divergence,
-    derive_drift,
     expression_field,
     field_from_string,
     frame_field,
@@ -32,9 +28,7 @@ from .fields import (
     zero_field,
 )
 from .flows import (
-    FlowResult,
     OdeSettings,
-    integral_curve,
     monotone_distance_horizon,
     verify_distance_monotonicity,
 )
@@ -42,24 +36,16 @@ from .grids import GridFunction
 from .manifolds import (
     Manifold,
     Point,
-    TangentVector,
-    christoffel_at,
     circle,
-    distance,
     euclidean,
-    frame_at,
-    geodesic,
     hyperbolic_h2,
-    log_map,
     manifold_from_string,
-    metric_at,
     sphere2,
     torus2,
 )
 from .reference import FdSolverSettings, HeatKernelId, exact_semigroup, fd_solve
 from .walks import (
     PathSample,
-    StepDistribution,
     WalkStats,
     estimate_expectation,
     ks_distance_to,
@@ -68,7 +54,6 @@ from .walks import (
     sample_geodesic_interp,
     sample_jump_path,
     sample_path,
-    step_distribution,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ each branch with its weight and the data of its move at the step time s.
 rows of one field (``-A_j`` flows ``A_j`` for ``-tau``) in one
 ``flow_batch`` call with one signed time per row, the group-shift rows in
 one ``compose``; ``_level`` is the one expansion of a level of S(s), for
-``iterate_tree``, ``apply_S_batch`` and ``branch_set``.  Three evaluation
+``iterate_tree`` and ``apply_S_batch``, the one S(t).  Three evaluation
 strategies for S(t/n)^n f read the table at s = t/n: exact tree recursion
 (``iterate_tree``, the oracle), semi-Lagrangian grid sweeps
 (``iterate_grid``) and Monte-Carlo path sampling (``iterate_mc``).
@@ -104,14 +104,6 @@ class ChernoffVariant(enum.Enum):
         raise ValueError(f"unknown Chernoff variant {s!r}")
 
 
-@dataclass(frozen=True)
-class BranchSet:
-    """Shifted evaluation points and weights for one application of S(t)."""
-
-    points: list
-    weights: np.ndarray
-
-
 def check_steps(t: float, n: int) -> None:
     """Refuse a step count below 1 and a time that is negative, NaN or infinite
     (every strategy and walk)."""
@@ -123,7 +115,7 @@ def check_steps(t: float, n: int) -> None:
 
 def _potential_step(spec: GeneratorSpec, dt: float, coords: np.ndarray) -> np.ndarray:
     """``dt * c`` at the rows of ``coords``; PotentialStepError where
-    ``dt * |c| > 1`` (every strategy and apply_S)."""
+    ``dt * |c| > 1`` (every strategy and apply_S_batch)."""
     pot = dt * spec.potential_values(coords)
     worst = float(np.abs(pot).max(initial=0.0))
     if worst > 1.0:
@@ -477,20 +469,6 @@ def _level(branches: Sequence[Branch], pts: np.ndarray, wts: np.ndarray, s: floa
     return leaves, np.concatenate([br.weight_at(pts, s) * wts for br in branches])
 
 
-def branch_set(
-    spec: GeneratorSpec,
-    variant: ChernoffVariant,
-    t: float,
-    x: Point,
-    ode: OdeSettings = DEFAULT_ODE,
-) -> BranchSet:
-    """Shifted points and weights of S(t) at x; with a potential, x last with weight t c(x)."""
-    spec.manifold._check_point(x)
-    check_steps(t, 1)
-    moved, weights = _level(branch_moves(spec, variant, ode), x.coords[None, :], np.ones(1), t)
-    return BranchSet(points=[spec.manifold.point(p) for p in moved], weights=weights)
-
-
 def apply_S_batch(
     spec: GeneratorSpec,
     variant: ChernoffVariant,
@@ -499,26 +477,14 @@ def apply_S_batch(
     coords: np.ndarray,
     ode: OdeSettings = DEFAULT_ODE,
 ) -> np.ndarray:
-    """(S(t)f) evaluated at a batch of coordinate rows."""
+    """(S(t)f) at a batch of coordinate rows: per row ``sum_i w_i f(p_i)``, the
+    last term ``t c(x) f(x)`` with a potential."""
     check_steps(t, 1)
     coords = np.atleast_2d(coords)
     branches, rows = branch_moves(spec, variant, ode), coords.shape[0]
     moved, weights = _level(branches, coords, np.ones(rows), t)
     terms = (weights * np.asarray(f(moved), dtype=float)).reshape(len(branches), rows)
     return sum(terms, np.zeros(rows))  # in table order: np.sum reassociates one row's terms
-
-
-def apply_S(
-    spec: GeneratorSpec,
-    variant: ChernoffVariant,
-    t: float,
-    f: Callable[[np.ndarray], np.ndarray],
-    x: Point,
-    ode: OdeSettings = DEFAULT_ODE,
-) -> float:
-    """(S(t)f)(x) = sum_i w_i f(p_i), the last term t c(x) f(x) with a potential."""
-    spec.manifold._check_point(x)
-    return float(apply_S_batch(spec, variant, t, f, x.coords[None, :], ode)[0])
 
 
 # the tree is evaluated in chunks of at most this many leaves, each grown from
@@ -731,15 +697,16 @@ def consistency_defect(
     t: float,
     f: Callable[[np.ndarray], np.ndarray],
     sample: Sequence[Point],
-    f_grad=None,
-    f_hess=None,
+    f_grad: Callable[[np.ndarray], np.ndarray],
+    f_hess: Callable[[np.ndarray], np.ndarray],
     ode: OdeSettings = DEFAULT_ODE,
 ) -> float:
     """max over the sample of |(S(t)f - f)/t - (L_0 f + c f)|.
 
     Measures the first-order consistency of the Chernoff family with the
     generator; O(t) for the consistent variants, and converging to the
-    non-zero residual |L_0 f| for the literal driftless form.
+    non-zero residual |L_0 f| for the literal driftless form.  ``f_grad``
+    and ``f_hess`` are f's gradient and Hessian, for ``apply_generator``.
     """
     if t <= 0.0:
         raise ValueError("consistency_defect requires t > 0")

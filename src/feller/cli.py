@@ -439,7 +439,7 @@ def run_walk_study(cfg: ExperimentConfig):
     x = _start_point(manifold, cfg.x)
     ode = _ode_settings(cfg)
     ref = _reference_cdf(cfg.reference)
-    pairs = [tuple(float(v) for v in str(pair).split(",")) for pair in cfg.moc]
+    pairs = [_moc_pair(pair) for pair in cfg.moc]
     paths = int(cfg.paths)
     if pairs and paths < 1:
         raise ValueError("paths must be >= 1 to estimate a modulus-of-continuity tail")
@@ -459,6 +459,17 @@ def run_walk_study(cfg: ExperimentConfig):
             moc = [(delta, eps, e / paths) for (delta, eps), e in zip(pairs, exceed)]
         out.append(replace(stats, ks_distance=ks, moc_tail=moc))
     return out
+
+
+def _moc_pair(pair) -> tuple:
+    """One ``delta,eps`` pair: two finite numbers with delta > 0 and eps >= 0."""
+    try:
+        delta, eps = (float(v) for v in str(pair).split(","))
+    except ValueError:  # not two numbers
+        delta = eps = math.nan
+    if not (0.0 < delta < math.inf and 0.0 <= eps < math.inf):
+        raise ValueError(f"--moc {pair!r} is not delta,eps with finite delta > 0 and eps >= 0")
+    return delta, eps
 
 
 def _start_point(manifold: mf.Manifold, x: list) -> mf.Point:

@@ -10,7 +10,7 @@ class InvalidPointError(FellerError):
 
 
 class IncompatibleBaseError(FellerError):
-    """Tangent vector or field used at a point it is not based at."""
+    """A point or field used with a manifold it does not live on."""
 
 
 class BeyondInjectivityRadiusError(FellerError):

@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import DegenerateFieldsError, IncompatibleBaseError, VariantIncompatibleError
 from .expressions import compile_expression, compile_partials, compile_scalar
-from .manifolds import Manifold, Point, Sphere2, TangentVector
+from .manifolds import Manifold, Point, Sphere2
 
 _H_FD = 1e-5     # first-order central differences
-_H_FD2 = 1e-4    # second differences along integral curves
 
 _SVD_TOL = 1e-8  # ellipticity spot-check threshold
 
@@ -89,13 +88,6 @@ class VectorField:
             return np.zeros_like(np.atleast_2d(coords))
         return self._comps(np.atleast_2d(coords))
 
-    def eval(self, x: Point) -> TangentVector:
-        self.manifold._check_point(x)
-        return TangentVector(x, self.comps(x.coords[None, :])[0])
-
-    def __call__(self, x: Point) -> TangentVector:
-        return self.eval(x)
-
     def jacobian_batch(self, coords: np.ndarray) -> np.ndarray:
         """Chart partials d_j A^i, shape (n, cd, cd); FD when not analytic."""
         coords = np.atleast_2d(coords)
@@ -135,12 +127,6 @@ def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
     if np.any(dlog):
         div = div + np.einsum("ni,ni->n", A.comps(coords), dlog)
     return div
-
-
-def covariant_divergence(A: VectorField, x: Point) -> float:
-    """Covariant divergence of A at x."""
-    A.manifold._check_point(x)
-    return float(divergence_batch(A, x.coords[None, :])[0])
 
 
 # -- built-in field constructors ----------------------------------------------
@@ -430,14 +416,6 @@ class GeneratorSpec:
                 )
 
 
-def derive_drift(spec: GeneratorSpec, x: Point) -> TangentVector:
-    """Drift A_0(x) = 1/2 sum_i (div A_i)(x) A_i(x) + B(x)."""
-    if not spec.derived:
-        raise ValueError("derive_drift requires a derived drift policy")
-    spec.manifold._check_point(x)
-    return TangentVector(x, spec.drift_comps(x.coords[None, :])[0])
-
-
 def check_dominance(
     spec: GeneratorSpec, B: VectorField, sample: Sequence[Point]
 ) -> DominanceReport:
@@ -462,54 +440,22 @@ def apply_generator(
     spec: GeneratorSpec,
     f: Callable[[np.ndarray], np.ndarray],
     x: Point,
-    f_grad=None,
-    f_hess=None,
+    f_grad: Callable[[np.ndarray], np.ndarray],
+    f_hess: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """(L_0 f)(x) + c(x) f(x).
+    """(L_0 f)(x) + c(x) f(x), exactly from the field data.
 
-    With ``f_grad`` and ``f_hess`` (gradient and Hessian in the stored
-    coordinates; ambient on the sphere) the second-order terms are evaluated
-    exactly from the field data.
-    Otherwise nested central differences along the integral curves of the
-    fields are used: ``A_k(A_k f)(x) = d^2/dt^2 f(gamma_{x,A_k}(t))|_0``.
+    ``f_grad`` and ``f_hess`` are the gradient and Hessian of f in the stored
+    coordinates (ambient on the sphere): ``A(Af) = A^T H A + grad f . (J A)``
+    there, on the sphere too, since a tangent A differentiates along it.
     """
     spec.manifold._check_point(x)
     c = x.coords[None, :]
-    fx = float(np.asarray(f(c))[0])
-    pot = float(spec.potential_values(c)[0]) * fx
-    if f_grad is not None and f_hess is not None:
-        return _apply_generator_exact(spec, c, f_grad, f_hess) + pot
-    return _apply_generator_fd(spec, f, c, fx) + pot
-
-
-def _apply_generator_exact(spec, c, f_grad, f_hess) -> float:
-    # A(Af) = A^T H A + grad f . (J A) in the stored coordinates: on the
-    # sphere too, since a tangent A differentiates along the sphere
     grad = np.asarray(f_grad(c))[0]
     hess = np.asarray(f_hess(c))[0]
     acc = 0.0
     for fld in spec.fields:
         s = fld.comps(c)[0]
         acc += 0.5 * (s @ hess @ s + (fld.jacobian_batch(c)[0] @ s) @ grad)
-    return float(acc + spec.drift_comps(c)[0] @ grad)
-
-
-def _apply_generator_fd(spec, f, c, fx) -> float:
-    from .flows import flow_batch, OdeSettings  # local import to avoid a cycle
-
-    m = spec.manifold
-    scale = float(_fd_scale(c)[0])
-    h2 = _H_FD2 * scale
-    ode = OdeSettings(tol=1e-13, max_steps=64)
-    acc = 0.0
-    for fld in spec.fields:
-        fp = float(np.asarray(f(flow_batch(fld, c, h2, ode)))[0])
-        fm = float(np.asarray(f(flow_batch(fld, c, -h2, ode)))[0])
-        acc += 0.5 * (fp - 2.0 * fx + fm) / (h2 * h2)
-    h1 = _H_FD * scale
-    drift = spec.drift_field()
-    if drift.is_zero:
-        return acc
-    dp = float(np.asarray(f(flow_batch(drift, c, h1, ode)))[0])
-    dm = float(np.asarray(f(flow_batch(drift, c, -h1, ode)))[0])
-    return acc + (dp - dm) / (2.0 * h1)
+    pot = float(spec.potential_values(c)[0]) * float(np.asarray(f(c))[0])
+    return float(acc + spec.drift_comps(c)[0] @ grad) + pot

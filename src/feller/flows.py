@@ -13,8 +13,8 @@ field's temporaries stay small; the rows not kept at 4 steps then double one
 pass at a time.  A row's endpoint is therefore the same in any batch, and
 the same as alone.  Passes of fewer than 16 steps may leave the chart
 (``Manifold.in_chart``) or overflow; such a row is just not kept there.
-``integral_curve`` runs the same engine on a single start and reports that
-row's step count (the fine pass it kept) and its Richardson estimate.
+``_integrate`` also reports each row's step count (the fine pass it kept)
+and its Richardson estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
 built-ins, sphere rotations, the zero field) short-circuit the engine, which
@@ -90,13 +90,6 @@ class OdeSettings:
 
 
 DEFAULT_ODE = OdeSettings()
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    endpoint: Point
-    steps_taken: int
-    est_error: float
 
 
 # A stacked batch runs over blocks of rows whose stacked state holds at most
@@ -250,23 +243,6 @@ def flow_batch(
     Richardson estimate, not its true error (see ``OdeSettings``).
     """
     return _integrate(A, coords, t, ode)[0]
-
-
-def integral_curve(
-    A: VectorField, x: Point, t: float, settings: OdeSettings = DEFAULT_ODE
-) -> FlowResult:
-    """Endpoint of the maximal integral curve of A started at x, after time t.
-
-    ``steps_taken`` is the step count of the fine RK4 pass kept (0 for
-    ``t = 0`` or the zero field, 1 for an exact flow) and ``est_error`` its
-    Richardson estimate ``max|fine - coarse| / 15``.
-    """
-    m = A.manifold
-    m._check_point(x)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be >= 0 and finite")
-    c, steps, err = _integrate(A, x.coords, t, settings)
-    return FlowResult(m.point(c[0]), int(steps[0]), float(err[0]))
 
 
 # -- distance monotonicity -------------------------------------------------------

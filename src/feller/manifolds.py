@@ -12,10 +12,13 @@ Every built-in carries a canonical global chart:
   centered at the query point, which avoids the coordinate singularities of
   spherical angles.
 
-Geodesics, log maps and distances are analytic for all built-ins; they act
-as ground truth for the numerical integrators elsewhere in the package.
-All objects are immutable and every operation is a pure function, so
-concurrent use is safe by construction.
+Geodesics, log maps, distances and frames are analytic for all built-ins,
+and each is one batch method on coordinate arrays (``geodesic_batch``,
+``log_batch``, ``distance_batch``, ``frame_batch``); they act as ground truth
+for the numerical integrators elsewhere in the package.  A ``Point`` is one
+validated start of a strategy or a walk.  All objects are immutable and
+every operation is a pure function, so concurrent use is safe by
+construction.
 """
 
 from __future__ import annotations
@@ -74,31 +77,11 @@ class Point:
         return f"Point({self.manifold.name}, {np.array2string(self.coords, precision=6)})"
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector with chart-basis components (ambient for Sphere2)."""
-
-    base: Point
-    comps: np.ndarray
-
-    def __repr__(self):
-        return f"TangentVector({self.base!r}, {np.array2string(self.comps, precision=6)})"
-
-
-@dataclass(frozen=True)
-class MetricData:
-    """Metric, inverse and volume density at one point."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_det: float
-
-
 class Manifold:
     """Base class; subclasses implement chart geometry on coordinate arrays.
 
-    Batch methods take arrays of shape ``(n, chart_dim)`` and are the hot
-    path; the ``Point``-level operations below wrap them.
+    Batch methods take arrays of shape ``(n, chart_dim)``; they are the
+    only geometry, and ``point`` validates one start.
 
     Every parallelizable built-in is a Lie group with a left-invariant frame
     (R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group).
@@ -147,17 +130,6 @@ class Manifold:
         c.setflags(write=False)
         return Point(self, c)
 
-    def tangent(self, base: Point, comps) -> TangentVector:
-        self._check_point(base)
-        v = np.atleast_1d(np.asarray(comps, dtype=float)).copy()
-        if v.shape != (self.chart_dim,):
-            raise IncompatibleBaseError(
-                f"{self.name}: expected {self.chart_dim} components, got {v.shape}"
-            )
-        self._validate_tangent(base.coords, v)
-        v.setflags(write=False)
-        return TangentVector(base, v)
-
     def _check_point(self, x: Point):
         if x.manifold is not self:
             raise IncompatibleBaseError(
@@ -166,17 +138,6 @@ class Manifold:
 
     def _validate(self, c: np.ndarray) -> np.ndarray:
         return c
-
-    def _validate_tangent(self, x: np.ndarray, v: np.ndarray):
-        pass
-
-    # -- chart geometry (single point) -----------------------------------
-
-    def metric(self, x: Point) -> MetricData:
-        raise NotImplementedError
-
-    def christoffel(self, x: Point) -> np.ndarray:
-        raise NotImplementedError
 
     # -- batch geometry ---------------------------------------------------
 
@@ -251,15 +212,6 @@ class Euclidean(Manifold):
         self.coord_names = tuple(f"x{i + 1}" for i in range(d))
         self.identity = np.zeros(d)
         self.identity.setflags(write=False)
-
-    def metric(self, x):
-        self._check_point(x)
-        eye = np.eye(self.dim)
-        return MetricData(eye, eye.copy(), 1.0)
-
-    def christoffel(self, x):
-        self._check_point(x)
-        return np.zeros((self.dim,) * 3)
 
     def geodesic_batch(self, xs, vs, t):
         t = np.asarray(t, dtype=float)
@@ -357,22 +309,6 @@ class HyperbolicHalfPlane(Manifold):
 
     def in_chart(self, coords):
         return super().in_chart(coords) & (coords[..., 1] > 0.0)
-
-    def metric(self, x):
-        self._check_point(x)
-        y = x.coords[1]
-        g = np.diag([1.0 / y**2, 1.0 / y**2])
-        g_inv = np.diag([y**2, y**2])
-        return MetricData(g, g_inv, 1.0 / y**2)
-
-    def christoffel(self, x):
-        self._check_point(x)
-        y = x.coords[1]
-        gamma = np.zeros((2, 2, 2))
-        gamma[0, 0, 1] = gamma[0, 1, 0] = -1.0 / y
-        gamma[1, 0, 0] = 1.0 / y
-        gamma[1, 1, 1] = -1.0 / y
-        return gamma
 
     def geodesic_batch(self, xs, vs, t):
         # the frame at x is y_x times the standard basis at the identity
@@ -481,7 +417,7 @@ class HyperbolicHalfPlane(Manifold):
 class Sphere2(Manifold):
     """Unit sphere in R^3, stored extrinsically.
 
-    Chart quantities (metric, Christoffels, field derivatives) refer to the
+    Chart quantities (field derivatives, the divergence) refer to the
     orthographic tangent-plane chart centered at the query point, where the
     metric is the identity and the connection coefficients vanish.  The
     distance is 2 atan2(|y - x|, |y + x|) and the log is that distance times
@@ -503,24 +439,11 @@ class Sphere2(Manifold):
             raise InvalidPointError(f"sphere2: |coords| = {float(r)!r}, expected 1")
         return c
 
-    def _validate_tangent(self, x, v):
-        if abs(float(np.dot(x, v))) > 1e-10:
-            raise IncompatibleBaseError("sphere2: components not tangent to the sphere")
-
     @staticmethod
     def _renorm(q):
         return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
     wrap = project = _renorm  # onto the sphere
-
-    def metric(self, x):
-        self._check_point(x)
-        eye = np.eye(2)
-        return MetricData(eye, eye.copy(), 1.0)
-
-    def christoffel(self, x):
-        self._check_point(x)
-        return np.zeros((2, 2, 2))
 
     def tangent_basis(self, xs) -> np.ndarray:
         """Deterministic orthonormal tangent pairs, shape (n, 3, 2)."""
@@ -649,47 +572,3 @@ def manifold_from_string(spec: str) -> Manifold:
     if s not in table:
         raise ValueError(f"unknown manifold {spec!r}")
     return table[s]
-
-
-# -- operation-level API -------------------------------------------------------
-
-
-def metric_at(m: Manifold, x: Point) -> MetricData:
-    """Canonical-chart metric at x."""
-    return m.metric(x)
-
-
-def christoffel_at(m: Manifold, x: Point) -> np.ndarray:
-    """Levi-Civita coefficients Gamma^a_{bc}, symmetric in (b, c)."""
-    return m.christoffel(x)
-
-
-def geodesic(m: Manifold, x: Point, v: TangentVector, t: float) -> Point:
-    """Point gamma_{x,v}(t) on the geodesic with initial velocity v."""
-    m._check_point(x)
-    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-        raise IncompatibleBaseError("velocity not based at x")
-    return m.point(m.geodesic_batch(x.coords[None, :], v.comps[None, :], float(t))[0])
-
-
-def log_map(m: Manifold, x: Point, y: Point) -> TangentVector:
-    """Initial velocity of the shortest geodesic with gamma(0)=x, gamma(1)=y."""
-    m._check_point(x)
-    m._check_point(y)
-    v = m.log_batch(x.coords[None, :], y.coords[None, :])[0]
-    return TangentVector(x, v)
-
-
-def distance(m: Manifold, x: Point, y: Point) -> float:
-    """Geodesic distance."""
-    m._check_point(x)
-    m._check_point(y)
-    return float(m.distance_batch(x.coords[None, :], y.coords[None, :])[0])
-
-
-def frame_at(m: Manifold, x: Point) -> list[TangentVector]:
-    """Orthonormal parallelizing frame e_1..e_d at x; NotParallelizableError
-    on a chart without one."""
-    m._check_point(x)
-    comps = m.frame_batch(x.coords[None, :])
-    return [TangentVector(x, np.array(comps[k, 0])) for k in range(m.dim)]

@@ -410,6 +410,8 @@ def fd_solve(
         )
     if f0.manifold is not spec.manifold:
         raise VariantIncompatibleError("grid and generator live on different manifolds")
+    if not 0.0 <= t < math.inf:  # a negative t would solve the heat equation backwards
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     dt = t / settings.steps
     if dt > _MAX_DT + 1e-15:
         raise ValueError(

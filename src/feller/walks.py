@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,17 +51,6 @@ from .manifolds import Point
 GENERAL = ChernoffVariant.GENERAL
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    """One-step kernel of the walk: (move descriptor, probability) pairs."""
-
-    branches: list
-
-    @property
-    def probabilities(self) -> list[Fraction]:
-        return [p for _, p in self.branches]
-
-
 def _walk_table(spec: GeneratorSpec, ode: OdeSettings = DEFAULT_ODE) -> list:
     """The ``GENERAL`` table, refused if it holds the signed potential branch."""
     if (branches := branch_moves(spec, GENERAL, ode))[-1].signed is not None:
@@ -74,17 +62,6 @@ def _walk_steps(t: float, n: int) -> int:
     """Number of whole steps of the n-th walk in [0, t]."""
     check_steps(t, n)
     return int(math.floor(n * t + 1e-12))
-
-
-def step_distribution(spec: GeneratorSpec, n: int) -> StepDistribution:
-    """The transition kernel of the n-th walk (probabilities are exact).
-
-    Descriptors name the flow time as a function of the step time s = 1/n.
-    """
-    check_steps(0.0, n)
-    return StepDistribution(
-        branches=[(br.label, br.weight) for br in _walk_table(spec)]
-    )
 
 
 @dataclass(frozen=True)
@@ -302,8 +279,8 @@ def ks_distance_to(reference_cdf: Callable[[np.ndarray], np.ndarray], samples) -
 
 def modulus_of_continuity(path: PathSample, delta: float) -> float:
     """sup of d(path(s), path(t)) over stored grid pairs with |s - t| < delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
     m = path.spec.manifold
     times, pts = path.times, path.points
     worst = 0.0

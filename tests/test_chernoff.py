@@ -31,6 +31,17 @@ def cos_grid(n, interp="cubic"):
     return GridFunction.from_function(fl.circle(), n, lambda c: np.cos(c[:, 0]), interp)
 
 
+def branch_level(spec, variant, t, x):
+    """The points and weights of S(t) at the point x: one ``_level`` of the
+    branch table, with a potential x itself last, of weight t c(x)."""
+    return chernoff._level(branch_moves(spec, variant), x.coords[None, :], np.ones(1), t)
+
+
+def apply_S(spec, variant, t, f, x):
+    """(S(t)f)(x), one row of ``apply_S_batch``."""
+    return float(fl.apply_S_batch(spec, variant, t, f, x.coords[None, :])[0])
+
+
 # -- branch sets --------------------------------------------------------------------
 
 
@@ -38,16 +49,16 @@ def cos_grid(n, interp="cubic"):
 def test_branch_set_at_time_zero(variant):
     spec, circ = circle_heat()
     x = circ.point([1.2])
-    bs = fl.branch_set(spec, variant, 0.0, x)
-    for p in bs.points:
-        assert p.coords[0] == pytest.approx(1.2, abs=1e-15)
-    assert math.fsum(bs.weights) == 1.0
+    points, weights = branch_level(spec, variant, 0.0, x)
+    for p in points:
+        assert p[0] == pytest.approx(1.2, abs=1e-15)
+    assert math.fsum(weights) == 1.0
 
 
 def test_branch_set_general_euclid():
     spec, e1 = quad_spec()
-    bs = fl.branch_set(spec, CV.GENERAL, 0.5, e1.point([2.0]))
-    got = sorted((p.coords[0], w) for p, w in zip(bs.points, bs.weights))
+    points, weights = branch_level(spec, CV.GENERAL, 0.5, e1.point([2.0]))
+    got = sorted((p[0], w) for p, w in zip(points, weights))
     assert got == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.25)]
 
 
@@ -56,19 +67,19 @@ def test_branch_set_lists_the_potential_last():
     spec = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="explicit",
                             potential="-1-sin(theta)^2")
     x, t = circ.point([0.3]), 0.25
-    bs = fl.branch_set(spec, CV.GENERAL, t, x)
-    assert len(bs.points) == len(bs.weights) == 4
-    assert bs.points[-1].coords.tobytes() == x.coords.tobytes()
-    assert bs.weights[-1] == t * (-1.0 - math.sin(0.3) ** 2)
-    np.testing.assert_array_equal(bs.weights[:-1], [0.5, 0.25, 0.25])
+    points, weights = branch_level(spec, CV.GENERAL, t, x)
+    assert len(points) == len(weights) == 4
+    assert points[-1].tobytes() == x.coords.tobytes()
+    assert weights[-1] == t * (-1.0 - math.sin(0.3) ** 2)
+    np.testing.assert_array_equal(weights[:-1], [0.5, 0.25, 0.25])
 
 
 def test_branch_set_heat_geodesic_circle():
     spec, circ = circle_heat()
-    bs = fl.branch_set(spec, CV.HEAT_GEODESIC, 0.25, circ.point([1.0]))
-    got = sorted(p.coords[0] for p in bs.points)
+    points, weights = branch_level(spec, CV.HEAT_GEODESIC, 0.25, circ.point([1.0]))
+    got = sorted(p[0] for p in points)
     np.testing.assert_allclose(got, [0.5, 1.5])
-    np.testing.assert_array_equal(bs.weights, [0.5, 0.5])
+    np.testing.assert_array_equal(weights, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
@@ -136,7 +147,7 @@ def test_apply_S_normalizes_constants():
     spec, circ = circle_heat()
     one = lambda c: np.ones(c.shape[0])
     for t in (0.0, 0.2, 2.0):
-        assert fl.apply_S(spec, CV.GENERAL, t, one, circ.point([0.4])) == 1.0
+        assert apply_S(spec, CV.GENERAL, t, one, circ.point([0.4])) == 1.0
 
 
 def test_apply_S_quadratic_identity():
@@ -144,7 +155,7 @@ def test_apply_S_quadratic_identity():
     f = lambda c: c[:, 0] ** 2
     for t in (0.1, 0.5, 2.0):
         for x in (-1.0, 0.0, 0.7):
-            got = fl.apply_S(spec, CV.GENERAL, t, f, e1.point([x]))
+            got = apply_S(spec, CV.GENERAL, t, f, e1.point([x]))
             assert got == pytest.approx(x * x + t, abs=1e-14)
 
 
@@ -152,7 +163,7 @@ def test_apply_S_heat_geodesic_cos():
     spec, circ = circle_heat()
     f = lambda c: np.cos(c[:, 0])
     for t in (0.04, 0.25, 1.0):
-        got = fl.apply_S(spec, CV.HEAT_GEODESIC, t, f, circ.point([0.7]))
+        got = apply_S(spec, CV.HEAT_GEODESIC, t, f, circ.point([0.7]))
         assert got == pytest.approx(math.cos(0.7) * math.cos(math.sqrt(t)), abs=1e-14)
 
 
@@ -164,7 +175,7 @@ def test_tree_single_step_equals_apply_S():
     f = lambda c: np.cos(c[:, 0])
     x = circ.point([0.3])
     assert fl.iterate_tree(spec, CV.GENERAL, 0.4, 1, f, x) == pytest.approx(
-        fl.apply_S(spec, CV.GENERAL, 0.4, f, x), abs=1e-15
+        apply_S(spec, CV.GENERAL, 0.4, f, x), abs=1e-15
     )
 
 
@@ -200,10 +211,8 @@ def test_tree_with_potential_matches_direct_composition():
     x = circ.point([0.5])
     t = 0.4
     # reference: apply S(t/2) twice through the functional composition
-    g = lambda c: np.array(
-        [fl.apply_S(spec, CV.GENERAL, t / 2, f, circ.point([v])) for v in c[:, 0]]
-    )
-    want = fl.apply_S(spec, CV.GENERAL, t / 2, g, x)
+    g = lambda c: fl.apply_S_batch(spec, CV.GENERAL, t / 2, f, c)
+    want = apply_S(spec, CV.GENERAL, t / 2, g, x)
     got = fl.iterate_tree(spec, CV.GENERAL, t, 2, f, x)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -740,7 +749,7 @@ def test_potential_step_above_one_is_refused(n):
     with pytest.raises(PotentialStepError):
         fl.iterate_grid(spec, CV.GENERAL, 1.0, n, GridFunction.from_function(circ, 64, f))
     with pytest.raises(PotentialStepError):
-        fl.apply_S(spec, CV.GENERAL, 1.0 / n, f, circ.point([1.2]))
+        apply_S(spec, CV.GENERAL, 1.0 / n, f, circ.point([1.2]))
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -764,9 +773,9 @@ def test_potential_step_guard_reads_the_evaluated_points():
     # n = 8: dt*|c| <= 0.625 everywhere
     assert fl.iterate_tree(spec, CV.GENERAL, 1.0, 8, f, x) == pytest.approx(0.02055, abs=1e-5)
     # dt = 0.25 passes at theta = 0.3 (dt*|c| = 0.79) and fails at 1.2 (1.18)
-    assert fl.apply_S(spec, CV.GENERAL, 0.25, f, x) > 0.0
+    assert apply_S(spec, CV.GENERAL, 0.25, f, x) > 0.0
     with pytest.raises(PotentialStepError):
-        fl.apply_S(spec, CV.GENERAL, 0.25, f, circ.point([1.2]))
+        apply_S(spec, CV.GENERAL, 0.25, f, circ.point([1.2]))
 
 
 # -- consistency defect ---------------------------------------------------------------------

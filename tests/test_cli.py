@@ -541,7 +541,7 @@ def test_fault_injection_breaks_contraction(monkeypatch):
     f = lambda c: np.ones(c.shape[0])
     circ = fl.circle()
     spec = fl.GeneratorSpec([fl.frame_field(circ, 1)], drift_policy="explicit")
-    val = ch.apply_S(spec, ch.ChernoffVariant.GENERAL, 0.1, f, circ.point([0.0]))
+    val = ch.apply_S_batch(spec, ch.ChernoffVariant.GENERAL, 0.1, f, np.zeros((1, 1)))[0]
     assert val != 1.0  # normalization broken
 
 
@@ -795,6 +795,17 @@ def test_ode_h0_flag_is_a_usage_error(capsys):
                            ("hyperbolic-h2", "0,0", "hyperbolic-h2: y must be > 0"),
                            ("sphere-harmonics", "0,0,2", "sphere2: |coords| = 2.0, expected 1"),
                            ("wrapped-gauss-s1", "nan", "circle: non-finite coordinates")]
+] + [
+    # oracle fd solves forwards in time: -0.5 ran the heat equation backwards
+    (["oracle", "fd", "--generator", {"fields": ["frame:1"], "drift": "zero"}, "--manifold",
+      "circle", "--f0", "cos(theta)", "--t", t, "--nodes", "64", "--steps", "10"], 2,
+     f"error: t must be >= 0 and finite, got {t}")
+    for t in ("-0.5", "nan")
+] + [
+    # a modulus-of-continuity pair is two finite numbers, delta > 0 and eps >= 0
+    (["walk", "stats", "--manifold", "circle", "--n", "4", "--samples", "10", f"--moc={pair}"], 2,
+     f"error: --moc {pair!r} is not delta,eps with finite delta > 0 and eps >= 0")
+    for pair in ("nan,0.1", "0.1,-1", "0.1")
 ])
 def test_exit_status_seen_by_the_shell(tmp_path, argv, code, err):
     # a non-string in argv is a JSON file with that content (a --config or a --generator)

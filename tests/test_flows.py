@@ -42,14 +42,21 @@ def linear_field():
     return fl.expression_field(e1, ["x1"]), e1
 
 
+def curve(A, start, t, ode=DEFAULT_ODE):
+    """(endpoint, RK4 steps, Richardson estimate) of the flow of A from one
+    start: one row of ``_integrate``."""
+    out, steps, err = _integrate(A, np.array([start], dtype=float), t, ode)
+    return out[0], int(steps[0]), float(err[0])
+
+
 # -- integral curves ----------------------------------------------------------------
 
 
 def test_zero_field_stationary():
     e2 = fl.euclidean(2)
-    res = fl.integral_curve(fl.zero_field(e2), e2.point([1.0, -2.0]), 5.0)
-    np.testing.assert_array_equal(res.endpoint.coords, [1.0, -2.0])
-    assert res.est_error == 0.0
+    end, _, err = curve(fl.zero_field(e2), [1.0, -2.0], 5.0)
+    np.testing.assert_array_equal(end, [1.0, -2.0])
+    assert err == 0.0
 
 
 @pytest.mark.parametrize("name", ["circle", "sphere2"])
@@ -62,39 +69,40 @@ def test_zero_field_returns_its_rows_untouched(name, rng):
 
 
 def test_exponential_flow_vs_series():
-    A, e1 = linear_field()
-    res = fl.integral_curve(A, e1.point([1.0]), 1.0)
-    assert res.endpoint.coords[0] == pytest.approx(exp_series(1.0), abs=1e-9)
-    assert res.est_error <= 1e-9 * max(1.0, 1.0)
-    assert res.steps_taken >= 1
+    A, _ = linear_field()
+    end, steps, err = curve(A, [1.0], 1.0)
+    assert end[0] == pytest.approx(exp_series(1.0), abs=1e-9)
+    assert err <= 1e-9 * max(1.0, 1.0)
+    assert steps >= 1
 
 
 def test_circle_constant_rotation():
     circ = fl.circle()
     A = fl.constant_field(circ, [1.0])
-    res = fl.integral_curve(A, circ.point([0.0]), 3.0 * np.pi)
-    assert res.endpoint.coords[0] == pytest.approx(np.pi)
+    assert curve(A, [0.0], 3.0 * np.pi)[0][0] == pytest.approx(np.pi)
 
 
 def test_t_zero_and_negative():
-    A, e1 = linear_field()
-    assert fl.integral_curve(A, e1.point([2.0]), 0.0).endpoint.coords[0] == 2.0
+    A, _ = linear_field()
+    assert curve(A, [2.0], 0.0)[0][0] == 2.0
+    # a negative time flows backwards; a time that is not finite is refused
+    assert curve(A, [2.0], -1.0)[0][0] == pytest.approx(2.0 / exp_series(1.0), abs=1e-9)
     circ = fl.circle()
     B = fl.expression_field(circ, ["1+0.5*sin(theta)"])
-    for t in (-1.0, math.nan, math.inf):
+    for t in (math.nan, math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any RK4 step on NaN
-            with pytest.raises(ValueError, match="t must be >= 0 and finite"):
-                fl.integral_curve(B, circ.point([0.3]), t)
+            with pytest.raises(ValueError, match="t must be finite"):
+                curve(B, [0.3], t)
 
 
 def test_semigroup_law():
-    A, e1 = linear_field()
+    A, _ = linear_field()
     tol = 1e-9
     settings = OdeSettings(tol=tol)
-    mid = fl.integral_curve(A, e1.point([0.5]), 0.6, settings).endpoint
-    two_leg = fl.integral_curve(A, mid, 0.7, settings).endpoint.coords[0]
-    one_leg = fl.integral_curve(A, e1.point([0.5]), 1.3, settings).endpoint.coords[0]
+    mid = curve(A, [0.5], 0.6, settings)[0]
+    two_leg = curve(A, mid, 0.7, settings)[0][0]
+    one_leg = curve(A, [0.5], 1.3, settings)[0][0]
     assert abs(two_leg - one_leg) <= 10 * tol
 
 
@@ -103,8 +111,8 @@ def test_time_reversal():
     A = fl.expression_field(e1, ["tanh(x1)"])
     tol = 1e-9
     settings = OdeSettings(tol=tol)
-    fwd = fl.integral_curve(A, e1.point([0.3]), 1.0, settings).endpoint
-    back = fl.integral_curve(negate(A), fwd, 1.0, settings).endpoint.coords[0]
+    fwd = curve(A, [0.3], 1.0, settings)[0]
+    back = curve(negate(A), fwd, 1.0, settings)[0][0]
     assert abs(back - 0.3) <= 10 * tol
 
 
@@ -125,7 +133,7 @@ def test_step_limit_exceeded():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning escapes a checked pass
         with pytest.raises(StepLimitExceededError, match="left the chart or diverged"):
-            fl.integral_curve(A, e1.point([1.0]), 2.0, OdeSettings(max_steps=2000))
+            curve(A, [1.0], 2.0, OdeSettings(max_steps=2000))
 
 
 def test_half_plane_domain_guard():
@@ -134,7 +142,7 @@ def test_half_plane_domain_guard():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepLimitExceededError, match="hyperbolic-h2: .* left the chart"):
-            fl.integral_curve(A, h2.point([0.0, 0.5]), 1.0)
+            curve(A, [0.0, 0.5], 1.0)
 
 
 def test_flow_batch_matches_integral_curve():
@@ -143,8 +151,8 @@ def test_flow_batch_matches_integral_curve():
     starts = np.linspace(-2.0, 2.0, 7)[:, None]
     batch = flow_batch(A, starts, 0.9, OdeSettings(tol=1e-12))
     for s, b in zip(starts, batch):
-        res = fl.integral_curve(A, e1.point(s), 0.9, OdeSettings(tol=1e-12))
-        assert b[0] == pytest.approx(res.endpoint.coords[0], abs=1e-10)
+        end = curve(A, s, 0.9, OdeSettings(tol=1e-12))[0]
+        assert b[0] == pytest.approx(end[0], abs=1e-10)
 
 
 def test_analytic_flows_match_integrator(rng):
@@ -189,11 +197,11 @@ def test_max_steps_is_never_exceeded(max_steps, passes, pass_steps):
     e1 = fl.euclidean(1)
     A = fl.expression_field(e1, ["x1^2"])
     with pytest.raises(StepLimitExceededError, match="exceed max_steps"):
-        fl.integral_curve(A, e1.point([0.5]), 1.0, OdeSettings(max_steps=max_steps))
+        curve(A, [0.5], 1.0, OdeSettings(max_steps=max_steps))
     assert pass_steps == passes
     pass_steps.clear()
-    res = fl.integral_curve(A, e1.point([0.5]), 1.0, OdeSettings(max_steps=64))
-    assert res.steps_taken == 64 and res.est_error <= 1e-9
+    _, steps, err = curve(A, [0.5], 1.0, OdeSettings(max_steps=64))
+    assert steps == 64 and err <= 1e-9
     assert pass_steps == [1, 2, 4, 8, 16, 32, 64]
 
 
@@ -203,8 +211,7 @@ def test_max_steps_needs_a_coarse_and_a_fine_pass():
     # passes of 1, 2 and 4 steps: a row can be kept at the limit
     circ = fl.circle()
     A = fl.field_from_string(circ, "custom:1+0.3*sin(theta)")
-    res = fl.integral_curve(A, circ.point([1.0]), 0.25, OdeSettings(max_steps=4))
-    assert res.steps_taken == 4
+    assert curve(A, [1.0], 0.25, OdeSettings(max_steps=4))[1] == 4
     assert main(["chernoff", "run", "--ode-max-steps", "3"]) == 2
 
 
@@ -215,10 +222,10 @@ def test_a_row_is_kept_only_once_its_estimate_falls_at_fourth_order():
     circ = fl.circle()
     A = fl.field_from_string(circ, "custom:1+0.99*sin(5*theta)")
     start = np.array([[0.87249094]])
-    res = fl.integral_curve(A, circ.point(start[0]), 1.0)
+    end, steps, _ = curve(A, start[0], 1.0)
     ref = circ.wrap(_rk4_fixed(A, start, 1.0, 16384))[0, 0]
-    assert res.steps_taken >= 16
-    assert abs(res.endpoint.coords[0] - ref) <= DEFAULT_ODE.tol
+    assert steps >= 16
+    assert abs(end[0] - ref) <= DEFAULT_ODE.tol
 
 
 @pytest.mark.parametrize("case", ["circle-rk4", "h2-rk4", "sphere-rk4"])
@@ -271,11 +278,11 @@ def test_short_passes_may_leave_the_chart():
     A = fl.field_from_string(h2, "custom:0,-5*y^3")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = fl.integral_curve(A, h2.point([0.0, 2.0]), 1.0)
-    assert abs(res.endpoint.coords[1] - 1.0 / math.sqrt(0.25 + 10.0)) <= DEFAULT_ODE.tol
+        end = curve(A, [0.0, 2.0], 1.0)[0]
+    assert abs(end[1] - 1.0 / math.sqrt(0.25 + 10.0)) <= DEFAULT_ODE.tol
     B = fl.field_from_string(h2, "custom:0,-exp(y)")
     with pytest.raises(StepLimitExceededError, match="chart"):
-        fl.integral_curve(B, h2.point([0.0, 2.0]), 1.0)
+        curve(B, [0.0, 2.0], 1.0)
 
 
 @pytest.mark.parametrize("kw", [
@@ -320,8 +327,7 @@ def test_each_row_reports_its_own_steps_and_error():
     _, steps, err = _integrate(A, starts, 1.0, DEFAULT_ODE)
     assert len(set(steps.tolist())) > 1  # rows converge at different passes
     for s, n_steps, e in zip(starts, steps, err):
-        res = fl.integral_curve(A, circ.point(s), 1.0)
-        assert (res.steps_taken, res.est_error) == (n_steps, e)
+        assert curve(A, s, 1.0)[1:] == (n_steps, e)
         assert e <= DEFAULT_ODE.tol
 
 

@@ -23,82 +23,24 @@ def _g_norm(m, xs, vs):
     return norm / xs[..., 1] if m.name == "hyperbolic-h2" else norm
 
 
-# -- metric ---------------------------------------------------------------------
-
-
-def test_metric_euclidean_identity():
-    m = fl.euclidean(2)
-    md = fl.metric_at(m, m.point([3.0, -1.0]))
-    np.testing.assert_array_equal(md.g, np.eye(2))
-    assert md.sqrt_det == 1.0
-
-
-def test_metric_half_plane():
-    m = fl.hyperbolic_h2()
-    md = fl.metric_at(m, m.point([0.0, 2.0]))
-    np.testing.assert_allclose(md.g, np.diag([0.25, 0.25]))
-    np.testing.assert_allclose(md.g_inv, np.diag([4.0, 4.0]))
-    assert md.sqrt_det == pytest.approx(0.25)
-
-
-def test_metric_circle():
-    m = fl.circle()
-    md = fl.metric_at(m, m.point([np.pi]))
-    np.testing.assert_array_equal(md.g, [[1.0]])
-    assert md.sqrt_det == 1.0
-
-
-def test_metric_consistency_random(rng):
-    for m in ALL():
-        pts = m.random_points(20, rng)
-        for c in pts:
-            md = fl.metric_at(m, m.point(c))
-            np.testing.assert_allclose(md.g @ md.g_inv, np.eye(md.g.shape[0]), atol=1e-10)
-            assert md.sqrt_det == pytest.approx(np.sqrt(np.linalg.det(md.g)), abs=1e-10)
-
-
-# -- christoffels ------------------------------------------------------------------
-
-
-def test_christoffel_flat_zero():
-    for m in (fl.euclidean(3), fl.torus2(), fl.circle()):
-        x = m.point([0.5] * m.chart_dim)
-        assert not np.any(fl.christoffel_at(m, x))
-
-
-def test_christoffel_half_plane():
-    m = fl.hyperbolic_h2()
-    g = fl.christoffel_at(m, m.point([0.0, 1.0]))
-    expected = np.zeros((2, 2, 2))
-    expected[0, 0, 1] = expected[0, 1, 0] = -1.0
-    expected[1, 0, 0] = 1.0
-    expected[1, 1, 1] = -1.0
-    np.testing.assert_allclose(g, expected)
-    np.testing.assert_allclose(g, np.swapaxes(g, 1, 2))  # symmetric in (b, c)
-
-
 # -- geodesics ----------------------------------------------------------------------
 
 
 def test_geodesic_line():
     m = fl.euclidean(1)
-    x = m.point([0.0])
-    assert fl.geodesic(m, x, m.tangent(x, [1.0]), 2.0).coords[0] == pytest.approx(2.0)
+    assert m.geodesic_batch(np.array([[0.0]]), np.array([[1.0]]), 2.0)[0, 0] == pytest.approx(2.0)
 
 
 def test_geodesic_circle_loop():
     m = fl.circle()
-    x = m.point([0.0])
-    out = fl.geodesic(m, x, m.tangent(x, [1.0]), 2.0 * np.pi)
-    assert out.coords[0] == pytest.approx(0.0, abs=1e-12)
+    out = m.geodesic_batch(np.array([[0.0]]), np.array([[1.0]]), 2.0 * np.pi)
+    assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_geodesic_great_circle():
     m = fl.sphere2()
-    x = m.point([1.0, 0.0, 0.0])
-    v = m.tangent(x, [0.0, 1.0, 0.0])
-    out = fl.geodesic(m, x, v, np.pi / 2.0)
-    np.testing.assert_allclose(out.coords, [0.0, 1.0, 0.0], atol=1e-12)
+    out = m.geodesic_batch(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]), np.pi / 2.0)
+    np.testing.assert_allclose(out[0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_geodesic_speed_constant(rng):
@@ -209,47 +151,52 @@ def _sphere_roundtrip_short_range(rng):
 
 def test_log_euclidean():
     m = fl.euclidean(2)
-    v = fl.log_map(m, m.point([0.0, 0.0]), m.point([1.0, 1.0]))
-    np.testing.assert_array_equal(v.comps, [1.0, 1.0])
+    v = m.log_batch(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
+    np.testing.assert_array_equal(v[0], [1.0, 1.0])
 
 
 def test_log_circle_short_arc():
     m = fl.circle()
-    v = fl.log_map(m, m.point([0.0]), m.point([3.0 * np.pi / 2.0]))
-    assert v.comps[0] == pytest.approx(-np.pi / 2.0)
+    v = m.log_batch(np.array([[0.0]]), np.array([[3.0 * np.pi / 2.0]]))
+    assert v[0, 0] == pytest.approx(-np.pi / 2.0)
 
 
 def test_log_antipodal_rejected():
     m = fl.sphere2()
     with pytest.raises(BeyondInjectivityRadiusError):
-        fl.log_map(m, m.point([1.0, 0.0, 0.0]), m.point([-1.0, 0.0, 0.0]))
+        m.log_batch(np.array([[1.0, 0.0, 0.0]]), np.array([[-1.0, 0.0, 0.0]]))
     c = fl.circle()
     with pytest.raises(BeyondInjectivityRadiusError):
-        fl.log_map(c, c.point([0.0]), c.point([np.pi]))
+        c.log_batch(np.array([[0.0]]), np.array([[np.pi]]))
 
 
 # -- distance ------------------------------------------------------------------------
 
 
+def _distance(m, x, y):
+    """The distance between two points, as one row of ``distance_batch``."""
+    return float(m.distance_batch(np.array([x], dtype=float), np.array([y], dtype=float))[0])
+
+
 def test_distance_examples():
     c = fl.circle()
-    assert fl.distance(c, c.point([0.1]), c.point([2 * np.pi - 0.1])) == pytest.approx(0.2)
+    assert _distance(c, [0.1], [2 * np.pi - 0.1]) == pytest.approx(0.2)
     h = fl.hyperbolic_h2()
-    assert fl.distance(h, h.point([0.0, 1.0]), h.point([0.0, np.e])) == pytest.approx(1.0)
+    assert _distance(h, [0.0, 1.0], [0.0, np.e]) == pytest.approx(1.0)
     s = fl.sphere2()
-    assert fl.distance(s, s.point([1, 0, 0]), s.point([0, 0, 1])) == pytest.approx(np.pi / 2)
+    assert _distance(s, [1, 0, 0], [0, 0, 1]) == pytest.approx(np.pi / 2)
     # short range keeps its digits: arccos of a dot product would not
-    x = s.point([1.0, 0.0, 0.0])
+    x = [1.0, 0.0, 0.0]
     for d in (1e-3, 1e-6, 1e-9):
-        y = s.point([np.cos(d), np.sin(d), 0.0])
-        assert fl.distance(s, x, y) == pytest.approx(d, rel=1e-13)
-        np.testing.assert_allclose(fl.log_map(s, x, y).comps, [0.0, d, 0.0], rtol=1e-13, atol=0.0)
+        y = [np.cos(d), np.sin(d), 0.0]
+        assert _distance(s, x, y) == pytest.approx(d, rel=1e-13)
+        np.testing.assert_allclose(s.log_batch(np.array([x]), np.array([y]))[0], [0.0, d, 0.0],
+                                   rtol=1e-13, atol=0.0)
     # H2 closed forms: the vertical ray and the horizontal geodesic from i
     for sigma in (3.0, 1e-3, 1e-6, 1e-9):
-        a, b = h.point([0.3, 0.7]), h.point([0.3, 0.7 * np.exp(sigma)])
-        assert fl.distance(h, a, b) == pytest.approx(sigma, rel=1e-13)
-        c = h.point([np.tanh(sigma), 1.0 / np.cosh(sigma)])
-        assert fl.distance(h, h.point([0.0, 1.0]), c) == pytest.approx(sigma, rel=1e-13)
+        assert _distance(h, [0.3, 0.7], [0.3, 0.7 * np.exp(sigma)]) == pytest.approx(sigma, rel=1e-13)
+        c = [np.tanh(sigma), 1.0 / np.cosh(sigma)]
+        assert _distance(h, [0.0, 1.0], c) == pytest.approx(sigma, rel=1e-13)
     # distance(x, x) is exactly 0 on every built-in chart
     rng = np.random.default_rng(0)
     for m in ALL():
@@ -356,25 +303,26 @@ def test_h2_distance_symmetric_and_zero_at_every_scale(rng):
 
 def test_frame_examples():
     e = fl.euclidean(2)
-    fr = fl.frame_at(e, e.point([0.3, 0.4]))
-    np.testing.assert_array_equal(fr[0].comps, [1.0, 0.0])
-    np.testing.assert_array_equal(fr[1].comps, [0.0, 1.0])
+    fr = e.frame_batch(np.array([[0.3, 0.4]]))[:, 0]
+    np.testing.assert_array_equal(fr[0], [1.0, 0.0])
+    np.testing.assert_array_equal(fr[1], [0.0, 1.0])
     h = fl.hyperbolic_h2()
-    fr = fl.frame_at(h, h.point([0.0, 2.0]))
-    np.testing.assert_allclose(fr[0].comps, [2.0, 0.0])
-    np.testing.assert_allclose(fr[1].comps, [0.0, 2.0])
+    fr = h.frame_batch(np.array([[0.0, 2.0]]))[:, 0]
+    np.testing.assert_allclose(fr[0], [2.0, 0.0])
+    np.testing.assert_allclose(fr[1], [0.0, 2.0])
     with pytest.raises(NotParallelizableError):
-        fl.frame_at(fl.sphere2(), fl.sphere2().point([0.0, 0.0, 1.0]))
+        fl.sphere2().frame_batch(np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_frame_identity(rng):
-    # sum_k e_k^i e_k^j = g^{ij} on the parallelizable built-ins
+    # sum_k e_k^i e_k^j = g^{ij} on the parallelizable built-ins: the metric
+    # is (dx^2 + dy^2) / y^2 on H2, so g^{-1} = y^2 I, and the identity elsewhere
     for m in (fl.euclidean(2), fl.circle(), fl.torus2(), fl.hyperbolic_h2()):
         pts = m.random_points(30, rng)
         frame = m.frame_batch(pts)  # (d, n, d)
         outer = np.einsum("kni,knj->nij", frame, frame)
         for i, c in enumerate(pts):
-            ginv = fl.metric_at(m, m.point(c)).g_inv
+            ginv = (c[1] ** 2 if m.name == "hyperbolic-h2" else 1.0) * np.eye(m.dim)
             np.testing.assert_allclose(outer[i], ginv, atol=1e-10)
 
 

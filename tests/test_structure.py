@@ -16,7 +16,9 @@ chunk broadcasts its nodes against the product table.  The
 drift policy is read in ``fields`` alone and takes two values, an oracle's
 chart is read in ``reference``, the CLI's rows run in one pool and its JSON
 is checked by one function.  A field has one map of its components and one
-of its partials, and no module reads the environment."""
+of its partials, and no module reads the environment.  Every name ``feller``
+exports has a caller in the package or the benchmark, ``check_dominance``
+aside."""
 
 import ast
 import dataclasses
@@ -24,6 +26,7 @@ import importlib
 import inspect
 import pkgutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,10 +117,34 @@ def test_words_become_branch_indices_only_in_the_sample_loop():
 
 
 def test_level_is_the_only_level_expansion():
-    # the tree, apply_S_batch and branch_set expand a level by _level; the
-    # sample loop and the grid move their rows directly
+    # the tree and apply_S_batch expand a level by _level; the sample loop
+    # and the grid move their rows directly
     assert _callers(chernoff, "move_rows") == {"_level", "sample_steps", "iterate_grid"}
-    assert _callers(chernoff, "_level") == {"iterate_tree", "apply_S_batch", "branch_set"}
+    assert _callers(chernoff, "_level") == {"iterate_tree", "apply_S_batch"}
+
+
+def _loaded_names(path) -> set:
+    """The names a source file reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+# the paper's drift-dominance condition for a Feller generator: public for the
+# user who checks a drift, though no command or criterion runs it
+EXPORTED_FOR_THE_USER = {"check_dominance"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name that only its own tests call is a second API to keep
+    # right; the one form of each operation is the batch form the package runs
+    package = Path(feller.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((package.parents[1] / "perfbench").glob("*.py"))
+    loaded = set().union(*(_loaded_names(p) for p in sources))
+    exported = {a.asname or a.name for n in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert exported - loaded == EXPORTED_FOR_THE_USER
 
 
 def test_sample_steps_is_the_sample_loop():

@@ -60,13 +60,13 @@ def check_interpolation(path, tol=1e-8):
 def test_step_distribution_probabilities():
     s2 = fl.sphere2()
     spec = fl.GeneratorSpec([fl.rotational_field(s2, k) for k in (1, 2, 3)])
-    dist = fl.step_distribution(spec, 16)
-    probs = dist.probabilities
+    table = walks._walk_table(spec)
+    probs = [br.weight for br in table]
     assert probs[0] == Fraction(1, 2)
     assert all(p == Fraction(1, 12) for p in probs[1:])
     assert sum(probs) == 1
     assert len(probs) == 2 * spec.r + 1
-    assert dist.branches[0][0].startswith("flow(A_0")
+    assert table[0].label.startswith("flow(A_0")
 
 
 def test_zero_fields_constant_path():
@@ -416,8 +416,7 @@ def _entry_points(n, t):
 
 @pytest.mark.parametrize("n", [0, -2])
 def test_bad_step_count_refused(n):
-    spec, _ = circle_heat()
-    for call in _entry_points(n, 1.0) + [lambda: fl.step_distribution(spec, n)]:
+    for call in _entry_points(n, 1.0):
         with pytest.raises(ValueError, match="n must be >= 1"):
             call()
 
@@ -427,7 +426,8 @@ def test_negative_time_refused():
     h2_spec, h2 = h2_heat()
     y = h2.point([0.2, 1.5])
     for t in (-1.0, math.nan, math.inf, -math.inf):
-        apply_S = lambda: fl.apply_S(h2_spec, CV.HEAT_GEODESIC, t, lambda c: c[:, 1], y)
+        apply_S = lambda: fl.apply_S_batch(h2_spec, CV.HEAT_GEODESIC, t, lambda c: c[:, 1],
+                                           y.coords[None, :])
         for call in _entry_points(4, t) + [apply_S]:
             with pytest.raises(ValueError, match="t must be >= 0"):
                 call()
@@ -442,7 +442,7 @@ def test_walks_refuse_a_potential():
     x = circ.point([0.3])
     f = lambda c: np.cos(c[:, 0]) + 2.0
     calls = [
-        lambda: fl.step_distribution(spec, 8),
+        lambda: walks._walk_table(spec),
         lambda: walk_endpoints(spec, x, 1.0, 8, 10, seed=0),
         lambda: fl.estimate_expectation(spec, f, x, 1.0, 8, 10, seed=0),
     ] + [lambda kind=kind: walks.sample_path(kind, spec, x, 1.0, 8, seed=0) for kind in walks.PATH_KINDS]
@@ -531,8 +531,10 @@ def test_modulus_rejects_bad_delta():
     e1 = fl.euclidean(1)
     spec = fl.GeneratorSpec([fl.zero_field(e1)])
     path = fl.sample_jump_path(spec, e1.point([0.0]), 1.0, 8, seed=1)
-    with pytest.raises(ValueError):
-        fl.modulus_of_continuity(path, 0.0)
+    # NaN compared false with delta <= 0 and gave a tail of 0
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            fl.modulus_of_continuity(path, delta)
 
 
 def _circle_interp_trajectories(spec, x0, t, n, n_paths, seed, sub=8):
