@@ -238,7 +238,6 @@ def move_rows(branches: Sequence[Branch], coords: np.ndarray, idx, s) -> np.ndar
     put.  Both moves act row by row, so each row gets the bits it would get
     alone.
     """
-    coords = np.atleast_2d(coords)
     idx = np.broadcast_to(idx, coords.shape[:1])
     movers: dict = {}
     for j, br in enumerate(branches):
@@ -480,7 +479,6 @@ def apply_S_batch(
     """(S(t)f) at a batch of coordinate rows: per row ``sum_i w_i f(p_i)``, the
     last term ``t c(x) f(x)`` with a potential."""
     check_steps(t, 1)
-    coords = np.atleast_2d(coords)
     branches, rows = branch_moves(spec, variant, ode), coords.shape[0]
     moved, weights = _level(branches, coords, np.ones(rows), t)
     terms = (weights * np.asarray(f(moved), dtype=float)).reshape(len(branches), rows)
@@ -619,7 +617,7 @@ def iterate_grid(
         # one cell it cannot fire
         if f0.interp == "linear" and max_disp < cell:
             max_disp = max(max_disp, float(m.distance_batch(rows, target).max()))
-        stencils.append(f0.shift_stencil(target, w) if one_row else f0.build_stencil(target, w))
+        stencils.append(f0.shift_stencil(target[0], w) if one_row else f0.build_stencil(target, w))
     if 0.0 < max_disp < cell:
         warnings.warn(
             "branch displacement below one grid cell with linear interpolation; "
@@ -706,14 +704,15 @@ def consistency_defect(
     Measures the first-order consistency of the Chernoff family with the
     generator; O(t) for the consistent variants, and converging to the
     non-zero residual |L_0 f| for the literal driftless form.  ``f_grad``
-    and ``f_hess`` are f's gradient and Hessian, for ``apply_generator``.
+    and ``f_hess`` are f's gradient and Hessian, for ``apply_generator``;
+    each sample point must lie on the spec's manifold.
     """
     if t <= 0.0:
         raise ValueError("consistency_defect requires t > 0")
+    for p in sample:
+        spec.manifold._check_point(p)
     coords = np.stack([p.coords for p in sample])
     s_vals = apply_S_batch(spec, variant, t, f, coords, ode)
     f_vals = np.asarray(f(coords), dtype=float)
-    gen = np.array(
-        [apply_generator(spec, f, p, f_grad=f_grad, f_hess=f_hess) for p in sample]
-    )
+    gen = apply_generator(spec, f, coords, f_grad=f_grad, f_hess=f_hess)
     return float(np.abs((s_vals - f_vals) / t - gen).max())

@@ -43,8 +43,8 @@ class VectorField:
     manifold:
         The manifold the field lives on.
     comps:
-        Map from coordinate arrays ``(n, chart_dim)`` to component arrays of
-        the same shape.
+        Map from float rows ``(n, chart_dim)`` to component rows of the same
+        shape; like every map here it takes rows as they are.
     jacobian:
         Optional analytic partials ``J[i, j] = d_j A^i`` in the stored
         coordinates as a map ``(n, cd) -> (n, cd, cd)``.  Every built-in
@@ -54,7 +54,8 @@ class VectorField:
     flow:
         Optional exact flow map ``(coords, t) -> coords``, with ``t`` a
         scalar or one time per row; integral curves fall back to the ODE
-        integrator when absent.
+        integrator when absent.  The flow engine returns the rows of an
+        ``is_zero`` field untouched, so the zero field carries none.
     divergence_free:
         Asserts that the covariant divergence is identically zero.  The
         built-in constructors set it where this holds exactly (rotations of
@@ -84,16 +85,10 @@ class VectorField:
         self.divergence_free = divergence_free or is_zero
 
     def comps(self, coords: np.ndarray) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros_like(np.atleast_2d(coords))
-        return self._comps(np.atleast_2d(coords))
+        return self._comps(coords)
 
     def jacobian_batch(self, coords: np.ndarray) -> np.ndarray:
         """Chart partials d_j A^i, shape (n, cd, cd); FD when not analytic."""
-        coords = np.atleast_2d(coords)
-        if self.is_zero:
-            n, cd = coords.shape
-            return np.zeros((n, cd, cd))
         if self.jacobian is not None:
             return self.jacobian(coords)
         n, cd = coords.shape
@@ -115,7 +110,6 @@ def divergence_batch(A: VectorField, coords: np.ndarray) -> np.ndarray:
     tangent plane, where the volume gradient of the orthographic chart vanishes.
     """
     m = A.manifold
-    coords = np.atleast_2d(coords)
     if A.divergence_free:
         return np.zeros(coords.shape[0])
     jb = m.tangent_coords(coords, A.jacobian_batch(coords))  # J B
@@ -138,11 +132,11 @@ def _column(t) -> np.ndarray:
 
 
 def zero_field(manifold: Manifold) -> VectorField:
+    cd = manifold.chart_dim
     return VectorField(
         manifold,
-        lambda c: np.zeros_like(np.atleast_2d(c)),
-        jacobian=lambda c: np.zeros((np.atleast_2d(c).shape[0],) + (manifold.chart_dim,) * 2),
-        flow=lambda c, t: np.atleast_2d(c).copy(),
+        np.zeros_like,
+        jacobian=lambda c: np.zeros((c.shape[0], cd, cd)),
         name="zero",
         is_zero=True,
     )
@@ -157,9 +151,9 @@ def constant_field(manifold: Manifold, values: Sequence[float]) -> VectorField:
     cd = manifold.chart_dim
     return VectorField(
         manifold,
-        lambda c: np.broadcast_to(a, np.atleast_2d(c).shape).copy(),
-        jacobian=lambda c: np.zeros((np.atleast_2d(c).shape[0], cd, cd)),
-        flow=lambda c, t: manifold.wrap(np.atleast_2d(c) + _column(t) * a),
+        lambda c: np.broadcast_to(a, c.shape).copy(),
+        jacobian=lambda c: np.zeros((c.shape[0], cd, cd)),
+        flow=lambda c, t: manifold.wrap(c + _column(t) * a),
         name=f"constant:{list(a)}",
         is_zero=bool(np.all(a == 0.0)),
         divergence_free=manifold.uniform_volume,
@@ -178,17 +172,17 @@ def frame_field(manifold: Manifold, k: int) -> VectorField:
         raise VariantIncompatibleError(f"{manifold.name} has no global frame")
     if not 1 <= k <= manifold.dim:
         raise ValueError(f"frame index {k} out of range 1..{manifold.dim}")
-    comps = lambda c: manifold.frame_batch(np.atleast_2d(c))[k - 1]
-    e = manifold.identity
+    comps = lambda c: manifold.frame_batch(c)[k - 1]
+    e = manifold.identity[None, :]
     jac = (comps(e + np.eye(manifold.chart_dim)) - comps(e)).T  # J[i, j] = d_j A^i
     field = VectorField(
         manifold,
         comps,
-        jacobian=lambda c: np.broadcast_to(jac, (np.atleast_2d(c).shape[0],) + jac.shape).copy(),
-        flow=lambda c, t: manifold.compose(np.atleast_2d(c), manifold.frame_shift(k, t)),
+        jacobian=lambda c: np.broadcast_to(jac, (c.shape[0],) + jac.shape).copy(),
+        flow=lambda c, t: manifold.compose(c, manifold.frame_shift(k, t)),
         name=f"frame:{k}",
     )
-    field.divergence_free = bool(divergence_batch(field, e[None, :])[0] == 0.0)
+    field.divergence_free = bool(divergence_batch(field, e)[0] == 0.0)
     return field
 
 
@@ -210,7 +204,6 @@ def rotational_field(manifold: Manifold, k: int) -> VectorField:
 
     def flow(c, t):
         # Rodrigues rotation by angle t about the axis
-        c = np.atleast_2d(c)
         t = _column(t)
         ct, st = np.cos(t), np.sin(t)
         cross = np.cross(axis, c)
@@ -220,8 +213,8 @@ def rotational_field(manifold: Manifold, k: int) -> VectorField:
 
     return VectorField(
         manifold,
-        lambda c: np.cross(axis, np.atleast_2d(c)),
-        jacobian=lambda c: np.broadcast_to(cross_mat, (np.atleast_2d(c).shape[0], 3, 3)).copy(),
+        lambda c: np.cross(axis, c),
+        jacobian=lambda c: np.broadcast_to(cross_mat, (c.shape[0], 3, 3)).copy(),
         flow=flow,
         name=f"rotational:{k}",
         divergence_free=True,
@@ -245,14 +238,12 @@ def expression_field(manifold: Manifold, sources: Sequence[str]) -> VectorField:
 
     # each component and partial is written into one array: a literal broadcasts
     def comps(c):
-        c = np.atleast_2d(np.asarray(c, dtype=float))
         out = np.empty(c.shape)
         for i, fn in enumerate(comps_fns):
             out[:, i] = fn(c)
         return out
 
     def jacobian(c):
-        c = np.atleast_2d(np.asarray(c, dtype=float))
         out = np.empty(c.shape + c.shape[-1:])
         for i, row in enumerate(partials):
             for j, fn in enumerate(row):
@@ -358,7 +349,6 @@ class GeneratorSpec:
     def divergence_drift(self, coords: np.ndarray) -> np.ndarray:
         """The derived part ``1/2 sum_k (div A_k) A_k`` at the rows of ``coords``,
         whatever the policy; divergence-free fields add nothing."""
-        coords = np.atleast_2d(coords)
         acc = np.zeros_like(coords)
         for f in self.fields:
             if not f.divergence_free:
@@ -383,7 +373,6 @@ class GeneratorSpec:
     # -- potential -------------------------------------------------------------
 
     def potential_values(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(coords)
         if self.potential is None:
             return np.zeros(coords.shape[0])
         return np.asarray(self.potential(coords), dtype=float)
@@ -392,7 +381,6 @@ class GeneratorSpec:
 
     def component_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Chart components of A_1..A_r, shape (n, r, d)."""
-        coords = np.atleast_2d(coords)
         amb = np.stack([f.comps(coords) for f in self.fields], axis=1)
         return self.manifold.tangent_coords(coords, amb)
 
@@ -439,23 +427,24 @@ def check_dominance(
 def apply_generator(
     spec: GeneratorSpec,
     f: Callable[[np.ndarray], np.ndarray],
-    x: Point,
+    coords: np.ndarray,
     f_grad: Callable[[np.ndarray], np.ndarray],
     f_hess: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """(L_0 f)(x) + c(x) f(x), exactly from the field data.
+) -> np.ndarray:
+    """(L_0 f + c f) at each of the ``(n, chart_dim)`` rows of ``coords``,
+    exactly from the field data, shape (n,).
 
     ``f_grad`` and ``f_hess`` are the gradient and Hessian of f in the stored
-    coordinates (ambient on the sphere): ``A(Af) = A^T H A + grad f . (J A)``
-    there, on the sphere too, since a tangent A differentiates along it.
+    coordinates (ambient on the sphere), ``(n, cd)`` and ``(n, cd, cd)``:
+    ``A(Af) = A^T H A + grad f . (J A)`` there, on the sphere too, since a
+    tangent A differentiates along it.
     """
-    spec.manifold._check_point(x)
-    c = x.coords[None, :]
-    grad = np.asarray(f_grad(c))[0]
-    hess = np.asarray(f_hess(c))[0]
-    acc = 0.0
+    grad = np.asarray(f_grad(coords))
+    hess = np.asarray(f_hess(coords))
+    acc = np.zeros(coords.shape[0])
     for fld in spec.fields:
-        s = fld.comps(c)[0]
-        acc += 0.5 * (s @ hess @ s + (fld.jacobian_batch(c)[0] @ s) @ grad)
-    pot = float(spec.potential_values(c)[0]) * float(np.asarray(f(c))[0])
-    return float(acc + spec.drift_comps(c)[0] @ grad) + pot
+        s = fld.comps(coords)
+        ja = np.einsum("nij,nj->ni", fld.jacobian_batch(coords), s)
+        acc += 0.5 * (np.einsum("ni,nij,nj->n", s, hess, s) + np.einsum("ni,ni->n", ja, grad))
+    acc += np.einsum("ni,ni->n", spec.drift_comps(coords), grad)
+    return acc + spec.potential_values(coords) * np.asarray(f(coords), dtype=float)

@@ -17,11 +17,12 @@ the same as alone.  Passes of fewer than 16 steps may leave the chart
 and its Richardson estimate.
 
 Fields that carry an exact flow map (constants, frame fields of the
-built-ins, sphere rotations, the zero field) short-circuit the engine, which
-keeps the quadratic-exactness checks exact to rounding; they too take one time
-per row.  Times may be negative: a flow for ``-t`` gives the bits of the
-negated field's flow for ``t``, so one call can move rows both ways.  A time
-that is NaN or infinite is refused with ``ValueError`` before any pass.
+built-ins, sphere rotations) short-circuit the engine, and the zero field's
+rows come back untouched, which keeps the quadratic-exactness checks exact
+to rounding; they too take one time per row.  Times may be negative: a flow
+for ``-t`` gives the bits of the negated field's flow for ``t``, so one call
+can move rows both ways.  A time that is NaN or infinite is refused with
+``ValueError`` before any pass.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ def _integrate(A: VectorField, coords: np.ndarray, t, ode: OdeSettings):
     run as one stacked batch; each later doubling runs the rows still left.
     """
     m = A.manifold
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
     times = np.broadcast_to(np.asarray(t, dtype=float), coords.shape[:1])
     if not np.isfinite(times).all():
         raise ValueError("t must be finite")
@@ -285,8 +285,13 @@ def verify_distance_monotonicity(
 
     ``m2`` is the caller-supplied chart-level derivative bound; when given,
     the implied horizon is recorded in the report (respecting it is the
-    caller's responsibility).
+    caller's responsibility).  ValueError unless ``steps >= 2`` (0 and 1
+    sweep nothing) and ``0 < T < inf``.
     """
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be > 0 and finite, got {T}")
     coords = np.stack([p.coords for p in starts])
     m = A.manifold
     ode = ode or OdeSettings(tol=1e-12)

@@ -191,7 +191,6 @@ class GridFunction:
     def build_stencil(self, coords: np.ndarray, weight=1.0) -> Stencil:
         """Precompute the gather stencil for query points (hot-path reuse),
         its weights scaled by ``weight``: a float, or one value per query."""
-        coords = np.atleast_2d(coords)
         # tensor product over the axes, one node per axis in each column (the
         # last axis varies fastest): each axis's (k, m) stencil is broadcast
         # against the product so far, straight into the (K, m) result
@@ -214,8 +213,8 @@ class GridFunction:
 
     def shift_stencil(self, point: np.ndarray, weight: float = 1.0) -> Stencil:
         """The stencil of every node moved by the translation of the grid
-        angles that takes node 0 to ``point``, on a grid whose axes are all
-        periodic.
+        angles that takes node 0 to ``point`` (one point, shape
+        ``(chart_dim,)``), on a grid whose axes are all periodic.
 
         Node i's stencil is node 0's with every node index offset by i on
         each axis, so one row of stencil serves them all: the per-axis
@@ -227,7 +226,7 @@ class GridFunction:
         """
         if not self.periodic:
             raise VariantIncompatibleError(f"{self.manifold.name}: a grid axis is not periodic")
-        axes = self._axis_stencils(np.atleast_2d(point))
+        axes = self._axis_stencils(point[None, :])
         # (K, N so far), the nodes in node_coords' order: the last axis varies
         # fastest over both the columns and the nodes
         idx = np.zeros((1, 1), dtype=np.int64)

@@ -80,8 +80,9 @@ class Point:
 class Manifold:
     """Base class; subclasses implement chart geometry on coordinate arrays.
 
-    Batch methods take arrays of shape ``(n, chart_dim)``; they are the
-    only geometry, and ``point`` validates one start.
+    Batch methods take float rows of shape ``(n, chart_dim)`` and promote
+    nothing (one point is a one-row array); they are the only geometry, and
+    ``point`` converts and validates one start.
 
     Every parallelizable built-in is a Lie group with a left-invariant frame
     (R^d, the circle and torus2 under addition, H2 as the ``ax+b`` group).
@@ -237,9 +238,6 @@ class Euclidean(Manifold):
     def frame_batch(self, xs):
         return np.repeat(np.eye(self.dim)[:, None, :], xs.shape[0], axis=1)
 
-    def dlog_sqrt_det_batch(self, xs):
-        return np.zeros_like(xs)
-
     def random_points(self, n, rng):
         return rng.uniform(-3.0, 3.0, size=(n, self.dim))
 
@@ -312,8 +310,7 @@ class HyperbolicHalfPlane(Manifold):
 
     def geodesic_batch(self, xs, vs, t):
         # the frame at x is y_x times the standard basis at the identity
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self.compose(xs, self.geodesic_shift(np.atleast_2d(vs) / xs[:, 1:], t))
+        return self.compose(xs, self.geodesic_shift(vs / xs[:, 1:], t))
 
     def compose(self, coords, h):
         # (x, y) * (a, b) = (x + y a, y b): left-multiplication by (x, y) is
@@ -354,8 +351,6 @@ class HyperbolicHalfPlane(Manifold):
     def log_batch(self, xs, ys):
         # z = x^-1 y = (p, q); the geodesic from i to z leaves along
         # (2p, p^2 + (q - 1)(q + 1)), of euclidean norm |z - i| |z + i|
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
         y = xs[:, 1]
         p = (ys[:, 0] - xs[:, 0]) / y
         q_1 = (ys[:, 1] - y) / y  # q - 1 from the inputs keeps its digits
@@ -371,8 +366,8 @@ class HyperbolicHalfPlane(Manifold):
         # squared sum (or an exact 0) and y_x y_y lie in [_SAFE_LO, _SAFE_HI];
         # other rows take hypot(d, h) / (sqrt(y_x) sqrt(y_y)), which neither
         # underflows nor overflows
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
         d = np.subtract(ys[:, 0], xs[:, 0])
         h = np.subtract(ys[:, 1], xs[:, 1])
         lo, hi = _SAFE_LO, _SAFE_HI
@@ -447,7 +442,6 @@ class Sphere2(Manifold):
 
     def tangent_basis(self, xs) -> np.ndarray:
         """Deterministic orthonormal tangent pairs, shape (n, 3, 2)."""
-        xs = np.atleast_2d(xs)
         n = xs.shape[0]
         ref = np.zeros((n, 3))
         polar = np.abs(xs[:, 2]) > 0.9
@@ -472,12 +466,10 @@ class Sphere2(Manifold):
     def tangent_field(self, comps, jacobian):
         # X = a - (a.q) q, and its partials J - q (J^T q + a)^T - (a.q) I
         def tangent_comps(q):
-            q = np.atleast_2d(q)
             a = comps(q)
             return a - np.einsum("ni,ni->n", a, q)[:, None] * q
 
         def tangent_jacobian(q):
-            q = np.atleast_2d(q)
             a, jac = comps(q), jacobian(q)
             row = np.einsum("nij,ni->nj", jac, q) + a
             out = jac - q[:, :, None] * row[:, None, :]
@@ -487,8 +479,6 @@ class Sphere2(Manifold):
         return tangent_comps, tangent_jacobian
 
     def geodesic_batch(self, xs, vs, t):
-        xs = np.atleast_2d(xs)
-        vs = np.atleast_2d(vs)
         speed = np.linalg.norm(vs, axis=-1, keepdims=True)
         ang = speed * np.asarray(t, dtype=float)[..., None]
         with np.errstate(invalid="ignore"):  # v = 0 is ang = 0: x itself, not renormed
@@ -497,8 +487,6 @@ class Sphere2(Manifold):
 
     def log_batch(self, xs, ys):
         # d times the unit tangential part of y - x
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
         d = self.distance_batch(xs, ys)
         if np.any(d > np.pi - _CUT_TOL):
             raise BeyondInjectivityRadiusError("sphere2: antipodal target")
@@ -510,8 +498,6 @@ class Sphere2(Manifold):
     def distance_batch(self, xs, ys):
         # 2 atan2(|y - x|, |y + x|) keeps its digits at short range, where
         # the arccos of the dot product loses them
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
         diff, tot = ys - xs, ys + xs
         return 2.0 * np.arctan2(np.sqrt(np.einsum("ij,ij->i", diff, diff)),
                                 np.sqrt(np.einsum("ij,ij->i", tot, tot)))

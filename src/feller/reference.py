@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleUnavailableError, TruncationBudgetError, VariantIncompatibleError
+from .errors import (
+    IncompatibleBaseError,
+    OracleUnavailableError,
+    TruncationBudgetError,
+    VariantIncompatibleError,
+)
 from .fields import GeneratorSpec
 from .grids import GridFunction
 from .manifolds import Manifold, Point, TWO_PI, circle, euclidean, hyperbolic_h2, sphere2, torus2
@@ -160,7 +165,7 @@ def _sphere_harmonics(f, t, xs, l_max):
     s = np.sqrt(np.maximum(1.0 - c**2, 0.0))
     out = np.empty(len(xs))
     for j, x in enumerate(xs):
-        e1, e2 = sphere2().tangent_basis(x)[0].T  # orthonormal tangent pair at x
+        e1, e2 = sphere2().tangent_basis(x[None, :])[0].T  # orthonormal tangent pair at x
         y = (
             c[:, None, None] * x[None, None, :]
             + s[:, None, None]
@@ -275,11 +280,18 @@ def _hyperbolic_h2(f, t, xs):
 
 def exact_semigroup(kernel: HeatKernelId, f, t: float, x) -> float:
     """(e^{t (1/2) Laplacian} f)(x) from the closed-form kernel, for finite t > 0;
-    raw coordinates ``x`` off the kernel's chart raise InvalidPointError."""
-    coords = x.coords if isinstance(x, Point) else np.atleast_1d(np.asarray(x, dtype=float))
+    raw coordinates ``x`` off the kernel's chart raise InvalidPointError, and
+    a ``Point`` on a manifold the kernel does not ``cover`` raises
+    IncompatibleBaseError."""
     m = kernel.chart()
-    if not isinstance(x, Point) and coords.shape == (m.chart_dim,):
-        m.point(coords)  # a wrong count is left to the batch's ValueError
+    if isinstance(x, Point):
+        if not kernel.covers(x.manifold):
+            raise IncompatibleBaseError(f"{kernel.tag} is not the heat flow of {x.manifold.name}")
+        coords = x.coords
+    else:
+        coords = np.atleast_1d(np.asarray(x, dtype=float))
+        if coords.shape == (m.chart_dim,):
+            m.point(coords)  # a wrong count is left to the batch's ValueError
     return float(exact_semigroup_batch(kernel, f, t, coords[None, :])[0])
 
 

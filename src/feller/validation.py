@@ -178,7 +178,6 @@ def _c05():
     center = np.array([0.0, 1.0])
 
     def f(c):
-        c = np.atleast_2d(c)
         d = h2.distance_batch(np.broadcast_to(center, c.shape), c)
         return np.exp(-0.5 * d**2)
 

@@ -117,9 +117,12 @@ def sample_path(
 
     ``geodesic`` and ``flow`` draw one more step when ``n t_max`` is not an
     integer, so the partial last segment has an end to head for.
+    ValueError unless ``0 <= path_index < 2^64``.
     """
     if kind not in PATH_KINDS:
         raise ValueError(f"unknown path kind {kind!r}")
+    if not 0 <= path_index < 2**64:
+        raise ValueError(f"path_index must be in [0, 2^64), got {path_index}")
     spec.manifold._check_point(x)
     steps = _walk_steps(t_max, n)
     partial = kind != "jump" and t_max - steps / n > 1e-12 / n

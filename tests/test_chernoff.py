@@ -11,7 +11,12 @@ from feller import chernoff
 from feller._kernels import step_uniforms, substream
 from feller.chernoff import ChernoffVariant as CV
 from feller.chernoff import branch_moves, move_rows, sample_steps
-from feller.errors import BudgetExceededError, PotentialStepError, VariantIncompatibleError
+from feller.errors import (
+    BudgetExceededError,
+    IncompatibleBaseError,
+    PotentialStepError,
+    VariantIncompatibleError,
+)
 from feller.flows import flow_batch
 from feller.grids import GridFunction
 from feller.walks import walk_endpoints
@@ -827,6 +832,15 @@ def test_defect_decreases_linearly():
     assert defects[0] > defects[1] > defects[2]
     for a, b in zip(defects, defects[1:]):
         assert 1.3 <= a / b <= 2.9
+
+
+def test_defect_refuses_a_sample_point_of_another_manifold():
+    # the generator takes rows, so the defect checks its Points itself
+    spec, circ = circle_heat()
+    f, grad, hess = cos_triplet()
+    sample = [circ.point([0.3]), fl.euclidean(1).point([0.3])]
+    with pytest.raises(IncompatibleBaseError, match="euclidean:1"):
+        fl.consistency_defect(spec, CV.GENERAL, 0.1, f, sample, f_grad=grad, f_hess=hess)
 
 
 def test_driftless_literal_vs_corrected():

@@ -389,6 +389,20 @@ def test_dominance_degenerate_raises():
         fl.check_dominance(spec, fl.zero_field(e2), [e2.point([0.0, 0.0])])
 
 
+@pytest.mark.parametrize("name", ["euclidean:2", "circle", "hyperbolic-h2", "sphere2"])
+def test_the_zero_field_is_its_own_maps(name, rng):
+    # no branch on is_zero in the field: its closures serve, and the flow
+    # engine returns its rows untouched, so it carries no flow map
+    m = fl.manifold_from_string(name)
+    A = fl.field_from_string(m, "zero")
+    q = m.random_points(5, rng)
+    assert A.is_zero and A.divergence_free and A.flow is None
+    np.testing.assert_array_equal(A.comps(q), np.zeros_like(q))
+    np.testing.assert_array_equal(A.jacobian_batch(q), np.zeros((5, m.chart_dim, m.chart_dim)))
+    np.testing.assert_array_equal(divergence_batch(A, q), np.zeros(5))
+    assert flow_batch(A, q, 0.7).tobytes() == q.tobytes()
+
+
 # -- generator application --------------------------------------------------------------
 
 
@@ -398,7 +412,8 @@ def test_generator_quadratic():
     f = lambda c: c[:, 0] ** 2
     grad = lambda c: 2.0 * c
     hess = lambda c: np.full((c.shape[0], 1, 1), 2.0)
-    assert fl.apply_generator(spec, f, e1.point([0.4]), f_grad=grad, f_hess=hess) == 1.0
+    got = fl.apply_generator(spec, f, np.array([[0.4]]), f_grad=grad, f_hess=hess)
+    assert got.shape == (1,) and got[0] == 1.0
 
 
 def test_generator_circle_eigenfunction():
@@ -406,7 +421,7 @@ def test_generator_circle_eigenfunction():
     f = lambda c: np.cos(c[:, 0])
     grad = lambda c: -np.sin(c[:, 0])[:, None]
     hess = lambda c: -np.cos(c[:, 0])[:, None, None]
-    got = fl.apply_generator(spec, f, fl.circle().point([0.0]), f_grad=grad, f_hess=hess)
+    got = fl.apply_generator(spec, f, np.array([[0.0]]), f_grad=grad, f_hess=hess)[0]
     assert got == pytest.approx(-0.5, abs=1e-7)
 
 
@@ -416,10 +431,9 @@ def test_generator_sphere_harmonic():
     f = lambda c: c[:, 2]
     grad = lambda c: np.broadcast_to(np.array([0.0, 0.0, 1.0]), c.shape).copy()
     hess = lambda c: np.zeros((c.shape[0], 3, 3))
-    north = s2.point([0.0, 0.0, 1.0])
-    assert fl.apply_generator(spec, f, north, f_grad=grad, f_hess=hess) == pytest.approx(-1.0)
-    q = s2.point(np.array([0.6, 0.0, 0.8]))
-    assert fl.apply_generator(spec, f, q, f_grad=grad, f_hess=hess) == pytest.approx(-0.8)
+    rows = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])  # the north pole, and q
+    got = fl.apply_generator(spec, f, rows, f_grad=grad, f_hess=hess)
+    assert got == pytest.approx([-1.0, -0.8])
 
 
 def _circle_generator_case():
@@ -466,9 +480,8 @@ def test_generator_fd_matches_exact(rng, case):
     # variable-coefficient case with a derived drift: the exact generator agrees
     # with second differences of f along the flows
     spec, f, grad, hess = case()
-    m = spec.manifold
-    for c in m.random_points(12, rng):
-        exact = fl.apply_generator(spec, f, m.point(c), f_grad=grad, f_hess=hess)
+    cs = spec.manifold.random_points(12, rng)
+    for c, exact in zip(cs, fl.apply_generator(spec, f, cs, f_grad=grad, f_hess=hess)):
         numeric = _generator_by_differences(spec, f, c[None, :])
         assert numeric == pytest.approx(exact, abs=5e-6)
 
@@ -481,9 +494,41 @@ def test_generator_with_potential():
     f = lambda c: np.cos(c[:, 0])
     grad = lambda c: -np.sin(c[:, 0])[:, None]
     hess = lambda c: -np.cos(c[:, 0])[:, None, None]
-    x = circ.point([0.3])
     want = -0.5 * np.cos(0.3) + (-1.0 - np.sin(0.3) ** 2) * np.cos(0.3)
-    assert fl.apply_generator(spec, f, x, f_grad=grad, f_hess=hess) == pytest.approx(want)
+    got = fl.apply_generator(spec, f, np.array([[0.3]]), f_grad=grad, f_hess=hess)[0]
+    assert got == pytest.approx(want)
+
+
+def _generator_at_row(spec, f, c, f_grad, f_hess):
+    """(L_0 f + c f) at the one row ``c``, as a sum of floats over the fields:
+    a reference for the batch."""
+    grad, hess = f_grad(c)[0], f_hess(c)[0]
+    acc = 0.0
+    for fld in spec.fields:
+        s = fld.comps(c)[0]
+        acc += 0.5 * (s @ hess @ s + (fld.jacobian_batch(c)[0] @ s) @ grad)
+    return float(acc + spec.drift_comps(c)[0] @ grad) + float(spec.potential_values(c)[0] * f(c)[0])
+
+
+def _line_generator_case():
+    e1 = fl.euclidean(1)
+    spec = fl.GeneratorSpec([fl.expression_field(e1, ["1+0.3*x1^2"])], drift_policy="derived",
+                            drift=fl.expression_field(e1, ["sin(x1)"]), potential="-1-0.1*x1^2")
+    f = lambda c: np.sin(c[:, 0])
+    grad = lambda c: np.cos(c[:, 0])[:, None]
+    hess = lambda c: -np.sin(c[:, 0])[:, None, None]
+    return spec, f, grad, hess
+
+
+@pytest.mark.parametrize("case", [_line_generator_case, _circle_generator_case,
+                                  _sphere_generator_case], ids=["euclidean:1", "circle", "sphere2"])
+def test_generator_rows_are_the_per_row_formula(rng, case):
+    spec, f, grad, hess = case()
+    cs = spec.manifold.random_points(40, rng)
+    got = fl.apply_generator(spec, f, cs, f_grad=grad, f_hess=hess)
+    want = np.array([_generator_at_row(spec, f, c[None, :], grad, hess) for c in cs])
+    assert got.shape == (40,)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 # -- symmetry and negativity of the derived-drift operator -------------------------------
@@ -502,12 +547,10 @@ def test_formal_symmetry_on_grids():
          lambda c: -4 * np.sin(2 * c[:, 0])[:, None, None])
 
     def residual(n):
-        theta = 2 * np.pi * np.arange(n) / n
-        pts = [circ.point([t]) for t in theta]
-        lf = np.array([fl.apply_generator(spec, f[0], p, f_grad=f[1], f_hess=f[2]) for p in pts])
-        lh = np.array([fl.apply_generator(spec, h[0], p, f_grad=h[1], f_hess=h[2]) for p in pts])
+        coords = 2 * np.pi * np.arange(n)[:, None] / n
+        lf = fl.apply_generator(spec, f[0], coords, f_grad=f[1], f_hess=f[2])
+        lh = fl.apply_generator(spec, h[0], coords, f_grad=h[1], f_hess=h[2])
         w = 2 * np.pi / n
-        coords = theta[:, None]
         return abs(np.sum(h[0](coords) * lf) * w - np.sum(lh * f[0](coords)) * w)
 
     # smooth periodic: trapezoid is spectrally accurate; the floor is set by

@@ -570,6 +570,24 @@ def test_monotonicity_detects_wraparound():
     assert rep.within_horizon is False
 
 
+@pytest.mark.parametrize("T, steps, why", [
+    (5.0, 0, "steps must be >= 2"),
+    (5.0, 1, "steps must be >= 2"),
+    (-5.0, 50, "T must be > 0 and finite"),
+    (0.0, 50, "T must be > 0 and finite"),
+    (math.nan, 50, "T must be > 0 and finite"),
+    (math.inf, 50, "T must be > 0 and finite"),
+])
+def test_monotonicity_refuses_a_sweep_that_checks_nothing(T, steps, why):
+    # steps 0 and 1 swept no interval and reported 0 violations where 50
+    # steps find 370, and T = -5 reported a horizon of -5, within the stated one
+    circ = fl.circle()
+    A = fl.expression_field(circ, ["2+sin(theta)"])
+    starts = [circ.point([v]) for v in np.linspace(0, 2 * np.pi, 20, endpoint=False)]
+    with pytest.raises(ValueError, match=why):
+        fl.verify_distance_monotonicity(A, starts, T, steps, m2=1.0)
+
+
 def test_monotonicity_random_bounded_fields(rng):
     # fields built from tanh/sin compositions with known chart bound M2
     e1 = fl.euclidean(1)

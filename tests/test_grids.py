@@ -258,7 +258,7 @@ def test_a_weighted_shift_stencil_is_the_weight_times_the_unit_one(name, shape, 
 def test_shift_stencil_refuses_a_polar_axis():
     s2 = fl.sphere2()
     with pytest.raises(VariantIncompatibleError, match="not periodic"):
-        GridFunction(s2, np.zeros((16, 32))).shift_stencil(np.array([[1.0, 0.0, 0.0]]))
+        GridFunction(s2, np.zeros((16, 32))).shift_stencil(np.array([1.0, 0.0, 0.0]))
 
 
 # -- sweeps into buffers the sweep owns ------------------------------------------
@@ -291,7 +291,7 @@ def _sweep_stencil(f0, branches, nodes, j, dt, weight=1.0, per_node=False):
     moved nodes; with ``per_node``, every branch builds it so."""
     m = f0.manifold
     if not per_node and branches[j].shift is not None and m.identity is not None and f0.periodic:
-        return f0.shift_stencil(move_rows(branches, m.identity[None, :], j, dt), weight)
+        return f0.shift_stencil(move_rows(branches, m.identity[None, :], j, dt)[0], weight)
     return f0.build_stencil(move_rows(branches, nodes, j, dt), weight)
 
 

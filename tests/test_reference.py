@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import feller as fl
-from feller.errors import TruncationBudgetError, VariantIncompatibleError
+from feller.errors import IncompatibleBaseError, TruncationBudgetError, VariantIncompatibleError
 from feller.grids import GridFunction
 from feller.reference import (
     FdSolverSettings,
@@ -295,6 +295,27 @@ def test_a_kernel_covers_its_chart_and_gauss_rd_the_flat_tori():
     ]:
         kid = HeatKernelId.from_string(tag)
         assert {c for c in charts if kid.covers(fl.manifold_from_string(c))} == covered
+
+
+@pytest.mark.parametrize("kernel, chart, x", [
+    ("sphere-harmonics", "euclidean:3", [0.0, 0.0, 2.0]),
+    ("hyperbolic-h2", "torus2", [0.3, 1.0]),
+    ("wrapped-gauss-s1", "euclidean:1", [0.3]),
+    ("gauss-rd:1", "torus2", [0.3, 0.4]),
+], ids=["sphere-harmonics", "hyperbolic-h2", "wrapped-gauss-s1", "gauss-rd"])
+def test_exact_semigroup_refuses_a_point_of_a_manifold_it_does_not_cover(kernel, chart, x):
+    with pytest.raises(IncompatibleBaseError, match=chart):
+        exact_semigroup(HeatKernelId.from_string(kernel), COS, 0.5,
+                        fl.manifold_from_string(chart).point(x))
+
+
+def test_exact_semigroup_takes_a_flat_torus_point_on_gauss_rd():
+    # gauss-rd:2 covers torus2: a periodic f flows as it does on R^2
+    k = HeatKernelId.from_string("gauss-rd:2")
+    x = [0.3, 1.1]
+    got = exact_semigroup(k, COS, 0.5, fl.torus2().point(x))
+    assert got == exact_semigroup(k, COS, 0.5, fl.euclidean(2).point(x))
+    assert got == pytest.approx(math.exp(-0.25) * math.cos(0.3), abs=1e-12)
 
 
 XY = lambda c: c[:, 0] * c[:, 1]

@@ -18,7 +18,8 @@ chart is read in ``reference``, the CLI's rows run in one pool and its JSON
 is checked by one function.  A field has one map of its components and one
 of its partials, and no module reads the environment.  Every name ``feller``
 exports has a caller in the package or the benchmark, ``check_dominance``
-aside."""
+aside.  Batch functions take (n, d) rows as they are: only the functions
+where data enters promote their inputs."""
 
 import ast
 import dataclasses
@@ -121,6 +122,36 @@ def test_level_is_the_only_level_expansion():
     # and the grid move their rows directly
     assert _callers(chernoff, "move_rows") == {"_level", "sample_steps", "iterate_grid"}
     assert _callers(chernoff, "_level") == {"iterate_tree", "apply_S_batch"}
+
+
+# where data enters the package: a point, an oracle's raw points and distances
+PROMOTERS = {"manifolds.Manifold.point", "reference.exact_semigroup",
+             "reference.exact_semigroup_batch", "reference.h2_heat_kernel"}
+
+
+def _names_by_scope(node, scope, out):
+    """Add to ``out`` each name read under ``node``, bare or as an attribute,
+    keyed by the dotted names of its enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            _names_by_scope(child, f"{scope}.{child.name}", out)
+            continue
+        if isinstance(child, (ast.Name, ast.Attribute)):
+            out.setdefault(scope, set()).add(getattr(child, "id", None) or child.attr)
+        _names_by_scope(child, scope, out)
+
+
+def test_only_the_entry_points_promote_their_inputs():
+    # a batch function takes (n, d) float rows as they are; only the functions
+    # where data enters the package reshape it
+    promoters = set()
+    for info in pkgutil.iter_modules(feller.__path__):
+        names = {}
+        _names_by_scope(ast.parse(inspect.getsource(importlib.import_module(f"feller.{info.name}"))),
+                        info.name, names)
+        promoters |= {scope for scope, read in names.items()
+                      if read & {"atleast_1d", "atleast_2d", "atleast_3d"}}
+    assert promoters == PROMOTERS
 
 
 def _loaded_names(path) -> set:

@@ -466,6 +466,18 @@ def test_seed_outside_a_word_refused(seed):
             call()
 
 
+@pytest.mark.parametrize("path_index", [-1, 2**64])
+def test_path_index_outside_a_word_refused(path_index):
+    # -1 drew the path of index 2^64 - 1, and 2^64 raised OverflowError
+    spec, circ = circle_heat()
+    x = circ.point([0.3])
+    for kind in walks.PATH_KINDS:
+        with pytest.raises(ValueError, match=r"path_index must be in \[0, 2\^64\)"):
+            walks.sample_path(kind, spec, x, 1.0, 4, seed=0, path_index=path_index)
+    last = walks.sample_path("jump", spec, x, 1.0, 4, seed=0, path_index=2**64 - 1)
+    assert last.points.shape == (5, 1)
+
+
 def test_expectation_equivalent_to_iterate_mc():
     # same law; means agree within combined error bars
     spec, circ = circle_heat()
